@@ -8,7 +8,7 @@ Three mutually validating computational routes:
 - ``cft_operator``: adaptive quadrature for generic Gaussian scalar/vector
   operators (q-resolved purities, measurement-induced entanglement,
   UV-finite overlap ratios),
-- ``lattice``: exact free-fermion determinant formulas for tight-binding
+- ``lattice``: exact free-fermion Pfaffian formulas for tight-binding
   and critical Ising chains, gated by a brute-force exact-diagonalization
   oracle on small systems.
 

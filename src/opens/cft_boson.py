@@ -382,18 +382,18 @@ def time_effective_matrix(g: Geometry, tp: TimeParams) -> np.ndarray:
     return row[idx]
 
 
-def _mp_holo_row(L, eps, n, za, zb):
-    one_over_n = mp.mpf(1) / n
+def _mp_holo_row(ctx, L, eps, n, za, zb):
+    one_over_n = ctx.mpf(1) / n
     a_root = (za / (za - L)) ** one_over_n
     b_root = (zb / (zb - L)) ** one_over_n
-    zeta = [mp.e ** (2j * mp.pi * mp.mpf(j) / n) for j in range(n)]
+    zeta = [ctx.e ** (2j * ctx.pi * ctx.mpf(j) / n) for j in range(n)]
     areg = -2 * eps * L / (za * za * n - za * L * n) * a_root
     breg = -2 * eps * L / (zb * zb * n - zb * L * n) * b_root
-    row = [-mp.log(areg * breg / (a_root - b_root) ** 2)]
+    row = [-ctx.log(areg * breg / (a_root - b_root) ** 2)]
     for j in range(1, n):
         num = a_root * b_root * (zeta[j] - 1) ** 2
         den = (a_root * zeta[j] - b_root) * (a_root - b_root * zeta[j])
-        row.append(-mp.log(num / den))
+        row.append(-ctx.log(num / den))
     return row
 
 
@@ -403,32 +403,35 @@ def time_correction_samples(g: Geometry, tp: TimeParams, n_max: int = 8, dps: in
     At large t the correction decays like t^{-4} and falls below double
     precision long before the asymptote is reached, so the circulant row,
     its eigenvalue products and the n = 1 normalization are evaluated with
-    mpmath and only the final samples are returned as floats.
+    mpmath and only the final samples are returned as floats. The work
+    runs in a private mpmath context, so concurrent calls at different
+    precisions never share (or change) mpmath's global precision.
     """
-    with mp.workdps(dps):
-        L = mp.mpf(g.L)
-        eps = mp.mpf(g.eps)
-        zh = (
-            mp.mpf(g.a) - mp.mpf(tp.t) - 1j * mp.mpf(tp.eps_prime),
-            mp.mpf(g.b) - mp.mpf(tp.t) - 1j * mp.mpf(tp.eps_prime),
-        )
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    L = ctx.mpf(g.L)
+    eps = ctx.mpf(g.eps)
+    zh = (
+        ctx.mpf(g.a) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime),
+        ctx.mpf(g.b) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime),
+    )
 
-        def eff_row(n):
-            row_h = _mp_holo_row(L, eps, n, *zh)
-            return [2 * mp.re(x) for x in row_h]
+    def eff_row(n):
+        row_h = _mp_holo_row(ctx, L, eps, n, *zh)
+        return [2 * ctx.re(x) for x in row_h]
 
-        log_m1 = mp.log(eff_row(1)[0])
-        samples = []
-        for n in range(2, n_max + 1):
-            row = eff_row(n)
-            logdet = mp.mpf(0)
-            for k in range(n):
-                lam = mp.mpf(0)
-                for j in range(n):
-                    lam += row[j] * mp.cos(2 * mp.pi * j * k / n)
-                logdet += mp.log(lam)
-            val = (n * log_m1 - logdet) / (2 * (n - 1))
-            samples.append((n, float(val)))
+    log_m1 = ctx.log(eff_row(1)[0])
+    samples = []
+    for n in range(2, n_max + 1):
+        row = eff_row(n)
+        logdet = ctx.mpf(0)
+        for k in range(n):
+            lam = ctx.mpf(0)
+            for j in range(n):
+                lam += row[j] * ctx.cos(2 * ctx.pi * j * k / n)
+            logdet += ctx.log(lam)
+        val = (n * log_m1 - logdet) / (2 * (n - 1))
+        samples.append((n, float(val)))
     return samples
 
 

@@ -21,9 +21,5 @@ class ContinuationError(RuntimeError):
     """Rational continuation in the replica index is unstable."""
 
 
-class BranchTrackingError(RuntimeError):
-    """Square-root branch of a Gaussian determinant could not be resolved."""
-
-
 class RegimeWarning(UserWarning):
     """Parameters leave the regime a formula or expansion assumes."""

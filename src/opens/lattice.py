@@ -4,9 +4,9 @@ Ground states of the quadratic chain
 
     H = -1/2 sum_j (c+_j c_{j+1} + kappa c+_j c+_{j+1} + h.c. + 2 h c+_j c_j)
 
-are Gaussian, so every flux-dressed replica trace reduces to determinants
-of the two-point Nambu correlation matrix. Two presets are wired to
-infinite-chain kernels: the half-filled tight-binding chain
+are Gaussian, so every flux-dressed replica trace reduces to Pfaffians
+of Majorana correlation matrices, whose signs are exact. Two presets are
+wired to infinite-chain kernels: the half-filled tight-binding chain
 (kappa = h = 0, the U(1) lattice realization of the compact boson at
 K = 1) and the critical Ising chain (kappa = h = 1). Arbitrary couplings
 are supported through finite open chains, which also feed the brute-force
@@ -14,27 +14,33 @@ exact-diagonalization oracle used to gate every formula on <= 12 sites.
 
 Conventions: doubled operators are stacked particle-first,
 psi = (c_0 .. c_{m-1}, c+_0 .. c+_{m-1}); the correlation matrix is
-Gamma[a, b] = 2 <psi+_a psi_b> - delta. A Gaussian operator written as
-exp((1/2) psi+ H psi) then has Gamma = tanh(H/2)^T and trace
-sqrt(det(1 + e^H)), and all algebra below is phrased in D = Gamma^T so
-that kernels multiply in operator order. Division-free Mobius forms are
-used throughout: exactly occupied or empty modes (present in the paired
-presets, where Majorana dimers decouple) never hit a singular inverse.
+Gamma[a, b] = 2 <psi+_a psi_b> - delta, and the dressed-state algebra is
+phrased in D = Gamma^T so that kernels multiply in operator order.
+Division-free Mobius forms are used throughout: exactly occupied or empty
+modes (present in the paired presets, where Majorana dimers decouple)
+never hit a singular inverse. Traces use Majoranas a_{2j} = c_j + c+_j,
+a_{2j+1} = i (c+_j - c_j) and M_kl = (i/2) <[a_k, a_l]>: the flux trace
+over B and the pair trace of two states on A are each one Pfaffian
+(Fagotti & Calabrese, J. Stat. Mech. (2010) P04016).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import lapack, lu_factor, lu_solve
 from scipy.sparse.linalg import eigsh
 
-from opens.errors import BranchTrackingError, DomainError, SingularMatrixError
+from opens.errors import DomainError, SingularMatrixError
 
 CLIP = 1e-12
+# reciprocal condition number below which the dressing denominator counts
+# as singular, i.e. the flux trace vanishes and no normalized dressed state
+# exists; |trace| itself is no test, exact Ising traces fall below 1e-13
+SINGULAR_RCOND = 1e-13
+PANEL = 32  # Pfaffian elimination steps per deferred trailing update
 
 
 @dataclass(frozen=True)
@@ -187,13 +193,18 @@ def ground_state_correlations(model: LatticeModel, layout: SubsystemLayout) -> N
             "critical Ising presets; use finite_chain_correlations instead"
         )
     sites = np.array(layout.sites_A + layout.sites_B)
-    rdiff = sites[None, :] - sites[:, None]
+    span = layout.window - 1
+    idx = sites[None, :] - sites[:, None] + span  # each kernel once per distance
+
+    def table(kernel):
+        return np.array([kernel(r) for r in range(-span, span + 1)])[idx]
+
     if model.is_tight_binding:
-        C = np.vectorize(tight_binding_c)(rdiff)
+        C = table(tight_binding_c)
         F = np.zeros_like(C)
     else:
-        C = np.vectorize(ising_c)(rdiff)
-        F = np.vectorize(ising_f)(rdiff)
+        C = table(ising_c)
+        F = table(ising_f)
     return NambuCorrelationMatrix(_gamma_from_cf(C, F))
 
 
@@ -245,110 +256,100 @@ def ring_correlations(model: LatticeModel, n_sites: int, rmax: int):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian determinant algebra
+# exact-sign Gaussian traces
 
 
-def gaussian_trace(H: np.ndarray, steps: int = 33, max_refine: int = 6) -> complex:
-    """Trace of the Gaussian operator exp((1/2) psi+ H psi).
+def pfaffian(A: np.ndarray) -> complex:
+    """Pfaffian of a complex antisymmetric matrix.
 
-    Equals sqrt(det(1 + e^H)) with the square-root branch fixed by
-    continuity along the homotopy s H, s in [0, 1], starting from the
-    value 2^m at H = 0. The grid is refined until consecutive phase
-    increments stay below pi/2; failure to settle raises
-    ``BranchTrackingError``.
+    Parlett-Reid elimination with partial pivoting, which keeps the
+    trailing block antisymmetric (Wimmer, ACM TOMS 38 (2012), Alg. 923).
+    Up to PANEL rank-2 updates are held as A + U V^T - V U^T, applied to
+    each pivot column as it is needed and to the trailing block in one
+    matrix product. Pf(A)^2 = det(A), with the sign fixed exactly.
     """
-    H = np.asarray(H, dtype=complex)
-    m2 = H.shape[0]
-    if H.ndim != 2 or H.shape[1] != m2 or m2 % 2:
-        raise ValueError(f"need a 2m x 2m matrix, got {H.shape}")
-    for _ in range(max_refine):
-        ss = np.linspace(0.0, 1.0, steps)
-        phases, mods = [], []
-        ok = True
-        for s in ss:
-            mat = np.eye(m2) + expm(s * H)
-            sign, logabs = np.linalg.slogdet(mat)
-            if sign == 0 or not np.isfinite(logabs):
-                ok = False
-                break
-            phases.append(np.angle(sign))
-            mods.append(logabs)
-        if ok:
-            ph = np.unwrap(phases)
-            if np.abs(np.diff(ph)).max() < 0.5 * np.pi:
-                return np.exp(0.5 * (mods[-1] + 1j * ph[-1]))
-        steps = 2 * steps - 1
-    raise BranchTrackingError(
-        "determinant phase winds too fast along the homotopy; "
-        "the square-root branch could not be resolved"
-    )
+    A = np.array(A, dtype=complex)
+    n = A.shape[0]
+    if A.ndim != 2 or A.shape[1] != n or n % 2:
+        raise ValueError(f"need an even square matrix, got shape {A.shape}")
+    U = np.empty((n, PANEL), dtype=complex)
+    V = np.empty((n, PANEL), dtype=complex)
+    pf, j = 1.0 + 0.0j, 0
+    for k in range(0, n, 2):
+        col = A[k + 1:, k] + U[k + 1:, :j] @ V[k, :j] - V[k + 1:, :j] @ U[k, :j]
+        i = int(np.abs(col).argmax())
+        if i:  # swap rows and columns k+1 and k+1+i
+            p, q = [k + 1, k + 1 + i], [k + 1 + i, k + 1]
+            A[p, k:] = A[q, k:]
+            A[k:, p] = A[k:, q]
+            U[p] = U[q]
+            V[p] = V[q]
+            col[[0, i]] = col[[i, 0]]
+            pf = -pf
+        pivot = -col[0]  # A[k, k+1]
+        if pivot == 0.0:
+            return 0.0 + 0.0j
+        pf *= pivot
+        s = k + 2
+        if s == n:
+            break
+        U[s:, j] = -col[1:] / pivot  # row k past the pivot, over the pivot
+        V[s:, j] = A[s:, k + 1] + U[s:, :j] @ V[k + 1, :j] - V[s:, :j] @ U[k + 1, :j]
+        j += 1
+        if j == PANEL:
+            A[s:, s:] += U[s:] @ V[s:].T - V[s:] @ U[s:].T
+            j = 0
+    return complex(pf)
 
 
-def _sqrtdet_values(mats):
-    """sqrt(det M) along the path by sign continuation of the values.
+def majorana_matrix(gamma: np.ndarray) -> np.ndarray:
+    """M_kl = (i/2) <[a_k, a_l]> from the particle-first doubled matrix Gamma.
 
-    The square root of each determinant is fixed against a secant
-    prediction of the previous values, which follows the trace smoothly
-    through its (simple) zeros, where the sign genuinely flips and any
-    phase-unwrapping scheme would have to resolve an arbitrarily narrow
-    2 pi winding. The first determinant must be real positive (the
-    normalized zero-flux point). Raises when the +- choice is ambiguous,
-    so the caller can refine the path.
+    Majoranas a_{2j} = c_j + c+_j, a_{2j+1} = i (c+_j - c_j); M is real
+    for Hermitian states and complex antisymmetric for flux-dressed ones.
     """
-    sign0, logabs0 = np.linalg.slogdet(mats[0])
-    if abs(np.angle(sign0)) > 1e-9 or not np.isfinite(logabs0):
-        raise BranchTrackingError("path must start at a positive determinant")
-    vals = [complex(np.exp(0.5 * logabs0))]
-    for k, M in enumerate(mats[1:], start=1):
-        sign, logabs = np.linalg.slogdet(M)
-        if sign == 0 or not np.isfinite(logabs):
-            # exact zero on a grid point: the value is zero, continuation
-            # restarts through the secant of the neighbors
-            vals.append(0.0 + 0.0j)
-            continue
-        cand = np.exp(0.5 * (logabs + 1j * np.angle(sign)))
-        pred = vals[-1] if k == 1 else 2.0 * vals[-1] - vals[-2]
-        d_plus, d_minus = abs(cand - pred), abs(-cand - pred)
-        pick = cand if d_plus <= d_minus else -cand
-        local = max(abs(vals[-1]), abs(vals[-2]) if k > 1 else 0.0)
-        if abs(cand) > 0.05 * local:
-            # the sign matters here: demand a resolved step and a clear
-            # margin between the two branches
-            if min(d_plus, d_minus) > 0.25 * (abs(cand) + local) or max(
-                d_plus, d_minus
-            ) < 3.0 * min(d_plus, d_minus):
-                raise BranchTrackingError("ambiguous square-root branch; refine the path")
-        vals.append(pick)
-    return vals
+    m = gamma.shape[0] // 2
+    j = np.arange(m)
+    W = np.zeros((2 * m, 2 * m), dtype=complex)
+    W[2 * j, j] = W[2 * j, j + m] = 1.0
+    W[2 * j + 1, j] = -1j
+    W[2 * j + 1, j + m] = 1j
+    return 0.5j * W.conj() @ gamma @ W.T
 
 
-def _logsqrtdet_path(mats) -> complex:
-    """log sqrt(det) of the last path entry, sign-continued from the first."""
-    v = _sqrtdet_values(mats)[-1]
-    if v == 0.0:
-        raise BranchTrackingError("determinant vanishes at the path endpoint")
-    return complex(np.log(v))
+def flux_trace(maj: np.ndarray, gamma: float) -> complex:
+    """Tr(rho e^{i gamma Q}) of a normalized Gaussian state, Q counting every mode.
+
+    e^{i gamma m / 2} Pf(cos(gamma/2) J + i sin(gamma/2) M), with
+    J = (+) [[0, 1], [-1, 0]] the Majorana matrix of the empty state.
+    """
+    m = maj.shape[0] // 2
+    J = np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]])
+    return np.exp(0.5j * gamma * m) * pfaffian(np.cos(gamma / 2) * J + 1j * np.sin(gamma / 2) * maj)
 
 
-def _logsqrtdet_adaptive(make_mats, steps: int, max_refine: int = 6) -> complex:
-    """Sign-continued log sqrt(det) with automatic path refinement."""
-    for _ in range(max_refine):
-        try:
-            return _logsqrtdet_path(make_mats(steps))
-        except BranchTrackingError:
-            steps = 2 * steps - 1
-    return _logsqrtdet_path(make_mats(steps))
+def pair_trace(maj1: np.ndarray, maj2: np.ndarray) -> complex:
+    """Tr(rho1 rho2) of two normalized Gaussian states on m modes.
+
+    (-1)^m 2^{-m} Pf([[M1, -1], [1, -M2]]); its square is the familiar
+    det((1 - M1 M2) / 4), but the Pfaffian also fixes the sign.
+    """
+    m = maj1.shape[0] // 2
+    one = np.eye(2 * m)
+    return (-0.5) ** m * pfaffian(np.block([[maj1, -one], [one, -maj2]]))
 
 
 class GaussianWindow:
-    """Flux-determinant algebra on an A u B window of a Gaussian state.
+    """Flux traces and replica products on an A u B window of a Gaussian state.
 
-    Wraps the window correlations as D = Gamma^T and exposes the dressed
-    correlation matrices, flux traces and replica products, everything
-    phase-tracked along a scaled-flux homotopy.
+    Flux traces are single Pfaffians over the Majorana matrix of B, since
+    e^{i gamma Q_B} leaves A untouched. Each distinct flux dresses the
+    window once (Mobius form on D = Gamma^T) and keeps the normalized
+    dressed state of A, whose pair traces are again Pfaffians. Every sign
+    is exact, so no value is continued along a path.
     """
 
-    def __init__(self, corr: NambuCorrelationMatrix, n_a: int, n_b: int, steps: int = 33):
+    def __init__(self, corr: NambuCorrelationMatrix, n_a: int, n_b: int):
         if corr.m != n_a + n_b:
             raise ValueError(f"window has {corr.m} sites, layout wants {n_a + n_b}")
         self.corr = corr
@@ -359,7 +360,9 @@ class GaussianWindow:
         self.Ip = np.eye(2 * self.w) + self.D
         self.Im = np.eye(2 * self.w) - self.D
         self.idx_a = np.r_[np.arange(n_a), np.arange(n_a) + self.w]
-        self.steps = steps
+        idx_b = np.r_[np.arange(n_a, self.w), np.arange(n_a, self.w) + self.w]
+        self.maj_b = majorana_matrix(corr.gamma[np.ix_(idx_b, idx_b)])
+        self._dressed_a = {}
 
     def flux_diag(self, gamma: float) -> np.ndarray:
         """Kernel of e^{i gamma (Q_B - ell2/2)} in the doubled basis."""
@@ -370,85 +373,56 @@ class GaussianWindow:
         return d
 
     def log_flux_trace(self, gamma: float) -> complex:
-        """log Tr(rho_AB e^{i gamma Q_B}), branch tracked from gamma = 0.
-
-        If the determinant vanishes at an interior point of the straight
-        flux path (exact zeros occur, e.g. at gamma = pi for half-filled
-        windows with an odd measured interval), the path detours into
-        complex flux; the endpoints are untouched, so the value is exact.
-        """
-
-        def mats_for(bump):
-            def mats(steps):
-                ss = np.linspace(0.0, 1.0, steps)
-                out = []
-                for s in ss:
-                    z = gamma * (s - 1j * bump * np.sin(np.pi * s))
-                    out.append((self.Im + self.Ip * self.flux_diag(z)[None, :]) / 2.0)
-                return out
-
-            return mats
-
-        last_exc = None
-        for bump in (0.0, 0.4, 0.8, 0.2):
-            try:
-                return (
-                    1j * gamma * self.n_b / 2.0
-                    + _logsqrtdet_adaptive(mats_for(bump), self.steps)
-                )
-            except BranchTrackingError as exc:
-                last_exc = exc
-        raise last_exc
+        """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch."""
+        with np.errstate(divide="ignore"):
+            return complex(np.log(flux_trace(self.maj_b, gamma)))
 
     def dressed_d_window(self, gamma: float) -> np.ndarray:
         """D-matrix of the normalized flux-dressed state on the window.
 
         Mobius form U^{-1} [U(1+D) - (1-D)][U(1+D) + (1-D)]^{-1} U, whose
-        denominator stays well conditioned even at exactly pure modes.
+        denominator stays well conditioned even at exactly pure modes. It
+        is singular where the flux trace vanishes; there the dressed state
+        cannot be normalized and ``SingularMatrixError`` names the flux.
         """
         u = self.flux_diag(gamma)
         num = self.Ip * u[:, None] - self.Im
-        den = self.Ip * u[:, None] + self.Im
-        dd = np.linalg.solve(den.T, num.T).T
+        den = (self.Ip * u[:, None] + self.Im).T
+        lu = lu_factor(den, check_finite=False)
+        rcond, _ = lapack.zgecon(lu[0], np.linalg.norm(den, 1))
+        if rcond <= SINGULAR_RCOND:
+            raise SingularMatrixError(
+                f"flux trace vanishes at gamma = {gamma!r} (rcond {rcond:.1e}); "
+                "the normalized dressed state does not exist"
+            )
+        dd = lu_solve(lu, num.T, check_finite=False).T
         return (dd * u[None, :]) / u[:, None]
 
     def dressed_d_a(self, gamma: float) -> np.ndarray:
-        return self.dressed_d_window(gamma)[np.ix_(self.idx_a, self.idx_a)]
+        """D-matrix of the normalized dressed state of A, solved once per flux."""
+        if gamma not in self._dressed_a:
+            self._dressed_a[gamma] = self.dressed_d_window(gamma)[np.ix_(self.idx_a, self.idx_a)]
+        return self._dressed_a[gamma]
 
     def log_replica_product(self, gammas) -> complex:
         """log Tr_A prod_j rho_hat_{A, gamma_j} of the normalized dressed states.
 
         Pairwise composition: each step multiplies the running Gaussian by
-        the next one, picking up sqrt(det((1 + D D')/2)) and updating
-        D -> 1 - (1 - D')(1 + D D')^{-1}(1 - D). Composition determinants
-        are phase-tracked jointly along the scaled-flux path.
+        the next one, picking up their pair trace and updating
+        D -> 1 - (1 - D')(1 + D D')^{-1}(1 - D).
         """
         gammas = list(gammas)
         if len(gammas) == 1:
             return 0.0 + 0.0j
         ia = np.eye(2 * self.n_a)
-
-        def comp_mats(steps, bump):
-            per_comp = [[] for _ in range(len(gammas) - 1)]
-            for s in np.linspace(0.0, 1.0, steps):
-                scale = s - 1j * bump * np.sin(np.pi * s)
-                dc = self.dressed_d_a(scale * gammas[0])
-                for k, g in enumerate(gammas[1:]):
-                    dn = self.dressed_d_a(scale * g)
-                    mid = (ia + dc @ dn) / 2.0
-                    per_comp[k].append(mid)
-                    dc = ia - (ia - dn) @ np.linalg.solve(2.0 * mid, ia - dc)
-            return per_comp
-
-        last_exc = None
-        for bump in (0.0, 0.4, 0.8, 0.2):
-            steps = self.steps
-            for _ in range(5):
-                try:
-                    return sum(_logsqrtdet_path(p) for p in comp_mats(steps, bump))
-                except (BranchTrackingError, np.linalg.LinAlgError) as exc:
-                    steps, last_exc = 2 * steps - 1, exc
-        raise BranchTrackingError(f"replica product path could not be resolved: {last_exc}")
+        dc = self.dressed_d_a(gammas[0])
+        total = 0.0 + 0.0j
+        for k, g in enumerate(gammas[1:], start=2):
+            dn = self.dressed_d_a(g)
+            total += np.log(pair_trace(majorana_matrix(dc.T), majorana_matrix(dn.T)))
+            if k < len(gammas):
+                dc = ia - (ia - dn) @ np.linalg.solve(ia + dc @ dn, ia - dc)
+        return total
 
     def log_renyi_norm(self, n: int) -> float:
         """log Tr rho_A^n from the undressed mode occupations."""
@@ -457,12 +431,6 @@ class GaussianWindow:
         return 0.5 * float(
             np.sum(np.log(((1 + nu) / 2.0) ** n + ((1 - nu) / 2.0) ** n))
         )
-
-    def pair_overlap(self, d1: np.ndarray, d2: np.ndarray) -> complex:
-        """Tr(rho_hat(d1) rho_hat(d2)) = sqrt(det((1 + d1 d2)/2))."""
-        mid = (np.eye(2 * self.n_a) + d1 @ d2) / 2.0
-        sign, logabs = np.linalg.slogdet(mid)
-        return np.exp(0.5 * (logabs + 1j * np.angle(sign)))
 
 
 def _window_for(model_or_corr, layout: SubsystemLayout, n_sites: int | None = None) -> GaussianWindow:
@@ -556,17 +524,12 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | N
     if np.abs(p.imag).max() > 1e-9:
         raise ValueError(f"charge probabilities not real: {np.abs(p.imag).max():.2e}")
     p = p.real
-    # fluxes where the trace vanishes contribute nothing; their normalized
-    # dressed state does not exist and is never needed. Pair overlaps are
-    # branch-tracked along the joint flux path like any replica product.
-    live = np.abs(traces) > 1e-13
-    weighted = np.zeros((nq, nq), dtype=complex)
+    # every pair overlap needs both normalized dressed states, so a flux
+    # whose trace vanishes raises SingularMatrixError rather than being
+    # dropped: its post-measurement contribution is generally not zero
+    weighted = np.empty((nq, nq), dtype=complex)
     for i in range(nq):
-        if not live[i]:
-            continue
         for j in range(i, nq):
-            if not live[j]:
-                continue
             ov = np.exp(win.log_replica_product([gs[i], gs[j]]))
             weighted[i, j] = weighted[j, i] = ov * traces[i] * traces[j]
     raw = (phases @ weighted @ phases.T) / nq**2
@@ -643,6 +606,7 @@ class EDOracle:
         self.model = model
         self.n = n_sites
         self.psi, self.gap = self._ground_state()
+        self._reshaped = {}
 
     def _hamiltonian(self) -> sparse.csr_matrix:
         N, kappa, h = self.n, self.model.kappa, self.model.h_field
@@ -674,7 +638,9 @@ class EDOracle:
             gap = w[1] - w[0]
             psi = v[:, 0]
         else:
-            w, v = eigsh(H, k=2, which="SA")
+            # a fixed start vector keeps the result reproducible to the bit
+            v0 = np.random.default_rng(0).standard_normal(H.shape[0])
+            w, v = eigsh(H, k=2, which="SA", v0=v0)
             order = np.argsort(w)
             gap = w[order[1]] - w[order[0]]
             psi = v[:, order[0]]
@@ -683,9 +649,14 @@ class EDOracle:
         return psi, float(gap)
 
     def _reshape(self, a_sites):
-        """State as a matrix V[a, rest] with fermionic reorder signs."""
+        """State as a matrix V[a, rest] with fermionic reorder signs, memoized per A."""
+        key = tuple(a_sites)
+        if key not in self._reshaped:
+            self._reshaped[key] = self._build_reshape(list(key))
+        return self._reshaped[key]
+
+    def _build_reshape(self, a_sites):
         N = self.n
-        a_sites = list(a_sites)
         rest = [j for j in range(N) if j not in a_sites]
         order = {site: k for k, site in enumerate(a_sites + rest)}
         dim = 1 << N

@@ -116,6 +116,15 @@ class TestCommands:
         assert code == 0
         assert "# verdict = pass" in out.read_text()
 
+    def test_ed_verify_reproducible_on_twelve_sites(self, tmp_path):
+        # 12 sites take the sparse eigensolver route
+        args = ["ed-verify", "--model", "ising", "--sites", "12", "--l1", "3",
+                "--d-sites", "3", "--l2-sites", "5", "--n", "2"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["--output", str(out1)] + args) == 0
+        assert main(["--output", str(out2)] + args) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_lattice_moments_with_cft_columns(self, tmp_path):
         out = tmp_path / "lat.csv"
         code = main(
@@ -128,12 +137,16 @@ class TestCommands:
         assert len(lines) == 3
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
-        args = ["boson-holevo", "--L", "10", "--d", "10", "--l2", "10:1000:4:log"]
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert main(["--output", str(out1), "--jobs", "1"] + args) == 0
-        assert main(["--output", str(out2), "--jobs", "3"] + args) == 0
         body = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
-        assert body(out1) == body(out2)
+        for args in (
+            ["boson-holevo", "--L", "10", "--d", "10", "--l2", "10:1000:4:log"],
+            # the mpmath tail: threads must not share a working precision
+            ["boson-time", "--L", "10", "--d", "10", "--l2", "10", "--t", "1000:100000:6:log"],
+        ):
+            out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
+            assert main(["--output", str(out1), "--jobs", "1"] + args) == 0
+            assert main(["--output", str(out2), "--jobs", "3"] + args) == 0
+            assert body(out1) == body(out2)
 
     def test_cn_table_runs(self, tmp_path):
         out = tmp_path / "cn.csv"

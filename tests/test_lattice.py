@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from opens.errors import BranchTrackingError, DomainError
+from opens.errors import DomainError, SingularMatrixError
 from opens.lattice import (
     ISING,
     TIGHT_BINDING,
@@ -15,13 +15,16 @@ from opens.lattice import (
     charged_moments_lattice,
     finite_chain_correlations,
     flux_correlation_matrix,
+    flux_trace,
     fock_operators,
-    gaussian_trace,
     ground_state_correlations,
     ising_c,
     ising_f,
     ising_gamma_rescaling,
     ising_log_coefficient_prediction,
+    majorana_matrix,
+    pair_trace,
+    pfaffian,
     post_measurement_overlap,
     quadratic_fock_operator,
     ring_correlations,
@@ -33,6 +36,36 @@ def window_corr(model, n_sites, layout):
     return finite_chain_correlations(model, n_sites).restrict(
         layout.sites_A + layout.sites_B
     )
+
+
+def fock_state(H, flux=0.0):
+    """Normalized Fock matrix of exp((1/2) psi+ H psi), dressed by e^{i flux n_0}."""
+    rho = expm(quadratic_fock_operator(H))
+    if flux:
+        c0 = fock_operators(H.shape[0] // 2)[0]
+        rho = rho @ expm(1j * flux * c0.T @ c0)
+    return rho / np.trace(rho)
+
+
+def fock_majorana(rho):
+    """Majorana matrix of a Fock-space state from its measured two-point table."""
+    cs = fock_operators(int(np.log2(rho.shape[0])))
+    ops = cs + [c.T for c in cs]
+    G = np.array([[np.trace(rho @ a.conj().T @ b) for b in ops] for a in ops])
+    return majorana_matrix(2 * G - np.eye(len(ops)))
+
+
+def fock_flux_trace(rho, gamma):
+    cs = fock_operators(int(np.log2(rho.shape[0])))
+    return np.trace(rho @ expm(1j * gamma * sum(c.T @ c for c in cs)))
+
+
+def random_hamiltonian(rng, m):
+    A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    A = (A + A.conj().T) / 2
+    B = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    B = (B - B.T) / 2
+    return np.block([[A, B], [-B.conj(), -A.conj()]])
 
 
 class TestKernels:
@@ -79,43 +112,72 @@ class TestKernels:
             ground_state_correlations(LatticeModel(0.5, 0.7), SubsystemLayout(2, 0, 2))
 
 
+class TestPfaffian:
+    def test_square_is_determinant(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 4, 8, 30, 150):  # 150: past one panel of deferred updates
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            A = A - A.T
+            sign, logdet = np.linalg.slogdet(A)
+            assert abs(pfaffian(A) ** 2 / (sign * np.exp(logdet)) - 1) < 1e-11
+
+    def test_sign_block_diagonal(self):
+        a = np.array([0.7, -1.3, 2.0])
+        A = np.kron(np.diag(a), [[0.0, 1.0], [-1.0, 0.0]])
+        assert pfaffian(A) == pytest.approx(np.prod(a), rel=1e-14)
+        # the same blocks pairing (0, 2) and (1, 3): one transposition
+        P = np.eye(6)[[0, 2, 1, 3, 4, 5]]
+        assert pfaffian(P.T @ A @ P) == pytest.approx(-np.prod(a), rel=1e-14)
+        assert pfaffian(np.kron(np.diag([0.7, 0.0]), [[0.0, 1.0], [-1.0, 0.0]])) == 0.0
+
+    def test_odd_size_rejected(self):
+        with pytest.raises(ValueError):
+            pfaffian(np.zeros((3, 3)))
+
+
 class TestGaussianTrace:
+    """Flux and pair traces as Pfaffians, against Fock-space traces."""
+
     def test_identity_operator(self):
         for m in (1, 3):
-            assert gaussian_trace(np.zeros((2 * m, 2 * m))) == pytest.approx(2.0**m)
+            zero = np.zeros((2 * m, 2 * m))
+            assert flux_trace(zero, 0.9) == pytest.approx(((1 + np.exp(0.9j)) / 2) ** m)
+            assert pair_trace(zero, zero) == pytest.approx(2.0**-m)
 
     def test_single_mode(self):
         omega = 0.83
-        H = np.diag([omega, -omega])
-        assert gaussian_trace(H) == pytest.approx(2 * np.cosh(omega / 2), rel=1e-12)
-        # cross-check against the 2-dimensional Fock trace
-        fock = np.trace(expm(quadratic_fock_operator(H)))
-        assert gaussian_trace(H) == pytest.approx(fock, rel=1e-12)
+        rho = fock_state(np.diag([omega, -omega]))
+        nbar = 1 / (1 + np.exp(-omega))
+        maj = fock_majorana(rho)
+        assert maj[0, 1] == pytest.approx(2 * nbar - 1, rel=1e-12)
+        assert flux_trace(maj, 1.7) == pytest.approx(1 - nbar + nbar * np.exp(1.7j), rel=1e-12)
+        assert pair_trace(maj, maj) == pytest.approx(nbar**2 + (1 - nbar) ** 2, rel=1e-12)
+
+    @staticmethod
+    def check_against_fock(r1, r2):
+        m1, m2 = fock_majorana(r1), fock_majorana(r2)
+        for gamma in (0.4, 2.9):
+            ref = fock_flux_trace(r1, gamma)
+            assert abs(flux_trace(m1, gamma) - ref) < 1e-12 * abs(ref)
+        ref = np.trace(r1 @ r2)
+        assert abs(pair_trace(m1, m2) - ref) < 1e-12 * abs(ref)
+        return m1
 
     def test_random_hermitian_against_fock(self):
         rng = np.random.default_rng(7)
-        m = 3
-        A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        A = (A + A.conj().T) / 2
-        B = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        B = (B - B.T) / 2
-        H = np.block([[A, B], [-B.conj(), -A.conj()]])
-        fock = np.trace(expm(quadratic_fock_operator(H)))
-        assert abs(gaussian_trace(H) - fock) < 1e-10 * abs(fock)
+        for m in (1, 2, 3, 4):
+            r1 = fock_state(random_hamiltonian(rng, m))
+            r2 = fock_state(random_hamiltonian(rng, m))
+            m1 = self.check_against_fock(r1, r2)
+            assert np.abs(m1.imag).max() < 1e-12  # Hermitian states: real M
 
     def test_flux_dressed_nonhermitian(self):
         rng = np.random.default_rng(11)
-        m = 2
-        A = rng.normal(size=(m, m))
-        A = (A + A.T) / 2
-        H = np.block([[A, np.zeros((m, m))], [np.zeros((m, m)), -A]]).astype(complex)
-        NB = np.diag([0.0, 1.0, 0.0, -1.0])
-        X = expm(H) @ expm(0.9j * NB)
-        # log of the dressed kernel: trace formula still applies
-        from scipy.linalg import logm
-
-        fock = np.trace(expm(quadratic_fock_operator(H)) @ expm(quadratic_fock_operator(0.9j * NB)))
-        assert abs(gaussian_trace(logm(X)) - fock) < 1e-9 * abs(fock)
+        for m in (1, 2, 3, 4):
+            r1 = fock_state(random_hamiltonian(rng, m), flux=0.9)
+            r2 = fock_state(random_hamiltonian(rng, m), flux=-2.2)
+            m1 = self.check_against_fock(r1, r2)
+            assert np.abs(m1.imag).max() > 1e-3  # dressed states: complex M
 
 
 class TestFluxMatrix:
@@ -148,6 +210,43 @@ class TestFluxMatrix:
             det_val = np.exp(1j * gamma * lay.ell2 / 2 + logratio / 2)
             ed_val = np.sum(np.abs(oracle.psi) ** 2 * np.exp(1j * gamma * qb))
             assert abs(det_val - ed_val) < 1e-10
+
+    def test_tight_binding_matches_u1_closed_form(self):
+        # charge is conserved, so the trace factorizes over the occupations
+        # nu_k of C_BB: prod_k (1 - nu_k + nu_k e^{i gamma}), exact per mode
+        lay = SubsystemLayout(10, 10, 200)
+        win = GaussianWindow(ground_state_correlations(TIGHT_BINDING, lay), 10, 200)
+        r = np.arange(200)
+        nu = np.linalg.eigvalsh(np.vectorize(tight_binding_c)(r[:, None] - r[None, :]))
+        for gamma in (0.3, 0.7, 2.0, 3.0):
+            closed = np.sum(np.log(1 - nu + nu * np.exp(1j * gamma)))
+            assert abs(np.exp(win.log_flux_trace(gamma) - closed) - 1) < 1e-11
+
+
+class TestVanishingTrace:
+    # xx, 8 sites, layout (3, 2, 3): the flux trace has an exact zero at pi
+    lay = SubsystemLayout(3, 2, 3)
+
+    def test_zero_trace_flux_raises(self):
+        corr = window_corr(TIGHT_BINDING, 8, self.lay)
+        with pytest.raises(SingularMatrixError, match=r"gamma = 3\.14159"):
+            charged_moments_lattice(corr, self.lay, [np.pi, 0.5])
+
+    def test_near_zero_trace_matches_ed(self):
+        oracle = EDOracle(TIGHT_BINDING, 8)
+        corr = window_corr(TIGHT_BINDING, 8, self.lay)
+        gammas = [np.pi - 1e-3, 0.5]
+        det_v = charged_moments_lattice(corr, self.lay, gammas)
+        ed_v = oracle.charged_moment(self.lay.sites_A, self.lay.sites_B, gammas)
+        assert abs(det_v - ed_v) < 1e-8
+
+    def test_small_exact_trace_is_not_zero(self):
+        # Ising traces decay exponentially in ell2 without vanishing
+        lay = SubsystemLayout(10, 10, 200)
+        win = GaussianWindow(ground_state_correlations(ISING, lay), 10, 200)
+        assert abs(np.exp(win.log_flux_trace(1.1))) < 1e-13
+        val = charged_moments_lattice(ISING, lay, [1.1, 1.1])
+        assert np.isfinite(val) and 0.0 < abs(val) < 1.0
 
 
 class TestChargedMoments:
@@ -286,11 +385,17 @@ class TestEDOracle:
         assert oracle.mie(lay.sites_A, lay.sites_B, n=2) == pytest.approx(mie2, rel=1e-10)
 
     def test_reproduces_gaussian_trace_examples(self):
-        # same algebra through an entirely different route
-        omega = 1.1
-        H = np.diag([omega, -omega])
-        fock = np.trace(expm(quadratic_fock_operator(H)))
-        assert gaussian_trace(H) == pytest.approx(fock, rel=1e-12)
+        # the Pfaffian traces from correlations vs the many-body ground state
+        oracle = EDOracle(ISING, 8)
+        corr = finite_chain_correlations(ISING, 8)
+        V, _ = oracle._reshape(range(3))
+        rho_a = V @ V.conj().T
+        maj_a = majorana_matrix(corr.restrict(range(3)).gamma)
+        assert pair_trace(maj_a, maj_a) == pytest.approx(np.trace(rho_a @ rho_a), rel=1e-10)
+        qb = sum((np.arange(1 << 8) >> j) & 1 for j in range(4, 8))
+        maj_b = majorana_matrix(corr.restrict(range(4, 8)).gamma)
+        ed_val = np.sum(np.abs(oracle.psi) ** 2 * np.exp(1.3j * qb))
+        assert abs(flux_trace(maj_b, 1.3) - ed_val) < 1e-10
 
     def test_renyi_against_correlations(self):
         oracle = EDOracle(ISING, 8)
