@@ -8,6 +8,10 @@ module builds M, evaluates the charged moments, the q-resolved Renyi
 ratio, the entropy correction of the outcome-averaged ensemble, the Holevo
 bound on the extractable charge information, and the real-time decay of
 that bound.
+
+Every route reads M's first row from one cross-ratio builder: in double
+precision at real endpoints for the closed forms, and in a private
+mpmath context at time-shifted complex endpoints for the late-time tail.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from opens.core import (
     SymmetricCirculant,
     circulant_log_determinant,
     quadratic_form_cn,
-    require_real,
 )
 from opens.errors import DomainError, RegimeWarning
 
@@ -83,6 +86,16 @@ class ReplicaMatrix:
         return quadratic_form_cn(self.dense())
 
 
+def _image(ctx, z, L, n):
+    """Principal image (z / (z - L))^{1/n} of z under the uniformizing map.
+
+    It is real and positive for real z > L; sheet k carries the extra
+    phase e^{2 pi i k / n}. The exponent is formed in ``ctx`` so that an
+    mpmath context keeps its full precision.
+    """
+    return (z / (z - L)) ** (ctx.mpf(1) / n)
+
+
 def branch_points(g: Geometry):
     """Images of the endpoints of B on the uniformized plane.
 
@@ -91,36 +104,45 @@ def branch_points(g: Geometry):
     z > L) root is used and the replica phases are explicit.
     """
     n = g.n
-    a_root = complex(g.a / (g.a - g.L)) ** (1.0 / n)
-    b_root = complex(g.b / (g.b - g.L)) ** (1.0 / n)
+    a_root = _image(mp.fp, complex(g.a), float(g.L), n)
+    b_root = _image(mp.fp, complex(g.b), float(g.L), n)
     zeta = np.exp(2j * np.pi * np.arange(n) / n)
     return list(zip(a_root * zeta, b_root * zeta))
 
 
-def _regularized_endpoints(z: complex, L: float, eps: float, n: int, exact: bool):
-    """Point-split image width at endpoint z, leading order or exact."""
-    if exact:
-        return (complex(z + eps) / (z + eps - L)) ** (1.0 / n) - (
-            complex(z - eps) / (z - eps - L)
-        ) ** (1.0 / n)
-    return -2.0 * eps * L / (z * z * n - z * L * n) * complex(z / (z - L)) ** (1.0 / n)
+def _holo_row(ctx, L, za, zb, eps, n, exact_reg=False):
+    """Holomorphic half of the circulant row at endpoints za, zb.
+
+    Entry j is -log of the cross ratio of the branch-point images on
+    sheets 0 and j; the diagonal replaces the coincident images by their
+    point-split width, at leading order in eps or, with ``exact_reg``, as
+    the exact difference of the images at z +- eps. ``ctx`` supplies the
+    arithmetic: ``mpmath.fp`` for doubles or a private ``mpmath.MPContext``.
+    The row is palindromic (sheet j and sheet n - j give the same cross
+    ratio), so only j <= n // 2 is evaluated. At real endpoints 2 Re of
+    the row is the boson covariance row.
+    """
+    # numpy scalars would send mpmath.fp down its real-only path, which
+    # drops imaginary parts with no more than a ComplexWarning
+    L, eps = ctx.mpf(L), ctx.mpf(eps)
+    za, zb = ctx.mpc(za), ctx.mpc(zb)
+    a, b = _image(ctx, za, L, n), _image(ctx, zb, L, n)
+    if exact_reg:
+        areg = _image(ctx, za + eps, L, n) - _image(ctx, za - eps, L, n)
+        breg = _image(ctx, zb + eps, L, n) - _image(ctx, zb - eps, L, n)
+    else:
+        areg = -2 * eps * L / (za * za * n - za * L * n) * a
+        breg = -2 * eps * L / (zb * zb * n - zb * L * n) * b
+    row = [-ctx.log(areg * breg / (a - b) ** 2)]
+    for j in range(1, n // 2 + 1):
+        zeta = ctx.exp(2j * ctx.pi * j / n)
+        row.append(-ctx.log((a - a * zeta) * (b - b * zeta) / ((a - b * zeta) * (a * zeta - b))))
+    return row + row[1:(n + 1) // 2][::-1]
 
 
 def _boson_row(L, a, b, eps, n, exact_reg=False):
     """First row of M: -log | cross ratio |^2 of the branch-point images."""
-    a_root = (complex(a) / (a - L)) ** (1.0 / n)
-    b_root = (complex(b) / (b - L)) ** (1.0 / n)
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    ak = a_root * zeta
-    bk = b_root * zeta
-    areg = _regularized_endpoints(a, L, eps, n, exact_reg)
-    breg = _regularized_endpoints(b, L, eps, n, exact_reg)
-    row = np.empty(n)
-    row[0] = -2.0 * np.log(np.abs(areg * breg / (ak[0] - bk[0]) ** 2))
-    for j in range(1, n // 2 + 1):
-        cross = (ak[0] - ak[j]) * (bk[0] - bk[j]) / ((ak[0] - bk[j]) * (ak[j] - bk[0]))
-        row[j] = row[n - j] = -2.0 * np.log(np.abs(cross))  # palindromic by symmetry
-    return row
+    return np.array([2.0 * x.real for x in _holo_row(mp.fp, L, a, b, eps, n, exact_reg)])
 
 
 def build_M_boson(g: Geometry, exact_reg: bool = False) -> ReplicaMatrix:
@@ -316,87 +338,6 @@ def charge_distribution(g: Geometry, p: BosonParams, q) -> np.ndarray:
 # real-time generalization
 
 
-def _shifted_endpoints(g: Geometry, tp: TimeParams):
-    """Complex endpoint positions after evolving the measurement to time t.
-
-    Both chiral halves translate by -t; the holomorphic half carries the
-    -i eps' displacement and the anti-holomorphic half its conjugate, which
-    keeps the effective covariance real.
-    """
-    zh = (g.a - tp.t - 1j * tp.eps_prime, g.b - tp.t - 1j * tp.eps_prime)
-    za = (g.a - tp.t + 1j * tp.eps_prime, g.b - tp.t + 1j * tp.eps_prime)
-    return zh, za
-
-
-def _holo_row(L, eps, n, za, zb):
-    """Holomorphic half of the circulant row at complex endpoints."""
-    a_root = (za / (za - L)) ** (1.0 / n)
-    b_root = (zb / (zb - L)) ** (1.0 / n)
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    ak = a_root * zeta
-    bk = b_root * zeta
-    areg = -2.0 * eps * L / (za * za * n - za * L * n) * a_root
-    breg = -2.0 * eps * L / (zb * zb * n - zb * L * n) * b_root
-    row = np.empty(n, dtype=complex)
-    row[0] = -np.log(areg * breg / (ak[0] - bk[0]) ** 2)
-    for j in range(1, n):
-        cross = (ak[0] - ak[j]) * (bk[0] - bk[j]) / ((ak[0] - bk[j]) * (ak[j] - bk[0]))
-        row[j] = -np.log(cross)
-    return row
-
-
-def build_M_time(g: Geometry, tp: TimeParams) -> np.ndarray:
-    """2n x 2n covariance of the time-evolved flux insertions.
-
-    Block-diagonal in the chiral halves (the boson's holomorphic and
-    anti-holomorphic currents do not cross-correlate); each block is a
-    complex symmetric circulant, and the flux vector duplicates gamma on
-    the two halves, so the physical quadratic form is governed by the
-    n x n sum of the blocks (`time_effective_matrix`).
-    """
-    zh, za = _shifted_endpoints(g, tp)
-    n = g.n
-    rh = _holo_row(g.L, g.eps, n, *zh)
-    ra = _holo_row(g.L, g.eps, n, *za)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = rh[idx]
-    out[n:, n:] = ra[idx]
-    return out
-
-
-def time_effective_matrix(g: Geometry, tp: TimeParams) -> np.ndarray:
-    """n x n real covariance governing the time-dependent quadratic form.
-
-    The anti-holomorphic block is the conjugate of the holomorphic one, so
-    their sum is real up to the residue tolerated by ``require_real``.
-    """
-    zh, za = _shifted_endpoints(g, tp)
-    row_h = _holo_row(g.L, g.eps, g.n, *zh)
-    row_a = _holo_row(g.L, g.eps, g.n, *za)
-    row = np.array(
-        [require_real(x + y, what="time-dependent covariance entry")
-         for x, y in zip(row_h, row_a)]
-    )
-    idx = (np.arange(g.n)[:, None] - np.arange(g.n)[None, :]) % g.n
-    return row[idx]
-
-
-def _mp_holo_row(ctx, L, eps, n, za, zb):
-    one_over_n = ctx.mpf(1) / n
-    a_root = (za / (za - L)) ** one_over_n
-    b_root = (zb / (zb - L)) ** one_over_n
-    zeta = [ctx.e ** (2j * ctx.pi * ctx.mpf(j) / n) for j in range(n)]
-    areg = -2 * eps * L / (za * za * n - za * L * n) * a_root
-    breg = -2 * eps * L / (zb * zb * n - zb * L * n) * b_root
-    row = [-ctx.log(areg * breg / (a_root - b_root) ** 2)]
-    for j in range(1, n):
-        num = a_root * b_root * (zeta[j] - 1) ** 2
-        den = (a_root * zeta[j] - b_root) * (a_root - b_root * zeta[j])
-        row.append(-ctx.log(num / den))
-    return row
-
-
 def time_correction_samples(g: Geometry, tp: TimeParams, n_max: int = 8, dps: int = 50):
     """chi_n(t) samples computed in arbitrary precision.
 
@@ -406,19 +347,19 @@ def time_correction_samples(g: Geometry, tp: TimeParams, n_max: int = 8, dps: in
     mpmath and only the final samples are returned as floats. The work
     runs in a private mpmath context, so concurrent calls at different
     precisions never share (or change) mpmath's global precision.
+
+    Both chiral halves translate by -t. The holomorphic half carries a
+    -i eps' displacement and the anti-holomorphic half its conjugate, so
+    the anti-holomorphic row is the conjugate of the holomorphic one and
+    the effective covariance row is 2 Re of the holomorphic row.
     """
     ctx = mp.MPContext()
     ctx.dps = dps
-    L = ctx.mpf(g.L)
-    eps = ctx.mpf(g.eps)
-    zh = (
-        ctx.mpf(g.a) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime),
-        ctx.mpf(g.b) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime),
-    )
+    za = ctx.mpf(g.a) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime)
+    zb = ctx.mpf(g.b) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime)
 
     def eff_row(n):
-        row_h = _mp_holo_row(ctx, L, eps, n, *zh)
-        return [2 * ctx.re(x) for x in row_h]
+        return [2 * ctx.re(x) for x in _holo_row(ctx, g.L, za, zb, g.eps, n)]
 
     log_m1 = ctx.log(eff_row(1)[0])
     samples = []

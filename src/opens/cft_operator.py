@@ -16,13 +16,12 @@ the averaged purity, and the UV-finite ratios that survive eps -> 0.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
 
-from opens.core import Geometry, quadratic_form_cn
+from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
 from opens.errors import DomainError, QuadratureError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -59,7 +58,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     subtraction: bool = True
-    extrapolation_eps: tuple = field(default=())
 
     def __post_init__(self):
         if self.eps_reg <= 0.0:
@@ -89,11 +87,8 @@ def replica_map(x: float, k: int, g: Geometry):
     """
     if 0.0 <= x <= g.L:
         raise DomainError(f"x = {x} lies inside the probed interval [0, {g.L}]")
-    n = g.n
-    phase = np.exp(2j * np.pi * k / n)
-    u = (complex(x) / (x - g.L)) ** (1.0 / n)
-    du = -u * g.L / (n * x * (x - g.L))
-    return phase * u, phase * du
+    phase = np.exp(2j * np.pi * k / g.n)
+    return phase * _u(x, g.L, g.n), -phase * _du_abs(x, g.L, g.n)
 
 
 def _u(x, L, n):
@@ -158,17 +153,18 @@ def flat_interval_integral(spec: OperatorSpec, length: float, eps: float) -> Fla
 
 
 def _quad(func, lo, hi, cfg: QuadratureConfig, points=None, what=""):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, abserr = integrate.quad(
-            func,
-            lo,
-            hi,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=400,
-            points=points,
-        )
+    # full output returns QUADPACK's message instead of warning, so no
+    # thread has to touch the process-wide warning filters
+    val, abserr = integrate.quad(
+        func,
+        lo,
+        hi,
+        epsabs=cfg.abs_tol,
+        epsrel=cfg.rel_tol,
+        limit=400,
+        points=points,
+        full_output=1,
+    )[:2]
     if not np.isfinite(val):
         raise QuadratureError(f"non-finite quadrature result for {what}")
     # the reported estimate is often conservative on peaked kernels; only a
@@ -332,9 +328,8 @@ class OperatorMatrix:
         eps = self.eps_reg if eps is None else eps
         n = self.geometry.n
         diag = self.diag_remainder + flat_integral_exact(self.spec, self.geometry.ell2, eps)
-        row = np.array([diag] + [self.off_row[min(m, n - m) - 1] for m in range(1, n)])
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        return row[idx]
+        row = [diag] + [self.off_row[min(m, n - m) - 1] for m in range(1, n)]
+        return SymmetricCirculant(row).dense()
 
     def cn(self, eps: float | None = None) -> float:
         return quadratic_form_cn(self.dense(eps))

@@ -17,6 +17,13 @@ from scipy.interpolate import AAA
 
 from opens.errors import ContinuationError
 
+# AAA warns whenever it stops at max_terms, and it has no switch to stay
+# quiet; a capped fit is the intended degree limit here, not a failure.
+# One filter set at import replaces a per-call save and restore of the
+# process-wide filters, which races between threads. AAA attributes the
+# warning to its own module, so that is the module the filter names.
+warnings.filterwarnings("ignore", "AAA failed to converge", RuntimeWarning, "scipy.interpolate")
+
 
 @dataclass
 class ContinuationProblem:
@@ -47,10 +54,7 @@ class ContinuationResult:
 
 def _fit(ns, vals, max_degree):
     # max_terms counts support points; degree (m-1, m-1) uses m of them.
-    # Hitting the cap before machine precision is expected, not an error.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return AAA(ns, vals, max_terms=min(max_degree + 1, len(ns)))
+    return AAA(ns, vals, max_terms=min(max_degree + 1, len(ns)))
 
 
 def _check_poles(fit, lo: float, hi: float, scale: float = 1.0):

@@ -169,10 +169,3 @@ def quadratic_form_cn(M: np.ndarray) -> float:
         raise ValueError(f"quadratic form not real: {val!r}")
     return val.real
 
-
-def require_real(z, tol: float = IMAG_TOL, what: str = "value") -> float:
-    """Strip an imaginary residue below ``tol``; larger residue is an error."""
-    z = complex(z)
-    if abs(z.imag) > tol * max(1.0, abs(z.real)):
-        raise ValueError(f"{what} has imaginary residue {z.imag:.3e}")
-    return z.real

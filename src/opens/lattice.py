@@ -385,8 +385,12 @@ class GaussianWindow:
         is singular where the flux trace vanishes; there the dressed state
         cannot be normalized and ``SingularMatrixError`` names the flux.
         """
+        return self._dressed_rows(gamma, slice(None))
+
+    def _dressed_rows(self, gamma: float, rows) -> np.ndarray:
+        """The given rows of ``dressed_d_window``; the solve runs only for them."""
         u = self.flux_diag(gamma)
-        num = self.Ip * u[:, None] - self.Im
+        num = self.Ip[rows] * u[rows, None] - self.Im[rows]
         den = (self.Ip * u[:, None] + self.Im).T
         lu = lu_factor(den, check_finite=False)
         rcond, _ = lapack.zgecon(lu[0], np.linalg.norm(den, 1))
@@ -396,12 +400,12 @@ class GaussianWindow:
                 "the normalized dressed state does not exist"
             )
         dd = lu_solve(lu, num.T, check_finite=False).T
-        return (dd * u[None, :]) / u[:, None]
+        return (dd * u[None, :]) / u[rows, None]
 
     def dressed_d_a(self, gamma: float) -> np.ndarray:
         """D-matrix of the normalized dressed state of A, solved once per flux."""
         if gamma not in self._dressed_a:
-            self._dressed_a[gamma] = self.dressed_d_window(gamma)[np.ix_(self.idx_a, self.idx_a)]
+            self._dressed_a[gamma] = self._dressed_rows(gamma, self.idx_a)[:, self.idx_a]
         return self._dressed_a[gamma]
 
     def log_replica_product(self, gammas) -> complex:

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -7,7 +8,6 @@ from opens.cft_boson import (
     TimeParams,
     branch_points,
     build_M_boson,
-    build_M_time,
     charge_distribution,
     charge_variances,
     charged_moments_ratio,
@@ -19,10 +19,10 @@ from opens.cft_boson import (
     holevo_chi,
     holevo_chi_approx,
     _chi_approx_raw,
+    _holo_row,
     renyi_ratio_and_mie,
     single_copy_m11,
     time_correction_samples,
-    time_effective_matrix,
 )
 from opens.continuation import ContinuationProblem, continue_to_one
 from opens.core import Geometry
@@ -268,15 +268,17 @@ class TestTimeDependence:
             _, corr = renyi_ratio_and_mie(g, n)
             assert val == pytest.approx(-corr, rel=1e-3)
 
-    def test_block_structure(self):
-        g = geo(n=3)
-        tp = TimeParams(5.0, 1e-4)
-        M = build_M_time(g, tp)
-        assert M.shape == (6, 6)
-        assert np.abs(M[:3, 3:]).max() == 0.0
-        eff = time_effective_matrix(g, tp)
-        assert np.allclose(eff, M[:3, :3] + M[3:, 3:], rtol=1e-12)
-        assert np.allclose(eff, eff.T, rtol=1e-12)
+    def test_antiholomorphic_row_is_conjugate(self):
+        # the t^-4 tail keeps 2 Re of the holomorphic row only, which
+        # relies on the conjugate endpoints giving the conjugate row;
+        # numpy scalars must not lose their imaginary parts on the way in
+        g, tp = geo(n=5), TimeParams(25.0, 1.0)
+        shift = tp.t + 1j * tp.eps_prime
+        holo = np.array(_holo_row(mp.fp, g.L, g.a - shift, g.b - shift, g.eps, g.n))
+        anti = np.array(_holo_row(mp.fp, np.float64(g.L), np.complex128(g.a - shift.conjugate()),
+                                  np.complex128(g.b - shift.conjugate()), np.float64(g.eps), g.n))
+        assert np.abs(holo.imag).min() > 1e-2
+        assert np.allclose(anti, holo.conj(), rtol=1e-12, atol=0.0)
 
     def test_large_time_slope(self):
         g = Geometry(10.0, 15.0, 25.0, 0.5, 1)

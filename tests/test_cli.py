@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ class TestGridParsing:
         assert s.kind == "scalar" and s.weight == 0.25
         with pytest.raises(ValueError):
             parse_spec("scalar")
+
+
+CN_TABLE = ["cn-table", "--spec", "scalar:0.25", "--n", "1:3", "--L", "1", "--d", "1",
+            "--l2", "2", "--tol", "1e-8"]
 
 
 class TestCommands:
@@ -142,18 +147,27 @@ class TestCommands:
             ["boson-holevo", "--L", "10", "--d", "10", "--l2", "10:1000:4:log"],
             # the mpmath tail: threads must not share a working precision
             ["boson-time", "--L", "10", "--d", "10", "--l2", "10", "--t", "1000:100000:6:log"],
+            CN_TABLE,
+            ["lattice-moments", "--model", "xx", "--l1", "4", "--d-sites", "4",
+             "--gamma", "0.3,0.7", "--l2", "4,8,12"],
         ):
             out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
             assert main(["--output", str(out1), "--jobs", "1"] + args) == 0
             assert main(["--output", str(out2), "--jobs", "3"] + args) == 0
             assert body(out1) == body(out2)
 
+    def test_jobs_leave_warning_filters_alone(self, tmp_path):
+        # a per-call save and restore of the filters races between threads
+        before = list(warnings.filters)
+        for args in (["boson-holevo", "--L", "10", "--d", "10", "--l2", "10:1000:4:log"],
+                     CN_TABLE):
+            for _ in range(3):
+                assert main(["--output", str(tmp_path / "j.csv"), "--jobs", "2"] + args) == 0
+        assert warnings.filters == before
+
     def test_cn_table_runs(self, tmp_path):
         out = tmp_path / "cn.csv"
-        code = main(
-            ["--output", str(out), "cn-table", "--spec", "scalar:0.25", "--n", "1:3",
-             "--L", "1", "--d", "1", "--l2", "2", "--tol", "1e-8"]
-        )
+        code = main(["--output", str(out)] + CN_TABLE)
         assert code == 0
         body = out.read_text()
         assert "# linear_fit_slope" in body
