@@ -9,6 +9,17 @@ entries are finite; the diagonal carries the flat two-point divergence,
 removed by subtracting the plane correlator and re-adding its regularized
 interval integral analytically.
 
+``build_M_operator`` evaluates every entry in one numpy pass with a fixed
+tensor Gauss rule in y = log(x - L), which sends the branch point x = L to
+-inf, so a small gap costs no extra nodes. Off-diagonal entries use
+Gauss-Legendre on the (y1, y2) square. The subtracted diagonal uses
+Gauss-Jacobi in sigma = y1 - y2 with the weight sigma^beta of its
+coincident-point behaviour and Gauss-Legendre in y2; its kernel is formed
+from log r, r = j1 j2 (x1 - x2)^2 / (u1 - u2)^2, with no cancellation. The
+rule runs at N and 2N nodes per axis and their difference is the error
+estimate. The nested adaptive ``quad`` entries are kept as the independent
+check that the tests compare against.
+
 The same matrix then feeds every ensemble diagnostic: q-resolved purity
 ratios, the generalized entropy correction, overlap generating functions,
 the averaged purity, and the UV-finite ratios that survive eps -> 0.
@@ -17,14 +28,18 @@ the averaged purity, and the UV-finite ratios that survive eps -> 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
 from opens.errors import DomainError, QuadratureError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+#: nodes per axis of the coarse tensor rule; the fine rule doubles it
+GAUSS_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -101,9 +116,55 @@ def _du_abs(x, L, n):
 
 
 def _u_diff(x2, s, L, n):
-    """u(x2 + s) - u(x2) without cancellation at small s."""
+    """u(x2 + s) - u(x2) without cancellation at small s (strip route)."""
     gexp = (np.log1p(s / x2) - np.log1p(s / (x2 - L))) / n
     return _u(x2, L, n) * np.expm1(gexp)
+
+
+# log(sinh y / y) = sum_k (-1)^(k+1) zeta(2k) / (k pi^(2k)) y^(2k), highest
+# power first; the twelve terms kept reach double precision for |y| < 1/2
+_LOG_SINHC = tuple(
+    (-1) ** (k + 1) * float(special.zeta(2 * k)) / (k * np.pi ** (2 * k)) for k in range(12, 0, -1)
+)
+
+
+def _log_sinhc(y):
+    """log(sinh(y) / y), accurate to a few units in the last place at every y."""
+    z = y * y
+    series = 0.0
+    for c in _LOG_SINHC:
+        series = (series + c) * z
+    if np.ndim(y) == 0:  # the adaptive check calls this once per point
+        return series if abs(y) < 0.5 else np.log(np.sinh(y) / y)
+    small = np.abs(y) < 0.5
+    safe = np.where(small, 1.0, y)
+    return np.where(small, series, np.log(np.sinh(safe) / safe))
+
+
+def _log_r(x2, x2_off, s, L, n):
+    """log r for r = j1 j2 s^2 / (u1 - u2)^2 at x1 = x2 + s, s >= 0.
+
+    ``x2_off`` is x2 - L, passed in because each caller has it more
+    accurately than x2 - L would give near the branch point. With
+    q = (x1 / x2) ((x2 - L) / (x1 - L)), so that 1 - q = L s / (x2 (x1 - L)),
+    and lam = log q, taken as log1p(-(1 - q)) unless q is small, the ratio
+    is (sinhc(lam / 2) / sinhc(lam / 2n))^2. So log r is a difference of two
+    log sinhc values, with no cancellation at small s, and exactly 0 at
+    n = 1, where the map is Mobius. Its leading term is the Schwarzian
+    (1 - 1/n^2) L^2 s^2 / (12 x^2 (x - L)^2).
+    """
+    x1_off = x2_off + s
+    q = ((x2 + s) / x2) * (x2_off / x1_off)
+    lam = np.where(q < 0.5, np.log(q), np.log1p(-L * s / (x2 * x1_off)))[()]
+    return 2.0 * (_log_sinhc(0.5 * lam) - _log_sinhc(0.5 * lam / n))
+
+
+def _remainder_power(spec: OperatorSpec):
+    """(p, c) with diagonal kernel c (j1 j2)^p |u1 - u2|^(-2p) and flat limit
+    c |x1 - x2|^(-2p)."""
+    if spec.kind == "scalar":
+        return spec.weight, 1.0
+    return 1.0 + spec.weight, -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +226,12 @@ def _quad(func, lo, hi, cfg: QuadratureConfig, points=None, what=""):
         points=points,
         full_output=1,
     )[:2]
-    if not np.isfinite(val):
+    _check_converged(val, abserr, cfg, what)
+    return val
+
+
+def _check_converged(val, abserr, cfg: QuadratureConfig, what: str):
+    if not (np.isfinite(val) and np.isfinite(abserr)):
         raise QuadratureError(f"non-finite quadrature result for {what}")
     # the reported estimate is often conservative on peaked kernels; only a
     # result whose error rivals its magnitude counts as non-convergence
@@ -174,7 +240,6 @@ def _quad(func, lo, hi, cfg: QuadratureConfig, points=None, what=""):
             f"quadrature for {what} did not converge: value {val:.6e}, "
             f"error estimate {abserr:.2e}"
         )
-    return val
 
 
 def flat_integral_exact(spec: OperatorSpec, length: float, eps: float,
@@ -233,18 +298,11 @@ def _diag_integrand_stable(s, mm, g: Geometry, spec: OperatorSpec):
 
 
 def _remainder_integrand(s, mm, g: Geometry, spec: OperatorSpec):
-    """Diagonal integrand minus its flat limit, stable at small s."""
-    x1, x2 = mm + s / 2.0, mm - s / 2.0
-    n, L = g.n, g.L
-    j1, j2 = _du_abs(x1, L, n), _du_abs(x2, L, n)
-    d = _u_diff(x2, s, L, n)
-    if spec.kind == "scalar":
-        h = spec.weight
-        r = j1 * j2 * s * s / (d * d)
-        return np.abs(s) ** (-2.0 * h) * (r**h - 1.0)
-    h = spec.weight
-    r = (j1 * j2) ** (1.0 + h) * np.abs(s) ** (2.0 + 2.0 * h) / np.abs(d) ** (2.0 + 2.0 * h)
-    return -2.0 * np.abs(s) ** (-2.0 - 2.0 * h) * (r - 1.0)
+    """Diagonal integrand minus its flat limit, c |s|^(-2p) (r^p - 1)."""
+    p, c = _remainder_power(spec)
+    s = abs(s)  # r is symmetric in x1 <-> x2
+    log_r = _log_r(mm - s / 2.0, (mm - g.L) - s / 2.0, s, g.L, g.n)
+    return c * s ** (-2.0 * p) * np.expm1(p * log_r)
 
 
 def matrix_entry_remainder(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
@@ -309,6 +367,69 @@ def _diag_strip_cutoff(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -
     return left + right
 
 
+# ---------------------------------------------------------------------------
+# tensor Gauss rule in y = log(x - L)
+
+
+@lru_cache(maxsize=64)
+def _gauss_jacobi(N: int, beta: float):
+    """Read-only nodes and weights on [-1, 1] for the weight (1 + z)^beta."""
+    z, w = special.roots_jacobi(N, 0.0, beta)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
+
+
+def _log_span(g: Geometry):
+    return np.log(g.d), np.log(g.b - g.L)
+
+
+def _offdiag_rule(g: Geometry, spec: OperatorSpec, N: int) -> np.ndarray:
+    """Entries at offsets m = 1..n//2 from the N x N Gauss-Legendre rule."""
+    L, n, h = g.L, g.n, spec.weight
+    ya, yb = _log_span(g)
+    z, w = _gauss_jacobi(N, 0.0)
+    t = np.exp(ya + 0.5 * (yb - ya) * (1.0 + z))  # x - L
+    wt = 0.5 * (yb - ya) * w * t  # dx = (x - L) dy
+    u = np.exp(np.log1p(L / t) / n)
+    j = u * L / (n * (L + t) * t)
+    u1, u2 = u[:, None], u[None, :]
+    jj = j[:, None] * j[None, :]
+    theta = np.pi * np.arange(1, n // 2 + 1)[:, None, None] / n
+    if spec.kind == "scalar":
+        k = (jj / ((u1 - u2) ** 2 + 4.0 * u1 * u2 * np.sin(theta) ** 2)) ** h
+    else:
+        d = np.exp(1j * theta) * u1 - np.exp(-1j * theta) * u2
+        k = 2.0 * np.real(-jj / d**2) * (jj / np.abs(d) ** 2) ** h
+    return (k @ wt) @ wt
+
+
+def _remainder_rule(g: Geometry, spec: OperatorSpec, N: int) -> float:
+    """Subtracted diagonal over y1 > y2, doubled by symmetry.
+
+    Gauss-Jacobi in sigma = y1 - y2 carries the sigma^(2 - 2p) coincident
+    behaviour of the kernel; Gauss-Legendre runs over y2 in [ya, yb - sigma].
+    """
+    p, c = _remainder_power(spec)
+    beta = 2.0 - 2.0 * p
+    ya, yb = _log_span(g)
+    span = yb - ya
+    zs, ws = _gauss_jacobi(N, beta)
+    sig = 0.5 * span * (1.0 + zs)
+    z, w = _gauss_jacobi(N, 0.0)
+    half = 0.5 * (span - sig)  # half-length of the y2 range
+    t2 = np.exp(ya + half[:, None] * (1.0 + z))  # x2 - L
+    s = t2 * np.expm1(sig)[:, None]
+    log_r = _log_r(g.L + t2, t2, s, g.L, g.n)
+    f = c * s ** (-2.0 * p) * np.expm1(p * log_r) * (t2 + s) * t2 / sig[:, None] ** beta
+    return 2.0 * (0.5 * span) ** (beta + 1.0) * (ws @ (half * (f @ w)))
+
+
+def _tensor_entries(g: Geometry, spec: OperatorSpec, N: int, remainder: bool) -> np.ndarray:
+    off = _offdiag_rule(g, spec, N)
+    return np.append(off, _remainder_rule(g, spec, N)) if remainder else off
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Replica covariance with its cutoff dependence kept analytic.
@@ -316,6 +437,8 @@ class OperatorMatrix:
     ``off_row[m]`` holds the (cutoff-free) entries at branch offset m and
     ``diag_remainder`` the subtracted diagonal, so re-evaluating at a new
     point-splitting eps only re-adds the closed-form flat integral.
+    ``error_estimate`` is the largest N-vs-2N difference of the tensor rule
+    over the entries it computed.
     """
 
     geometry: Geometry
@@ -323,6 +446,7 @@ class OperatorMatrix:
     diag_remainder: float
     off_row: tuple
     eps_reg: float
+    error_estimate: float
 
     def dense(self, eps: float | None = None) -> np.ndarray:
         eps = self.eps_reg if eps is None else eps
@@ -340,18 +464,28 @@ def build_M_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> 
 
     Entries depend only on the branch offset (i - j) mod n and are
     palindromic in it, so only floor(n/2) off-diagonal integrals are
-    computed. With ``cfg.subtraction`` disabled the diagonal falls back to
-    a sharp-strip cutoff |x1 - x2| > eps_reg; the default subtracted route
-    is exact in its eps dependence.
+    computed, together with the subtracted diagonal, by the tensor Gauss
+    rule at GAUSS_NODES and twice as many nodes per axis. An entry whose
+    two values differ by more than the adaptive route's convergence bound
+    raises ``QuadratureError``. With ``cfg.subtraction`` disabled the
+    diagonal falls back to a sharp-strip cutoff |x1 - x2| > eps_reg by
+    adaptive quadrature; the default subtracted route is exact in its eps
+    dependence.
     """
     n = g.n
-    off = tuple(matrix_entry_offdiag(g, spec, m, cfg) for m in range(1, n // 2 + 1))
+    coarse, fine = (_tensor_entries(g, spec, N, cfg.subtraction)
+                    for N in (GAUSS_NODES, 2 * GAUSS_NODES))
+    err = np.abs(fine - coarse)
+    names = [f"entry m={m}" for m in range(1, n // 2 + 1)] + ["diagonal remainder"]
+    for what, val, e in zip(names, fine, err):
+        _check_converged(val, e, cfg, f"{what} (tensor rule)")
+    off = tuple(float(v) for v in fine[: n // 2])
+    est = float(err.max(initial=0.0))
     if cfg.subtraction:
-        rem = matrix_entry_remainder(g, spec, cfg)
-        return OperatorMatrix(g, spec, rem, off, cfg.eps_reg)
+        return OperatorMatrix(g, spec, float(fine[-1]), off, cfg.eps_reg, est)
     diag = _diag_strip_cutoff(g, spec, cfg)
     flat = flat_integral_exact(spec, g.ell2, cfg.eps_reg)
-    return OperatorMatrix(g, spec, diag - flat, off, cfg.eps_reg)
+    return OperatorMatrix(g, spec, diag - flat, off, cfg.eps_reg, est)
 
 
 def single_copy_m11_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
@@ -425,6 +559,7 @@ def mie_general(g: Geometry, spec: OperatorSpec, n: int, cfg: QuadratureConfig) 
         "c1": float(c1),
         "m11_single": float(m11),
         "log_det": float(logdet),
+        "error_estimate": om.error_estimate,
     }
 
 
@@ -450,13 +585,15 @@ def uv_finite_overlap_ratio(g: Geometry, spec: OperatorSpec, gamma1: float, gamm
     replica-diagonal cutoff divergence: the log reduces to
     -gamma_1 gamma_2 M_12 - (gamma_i^2 / 2)(M_ii - m11_single), every piece
     finite as eps -> 0. Reported as a ratio to Tr rho_A^2.
+
+    M_ii - m11_single is the subtracted diagonal itself, taken as such:
+    formed as a difference of the two cutoff-divergent numbers it loses
+    every digit at heavy weights.
     """
-    M = build_M_operator(g.with_n(2), spec, cfg).dense()
-    m11 = single_copy_m11_operator(g, spec, cfg)
+    om = build_M_operator(g.with_n(2), spec, cfg)
     log_ratio = (
-        -gamma1 * gamma2 * M[0, 1]
-        - 0.5 * gamma1**2 * (M[0, 0] - m11)
-        - 0.5 * gamma2**2 * (M[1, 1] - m11)
+        -gamma1 * gamma2 * om.off_row[0]
+        - 0.5 * (gamma1**2 + gamma2**2) * om.diag_remainder
     )
     return float(np.exp(log_ratio))
 
@@ -469,19 +606,22 @@ def averaged_purity(g: Geometry, spec: OperatorSpec, gamma: float,
     sqrt(pi / (M11 - M12)) exp(-gamma^2 (M11 - M12) / 4) in the Gaussian
     closed form. ``uv_finite`` divides by the single-copy generating
     function at gamma / sqrt(2) and by the gamma = 0 value, leaving the
-    cutoff-free exponential exp(-gamma^2 (M11 - M12 - m11_single) / 4).
+    cutoff-free exponential exp(-gamma^2 (M11 - M12 - m11_single) / 4),
+    where M11 - m11_single is the subtracted diagonal.
     """
-    M = build_M_operator(g.with_n(2), spec, cfg).dense()
+    om = build_M_operator(g.with_n(2), spec, cfg)
+    M = om.dense()
     m11 = single_copy_m11_operator(g, spec, cfg)
     gap = M[0, 0] - M[0, 1]
     if gap <= 0.0:
         raise ValueError(f"M11 - M12 = {gap:.3e} <= 0: not a valid covariance")
     value = np.sqrt(np.pi / gap) * np.exp(-0.25 * gamma**2 * gap)
     gen_single = np.exp(-0.25 * gamma**2 * m11)  # <e^{i gamma Q_B / sqrt 2}>
+    uv_gap = om.diag_remainder - om.off_row[0]
     return {
         "value": float(value),
         "normalized": float(value / gen_single),
-        "uv_finite": float(np.exp(-0.25 * gamma**2 * (gap - m11))),
+        "uv_finite": float(np.exp(-0.25 * gamma**2 * uv_gap)),
         "m_gap": float(gap),
     }
 

@@ -196,10 +196,11 @@ def cmd_cn_table(args):
     def point(n):
         g = _geometry(args, args.l2, n)
         if n == 1:
-            return 1.0 / single_copy_m11_operator(g, spec, cfg)
-        return build_M_operator(g, spec, cfg).cn()
+            return 1.0 / single_copy_m11_operator(g, spec, cfg), 0.0
+        om = build_M_operator(g, spec, cfg)
+        return om.cn(), om.error_estimate
 
-    cns = _map_jobs(point, ns, args.jobs)
+    cns, errs = zip(*_map_jobs(point, ns, args.jobs))
     coef = np.polyfit(ns, cns, 1)
     resid = np.asarray(cns) - np.polyval(coef, ns)
     rows = [
@@ -208,7 +209,8 @@ def cmd_cn_table(args):
     ]
     prov = {"linear_fit_slope": _fmt(float(coef[0])),
             "linear_fit_intercept": _fmt(float(coef[1])),
-            "max_abs_residual": _fmt(float(np.abs(resid).max()))}
+            "max_abs_residual": _fmt(float(np.abs(resid).max())),
+            "max_error_estimate": _fmt(max(errs))}
     return ["route", "L", "d", "l2", "kind", "weight", "n", "cn", "lin_residual"], rows, prov
 
 
@@ -216,25 +218,29 @@ def cmd_operator_m(args):
     spec = parse_spec(args.spec)
     cfg = QuadratureConfig(eps_reg=args.eps_reg, abs_tol=args.tol, rel_tol=args.tol)
     g = _geometry(args, args.l2, args.n)
-    M = build_M_operator(g, spec, cfg).dense()
+    om = build_M_operator(g, spec, cfg)
+    M = om.dense()
     rows = [[ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
              args.n, m, M[0, m]] for m in range(args.n)]
-    return ["route", "L", "d", "l2", "kind", "weight", "n", "offset", "entry"], rows
+    prov = {"max_error_estimate": _fmt(om.error_estimate)}
+    return ["route", "L", "d", "l2", "kind", "weight", "n", "offset", "entry"], rows, prov
 
 
 def cmd_operator_mie(args):
     spec = parse_spec(args.spec)
     cfg = QuadratureConfig(eps_reg=args.eps_reg, abs_tol=args.tol, rel_tol=args.tol)
-    rows = []
+    rows, err = [], 0.0
     for l2 in parse_grid(args.l2):
         g = _geometry(args, l2)
         out = mie_general(g, spec, args.n, cfg)
+        err = max(err, out["error_estimate"])
         rows.append([ROUTE_OPERATOR, args.L, args.d, l2, spec.kind, spec.weight, args.n,
                      out["base_entropy"], out["det_correction"],
                      out["q_correction_gaussian"], out["q_correction_saddle"],
                      out["total"]])
-    return ["route", "L", "d", "l2", "kind", "weight", "n", "base_entropy",
-            "det_correction", "q_corr_gaussian", "q_corr_saddle", "mie"], rows
+    cols = ["route", "L", "d", "l2", "kind", "weight", "n", "base_entropy",
+            "det_correction", "q_corr_gaussian", "q_corr_saddle", "mie"]
+    return cols, rows, {"max_error_estimate": _fmt(err)}
 
 
 def cmd_overlap(args):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -21,8 +22,10 @@ from opens.cft_operator import (
     single_copy_m11_operator,
     uv_finite_overlap_ratio,
 )
+from opens import cft_operator
+from opens.cft_operator import _log_r
 from opens.core import Geometry, quadratic_form_cn
-from opens.errors import DomainError
+from opens.errors import DomainError, QuadratureError
 
 CFG = QuadratureConfig(eps_reg=1e-6, abs_tol=1e-10, rel_tol=1e-10)
 
@@ -194,6 +197,102 @@ class TestBuildM:
                               QuadratureConfig(eps_reg=eps_quad, abs_tol=1e-10, rel_tol=1e-10))
         quad = om.dense()
         assert np.abs((quad - boson) / boson).max() < 1e-4
+
+
+def _mp_r_minus_one(x2, s, L, n):
+    """r - 1 from u and |du/dx| at 60 digits, x1 = x2 + s exactly."""
+    with mpmath.workdps(60):
+        x2, s, L = mpmath.mpf(x2), mpmath.mpf(s), mpmath.mpf(L)
+        u = lambda x: (x / (x - L)) ** (mpmath.mpf(1) / n)
+        j = lambda x: u(x) * L / (n * x * (x - L))
+        x1 = x2 + s
+        return j(x1) * j(x2) * s**2 / (u(x1) - u(x2)) ** 2 - 1
+
+
+class TestRemainderKernel:
+    L = 1.0
+
+    @pytest.mark.parametrize("x2", [1.01, 1.5, 1000.0])  # near and far from L
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_against_mpmath(self, x2, n):
+        ss = np.geomspace(1e-8, 1.0, 9)
+        vec = np.expm1(_log_r(np.full_like(ss, x2), np.full_like(ss, x2 - self.L), ss, self.L, n))
+        for s, v in zip(ss, vec):
+            ref = _mp_r_minus_one(x2, s, self.L, n)
+            scalar = np.expm1(_log_r(x2, x2 - self.L, s, self.L, n))
+            for val in (v, scalar):
+                assert abs(float((val - ref) / ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_schwarzian_leading_term(self, n):
+        L, s = self.L, 1e-3
+        for x2 in (1.5, 3.0):
+            m = x2 + s / 2
+            leading = (1 - 1 / n**2) * L**2 * s**2 / (12 * m**2 * (m - L) ** 2)
+            r1 = np.expm1(_log_r(x2, x2 - L, s, L, n))
+            assert r1 == pytest.approx(leading, rel=1e-5)
+
+    def test_single_sheet_is_exactly_zero(self):
+        ss = np.geomspace(1e-8, 10.0, 25)
+        for x2 in (1.01, 1.5, 1000.0):
+            assert np.all(_log_r(np.full_like(ss, x2), np.full_like(ss, x2 - 1.0), ss, 1.0, 1) == 0.0)
+
+
+DOMAIN_SPECS = [OperatorSpec("scalar", h) for h in (0.05, 0.25, 0.5, 0.75, 1.0, 1.25, 1.45)] + [
+    OperatorSpec("vector", h) for h in (0.0, 0.1, 0.25, 0.45)
+]
+DOMAIN_LAYOUTS = [(d, l2) for d in (0.01, 1.0, 100.0) for l2 in (0.5, 30.0, 1000.0)]
+
+
+def _spec_id(spec):
+    return f"{spec.kind}-{spec.weight}"
+
+
+def _domain_geometry(d, l2, n):
+    return Geometry(1.0, 1.0 + d, 1.0 + d + l2, 1e-3, n)
+
+
+class TestDomainSweep:
+    """Every advertised weight on near, unit and far layouts of every size."""
+
+    @pytest.mark.parametrize("spec", DOMAIN_SPECS, ids=_spec_id)
+    def test_every_build_converges(self, spec):
+        for (d, l2) in DOMAIN_LAYOUTS:
+            for n in (2, 3, 10):
+                om = build_M_operator(_domain_geometry(d, l2, n), spec, CFG)
+                entries = np.array(om.off_row + (om.diag_remainder,))
+                assert len(om.off_row) == n // 2
+                assert np.all(np.isfinite(entries))
+                assert np.isfinite(om.error_estimate)
+                assert om.error_estimate <= max(200 * CFG.abs_tol, 1e-5 * np.abs(entries).max())
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(cft_operator, "GAUSS_NODES", 2)
+        with pytest.raises(QuadratureError, match="tensor rule"):
+            build_M_operator(_domain_geometry(0.01, 1000.0, 10), OperatorSpec("scalar", 0.75), CFG)
+
+    @pytest.mark.parametrize("spec", [
+        OperatorSpec("scalar", 0.05), OperatorSpec("scalar", 0.75), OperatorSpec("scalar", 1.45),
+        OperatorSpec("vector", 0.1), OperatorSpec("vector", 0.25),
+    ], ids=_spec_id)
+    def test_tensor_rule_matches_adaptive(self, spec):
+        g = Geometry(1.0, 2.0, 4.0, 1e-3, 3)
+        cfg = QuadratureConfig(eps_reg=1e-4, abs_tol=1e-10, rel_tol=1e-10)
+        om = build_M_operator(g, spec, cfg)
+        assert matrix_entry_offdiag(g, spec, 1, cfg) == pytest.approx(om.off_row[0], rel=1e-8)
+        assert matrix_entry_remainder(g, spec, cfg) == pytest.approx(om.diag_remainder, rel=1e-8)
+
+    @pytest.mark.parametrize("spec", DOMAIN_SPECS, ids=_spec_id)
+    def test_uv_ratio_survives_cutoff_halving(self, spec):
+        for (d, l2) in DOMAIN_LAYOUTS:
+            g = _domain_geometry(d, l2, 1)
+            om = build_M_operator(g.with_n(2), spec, CFG)
+            # a flux that keeps the log of the ratio of order 0.1
+            gam = np.sqrt(0.1 / max(abs(om.off_row[0]), abs(om.diag_remainder)))
+            vals = [uv_finite_overlap_ratio(g, spec, gam, gam, QuadratureConfig(eps_reg=eps))
+                    for eps in (1e-4, 5e-5)]
+            assert 0.0 < vals[0] < np.inf
+            assert abs(vals[1] / vals[0] - 1.0) < 0.01
 
 
 class TestPurityRatio:

@@ -165,6 +165,17 @@ class TestCommands:
                 assert main(["--output", str(tmp_path / "j.csv"), "--jobs", "2"] + args) == 0
         assert warnings.filters == before
 
+    def test_operator_commands_record_error_estimate(self, tmp_path):
+        base = ["--L", "1", "--d", "1", "--spec", "scalar:1.25"]
+        for args in (["operator-m", "--l2", "2", "--n", "3"],
+                     ["cn-table", "--l2", "2", "--n", "1:3"],
+                     ["operator-mie", "--l2", "2,4", "--n", "2"]):
+            out = tmp_path / "e.csv"
+            assert main(["--output", str(out)] + args + base) == 0
+            est = [l for l in out.read_text().splitlines() if l.startswith("# max_error_estimate")]
+            assert len(est) == 1
+            assert 0.0 <= float(est[0].split("=")[1]) < 1e-8
+
     def test_cn_table_runs(self, tmp_path):
         out = tmp_path / "cn.csv"
         code = main(["--output", str(out)] + CN_TABLE)
