@@ -365,12 +365,17 @@ def time_correction_samples(g: Geometry, tp: TimeParams, n_max: int = 8, dps: in
     samples = []
     for n in range(2, n_max + 1):
         row = eff_row(n)
+        cos = [ctx.cos(2 * ctx.pi * m / n) for m in range(n)]
+        # the row is palindromic, so entries j and n - j pair up in each
+        # eigenvalue and lambda_k = lambda_{n-k}: only k <= n/2 is summed
         logdet = ctx.mpf(0)
-        for k in range(n):
-            lam = ctx.mpf(0)
-            for j in range(n):
-                lam += row[j] * ctx.cos(2 * ctx.pi * j * k / n)
-            logdet += ctx.log(lam)
+        for k in range(n // 2 + 1):
+            lam = row[0]
+            for j in range(1, (n + 1) // 2):
+                lam += 2 * row[j] * cos[j * k % n]
+            if n % 2 == 0:
+                lam += row[n // 2] * cos[n // 2 * k % n]
+            logdet += ctx.log(lam) if k == 0 or 2 * k == n else 2 * ctx.log(lam)
         val = (n * log_m1 - logdet) / (2 * (n - 1))
         samples.append((n, float(val)))
     return samples
@@ -382,8 +387,12 @@ def holevo_chi_time(g: Geometry, tp: TimeParams, n_max: int = 8, dps: int = 50) 
     Decays as (b-a)^2 L^2 / (24 log((b-a)/(2 eps)) t^4) once t exceeds
     every geometric scale.
     """
-    res = _continue_with_fallback(time_correction_samples(g, tp, n_max, dps))
-    return res.value
+    return holevo_chi_time_detailed(g, tp, n_max, dps).value
+
+
+def holevo_chi_time_detailed(g: Geometry, tp: TimeParams, n_max: int = 8, dps: int = 50):
+    """Time-dependent Holevo bound together with the continuation diagnostics."""
+    return _continue_with_fallback(time_correction_samples(g, tp, n_max, dps))
 
 
 def chi_time_asymptote(g: Geometry, t: float) -> float:

@@ -29,9 +29,11 @@ from opens.cft_boson import (
     charged_moments_ratio,
     chi_time_asymptote,
     cn_closed_form,
-    holevo_chi,
+    holevo_chi,  # unused here; perfbench's traced run looks it up on this module
     holevo_chi_approx,
-    holevo_chi_time,
+    holevo_chi_detailed,
+    holevo_chi_time,  # unused here, likewise
+    holevo_chi_time_detailed,
     renyi_entropy_base,
     renyi_ratio_and_mie,
 )
@@ -129,6 +131,12 @@ def _map_jobs(func, items, jobs):
         return list(pool.map(func, items))
 
 
+def _rows_and_max_error(points):
+    """Split (row, error estimate) pairs; the largest estimate goes to the header."""
+    rows = [row for row, _ in points]
+    return rows, {"max_error_estimate": _fmt(max((err for _, err in points), default=0.0))}
+
+
 def _geometry(args, l2: float, n: int = 1) -> Geometry:
     a = args.L + args.d
     return Geometry(args.L, a, a + l2, args.eps, n)
@@ -167,11 +175,12 @@ def cmd_boson_holevo(args):
 
     def point(l2):
         g = _geometry(args, l2)
+        res = holevo_chi_detailed(g, args.nmax)
         return [ROUTE_BOSON, args.L, args.d, l2, args.eps,
-                holevo_chi(g, args.nmax), holevo_chi_approx(g)]
+                res.value, holevo_chi_approx(g)], res.error_estimate
 
-    rows = _map_jobs(point, l2s, args.jobs)
-    return ["route", "L", "d", "l2", "eps", "chi_numeric", "chi_approx"], rows
+    cols = ["route", "L", "d", "l2", "eps", "chi_numeric", "chi_approx"]
+    return cols, *_rows_and_max_error(_map_jobs(point, l2s, args.jobs))
 
 
 def cmd_boson_time(args):
@@ -179,13 +188,12 @@ def cmd_boson_time(args):
 
     def point(t):
         g = _geometry(args, args.l2)
-        tp = TimeParams(t, args.epsp)
+        res = holevo_chi_time_detailed(g, TimeParams(t, args.epsp), args.nmax, args.dps)
         return [ROUTE_BOSON, args.L, args.d, args.l2, args.eps, t,
-                holevo_chi_time(g, tp, args.nmax, args.dps),
-                chi_time_asymptote(g, t)]
+                res.value, chi_time_asymptote(g, t)], res.error_estimate
 
-    rows = _map_jobs(point, ts, args.jobs)
-    return ["route", "L", "d", "l2", "eps", "t", "chi_time", "asymptote"], rows
+    cols = ["route", "L", "d", "l2", "eps", "t", "chi_time", "asymptote"]
+    return cols, *_rows_and_max_error(_map_jobs(point, ts, args.jobs))
 
 
 def cmd_cn_table(args):

@@ -5,24 +5,36 @@ Neumann limit needs the value at n = 1. A barycentric rational fit (AAA
 greedy support-point selection) extrapolates there. Rational functions are
 used instead of polynomials because the determinant data varies slowly,
 log-like in n, and polynomial extrapolation rings on such samples.
+
+The AAA fit (Nakatsukasa, Sete & Trefethen, SIAM J. Sci. Comput. 40, A1494
+(2018)) is implemented here for a stack of equal-length sample sets, so
+that one continuation costs two vectorized fits: the full sample set, and
+all of its leave-one-out subsets together. Each fit follows the rules of
+``scipy.interpolate.AAA`` (stopping tolerance, greedy selection, weight
+choice for tall, wide and ill-conditioned Loewner matrices, Froissart
+clean-up and pole computation), and the tests compare the two. A fit that
+reaches its term cap is the intended degree limit, not a failure, so it
+warns about nothing.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import AAA
+from scipy.linalg.lapack import dggev
 
 from opens.errors import ContinuationError
 
-# AAA warns whenever it stops at max_terms, and it has no switch to stay
-# quiet; a capped fit is the intended degree limit here, not a failure.
-# One filter set at import replaces a per-call save and restore of the
-# process-wide filters, which races between threads. AAA attributes the
-# warning to its own module, so that is the module the filter names.
-warnings.filterwarnings("ignore", "AAA failed to converge", RuntimeWarning, "scipy.interpolate")
+_EPS = np.finfo(float).eps
+# AAA stops once the residual is at most eps^(3/4) of the largest |value|
+_RTOL = _EPS**0.75
+# past this condition number the Loewner columns are rescaled to unit norm,
+# and stay rescaled for the rest of that fit
+_ILL_CONDITIONED = 1.0 / (3.0 * _EPS)
+# a pole whose residue over its distance to the samples is below this times
+# the geometric mean of |values| is a Froissart doublet
+_CLEANUP_TOL = 1e-13
 
 
 @dataclass
@@ -52,9 +64,185 @@ class ContinuationResult:
     loo_values: np.ndarray = field(repr=False, default=None)
 
 
-def _fit(ns, vals, max_degree):
-    # max_terms counts support points; degree (m-1, m-1) uses m of them.
-    return AAA(ns, vals, max_terms=min(max_degree + 1, len(ns)))
+class BarycentricFit:
+    """r(x) = sum_j w_j f_j / (x - z_j) / sum_j w_j / (x - z_j) on real samples."""
+
+    def __init__(self, points, values, support, support_values, weights):
+        self.points, self.values = points, values
+        self.support, self.support_values, self.weights = support, support_values, weights
+        self._poles = self._residues = None
+
+    def __call__(self, x) -> np.ndarray:
+        """r at points ``x`` off the support points (the samples sit at n >= 2)."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cc = 1.0 / np.subtract.outer(x, self.support)
+            w = self.weights[:, None]
+            return (cc @ (w * self.support_values[:, None]) / (cc @ w))[:, 0]
+
+    def poles(self) -> np.ndarray:
+        """Finite eigenvalues of the arrowhead pencil (E, diag(0, 1, ..., 1))."""
+        if self._poles is None:
+            m = self.weights.size
+            if not np.isfinite(self.weights).all():  # scipy.linalg.eigvals's check
+                raise ValueError("barycentric weights must be finite")
+            b = np.eye(m + 1)
+            b[0, 0] = 0.0
+            e = np.zeros((m + 1, m + 1))
+            e[0, 1:] = self.weights
+            e[1:, 0] = 1.0
+            np.fill_diagonal(e[1:, 1:], self.support)
+            # the workspace that scipy.linalg.eigvals asks for, so that the
+            # blocking and hence the rounding are the same
+            lwork = int(dggev(e, b, lwork=-1)[-2][0])
+            alphar, alphai, beta, *_, info = dggev(e, b, 0, 0, lwork)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"generalized eigenvalues did not converge (info={info})")
+            nz = beta != 0
+            pol = (alphar + 1j * alphai)[nz] / beta[nz]
+            self._poles = pol[np.isfinite(pol)]
+        return self._poles
+
+    def residues(self) -> np.ndarray:
+        """Residue N(a) / D'(a) at each pole a."""
+        if self._residues is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cc = 1.0 / np.subtract.outer(self.poles(), self.support)
+                num = cc @ (self.support_values * self.weights)
+                self._residues = num / (-(cc**2) @ self.weights)
+        return self._residues
+
+    def clean_up(self) -> None:
+        """Drop the support point nearest each Froissart doublet and re-solve."""
+        with np.errstate(divide="ignore"):
+            geom_mean = np.exp(np.mean(np.log(np.abs(self.values))))
+        poles = self.poles()
+        dist = np.abs(np.subtract.outer(poles, self.points)).min(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spurious = np.abs(self.residues()) / dist < _CLEANUP_TOL * geom_mean
+        if not spurious.any():
+            return
+        closest = np.abs(np.subtract.outer(self.support, poles[spurious])).argmin(axis=0)
+        self.support = np.delete(self.support, closest)
+        self.support_values = np.delete(self.support_values, closest)
+        keep = np.not_equal.outer(self.points, self.support).all(axis=1)
+        z, f = self.points[keep], self.values[keep]
+        c = 1.0 / np.subtract.outer(z, self.support)
+        loewner = f[:, None] * c - c * self.support_values
+        vh = np.linalg.svd(loewner)[2]
+        self.weights = vh[self.support.size - 1]
+        self._poles = self._residues = None
+
+
+def _weights(a, ill, wide):
+    """AAA weights for a stack of masked Loewner matrices ``a`` (B, rows, m).
+
+    Updates the sticky ill-conditioning flags ``ill`` in place.
+    """
+    cols = a.shape[-1]
+    if wide:
+        # fewer rows than columns: normalized sum of a null-space basis,
+        # with scipy.linalg.null_space's rank rule
+        s, vh = np.linalg.svd(a, full_matrices=True)[1:]
+        tol = s.max(axis=-1, initial=0.0) * (_EPS * max(a.shape[1], cols))
+        rank = (s > tol[:, None]).sum(axis=-1)
+        basis = np.arange(cols) >= rank[:, None]
+        return np.where(basis[:, :, None], vh, 0.0).sum(axis=1) / np.sqrt(cols - rank)[:, None]
+
+    s = np.empty(a.shape[:1] + (cols,))
+    vh = np.empty(a.shape[:1] + (cols, cols))
+    plain = ~ill
+    if plain.any():
+        s[plain], vh[plain] = np.linalg.svd(a[plain], full_matrices=False)[1:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ill[plain] = s[plain, 0] / s[plain, -1] > _ILL_CONDITIONED
+    col_norm = None
+    if ill.any():
+        col_norm = np.linalg.norm(a[ill], axis=1)
+        scaled = a[ill] / col_norm[:, None, :]
+        if np.isnan(scaled).any():
+            # a zero column (values equal to its support value on every
+            # remaining row) divided by its zero norm
+            raise ValueError("Loewner matrix has a NaN entry")
+        s[ill], vh[ill] = np.linalg.svd(scaled, full_matrices=False)[1:]
+    # repeated smallest singular values: sum their vectors for a non-sparse weight
+    smallest = s == s.min(axis=-1, keepdims=True)
+    w = np.where(smallest[:, :, None], vh, 0.0).sum(axis=1) / np.sqrt(smallest.sum(axis=-1))[:, None]
+    if col_norm is not None:
+        w[ill] /= col_norm
+    return w
+
+
+def AAA(z, f, max_terms: int) -> list[BarycentricFit]:
+    """AAA fits of a stack of real sample sets ``z``, ``f`` of shape (B, M).
+
+    The points of each set must be distinct and its values finite. Each fit
+    uses at most ``max_terms`` support points and is cleaned of Froissart
+    doublets. The greedy steps run on the whole stack at once; a set leaves
+    the stack when its residual meets the tolerance.
+    """
+    z, f = np.asarray(z, dtype=float), np.asarray(f, dtype=float)
+    nfit, npts = z.shape
+    member = np.arange(nfit)
+    atol = _RTOL * np.abs(f).max(axis=1)
+    support = np.empty((nfit, max_terms))
+    svals = np.empty((nfit, max_terms))
+    cauchy = np.empty((nfit, max_terms, npts))
+    loewner = np.empty((nfit, npts, max_terms))
+    mask = np.ones((nfit, npts), dtype=bool)
+    resid = np.abs(f - f.mean(axis=1, keepdims=True))
+    ill = np.zeros(nfit, dtype=bool)
+    fits = [None] * nfit
+    for m in range(max_terms):
+        rows = np.arange(member.size)
+        pick = np.where(mask, resid, -np.inf).argmax(axis=1)
+        support[:, m] = z[rows, pick]
+        svals[:, m] = f[rows, pick]
+        mask[rows, pick] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cauchy[:, m] = 1.0 / (z - support[:, m, None])
+            loewner[:, :, m] = (f - svals[:, m, None]) * cauchy[:, m]
+
+        nrow = npts - m - 1
+        a = loewner[:, :, : m + 1][mask].reshape(member.size, nrow, m + 1)
+        w = _weights(a, ill, wide=nrow < m + 1)
+
+        # Fortran-ordered Cauchy blocks, as a column-masked copy would be, so
+        # that the products round the same way
+        c = np.ascontiguousarray(cauchy[:, : m + 1]).transpose(0, 2, 1)
+        fj = svals[:, : m + 1]
+        nonzero = w != 0
+        with np.errstate(invalid="ignore"):
+            if nonzero.all():
+                num = (c @ (w * fj)[:, :, None])[:, :, 0]
+                den = (c @ w[:, :, None])[:, :, 0]
+            else:
+                # columns of zero weight are left out of the sums
+                num, den = np.empty((2, member.size, npts))
+                for i, nz in enumerate(nonzero):
+                    num[i] = c[i][:, nz] @ (w[i, nz] * fj[i, nz])
+                    den[i] = c[i][:, nz] @ w[i, nz]
+        # interpolate exactly at the support points
+        at_support = np.isinf(den) | np.isnan(den)
+        den[at_support] = 1.0
+        num[at_support] = f[at_support]
+        resid = np.abs(f - num / den)
+
+        done = (resid.max(axis=1) <= atol) | (m == max_terms - 1)
+        for i in np.flatnonzero(done):
+            nz = nonzero[i]
+            fit = BarycentricFit(z[i], f[i], support[i, : m + 1][nz], fj[i][nz], w[i][nz])
+            fit.clean_up()
+            fits[member[i]] = fit
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            member, z, f, atol, support, svals, cauchy, loewner, mask, resid, ill = (
+                x[keep] for x in
+                (member, z, f, atol, support, svals, cauchy, loewner, mask, resid, ill)
+            )
+    return fits
 
 
 def _check_poles(fit, lo: float, hi: float, scale: float = 1.0):
@@ -87,25 +275,38 @@ def continue_to_one(p: ContinuationProblem) -> ContinuationResult:
     scale = np.abs(vals).max()
     if scale == 0.0:
         return ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)))
-    fit = _fit(ns, vals / scale, p.max_degree)
+    # degree (m-1, m-1) uses m support points
+    terms = p.max_degree + 1
+    fit, = AAA(ns[None], vals[None] / scale, min(terms, len(ns)))
     _check_poles(fit, 1.0 - 1e-9, ns.max() + 1e-9, scale=1.0)
     value = float(fit(np.array([1.0]))[0]) * scale
     if not np.isfinite(value):
         raise ContinuationError("interpolant evaluated to a non-finite value at n = 1")
 
     loo = []
-    for k in range(len(ns)):
-        sub_n = np.delete(ns, k)
-        sub_v = np.delete(vals, k)
-        if len(sub_n) < 3:
-            continue
-        try:
-            f = _fit(sub_n, sub_v / scale, p.max_degree)
+    if len(ns) > 3:
+        drop = ~np.eye(len(ns), dtype=bool)
+        sub_n = np.broadcast_to(ns, drop.shape)[drop].reshape(len(ns), -1)
+        sub_v = np.broadcast_to(vals / scale, drop.shape)[drop].reshape(len(ns), -1)
+        for f in _loo_fits(sub_n, sub_v, min(terms, len(ns) - 1)):
             y = float(f(np.array([1.0]))[0]) * scale
-        except Exception:
-            continue
-        if np.isfinite(y):
-            loo.append(y)
+            if np.isfinite(y):
+                loo.append(y)
     loo = np.asarray(loo if loo else [value])
     err = float(max(loo.max() - loo.min(), np.abs(loo - value).max()))
     return ContinuationResult(value, err, ns, loo)
+
+
+def _loo_fits(sub_n, sub_v, terms):
+    """Fits of the leave-one-out subsets; a subset whose fit fails is skipped."""
+    try:
+        return AAA(sub_n, sub_v, terms)
+    except (np.linalg.LinAlgError, ValueError):
+        pass
+    fits = []
+    for zs, fs in zip(sub_n, sub_v):
+        try:
+            fits.extend(AAA(zs[None], fs[None], terms))
+        except (np.linalg.LinAlgError, ValueError):
+            continue
+    return fits

@@ -280,6 +280,28 @@ class TestTimeDependence:
         assert np.abs(holo.imag).min() > 1e-2
         assert np.allclose(anti, holo.conj(), rtol=1e-12, atol=0.0)
 
+    def test_samples_match_the_full_eigenvalue_sum(self):
+        # the tail sums k <= n/2 and pairs entries j and n - j; the reference
+        # sums every lambda_k = sum_j row_j cos(2 pi j k / n) in full
+        for g, t in ((Geometry(10.0, 15.0, 25.0, 0.5, 1), 1e3),
+                     (Geometry(1.0, 2.0, 4.0, 0.5, 1), 3e5)):
+            tp = TimeParams(t, 1e-3)
+            ctx = mp.MPContext()
+            ctx.dps = 50
+            za, zb = (ctx.mpf(z) - ctx.mpf(t) - 1j * ctx.mpf(tp.eps_prime) for z in (g.a, g.b))
+            row_of = lambda n: [2 * ctx.re(x) for x in _holo_row(ctx, g.L, za, zb, g.eps, n)]
+            log_m1 = ctx.log(row_of(1)[0])
+            want = []
+            for n in range(2, 9):
+                row = row_of(n)
+                lams = [ctx.fsum(row[j] * ctx.cos(2 * ctx.pi * j * k / n) for j in range(n))
+                        for k in range(n)]
+                logdet = ctx.fsum(ctx.log(lam) for lam in lams)
+                want.append(float((n * log_m1 - logdet) / (2 * (n - 1))))
+            got = time_correction_samples(g, tp, 8, 50)
+            assert [n for n, _ in got] == list(range(2, 9))
+            np.testing.assert_allclose([v for _, v in got], want, rtol=1e-13, atol=0.0)
+
     def test_large_time_slope(self):
         g = Geometry(10.0, 15.0, 25.0, 0.5, 1)
         tp = lambda t: TimeParams(t, 1e-3)

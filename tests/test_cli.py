@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from opens.cft_boson import TimeParams, holevo_chi_detailed, holevo_chi_time_detailed
 from opens.cli import main, parse_grid, parse_spec
+from opens.core import Geometry
 
 
 class TestGridParsing:
@@ -164,6 +166,26 @@ class TestCommands:
             for _ in range(3):
                 assert main(["--output", str(tmp_path / "j.csv"), "--jobs", "2"] + args) == 0
         assert warnings.filters == before
+
+    def test_boson_commands_record_error_estimate(self, tmp_path):
+        # the largest leave-one-out spread over the rows, the same at --jobs 2
+        geo = lambda l2: Geometry(10.0, 20.0, 20.0 + l2, 0.5)
+        for args, want in (
+            (["boson-holevo", "--l2", "10,100,1000"],
+             max(holevo_chi_detailed(geo(l2)).error_estimate for l2 in (10.0, 100.0, 1000.0))),
+            (["boson-time", "--l2", "10", "--t", "1000,30000"],
+             max(holevo_chi_time_detailed(geo(10.0), TimeParams(t, 1e-3)).error_estimate
+                 for t in (1000.0, 30000.0))),
+        ):
+            outs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"j{jobs}.csv"
+                assert main(["--output", str(out), "--jobs", jobs] + args) == 0
+                outs.append([l for l in out.read_text().splitlines() if not l.startswith("# jobs")])
+            assert outs[0] == outs[1]
+            assert want > 0.0
+            assert [l for l in outs[0] if l.startswith("# max_error_estimate")] == [
+                f"# max_error_estimate = {want:.12g}"]
 
     def test_operator_commands_record_error_estimate(self, tmp_path):
         base = ["--L", "1", "--d", "1", "--spec", "scalar:1.25"]

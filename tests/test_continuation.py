@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+from opens import continuation
+from opens.cft_boson import TimeParams, chi_samples, time_correction_samples
 from opens.continuation import ContinuationProblem, ContinuationResult, continue_to_one
+from opens.core import Geometry
 from opens.errors import ContinuationError
 
 
@@ -70,3 +78,173 @@ def test_result_type():
     res = continue_to_one(ContinuationProblem([(2, 1.0), (3, 1.0), (4, 1.0), (5, 1.0)]))
     assert isinstance(res, ContinuationResult)
     assert res.support_points is not None
+
+
+# ---------------------------------------------------------------------------
+# the in-repo AAA against scipy.interpolate.AAA, which only the tests import
+
+
+def _scipy_stack(z, f, max_terms):
+    """Reference for ``continuation.AAA``: one scipy fit per sample set."""
+    from scipy.interpolate import AAA as ScipyAAA
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # capped fits, doublets
+        return [ScipyAAA(zi, fi, max_terms=max_terms) for zi, fi in zip(z, f)]
+
+
+def _outcome(samples, degree):
+    try:
+        res = continue_to_one(ContinuationProblem(samples, max_degree=degree))
+    except (ContinuationError, ValueError) as exc:
+        return type(exc).__name__
+    return res.value, res.error_estimate
+
+
+def _boson_sample_sets():
+    sets = []
+    for L, d in ((10.0, 10.0), (10.0, 100.0), (100.0, 500.0)):
+        for l2 in np.geomspace(10.0, 1e5, 10):
+            sets.append(chi_samples(Geometry(L, L + d, L + d + l2, 0.5), 8))
+    for L, d, l2 in ((10.0, 5.0, 10.0), (10.0, 10.0, 100.0), (1.0, 1.0, 2.0)):
+        for t in (1e3, 3e4, 1e6):
+            sets.append(time_correction_samples(Geometry(L, L + d, L + d + l2, 0.5),
+                                                TimeParams(t, 1e-3)))
+    return sets
+
+
+def _with_outlier(f, ns, at, amp):
+    vals = [f(n) for n in ns]
+    vals[at] += amp
+    return list(zip(ns, vals))
+
+
+# sample sets that drive the fit down its rarer branches
+SPECIAL_SETS = {
+    # a pole between the first two samples plus one 3.5e-11 outlier: the
+    # column scaling switches on and stays on, clean-up drops a support
+    # point, and the pole screen raises
+    "pole_and_outlier": _with_outlier(lambda n: (0.7838 - 0.753 * n) / (2.4259 - n),
+                                      range(2, 13), 2, 3.5e-11),
+    # constant values with one outlier: zero weights, null spaces of
+    # dimension >= 2 and clean-up, yet a finite value; one leave-one-out
+    # subset fails (below), so the stack is refitted one subset at a time
+    "constant_and_outlier": _with_outlier(lambda n: -0.35, range(2, 8), 1, 5.3e-7),
+    # a constant with the outlier last: a Loewner column vanishes, the
+    # column scaling divides 0 by 0, and both fits raise ValueError
+    "zero_column": _with_outlier(lambda n: 1.0, range(2, 7), 4, 1e-8),
+}
+
+
+def _branches(monkeypatch, samples, degree):
+    """Which AAA branches one continuation takes, counted by spies."""
+    seen = {"ill": 0, "sticky": 0, "null2": 0, "cleanup": 0}
+    weights, clean_up = continuation._weights, continuation.BarycentricFit.clean_up
+
+    def spy_weights(a, ill, wide):
+        before = ill.copy()
+        w = weights(a, ill, wide)
+        seen["ill"] += int(ill.any())
+        seen["sticky"] += int(not wide and (before & ill).any())
+        if wide:
+            s = np.linalg.svd(a, compute_uv=False)
+            tol = s.max(axis=-1, initial=0.0) * np.finfo(float).eps * a.shape[-1]
+            rank = (s > tol[:, None]).sum(axis=-1)
+            seen["null2"] += int((a.shape[-1] - rank >= 2).any())
+        return w
+
+    def spy_clean_up(fit):
+        size = fit.support.size
+        clean_up(fit)
+        seen["cleanup"] += int(fit.support.size < size)
+
+    monkeypatch.setattr(continuation, "_weights", spy_weights)
+    monkeypatch.setattr(continuation.BarycentricFit, "clean_up", spy_clean_up)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _outcome(samples, degree)
+    monkeypatch.undo()
+    return seen
+
+
+def test_special_sets_reach_their_branches(monkeypatch):
+    pole = _branches(monkeypatch, SPECIAL_SETS["pole_and_outlier"], 4)
+    assert pole["ill"] and pole["sticky"] and pole["cleanup"]
+    const = _branches(monkeypatch, SPECIAL_SETS["constant_and_outlier"], 3)
+    assert const["null2"] and const["cleanup"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = continue_to_one(ContinuationProblem(SPECIAL_SETS["constant_and_outlier"]))
+    assert len(res.loo_values) == 5  # the subset whose fit fails is skipped, not the stack
+    boson = chi_samples(Geometry(10.0, 20.0, 30.0, 0.5), 8)
+    assert _branches(monkeypatch, boson, 4)["null2"]
+
+
+def test_continuation_matches_scipy_aaa(monkeypatch):
+    # each boson set at one of the degrees in turn, with its 3-sample and
+    # every other one with its 5-sample truncation: a scipy fit costs about
+    # 1 ms, and the first one also imports scipy.stats
+    cases = []
+    for i, s in enumerate(_boson_sample_sets()):
+        degree = (4, 3, 2)[i % 3]
+        cases += [(s, degree), (s[:3], degree)] + [(s[:5], degree)] * (i % 2)
+    for s in SPECIAL_SETS.values():
+        cases += [(s, 4), (s, 3), (s, 2)]
+    cases.append((samples_of(lambda n: 1.0 / (n - 2.5) + 0.1 * n), 4))  # a real pole
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the 0/0 of zero_column
+        ours = [_outcome(s, degree) for s, degree in cases]
+        monkeypatch.setattr(continuation, "AAA", _scipy_stack)
+        ref = [_outcome(s, degree) for s, degree in cases]
+    assert {"ContinuationError", "ValueError"} <= {r for r in ref if isinstance(r, str)}
+    for got, want in zip(ours, ref):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_stacked_fit_matches_fits_one_by_one():
+    # the subsets that drop the outlier converge two steps before the rest
+    ns = np.arange(2.0, 9.0)
+    vals = 1.0 / (ns + 1.0)
+    vals[-1] += 1e-6
+    drop = ~np.eye(ns.size, dtype=bool)
+    z = np.broadcast_to(ns, drop.shape)[drop].reshape(ns.size, -1)
+    f = np.broadcast_to(vals, drop.shape)[drop].reshape(ns.size, -1)
+    fits, ref = continuation.AAA(z, f, 5), _scipy_stack(z, f, 5)
+    assert len({fit.support.size for fit in fits}) > 1
+    for fit, want in zip(fits, ref):
+        np.testing.assert_array_equal(fit.support, want.support_points)
+        np.testing.assert_allclose(fit.weights, want.weights, rtol=1e-12)
+        np.testing.assert_allclose(np.sort_complex(fit.poles()), np.sort_complex(want.poles()),
+                                   rtol=1e-12)
+
+
+def test_capped_fit_is_silent():
+    f = lambda n: np.log(n + 1.0) / n  # not rational: every fit reaches its cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = continue_to_one(ContinuationProblem(samples_of(f), max_degree=2))
+    assert np.isfinite(res.value)
+
+
+def test_import_and_holevo_point_touch_no_global_state():
+    # the dependencies set their own filters when imported; opens sets none,
+    # and the continuation pulls in neither scipy.interpolate nor scipy.stats
+    code = """
+import io, sys, warnings
+from contextlib import redirect_stdout
+import mpmath, numpy, scipy.integrate, scipy.linalg, scipy.sparse.linalg, scipy.special
+before = list(warnings.filters)
+import opens.cli
+with redirect_stdout(io.StringIO()):
+    assert opens.cli.main(["boson-holevo", "--l2", "100"]) == 0
+assert warnings.filters == before, "warning filters changed"
+loaded = [m for m in sys.modules if m.startswith(("scipy.interpolate", "scipy.stats"))]
+assert not loaded, loaded
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
