@@ -9,9 +9,13 @@ ratio, the entropy correction of the outcome-averaged ensemble, the Holevo
 bound on the extractable charge information, and the real-time decay of
 that bound.
 
-Every route reads M's first row from one cross-ratio builder: in double
-precision at real endpoints for the closed forms, and in a private
-mpmath context at time-shifted complex endpoints for the late-time tail.
+Every route reads M's first row from one closed-form builder in double
+precision, at real endpoints for the static quantities and at
+time-shifted complex endpoints for the real-time decay. The entries are
+logs of sinh^2(ell / 2n), ell = log(u(a) / u(b)) for the uniformizing map
+u(z) = z / (z - L), formed without cancellation; the entropy corrections
+chi_n come from one kernel that keeps their full relative accuracy down to
+the t^{-4} tail, far below double-precision rounding of M itself.
 """
 
 from __future__ import annotations
@@ -19,18 +23,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from opens.continuation import ContinuationProblem, continue_to_one
+from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc, quadratic_form_cn
 from opens.errors import ContinuationError as _ContinuationError
-from opens.core import (
-    Geometry,
-    SymmetricCirculant,
-    circulant_log_determinant,
-    quadratic_form_cn,
-)
-from opens.errors import DomainError, RegimeWarning
+from opens.errors import DomainError, RegimeWarning, SingularMatrixError
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,70 +77,61 @@ class ReplicaMatrix:
     def dense(self) -> np.ndarray:
         return self.circulant.dense()
 
-    def log_det(self) -> float:
-        return circulant_log_determinant(self.circulant)
-
     def cn_numeric(self) -> float:
         return quadratic_form_cn(self.dense())
 
 
-def _image(ctx, z, L, n):
-    """Principal image (z / (z - L))^{1/n} of z under the uniformizing map.
+def _log_u_ratio(L, z1, z2, dz):
+    """log(u(z1) / u(z2)) for u(z) = z / (z - L), given dz = z2 - z1 exactly.
 
-    It is real and positive for real z > L; sheet k carries the extra
-    phase e^{2 pi i k / n}. The exponent is formed in ``ctx`` so that an
-    mpmath context keeps its full precision.
+    The ratio q = z1 (z2 - L) / ((z1 - L) z2) has q - 1 = L dz / (z2 (z1 - L)),
+    so the log keeps full relative accuracy when the two points are close on
+    the scale of their distance to A; past |q - 1| = 1/2, for instance in the
+    A = B limit where q ~ -eps^2 / L^2, it is log q itself.
     """
-    return (z / (z - L)) ** (ctx.mpf(1) / n)
+    return log_ratio(L * dz / (z2 * (z1 - L)), z1 * (z2 - L) / ((z1 - L) * z2))
 
 
-def branch_points(g: Geometry):
-    """Images of the endpoints of B on the uniformized plane.
+def _endpoints(L, a, b, shift=0.0):
+    """Endpoints za = a - shift, zb = b - shift and ell = log(u(za) / u(zb))."""
+    za, zb = complex(a) - shift, complex(b) - shift
+    return za, zb, _log_u_ratio(L, za, zb, b - a)
 
-    The map w = (z / (z - L))^{1/n} sends each endpoint to n points
-    ``root * e^{2 pi i k / n}``; the principal (real positive for real
-    z > L) root is used and the replica phases are explicit.
+
+def _row(L, a, b, eps, n, shift=0.0, exact_reg=False):
+    """First row of M: 2 Re of -log of the branch-point images' cross ratios.
+
+    The images of za = a - shift and zb = b - shift on sheet 0 have ratio
+    e^{ell / n}, so with s = sinh^2(ell / 2n) the cross ratio of sheets 0
+    and j is -sin^2(pi j / n) / (s + sin^2(pi j / n)) and entry j is
+    2 Re log1p(s / sin^2(pi j / n)). The diagonal replaces the coincident
+    images by their point-split width: at leading order in eps it is
+    2 Re log(n^2 s za (za - L) zb (zb - L) / (eps L)^2); with ``exact_reg``
+    each image difference at z +- eps is u(z)^{1/n} times
+    expm1(ell_+ / n) - expm1(ell_- / n), ell_+- = log(u(z +- eps) / u(z)).
+    The row is palindromic, so only j <= n // 2 is evaluated.
     """
-    n = g.n
-    a_root = _image(mp.fp, complex(g.a), float(g.L), n)
-    b_root = _image(mp.fp, complex(g.b), float(g.L), n)
-    zeta = np.exp(2j * np.pi * np.arange(n) / n)
-    return list(zip(a_root * zeta, b_root * zeta))
-
-
-def _holo_row(ctx, L, za, zb, eps, n, exact_reg=False):
-    """Holomorphic half of the circulant row at endpoints za, zb.
-
-    Entry j is -log of the cross ratio of the branch-point images on
-    sheets 0 and j; the diagonal replaces the coincident images by their
-    point-split width, at leading order in eps or, with ``exact_reg``, as
-    the exact difference of the images at z +- eps. ``ctx`` supplies the
-    arithmetic: ``mpmath.fp`` for doubles or a private ``mpmath.MPContext``.
-    The row is palindromic (sheet j and sheet n - j give the same cross
-    ratio), so only j <= n // 2 is evaluated. At real endpoints 2 Re of
-    the row is the boson covariance row.
-    """
-    # numpy scalars would send mpmath.fp down its real-only path, which
-    # drops imaginary parts with no more than a ComplexWarning
-    L, eps = ctx.mpf(L), ctx.mpf(eps)
-    za, zb = ctx.mpc(za), ctx.mpc(zb)
-    a, b = _image(ctx, za, L, n), _image(ctx, zb, L, n)
+    za, zb, ell = _endpoints(L, a, b, shift)
+    s = np.sinh(ell / (2 * n)) ** 2
+    w = s / np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2
+    half = np.log1p(w.real * (2.0 + w.real) + w.imag * w.imag)  # log |1 + w|^2
     if exact_reg:
-        areg = _image(ctx, za + eps, L, n) - _image(ctx, za - eps, L, n)
-        breg = _image(ctx, zb + eps, L, n) - _image(ctx, zb - eps, L, n)
+        width = [np.expm1(_log_u_ratio(L, z + eps, z, -eps) / n)
+                 - np.expm1(_log_u_ratio(L, z - eps, z, eps) / n) for z in (za, zb)]
+        diag = 2.0 * np.log(abs(4.0 * s / (width[0] * width[1])))
     else:
-        areg = -2 * eps * L / (za * za * n - za * L * n) * a
-        breg = -2 * eps * L / (zb * zb * n - zb * L * n) * b
-    row = [-ctx.log(areg * breg / (a - b) ** 2)]
-    for j in range(1, n // 2 + 1):
-        zeta = ctx.exp(2j * ctx.pi * j / n)
-        row.append(-ctx.log((a - a * zeta) * (b - b * zeta) / ((a - b * zeta) * (a * zeta - b))))
-    return row + row[1:(n + 1) // 2][::-1]
+        diag = 2.0 * np.log(abs(n * n * s * (za * (za - L) / (eps * L)) * (zb * (zb - L) / (eps * L))))
+    return np.concatenate(([diag], half, half[:(n - 1) // 2][::-1]))
 
 
-def _boson_row(L, a, b, eps, n, exact_reg=False):
-    """First row of M: -log | cross ratio |^2 of the branch-point images."""
-    return np.array([2.0 * x.real for x in _holo_row(mp.fp, L, a, b, eps, n, exact_reg)])
+def _warn_unless_dominant(row):
+    if len(row) > 1 and row[0] <= np.abs(row[1:]).max():
+        warnings.warn(
+            "diagonal entry does not dominate the circulant row; the "
+            "weak-coupling expansion of the determinant is unreliable here",
+            RegimeWarning,
+            stacklevel=3,
+        )
 
 
 def build_M_boson(g: Geometry, exact_reg: bool = False) -> ReplicaMatrix:
@@ -154,14 +143,8 @@ def build_M_boson(g: Geometry, exact_reg: bool = False) -> ReplicaMatrix:
     sum equal 4 log((b-a)/(2 eps)) exactly); ``exact_reg=True`` keeps the
     exact split-point difference for eps-convergence studies.
     """
-    row = _boson_row(g.L, g.a, g.b, g.eps, g.n, exact_reg)
-    if g.n > 1 and row[0] <= np.abs(row[1:]).max():
-        warnings.warn(
-            "diagonal entry does not dominate the circulant row; the "
-            "weak-coupling expansion of the determinant is unreliable here",
-            RegimeWarning,
-            stacklevel=2,
-        )
+    row = _row(g.L, g.a, g.b, g.eps, g.n, exact_reg=exact_reg)
+    _warn_unless_dominant(row)
     return ReplicaMatrix(g, SymmetricCirculant(row))
 
 
@@ -170,10 +153,10 @@ def coincident_interval_row(L: float, eps: float, n: int) -> np.ndarray:
 
     This layout violates the B-right-of-A validation on purpose (it is the
     sanity limit where the measured and probed intervals coincide), so it
-    bypasses ``Geometry`` and evaluates the complex branch points directly.
-    Every element grows as (4/n) log(L/eps).
+    bypasses ``Geometry``; u(a) < 0 there, and ell = log(u(a) / u(b)) is
+    complex. Every element grows as (4/n) log(L/eps).
     """
-    return _boson_row(L, eps, L + eps, eps, n)
+    return _row(L, eps, L + eps, eps, n)
 
 
 def charged_moments_ratio(g: Geometry, p: BosonParams, gammas) -> float:
@@ -204,7 +187,7 @@ def cn_closed_form(g: Geometry) -> float:
 
 def single_copy_m11(g: Geometry) -> float:
     """Diagonal of the one-replica matrix, 4 log((b-a)/(2 eps)) at leading eps."""
-    return float(_boson_row(g.L, g.a, g.b, g.eps, 1)[0])
+    return float(_row(g.L, g.a, g.b, g.eps, 1)[0])
 
 
 def correction_from_parts(log_m11: float, log_det: float, n: int) -> float:
@@ -214,7 +197,35 @@ def correction_from_parts(log_m11: float, log_det: float, n: int) -> float:
     return (n * log_m11 - log_det) / (2.0 * (1 - n))
 
 
-def renyi_ratio_and_mie(g: Geometry, n: int, exact_reg: bool = False):
+def _chi(g: Geometry, ns, shift=0.0):
+    """chi_n = (n log m1 - log det M(n)) / (2(n - 1)) for every n in ``ns``.
+
+    m1 is the single-copy (n = 1) diagonal. The diagonal difference
+    D = M_00(n) - m1 = -4 Re[F(ell / 2) - F(ell / 2n)], F = log sinhc, has no
+    cancellation, and the eigenvalues of M(n) are m1 (1 + delta_k), with
+    m1 delta_k those of the row whose diagonal is D. Since the delta_k sum
+    to n D / m1,
+    chi_n = -[n D / m1 + sum_k (log1p delta_k - delta_k)] / (2(n - 1)),
+    which keeps full relative accuracy however small chi_n is. Endpoints
+    sit at a - shift and b - shift.
+    """
+    ell = _endpoints(g.L, g.a, g.b, shift)[2]
+    m1 = _row(g.L, g.a, g.b, g.eps, 1, shift)[0]
+    if not m1 > 0.0:
+        raise DomainError(f"single-copy diagonal m1 = {m1:.3g} <= 0: cutoff-dominated layout")
+    out = []
+    for n in ns:
+        row = _row(g.L, g.a, g.b, g.eps, n, shift)
+        _warn_unless_dominant(row)
+        D = -4.0 * (log_sinhc(ell / 2.0) - log_sinhc(ell / (2.0 * n))).real
+        delta = SymmetricCirculant((D, *row[1:])).eigenvalues() / m1
+        if np.any(delta <= -1.0):
+            raise SingularMatrixError(f"non-positive replica eigenvalue at n = {n}")
+        out.append(-float(n * D / m1 + np.sum(np.log1p(delta) - delta)) / (2.0 * (n - 1)))
+    return out
+
+
+def renyi_ratio_and_mie(g: Geometry, n: int):
     """Charge-averaged Renyi ratio and the induced entropy correction.
 
     Returns ``(ratio, correction)`` with ratio = sqrt(m1^n / det M(n)) and
@@ -225,12 +236,8 @@ def renyi_ratio_and_mie(g: Geometry, n: int, exact_reg: bool = False):
     """
     if n < 2:
         raise ValueError("need n >= 2 replicas")
-    rm = build_M_boson(g.with_n(n), exact_reg)
-    log_det = rm.log_det()
-    m1 = single_copy_m11(g)
-    log_ratio = 0.5 * (n * np.log(m1) - log_det)
-    correction = correction_from_parts(np.log(m1), log_det, n)
-    return float(np.exp(log_ratio)), float(correction)
+    chi, = _chi(g, [n])
+    return float(np.exp((n - 1) * chi)), -chi
 
 
 def renyi_entropy_base(g: Geometry, n: float) -> float:
@@ -243,11 +250,8 @@ def renyi_entropy_base(g: Geometry, n: float) -> float:
 
 def chi_samples(g: Geometry, n_max: int = 8):
     """Positive continuation samples chi_n = -(correction) at n = 2..n_max."""
-    out = []
-    for n in range(2, n_max + 1):
-        _, corr = renyi_ratio_and_mie(g, n)
-        out.append((n, -corr))
-    return out
+    ns = range(2, n_max + 1)
+    return list(zip(ns, _chi(g, ns)))
 
 
 def _continue_with_fallback(samples):
@@ -338,61 +342,39 @@ def charge_distribution(g: Geometry, p: BosonParams, q) -> np.ndarray:
 # real-time generalization
 
 
-def time_correction_samples(g: Geometry, tp: TimeParams, n_max: int = 8, dps: int = 50):
-    """chi_n(t) samples computed in arbitrary precision.
-
-    At large t the correction decays like t^{-4} and falls below double
-    precision long before the asymptote is reached, so the circulant row,
-    its eigenvalue products and the n = 1 normalization are evaluated with
-    mpmath and only the final samples are returned as floats. The work
-    runs in a private mpmath context, so concurrent calls at different
-    precisions never share (or change) mpmath's global precision.
+def time_correction_samples(g: Geometry, tp: TimeParams, n_max: int = 8):
+    """chi_n(t) samples at n = 2..n_max.
 
     Both chiral halves translate by -t. The holomorphic half carries a
     -i eps' displacement and the anti-holomorphic half its conjugate, so
     the anti-holomorphic row is the conjugate of the holomorphic one and
-    the effective covariance row is 2 Re of the holomorphic row.
+    the effective covariance row is 2 Re of the holomorphic row. The
+    samples decay like t^{-4} and keep full relative accuracy (see
+    ``_chi``). For a - L <= t <= b a shifted endpoint meets or straddles
+    the probed interval, where the principal images no longer follow the
+    branch points, so that window is rejected.
     """
-    ctx = mp.MPContext()
-    ctx.dps = dps
-    za = ctx.mpf(g.a) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime)
-    zb = ctx.mpf(g.b) - ctx.mpf(tp.t) - 1j * ctx.mpf(tp.eps_prime)
-
-    def eff_row(n):
-        return [2 * ctx.re(x) for x in _holo_row(ctx, g.L, za, zb, g.eps, n)]
-
-    log_m1 = ctx.log(eff_row(1)[0])
-    samples = []
-    for n in range(2, n_max + 1):
-        row = eff_row(n)
-        cos = [ctx.cos(2 * ctx.pi * m / n) for m in range(n)]
-        # the row is palindromic, so entries j and n - j pair up in each
-        # eigenvalue and lambda_k = lambda_{n-k}: only k <= n/2 is summed
-        logdet = ctx.mpf(0)
-        for k in range(n // 2 + 1):
-            lam = row[0]
-            for j in range(1, (n + 1) // 2):
-                lam += 2 * row[j] * cos[j * k % n]
-            if n % 2 == 0:
-                lam += row[n // 2] * cos[n // 2 * k % n]
-            logdet += ctx.log(lam) if k == 0 or 2 * k == n else 2 * ctx.log(lam)
-        val = (n * log_m1 - logdet) / (2 * (n - 1))
-        samples.append((n, float(val)))
-    return samples
+    if g.a - g.L <= tp.t <= g.b:
+        raise DomainError(
+            f"t = {tp.t:g} lies in the light-cone window [a - L, b] = "
+            f"[{g.a - g.L:g}, {g.b:g}], where a shifted endpoint crosses A"
+        )
+    ns = range(2, n_max + 1)
+    return list(zip(ns, _chi(g, ns, complex(tp.t, tp.eps_prime))))
 
 
-def holevo_chi_time(g: Geometry, tp: TimeParams, n_max: int = 8, dps: int = 50) -> float:
+def holevo_chi_time(g: Geometry, tp: TimeParams, n_max: int = 8) -> float:
     """Time-dependent Holevo bound by continuation of chi_n(t) to n = 1.
 
     Decays as (b-a)^2 L^2 / (24 log((b-a)/(2 eps)) t^4) once t exceeds
     every geometric scale.
     """
-    return holevo_chi_time_detailed(g, tp, n_max, dps).value
+    return holevo_chi_time_detailed(g, tp, n_max).value
 
 
-def holevo_chi_time_detailed(g: Geometry, tp: TimeParams, n_max: int = 8, dps: int = 50):
+def holevo_chi_time_detailed(g: Geometry, tp: TimeParams, n_max: int = 8):
     """Time-dependent Holevo bound together with the continuation diagnostics."""
-    return _continue_with_fallback(time_correction_samples(g, tp, n_max, dps))
+    return _continue_with_fallback(time_correction_samples(g, tp, n_max))
 
 
 def chi_time_asymptote(g: Geometry, t: float) -> float:

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
+from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc, quadratic_form_cn
 from opens.errors import DomainError, QuadratureError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -121,42 +121,21 @@ def _u_diff(x2, s, L, n):
     return _u(x2, L, n) * np.expm1(gexp)
 
 
-# log(sinh y / y) = sum_k (-1)^(k+1) zeta(2k) / (k pi^(2k)) y^(2k), highest
-# power first; the twelve terms kept reach double precision for |y| < 1/2
-_LOG_SINHC = tuple(
-    (-1) ** (k + 1) * float(special.zeta(2 * k)) / (k * np.pi ** (2 * k)) for k in range(12, 0, -1)
-)
-
-
-def _log_sinhc(y):
-    """log(sinh(y) / y), accurate to a few units in the last place at every y."""
-    z = y * y
-    series = 0.0
-    for c in _LOG_SINHC:
-        series = (series + c) * z
-    if np.ndim(y) == 0:  # the adaptive check calls this once per point
-        return series if abs(y) < 0.5 else np.log(np.sinh(y) / y)
-    small = np.abs(y) < 0.5
-    safe = np.where(small, 1.0, y)
-    return np.where(small, series, np.log(np.sinh(safe) / safe))
-
-
 def _log_r(x2, x2_off, s, L, n):
     """log r for r = j1 j2 s^2 / (u1 - u2)^2 at x1 = x2 + s, s >= 0.
 
     ``x2_off`` is x2 - L, passed in because each caller has it more
     accurately than x2 - L would give near the branch point. With
     q = (x1 / x2) ((x2 - L) / (x1 - L)), so that 1 - q = L s / (x2 (x1 - L)),
-    and lam = log q, taken as log1p(-(1 - q)) unless q is small, the ratio
+    and lam = log q, taken as log1p(-(1 - q)) unless q < 1/2, the ratio
     is (sinhc(lam / 2) / sinhc(lam / 2n))^2. So log r is a difference of two
     log sinhc values, with no cancellation at small s, and exactly 0 at
     n = 1, where the map is Mobius. Its leading term is the Schwarzian
     (1 - 1/n^2) L^2 s^2 / (12 x^2 (x - L)^2).
     """
     x1_off = x2_off + s
-    q = ((x2 + s) / x2) * (x2_off / x1_off)
-    lam = np.where(q < 0.5, np.log(q), np.log1p(-L * s / (x2 * x1_off)))[()]
-    return 2.0 * (_log_sinhc(0.5 * lam) - _log_sinhc(0.5 * lam / n))
+    lam = log_ratio(-L * s / (x2 * x1_off), ((x2 + s) / x2) * (x2_off / x1_off))
+    return 2.0 * (log_sinhc(0.5 * lam) - log_sinhc(0.5 * lam / n))
 
 
 def _remainder_power(spec: OperatorSpec):

@@ -188,7 +188,7 @@ def cmd_boson_time(args):
 
     def point(t):
         g = _geometry(args, args.l2)
-        res = holevo_chi_time_detailed(g, TimeParams(t, args.epsp), args.nmax, args.dps)
+        res = holevo_chi_time_detailed(g, TimeParams(t, args.epsp), args.nmax)
         return [ROUTE_BOSON, args.L, args.d, args.l2, args.eps, t,
                 res.value, chi_time_asymptote(g, t)], res.error_estimate
 
@@ -455,7 +455,6 @@ def build_parser():
     p.add_argument("--t", default="1000:100000:9:log", help="time sweep")
     p.add_argument("--epsp", type=float, default=1e-3)
     p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--dps", type=int, default=50, help="working precision digits")
     p.set_defaults(func=cmd_boson_time)
 
     p = _register(subparsers, sub, "cn-table", help="charge-width coefficient C_n vs n")

@@ -3,8 +3,9 @@
 Everything downstream (the boson closed forms, the operator quadrature and
 the lattice determinants) goes through the small set of contracts defined
 here: a validated interval layout, a palindromic symmetric circulant with
-eigenvalue-product determinants, and a solve-based quadratic form
-``v M^{-1} v^T``.
+eigenvalue-product determinants, a solve-based quadratic form
+``v M^{-1} v^T``, and the two cancellation-free logarithms that the
+uniformization map's cross ratios are built from.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from opens.errors import GeometryError, RegimeWarning, SingularMatrixError
 
@@ -81,12 +83,11 @@ class SymmetricCirculant:
         n = len(row)
         if n == 0:
             raise ValueError("empty circulant row")
-        for j in range(1, n):
-            if not np.isclose(row[j], row[n - j], rtol=1e-12, atol=1e-12):
-                raise ValueError(
-                    f"first row is not palindromic at j={j}: "
-                    f"{row[j]!r} != {row[n - j]!r}"
-                )
+        r = np.array(row)
+        bad = np.flatnonzero(~np.isclose(r[1:], r[:0:-1], rtol=1e-12, atol=1e-12))
+        if bad.size:
+            j = bad[0] + 1
+            raise ValueError(f"first row is not palindromic at j={j}: {row[j]!r} != {row[n - j]!r}")
         object.__setattr__(self, "row", row)
 
     @property
@@ -119,16 +120,6 @@ def circulant_determinant(c: SymmetricCirculant) -> float:
         return 0.0
     sign = 1.0 if np.count_nonzero(lam < 0) % 2 == 0 else -1.0
     return sign * float(np.exp(np.sum(np.log(np.abs(lam)))))
-
-
-def circulant_log_determinant(c: SymmetricCirculant) -> float:
-    """log det for positive-definite circulants (raises otherwise)."""
-    lam = c.eigenvalues()
-    if np.any(lam <= 0.0):
-        raise SingularMatrixError(
-            f"non-positive circulant eigenvalue, min = {lam.min():.3e}"
-        )
-    return float(np.sum(np.log(lam)))
 
 
 def circulant_inverse_row_sum(c: SymmetricCirculant) -> float:
@@ -169,3 +160,42 @@ def quadratic_form_cn(M: np.ndarray) -> float:
         raise ValueError(f"quadratic form not real: {val!r}")
     return val.real
 
+
+
+# log(sinh y / y) = sum_k (-1)^(k+1) zeta(2k) / (k pi^(2k)) y^(2k), highest
+# power first; the twelve terms kept reach double precision for |y| < 1/2
+_LOG_SINHC = tuple(
+    (-1) ** (k + 1) * float(special.zeta(2 * k)) / (k * np.pi ** (2 * k)) for k in range(12, 0, -1)
+)
+
+
+def log_sinhc(y):
+    """log(sinh(y) / y) for real or complex y, accurate to a few units in
+    the last place at every y."""
+    z = y * y
+    series = 0.0
+    for c in _LOG_SINHC:
+        series = (series + c) * z
+    if np.ndim(y) == 0:  # the adaptive check and the boson rows call it per point
+        return series if abs(y) < 0.5 else np.log(np.sinh(y) / y)
+    small = np.abs(y) < 0.5
+    safe = np.where(small, 1.0, y)
+    return np.where(small, series, np.log(np.sinh(safe) / safe))
+
+
+def log_ratio(w, q):
+    """log q for a ratio q = 1 + w supplied in both forms.
+
+    It is log1p(w) while |w| <= 1/2, which keeps the relative accuracy of a
+    small w, and log q beyond, where 1 + w would lose that of a small q.
+    Complex w takes log1p as 1/2 log1p(2x + x^2 + y^2) + i atan2(y, 1 + x):
+    numpy's complex log1p forms log(1 + w) and loses a small w's digits.
+    """
+    far = np.abs(w) > 0.5
+    w = np.where(far, 0.0, w)
+    if np.iscomplexobj(w):
+        x, y = w.real, w.imag
+        near = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    else:
+        near = np.log1p(w)
+    return np.where(far, np.log(q), near)[()]

@@ -152,7 +152,7 @@ def test_criterion_5_large_time_decay():
     chis = []
     for t in ts:
         res = continue_to_one(
-            ContinuationProblem(time_correction_samples(g, TimeParams(t, 1e-3), 8, dps=50))
+            ContinuationProblem(time_correction_samples(g, TimeParams(t, 1e-3), 8))
         )
         chis.append(res.value)
     slope = np.polyfit(np.log(ts), np.log(chis), 1)[0]

@@ -1,12 +1,13 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from opens.cft_boson import (
     BosonParams,
     TimeParams,
-    branch_points,
     build_M_boson,
     charge_distribution,
     charge_variances,
@@ -19,7 +20,7 @@ from opens.cft_boson import (
     holevo_chi,
     holevo_chi_approx,
     _chi_approx_raw,
-    _holo_row,
+    _row,
     renyi_ratio_and_mie,
     single_copy_m11,
     time_correction_samples,
@@ -33,27 +34,85 @@ def geo(L=10.0, d=20.0, l2=100.0, eps=0.5, n=1):
     return Geometry(L, L + d, L + d + l2, eps, n)
 
 
-class TestBranchPoints:
-    def test_n1_real(self):
-        g = geo(n=1)
-        (a1, b1), = branch_points(g)
-        assert a1 == pytest.approx(g.a / (g.a - g.L))
-        assert b1 == pytest.approx(g.b / (g.b - g.L))
-        assert a1.real > 1.0 and b1.real > 1.0
+def mp_holo_row(ctx, L, za, zb, eps, n, exact_reg=False):
+    """Holomorphic row from the branch-point images themselves, in ``ctx``.
 
-    def test_n2_a_twice_L(self):
-        g = Geometry(10.0, 20.0, 50.0, 0.5, 2)
-        pts = branch_points(g)
-        assert pts[0][0] == pytest.approx(np.sqrt(2.0))
-        assert pts[1][0] == pytest.approx(-np.sqrt(2.0))
+    Entry j is -log of the cross ratio of the images of za, zb on sheets 0
+    and j, (z / (z - L))^{1/n} e^{2 pi i j / n}; the diagonal replaces the
+    coincident images by their point-split width, at leading order in eps
+    or, with ``exact_reg``, as the images' difference at z +- eps. This is
+    the independent algebra the closed-form row is checked against.
+    """
+    L, eps = ctx.mpf(L), ctx.mpf(eps)
+    image = lambda z: (z / (z - L)) ** (ctx.mpf(1) / n)
+    a, b = image(za), image(zb)
+    if exact_reg:
+        areg = image(za + eps) - image(za - eps)
+        breg = image(zb + eps) - image(zb - eps)
+    else:
+        areg = -2 * eps * L / (n * za * (za - L)) * a
+        breg = -2 * eps * L / (n * zb * (zb - L)) * b
+    row = [-ctx.log(areg * breg / (a - b) ** 2)]
+    for j in range(1, n):
+        zeta = ctx.exp(2j * ctx.pi * j / n)
+        row.append(-ctx.log((a - a * zeta) * (b - b * zeta) / ((a - b * zeta) * (a * zeta - b))))
+    return row
 
-    def test_matches_direct_map_evaluation(self):
-        g = Geometry(10.0, 30.0, 50.0, 0.5, 4)
-        pts = branch_points(g)
-        for k, (ak, bk) in enumerate(pts):
-            phase = np.exp(2j * np.pi * k / 4)
-            assert ak == pytest.approx(phase * (g.a / (g.a - g.L)) ** 0.25)
-            assert bk == pytest.approx(phase * (g.b / (g.b - g.L)) ** 0.25)
+
+def mp_endpoints(ctx, a, b, t=0.0, eps_prime=0.0):
+    shift = ctx.mpf(t) + 1j * ctx.mpf(eps_prime)
+    return ctx.mpf(a) - shift, ctx.mpf(b) - shift
+
+
+def mp_row(L, a, b, eps, n, dps=60, exact_reg=False):
+    """Effective row 2 Re of ``mp_holo_row`` at real endpoints, as floats."""
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    za, zb = mp_endpoints(ctx, a, b)
+    return np.array([float(2 * ctx.re(x)) for x in mp_holo_row(ctx, L, za, zb, eps, n, exact_reg)])
+
+
+def mp_time_samples(g, tp, n_max=8, dps=90):
+    """chi_n(t) from the full eigenvalue sum of the time-shifted row."""
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    za, zb = mp_endpoints(ctx, g.a, g.b, tp.t, tp.eps_prime)
+    row_of = lambda n: [2 * ctx.re(x) for x in mp_holo_row(ctx, g.L, za, zb, g.eps, n)]
+    log_m1 = ctx.log(row_of(1)[0])
+    out = []
+    for n in range(2, n_max + 1):
+        row = row_of(n)
+        lams = [ctx.fsum(row[j] * ctx.cos(2 * ctx.pi * j * k / n) for j in range(n))
+                for k in range(n)]
+        logdet = ctx.fsum(ctx.log(lam) for lam in lams)
+        out.append(float((n * log_m1 - logdet) / (2 * (n - 1))))
+    return out
+
+
+class TestRowOracle:
+    def test_static_rows_match_60_digits(self):
+        # random layouts, one with d >> l2, where the images of a and b nearly
+        # coincide and any difference of images loses its digits
+        rng = np.random.default_rng(2024)
+        layouts = [(0.30, 321.0, 0.20, 0.01)] + [
+            (*10 ** rng.uniform(-1, 3, 3), 10 ** rng.uniform(-3, -1)) for _ in range(30)]
+        for L, d, l2, eps in layouts:
+            a = L + d
+            for n in (1, 2, 5, 8):
+                np.testing.assert_allclose(_row(L, a, a + l2, eps, n),
+                                           mp_row(L, a, a + l2, eps, n), rtol=1e-14, atol=0.0)
+        for L, d, l2, eps in layouts[:8]:
+            a = L + d
+            np.testing.assert_allclose(_row(L, a, a + l2, eps, 5, exact_reg=True),
+                                       mp_row(L, a, a + l2, eps, 5, exact_reg=True),
+                                       rtol=1e-14, atol=0.0)
+
+    def test_coincident_rows_match_60_digits(self):
+        # u(a) < 0 in the A = B limit: q = u(a) / u(b) ~ -1e-24 at L = 1e12
+        for L in (1e6, 1e9, 1e12):
+            for n in (2, 3, 4):
+                np.testing.assert_allclose(coincident_interval_row(L, 1.0, n),
+                                           mp_row(L, 1.0, L + 1.0, 1.0, n), rtol=1e-14, atol=0.0)
 
 
 class TestBuildM:
@@ -263,44 +322,67 @@ class TestTimeDependence:
     def test_zero_time_limit(self):
         g = geo(n=1)
         tp = TimeParams(0.0, 1e-8)
-        samples = time_correction_samples(g, tp, n_max=4, dps=30)
+        samples = time_correction_samples(g, tp, n_max=4)
         for n, val in samples:
             _, corr = renyi_ratio_and_mie(g, n)
             assert val == pytest.approx(-corr, rel=1e-3)
 
     def test_antiholomorphic_row_is_conjugate(self):
-        # the t^-4 tail keeps 2 Re of the holomorphic row only, which
-        # relies on the conjugate endpoints giving the conjugate row;
-        # numpy scalars must not lose their imaginary parts on the way in
-        g, tp = geo(n=5), TimeParams(25.0, 1.0)
-        shift = tp.t + 1j * tp.eps_prime
-        holo = np.array(_holo_row(mp.fp, g.L, g.a - shift, g.b - shift, g.eps, g.n))
-        anti = np.array(_holo_row(mp.fp, np.float64(g.L), np.complex128(g.a - shift.conjugate()),
-                                  np.complex128(g.b - shift.conjugate()), np.float64(g.eps), g.n))
+        # the t^-4 tail keeps 2 Re of the holomorphic row only, which relies
+        # on the conjugate endpoints giving the conjugate row
+        g, tp = geo(n=5), TimeParams(15.0, 1.0)  # before a - L = 20
+        ctx = mp.MPContext()
+        ctx.dps = 30
+        holo, anti = (np.array([complex(x) for x in mp_holo_row(
+            ctx, g.L, *mp_endpoints(ctx, g.a, g.b, tp.t, e), g.eps, g.n)])
+            for e in (tp.eps_prime, -tp.eps_prime))
         assert np.abs(holo.imag).min() > 1e-2
-        assert np.allclose(anti, holo.conj(), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(anti, holo.conj(), rtol=1e-14, atol=0.0)
+        # the closed form gives that effective row from either half
+        shift = complex(tp.t, tp.eps_prime)
+        for s in (shift, shift.conjugate()):
+            row = _row(g.L, g.a, g.b, g.eps, g.n, s)
+            np.testing.assert_allclose(row, 2.0 * holo.real, rtol=1e-14, atol=0.0)
 
     def test_samples_match_the_full_eigenvalue_sum(self):
-        # the tail sums k <= n/2 and pairs entries j and n - j; the reference
-        # sums every lambda_k = sum_j row_j cos(2 pi j k / n) in full
-        for g, t in ((Geometry(10.0, 15.0, 25.0, 0.5, 1), 1e3),
-                     (Geometry(1.0, 2.0, 4.0, 0.5, 1), 3e5)):
-            tp = TimeParams(t, 1e-3)
-            ctx = mp.MPContext()
-            ctx.dps = 50
-            za, zb = (ctx.mpf(z) - ctx.mpf(t) - 1j * ctx.mpf(tp.eps_prime) for z in (g.a, g.b))
-            row_of = lambda n: [2 * ctx.re(x) for x in _holo_row(ctx, g.L, za, zb, g.eps, n)]
-            log_m1 = ctx.log(row_of(1)[0])
-            want = []
-            for n in range(2, 9):
-                row = row_of(n)
-                lams = [ctx.fsum(row[j] * ctx.cos(2 * ctx.pi * j * k / n) for j in range(n))
-                        for k in range(n)]
-                logdet = ctx.fsum(ctx.log(lam) for lam in lams)
-                want.append(float((n * log_m1 - logdet) / (2 * (n - 1))))
-            got = time_correction_samples(g, tp, 8, 50)
-            assert [n for n, _ in got] == list(range(2, 9))
-            np.testing.assert_allclose([v for _, v in got], want, rtol=1e-13, atol=0.0)
+        # the kernel sums log1p(delta_k) - delta_k; the reference sums every
+        # log lambda_k = log sum_j row_j cos(2 pi j k / n) at 90 digits
+        for L, d, l2 in ((10.0, 5.0, 10.0), (10.0, 10.0, 100.0), (1.0, 1.0, 2.0), (100.0, 50.0, 100.0)):
+            g = Geometry(L, L + d, L + d + l2, 0.05, 1)
+            for t in (1e3, 3.7e4, 1e6):
+                tp = TimeParams(t, 1e-3)
+                got = time_correction_samples(g, tp)
+                assert [n for n, _ in got] == list(range(2, 9))
+                np.testing.assert_allclose([v for _, v in got], mp_time_samples(g, tp),
+                                           rtol=1e-13, atol=0.0)
+
+    def test_light_cone_window_is_rejected(self):
+        g = Geometry(10.0, 15.0, 25.0, 0.5, 1)
+        for t in (5.0, 8.0, 16.0, 25.0):
+            with pytest.raises(DomainError, match="light-cone window"):
+                time_correction_samples(g, TimeParams(t, 1e-3))
+
+    def test_cutoff_dominated_layout_is_rejected(self):
+        with pytest.warns(RegimeWarning):
+            g = Geometry(1.0, 4.0, 4.5, 0.5, 1)
+        with pytest.raises(DomainError, match="m1"):
+            time_correction_samples(g, TimeParams(1e3, 1e-3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.floats(0.1, 100.0),
+        d=st.floats(0.1, 100.0),
+        l2=st.floats(1.0, 1000.0),
+        t_before=st.floats(0.0, 0.999),
+        t_after=st.floats(1.001, 1e4),
+    )
+    def test_samples_positive_outside_the_light_cone(self, L, d, l2, t_before, t_after):
+        g = Geometry(L, L + d, L + d + l2, 0.05, 1)
+        for t in (t_before * d, t_after * g.b):
+            samples = time_correction_samples(g, TimeParams(t, 1e-3))
+            assert all(v > 0.0 for _, v in samples), (t, samples)
+        with pytest.raises(DomainError):
+            time_correction_samples(g, TimeParams(0.5 * (d + g.b), 1e-3))
 
     def test_large_time_slope(self):
         g = Geometry(10.0, 15.0, 25.0, 0.5, 1)
@@ -309,7 +391,7 @@ class TestTimeDependence:
         chis = []
         for t in ts:
             res = continue_to_one(
-                ContinuationProblem(time_correction_samples(g, tp(t), 8, dps=50))
+                ContinuationProblem(time_correction_samples(g, tp(t), 8))
             )
             chis.append(res.value)
         slope = np.polyfit(np.log(ts), np.log(chis), 1)[0]
@@ -319,6 +401,6 @@ class TestTimeDependence:
         g = Geometry(10.0, 20.0, 120.0, 0.5, 1)
         t = 1e6
         res = continue_to_one(
-            ContinuationProblem(time_correction_samples(g, TimeParams(t, 1e-3), 8, dps=60))
+            ContinuationProblem(time_correction_samples(g, TimeParams(t, 1e-3), 8))
         )
         assert res.value == pytest.approx(chi_time_asymptote(g, t), rel=0.01)

@@ -7,6 +7,7 @@ import pytest
 from opens.cft_boson import TimeParams, holevo_chi_detailed, holevo_chi_time_detailed
 from opens.cli import main, parse_grid, parse_spec
 from opens.core import Geometry
+from opens.errors import RegimeWarning
 
 
 class TestGridParsing:
@@ -114,6 +115,23 @@ class TestCommands:
         assert "# status = error" in body
         assert "GeometryError" in body
 
+    def test_boson_time_has_no_precision_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["boson-time", "--dps", "50"])
+        assert exc.value.code == 2
+
+    def test_boson_time_rejects_the_light_cone_and_cutoff_dominated_layouts(self, tmp_path):
+        out = tmp_path / "w.csv"
+        for t in ("5", "8", "16"):  # inside [a - L, b] = [5, 25]
+            assert main(["--output", str(out), "boson-time", "--L", "10", "--d", "5",
+                         "--l2", "10", "--t", t]) == 1
+            assert "DomainError: t = " in out.read_text()
+        with pytest.warns(RegimeWarning):
+            code = main(["--output", str(out), "boson-time", "--L", "1", "--d", "3",
+                         "--l2", "0.5", "--eps", "0.5", "--t", "1000"])
+        assert code == 1
+        assert "DomainError: single-copy diagonal" in out.read_text()
+
     def test_ed_verify_passes(self, tmp_path):
         out = tmp_path / "ed.csv"
         code = main(
@@ -147,7 +165,7 @@ class TestCommands:
         body = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
         for args in (
             ["boson-holevo", "--L", "10", "--d", "10", "--l2", "10:1000:4:log"],
-            # the mpmath tail: threads must not share a working precision
+            # the real-time tail, the other continued route
             ["boson-time", "--L", "10", "--d", "10", "--l2", "10", "--t", "1000:100000:6:log"],
             CN_TABLE,
             ["lattice-moments", "--model", "xx", "--l1", "4", "--d-sites", "4",

@@ -176,7 +176,8 @@ def test_special_sets_reach_their_branches(monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)
         res = continue_to_one(ContinuationProblem(SPECIAL_SETS["constant_and_outlier"]))
     assert len(res.loo_values) == 5  # the subset whose fit fails is skipped, not the stack
-    boson = chi_samples(Geometry(10.0, 20.0, 30.0, 0.5), 8)
+    # a criterion-4 near-panel set whose leave-one-out fits end on a wide step
+    boson = chi_samples(Geometry(10.0, 20.0, 120.0, 0.5), 8)
     assert _branches(monkeypatch, boson, 4)["null2"]
 
 
@@ -231,17 +232,19 @@ def test_capped_fit_is_silent():
 
 def test_import_and_holevo_point_touch_no_global_state():
     # the dependencies set their own filters when imported; opens sets none,
-    # and the continuation pulls in neither scipy.interpolate nor scipy.stats
+    # the continuation pulls in neither scipy.interpolate nor scipy.stats,
+    # and no route, the real-time one included, needs mpmath
     code = """
 import io, sys, warnings
 from contextlib import redirect_stdout
-import mpmath, numpy, scipy.integrate, scipy.linalg, scipy.sparse.linalg, scipy.special
+import numpy, scipy.integrate, scipy.linalg, scipy.sparse.linalg, scipy.special
 before = list(warnings.filters)
 import opens.cli
 with redirect_stdout(io.StringIO()):
     assert opens.cli.main(["boson-holevo", "--l2", "100"]) == 0
+    assert opens.cli.main(["boson-time", "--t", "1000"]) == 0
 assert warnings.filters == before, "warning filters changed"
-loaded = [m for m in sys.modules if m.startswith(("scipy.interpolate", "scipy.stats"))]
+loaded = [m for m in sys.modules if m.startswith(("scipy.interpolate", "scipy.stats", "mpmath"))]
 assert not loaded, loaded
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
