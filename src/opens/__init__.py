@@ -5,9 +5,9 @@ Three mutually validating computational routes:
 - ``cft_boson``: closed-form compact-boson results for charge measurements
   (replica covariance matrix, charged moments, Renyi ratios, Holevo bound,
   real-time decay),
-- ``cft_operator``: adaptive quadrature for generic Gaussian scalar/vector
-  operators (q-resolved purities, measurement-induced entanglement,
-  UV-finite overlap ratios),
+- ``cft_operator``: fixed tensor Gauss rules and a closed-form flat
+  add-back for generic Gaussian scalar/vector operators (q-resolved
+  purities, measurement-induced entanglement, UV-finite overlap ratios),
 - ``lattice``: exact free-fermion Pfaffian formulas for tight-binding
   and critical Ising chains, gated by a brute-force exact-diagonalization
   oracle on small systems.

@@ -1,4 +1,4 @@
-"""Replica covariances for generic Gaussian operators by quadrature.
+"""Replica covariances for generic Gaussian operators by fixed Gauss rules.
 
 When the measured observable is not the conserved charge but a scalar
 primary of dimension (h_s/2, h_s/2) or a Hermitian vector built from
@@ -7,7 +7,7 @@ a closed form: its entries are double integrals of the mapped two-point
 function over B = [a, b] on each pair of replica branches. Off-diagonal
 entries are finite; the diagonal carries the flat two-point divergence,
 removed by subtracting the plane correlator and re-adding its regularized
-interval integral analytically.
+interval integral in closed form (``flat_integral_exact``).
 
 ``build_M_operator`` evaluates every entry in one numpy pass with a fixed
 tensor Gauss rule in y = log(x - L), which sends the branch point x = L to
@@ -17,8 +17,9 @@ Gauss-Jacobi in sigma = y1 - y2 with the weight sigma^beta of its
 coincident-point behaviour and Gauss-Legendre in y2; its kernel is formed
 from log r, r = j1 j2 (x1 - x2)^2 / (u1 - u2)^2, with no cancellation. The
 rule runs at N and 2N nodes per axis and their difference is the error
-estimate. The nested adaptive ``quad`` entries are kept as the independent
-check that the tests compare against.
+estimate. Nothing on this path calls adaptive quadrature: the nested
+``quad`` entries ``matrix_entry_offdiag`` and ``matrix_entry_remainder``
+are kept only as the independent check that the tests compare against.
 
 The same matrix then feeds every ensemble diagnostic: q-resolved purity
 ratios, the generalized entropy correction, overlap generating functions,
@@ -67,18 +68,17 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Point-splitting cutoff and adaptive-quadrature tolerances."""
+    """Point-splitting cutoff and the bound ``_check_converged`` puts on the
+    tensor rule's N-vs-2N difference (the test oracles' ``quad`` tolerance)."""
 
     eps_reg: float = 1e-4
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    subtraction: bool = True
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.eps_reg <= 0.0:
             raise ValueError("eps_reg must be positive")
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0.0:
+            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,6 @@ def _u(x, L, n):
 def _du_abs(x, L, n):
     # |dw/dx|; the derivative itself is negative on (L, inf)
     return _u(x, L, n) * L / (n * x * (x - L))
-
-
-def _u_diff(x2, s, L, n):
-    """u(x2 + s) - u(x2) without cancellation at small s (strip route)."""
-    gexp = (np.log1p(s / x2) - np.log1p(s / (x2 - L))) / n
-    return _u(x2, L, n) * np.expm1(gexp)
 
 
 def _log_r(x2, x2_off, s, L, n):
@@ -199,8 +193,8 @@ def _quad(func, lo, hi, cfg: QuadratureConfig, points=None, what=""):
         func,
         lo,
         hi,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
+        epsabs=cfg.tol,
+        epsrel=cfg.tol,
         limit=400,
         points=points,
         full_output=1,
@@ -214,35 +208,68 @@ def _check_converged(val, abserr, cfg: QuadratureConfig, what: str):
         raise QuadratureError(f"non-finite quadrature result for {what}")
     # the reported estimate is often conservative on peaked kernels; only a
     # result whose error rivals its magnitude counts as non-convergence
-    if abserr > max(200.0 * cfg.abs_tol, 1e-5 * abs(val)):
+    if abserr > max(200.0 * cfg.tol, 1e-5 * abs(val)):
         raise QuadratureError(
             f"quadrature for {what} did not converge: value {val:.6e}, "
             f"error estimate {abserr:.2e}"
         )
 
 
-def flat_integral_exact(spec: OperatorSpec, length: float, eps: float,
-                        cfg: QuadratureConfig | None = None) -> float:
+def _jacobi_integral(f, a, beta):
+    """int_0^a t^beta f(t) dt for f smooth on [0, a], by the Gauss-Jacobi rule."""
+    z, w = _gauss_jacobi(GAUSS_NODES, beta)
+    half = 0.5 * a
+    return half ** (beta + 1.0) * (w @ f(half * (1.0 + z)))
+
+
+def _split_integral(head, head_beta, tail, tail_beta, pole, X):
+    """int_0^X of an integrand split at x = 1, with no adaptive quadrature.
+
+    Below x1 = min(X, 1) the integrand is x^head_beta head(x). Beyond 1 it is
+    x^pole plus a rest with rest(1/t) / t^2 = t^tail_beta tail(t), so the
+    pole part integrates to log(X) exprel((pole + 1) log X) and the rest is
+    taken on [1/X, 1] in t. At X <= 1 both vanish identically.
+    """
+    x1, xt = min(X, 1.0), max(X, 1.0)
+    lx = np.log(xt)
+    return (_jacobi_integral(head, x1, head_beta)
+            + lx * special.exprel((pole + 1.0) * lx)
+            + _jacobi_integral(tail, 1.0, tail_beta)
+            - _jacobi_integral(tail, 1.0 / xt, tail_beta))
+
+
+def flat_integral_exact(spec: OperatorSpec, length: float, eps: float) -> float:
     """Regularized flat integral evaluated exactly at finite eps.
 
     Scalar: kernel (s^2 + eps^2)^{-h}; vector: the chirality-preserving
     kernel -2 Re (s + i eps)^{-2} |s|^{-2 h}. Used as the analytic
     add-back on the diagonal of the replica matrix so that the only cutoff
     dependence of M is this closed one-dimensional integral.
+
+    With X = length / eps the scalar integral is
+    2 eps^(2-2h) [X J0 - J1], J0 = int_0^X (1 + x^2)^(-h) dx and
+    J1 = ((1 + X^2)^(1-h) - 1) / (2 (1 - h)); the vector integral, after
+    integrating by parts, is 4 eps^(-2h) [(1 - 2h) K(1 - 2h) + 2h X K(-2h)]
+    with K(c) = int_0^X x^c / (1 + x^2) dx. Each piece is an exprel closed
+    form or a Gauss-Jacobi sum with exponent >= 0, accurate to a few ulps at
+    every weight, h_s = 1/2, 1 and h_v = 0 included.
     """
-    cfg = cfg or QuadratureConfig(eps_reg=eps)
-    ell, h = float(length), spec.weight
-    if spec.kind == "vector" and h == 0.0:
-        return 2.0 * np.log1p(ell * ell / (eps * eps))
+    X, h = float(length) / eps, spec.weight
     if spec.kind == "scalar":
-        f = lambda s: 2.0 * (ell - s) * (s * s + eps * eps) ** (-h)
-    else:
-        f = lambda s: (
-            -4.0 * (ell - s) * (s * s - eps * eps) / (s * s + eps * eps) ** 2
-            * s ** (-2.0 * h)
-        )
-    pts = [p for p in (eps, 10 * eps, 100 * eps) if p < ell]
-    return _quad(f, 0.0, ell, cfg, points=pts, what="flat add-back")
+        # (1 + t^2)^(-h) - 1 = t^2 g(t), g smooth with g(0) = -h
+        g = lambda t: np.expm1(-h * np.log1p(t * t)) / (t * t)
+        j0 = _split_integral(lambda x: np.exp(-h * np.log1p(x * x)), 0.0, g, 2.0 * h, -2.0 * h, X)
+        l1 = np.log1p(X * X)
+        j1 = 0.5 * l1 * special.exprel((1.0 - h) * l1)
+        return float(2.0 * eps ** (2.0 - 2.0 * h) * (X * j0 - j1))
+
+    # x^c / (1 + x^2) is x^c - x^(c+2) / (1 + x^2) below 1 and
+    # x^(c-2) - x^(c-4) / (1 + x^-2) beyond
+    neg_lorentz = lambda x: -1.0 / (1.0 + x * x)
+    K = lambda c: (min(X, 1.0) ** (c + 1.0) / (c + 1.0)
+                   + _split_integral(neg_lorentz, c + 2.0, neg_lorentz, 2.0 - c, c - 2.0, X))
+    return float(4.0 * eps ** (-2.0 * h) * ((1.0 - 2.0 * h) * K(1.0 - 2.0 * h)
+                                           + 2.0 * h * X * K(-2.0 * h)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +291,6 @@ def _offdiag_integrand(s, mm, m, g: Geometry, spec: OperatorSpec):
     return 2.0 * np.real(-(j1 * j2) / d**2) * (j1 * j2) ** h / np.abs(d) ** (2.0 * h)
 
 
-def _diag_integrand_stable(s, mm, g: Geometry, spec: OperatorSpec):
-    """Raw diagonal integrand via the cancellation-safe branch difference."""
-    x1, x2 = mm + s / 2.0, mm - s / 2.0
-    n, L = g.n, g.L
-    j1, j2 = _du_abs(x1, L, n), _du_abs(x2, L, n)
-    d = abs(_u_diff(x2, s, L, n))
-    if spec.kind == "scalar":
-        return (j1 * j2) ** spec.weight / d ** (2.0 * spec.weight)
-    h = spec.weight
-    return -2.0 * (j1 * j2) ** (1.0 + h) / d ** (2.0 + 2.0 * h)
-
-
 def _remainder_integrand(s, mm, g: Geometry, spec: OperatorSpec):
     """Diagonal integrand minus its flat limit, c |s|^(-2p) (r^p - 1)."""
     p, c = _remainder_power(spec)
@@ -287,7 +302,7 @@ def _remainder_integrand(s, mm, g: Geometry, spec: OperatorSpec):
 def matrix_entry_remainder(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
     """Diagonal entry with the flat kernel subtracted (cutoff-independent)."""
     a, b = g.a, g.b
-    inner_cfg = replace(cfg, abs_tol=cfg.abs_tol / 10.0, rel_tol=cfg.rel_tol / 10.0)
+    inner_cfg = replace(cfg, tol=cfg.tol / 10.0)
 
     def outer(s):
         if s == 0.0:
@@ -307,7 +322,7 @@ def matrix_entry_remainder(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfi
 def matrix_entry_offdiag(g: Geometry, spec: OperatorSpec, m: int, cfg: QuadratureConfig) -> float:
     """Entry at branch offset m != 0 (finite, no regulator needed)."""
     a, b = g.a, g.b
-    inner_cfg = replace(cfg, abs_tol=cfg.abs_tol / 10.0, rel_tol=cfg.rel_tol / 10.0)
+    inner_cfg = replace(cfg, tol=cfg.tol / 10.0)
 
     def outer(s):
         lo, hi = a + abs(s) / 2.0, b - abs(s) / 2.0
@@ -320,30 +335,6 @@ def matrix_entry_offdiag(g: Geometry, spec: OperatorSpec, m: int, cfg: Quadratur
         )
 
     return _quad(outer, -(b - a), b - a, cfg, points=[0.0], what=f"entry m={m}")
-
-
-def _diag_strip_cutoff(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
-    """Diagonal entry with a sharp |x1 - x2| > eps exclusion, no subtraction.
-
-    A scheme-comparison route: the kernel peaks hard at the strip edge, so
-    the inner integral runs at the caller's tolerance, not tighter.
-    """
-    a, b, eps = g.a, g.b, cfg.eps_reg
-    inner_cfg = cfg
-
-    def outer(s):
-        lo, hi = a + abs(s) / 2.0, b - abs(s) / 2.0
-        return _quad(
-            lambda mm: _diag_integrand_stable(s, mm, g, spec),
-            lo,
-            hi,
-            inner_cfg,
-            what="diagonal strip (inner)",
-        )
-
-    left = _quad(outer, -(b - a), -eps, cfg, what="diagonal strip")
-    right = _quad(outer, eps, b - a, cfg, what="diagonal strip")
-    return left + right
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +395,6 @@ def _remainder_rule(g: Geometry, spec: OperatorSpec, N: int) -> float:
     return 2.0 * (0.5 * span) ** (beta + 1.0) * (ws @ (half * (f @ w)))
 
 
-def _tensor_entries(g: Geometry, spec: OperatorSpec, N: int, remainder: bool) -> np.ndarray:
-    off = _offdiag_rule(g, spec, N)
-    return np.append(off, _remainder_rule(g, spec, N)) if remainder else off
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Replica covariance with its cutoff dependence kept analytic.
@@ -427,12 +413,16 @@ class OperatorMatrix:
     eps_reg: float
     error_estimate: float
 
+    def subtracted(self) -> SymmetricCirculant:
+        """M minus the flat add-back times the identity: the cutoff-free part."""
+        n = self.geometry.n
+        return SymmetricCirculant(
+            [self.diag_remainder] + [self.off_row[min(m, n - m) - 1] for m in range(1, n)])
+
     def dense(self, eps: float | None = None) -> np.ndarray:
         eps = self.eps_reg if eps is None else eps
-        n = self.geometry.n
-        diag = self.diag_remainder + flat_integral_exact(self.spec, self.geometry.ell2, eps)
-        row = [diag] + [self.off_row[min(m, n - m) - 1] for m in range(1, n)]
-        return SymmetricCirculant(row).dense()
+        flat = flat_integral_exact(self.spec, self.geometry.ell2, eps)
+        return self.subtracted().dense() + flat * np.eye(self.geometry.n)
 
     def cn(self, eps: float | None = None) -> float:
         return quadratic_form_cn(self.dense(eps))
@@ -445,33 +435,27 @@ def build_M_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> 
     palindromic in it, so only floor(n/2) off-diagonal integrals are
     computed, together with the subtracted diagonal, by the tensor Gauss
     rule at GAUSS_NODES and twice as many nodes per axis. An entry whose
-    two values differ by more than the adaptive route's convergence bound
-    raises ``QuadratureError``. With ``cfg.subtraction`` disabled the
-    diagonal falls back to a sharp-strip cutoff |x1 - x2| > eps_reg by
-    adaptive quadrature; the default subtracted route is exact in its eps
-    dependence.
+    two values differ by more than the ``cfg.tol`` bound of
+    ``_check_converged`` raises ``QuadratureError``. The cutoff enters only
+    through the closed-form flat add-back, so the matrix is exact in its
+    eps dependence.
     """
     n = g.n
-    coarse, fine = (_tensor_entries(g, spec, N, cfg.subtraction)
+    coarse, fine = (np.append(_offdiag_rule(g, spec, N), _remainder_rule(g, spec, N))
                     for N in (GAUSS_NODES, 2 * GAUSS_NODES))
     err = np.abs(fine - coarse)
     names = [f"entry m={m}" for m in range(1, n // 2 + 1)] + ["diagonal remainder"]
     for what, val, e in zip(names, fine, err):
         _check_converged(val, e, cfg, f"{what} (tensor rule)")
     off = tuple(float(v) for v in fine[: n // 2])
-    est = float(err.max(initial=0.0))
-    if cfg.subtraction:
-        return OperatorMatrix(g, spec, float(fine[-1]), off, cfg.eps_reg, est)
-    diag = _diag_strip_cutoff(g, spec, cfg)
-    flat = flat_integral_exact(spec, g.ell2, cfg.eps_reg)
-    return OperatorMatrix(g, spec, diag - flat, off, cfg.eps_reg, est)
+    return OperatorMatrix(g, spec, float(fine[-1]), off, cfg.eps_reg, float(err.max()))
 
 
 def single_copy_m11_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
     """One-replica diagonal; equals the flat integral exactly (the n = 1
     map is a Mobius transformation, which leaves the integrated two-point
     function invariant)."""
-    return flat_integral_exact(spec, g.ell2, cfg.eps_reg, cfg)
+    return flat_integral_exact(spec, g.ell2, cfg.eps_reg)
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +495,27 @@ def mie_general(g: Geometry, spec: OperatorSpec, n: int, cfg: QuadratureConfig) 
     ``saddle``: <q^2> = (2 pi C_1^3 m11)^{-1/2}, the saddle-normalized
     bookkeeping). ``total`` uses the gaussian convention, which matches
     direct summation over outcomes.
+
+    M = m11 + D with D the subtracted circulant (eigenvalues delta_k), so
+    log(det M / m11^n) = sum_k log1p(delta_k / m11) and C_n - n C_1 =
+    -n delta_0 / (m11 (m11 + delta_0)) keep their digits when m11 ~ 1e10.
     """
     if n < 2:
         raise ValueError("need n >= 2 replicas")
     om = build_M_operator(g.with_n(n), spec, cfg)
-    M = om.dense()
     m11 = single_copy_m11_operator(g, spec, cfg)
-    cn = quadratic_form_cn(M)
-    c1 = 1.0 / m11
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
+    delta = om.subtracted().eigenvalues()
+    if np.any(delta <= -m11):
         raise ValueError("replica matrix must have positive determinant")
-    det_corr = (n * np.log(m11) - logdet) / (2.0 * (1 - n))
-    q2_gauss = 1.0 / c1
+    log_det_ratio = np.sum(np.log1p(delta / m11))
+    logdet = n * np.log(m11) + log_det_ratio
+    det_corr = -log_det_ratio / (2.0 * (1 - n))
+    c1, cn = 1.0 / m11, n / (m11 + delta[0])
+    cn_excess = -n * delta[0] / (m11 * (m11 + delta[0]))  # C_n - n C_1
+    q2_gauss = m11
     q2_saddle = 1.0 / np.sqrt(2.0 * np.pi * c1**3 * m11)
-    qterm_gauss = -(cn - n * c1) * q2_gauss / (2.0 * (1 - n))
-    qterm_saddle = -(cn - n * c1) * q2_saddle / (2.0 * (1 - n))
+    qterm_gauss = -cn_excess * q2_gauss / (2.0 * (1 - n))
+    qterm_saddle = -cn_excess * q2_saddle / (2.0 * (1 - n))
     base = (n + 1.0) / (6.0 * n) * np.log(g.L / g.eps)
     return {
         "base_entropy": base,

@@ -198,7 +198,7 @@ def cmd_boson_time(args):
 
 def cmd_cn_table(args):
     spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, abs_tol=args.tol, rel_tol=args.tol)
+    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     ns = [int(v) for v in parse_grid(args.n)]
 
     def point(n):
@@ -224,7 +224,7 @@ def cmd_cn_table(args):
 
 def cmd_operator_m(args):
     spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, abs_tol=args.tol, rel_tol=args.tol)
+    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     g = _geometry(args, args.l2, args.n)
     om = build_M_operator(g, spec, cfg)
     M = om.dense()
@@ -236,7 +236,7 @@ def cmd_operator_m(args):
 
 def cmd_operator_mie(args):
     spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, abs_tol=args.tol, rel_tol=args.tol)
+    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     rows, err = [], 0.0
     for l2 in parse_grid(args.l2):
         g = _geometry(args, l2)
@@ -253,7 +253,7 @@ def cmd_operator_mie(args):
 
 def cmd_overlap(args):
     spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, abs_tol=args.tol, rel_tol=args.tol)
+    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     g = _geometry(args, args.l2)
     rows = []
     for g1 in parse_grid(args.gamma1):
@@ -268,7 +268,7 @@ def cmd_overlap(args):
 
 def cmd_averaged_purity(args):
     spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, abs_tol=args.tol, rel_tol=args.tol)
+    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     g = _geometry(args, args.l2)
     rows = []
     for gam in parse_grid(args.gamma):
@@ -284,7 +284,7 @@ def cmd_uv_check(args):
     g = _geometry(args, args.l2)
     rows = []
     for eps in (args.eps_reg, args.eps_reg / 2.0):
-        cfg = QuadratureConfig(eps_reg=eps, abs_tol=args.tol, rel_tol=args.tol)
+        cfg = QuadratureConfig(eps_reg=eps, tol=args.tol)
         ratio = uv_finite_overlap_ratio(g, spec, args.gamma, args.gamma, cfg)
         numer = overlap_generating(g, spec, args.gamma, args.gamma, cfg)
         ap = averaged_purity(g, spec, args.gamma, cfg)
@@ -402,7 +402,8 @@ def _add_geometry(p, l2_sweep=True):
 def _add_quadrature(p):
     p.add_argument("--spec", default="scalar:0.25", help="observable, kind:weight")
     p.add_argument("--eps-reg", dest="eps_reg", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="acceptance bound on the tensor rule's 32-vs-64-node difference")
 
 
 def _add_lattice(p):

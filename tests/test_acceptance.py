@@ -207,7 +207,7 @@ def test_criterion_6_flat_integrals():
 
 def test_criterion_7_cn_nonlinearity():
     spec = OperatorSpec("scalar", 0.25)
-    cfg = QuadratureConfig(eps_reg=1e-6, abs_tol=1e-10, rel_tol=1e-10)
+    cfg = QuadratureConfig(eps_reg=1e-6, tol=1e-10)
     L, a, b = 1.0, 2.0, 4.0
     cns = []
     for n in range(1, 11):
@@ -224,7 +224,7 @@ def test_criterion_7_cn_nonlinearity():
         for L_ in (0.4, 0.8, 1.2, 1.6)
     ]
     spread = max(c2) - min(c2)
-    ok = 5e-3 < resid < 8e-2 and spread > 10 * cfg.abs_tol
+    ok = 5e-3 < resid < 8e-2 and spread > 10 * cfg.tol
     assert report(
         7, ok,
         f"max linear-fit residual {resid:.3f} (order 1e-2), "
@@ -347,7 +347,7 @@ def test_criterion_11_uv_finiteness():
         spec = OperatorSpec("scalar", hs)
         ratios, purs, logs_raw_gen, logs_raw_pur = [], [], [], []
         for eps in (1e-3, 5e-4):
-            cfg = QuadratureConfig(eps_reg=eps, abs_tol=1e-9, rel_tol=1e-9)
+            cfg = QuadratureConfig(eps_reg=eps, tol=1e-9)
             M = build_M_operator(g.with_n(2), spec, cfg).dense()
             ap = averaged_purity(g, spec, gam, cfg)
             ratios.append(uv_finite_overlap_ratio(g, spec, gam, gam, cfg))

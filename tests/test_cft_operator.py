@@ -27,7 +27,7 @@ from opens.cft_operator import _log_r
 from opens.core import Geometry, quadratic_form_cn
 from opens.errors import DomainError, QuadratureError
 
-CFG = QuadratureConfig(eps_reg=1e-6, abs_tol=1e-10, rel_tol=1e-10)
+CFG = QuadratureConfig(eps_reg=1e-6, tol=1e-10)
 
 
 def geo(L=10.0, a=30.0, b=60.0, eps=0.5, n=1):
@@ -72,6 +72,25 @@ class TestOperatorSpec:
             OperatorSpec("tensor", 0.2)
 
 
+def _mp_flat_integral(spec, ell, eps):
+    """Regularized flat integral at 30 digits from mpmath's hyp2f1.
+
+    With X = ell / eps: scalar 2 eps^(2-2h) [X J0 - J1] with
+    J0 = X 2F1(h, 1/2; 3/2; -X^2) and J1 = X^2 / 2 2F1(h, 1; 2; -X^2);
+    vector 4 eps^(-2h) [(1 - 2h) K(1 - 2h) + 2h X K(-2h)] with
+    K(c) = X^(c+1) / (c+1) 2F1(1, (c+1)/2; (c+3)/2; -X^2).
+    """
+    with mpmath.workdps(30):
+        ell, eps, h = mpmath.mpf(ell), mpmath.mpf(eps), mpmath.mpf(spec.weight)
+        X = ell / eps
+        if spec.kind == "scalar":
+            j0 = X * mpmath.hyp2f1(h, 0.5, 1.5, -X * X)
+            j1 = X * X / 2 * mpmath.hyp2f1(h, 1, 2, -X * X)
+            return 2 * eps ** (2 - 2 * h) * (X * j0 - j1)
+        K = lambda c: X ** (c + 1) / (c + 1) * mpmath.hyp2f1(1, (c + 1) / 2, (c + 3) / 2, -X * X)
+        return 4 * eps ** (-2 * h) * ((1 - 2 * h) * K(1 - 2 * h) + 2 * h * X * K(-2 * h))
+
+
 class TestFlatIntegral:
     def test_half_weight_printed_value(self):
         out = flat_interval_integral(OperatorSpec("scalar", 0.5), 100.0, 0.1)
@@ -105,6 +124,7 @@ class TestFlatIntegral:
         assert extrap == pytest.approx(8.0 / 3.0 * ell**1.5, rel=1e-4)
 
     def test_exact_scheme_matches_quadrature(self):
+        # the by-parts vector form against the original kernel, adaptively
         for spec in (OperatorSpec("scalar", 0.75), OperatorSpec("vector", 0.2)):
             ell, eps = 7.0, 1e-3
             closed = flat_integral_exact(spec, ell, eps)
@@ -118,6 +138,17 @@ class TestFlatIntegral:
             ref = integrate.quad(f, 0, ell, points=[eps, 10 * eps], limit=300,
                                  epsabs=1e-12, epsrel=1e-12)[0]
             assert closed == pytest.approx(ref, rel=1e-9)
+        # every weight, including h_s = 1/2, 1 and h_v = 0 and their
+        # neighbours, on short and very long intervals
+        specs = [OperatorSpec("scalar", h)
+                 for h in (1e-6, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-12, 0.75, 1.0, 1.4999)]
+        specs += [OperatorSpec("vector", h) for h in (0.0, 1e-12, 1e-6, 0.25, 0.49, 0.499999)]
+        for spec in specs:
+            for ell in (0.5, 30.0, 1e5):
+                for eps in (1e-4, 1e-8):
+                    ref = _mp_flat_integral(spec, ell, eps)
+                    rel = abs(float((flat_integral_exact(spec, ell, eps) - ref) / ref))
+                    assert rel < 1e-13, (spec, ell, eps, rel)
 
     def test_vector_universal_term_against_quadrature(self):
         # subtracting the closed divergent part from the numeric integral
@@ -158,7 +189,7 @@ class TestBuildM:
     def test_symmetric_dense(self):
         g = geo(n=4)
         M = build_M_operator(g, OperatorSpec("scalar", 0.25), CFG).dense()
-        assert np.abs(M - M.T).max() < CFG.abs_tol
+        assert np.abs(M - M.T).max() < CFG.tol
 
     def test_single_sheet_remainder_vanishes(self):
         # the n = 1 map is Mobius: mapped kernel equals the flat kernel
@@ -170,22 +201,40 @@ class TestBuildM:
     def test_light_weight_diagonal_cutoff_independent(self):
         g = geo(n=2)
         spec = OperatorSpec("scalar", 0.3)
-        om = build_M_operator(g, spec, QuadratureConfig(eps_reg=1e-5, abs_tol=1e-10, rel_tol=1e-10))
+        om = build_M_operator(g, spec, QuadratureConfig(eps_reg=1e-5, tol=1e-10))
         d1 = om.dense(1e-5)[0, 0]
         d2 = om.dense(5e-6)[0, 0]
         assert abs(d2 - d1) / abs(d1) < 1e-3
 
     def test_strip_mode_agrees_for_light_weights(self):
-        # below h = 1/2 the eps -> 0 value exists; both regularizations meet
-        # up to the O(eps^{1-2h}) scheme difference
+        # the raw diagonal kernel over |x1 - x2| > eps, with its elementary
+        # flat strip part swapped for the exact add-back, is the subtracted
+        # diagonal up to the O(eps^(3 - 2h)) remainder inside the strip
         g = geo(n=2)
         spec = OperatorSpec("scalar", 0.3)
-        sub = build_M_operator(g, spec, QuadratureConfig(eps_reg=1e-6, abs_tol=1e-10, rel_tol=1e-10))
-        strip = build_M_operator(
-            g, spec,
-            QuadratureConfig(eps_reg=1e-6, abs_tol=1e-9, rel_tol=1e-9, subtraction=False),
-        )
-        assert strip.dense()[0, 0] == pytest.approx(sub.dense()[0, 0], rel=1e-3)
+        h, eps, ell = spec.weight, 1e-6, g.ell2
+
+        def raw(x1, x2):
+            (w1, dw1), (w2, dw2) = replica_map(x1, 0, g), replica_map(x2, 0, g)
+            return abs(dw1 * dw2) ** h / abs(w1 - w2) ** (2 * h)
+
+        # x1 - x2 = s = e^y in the outer variable; the midpoint integral is
+        # smooth, and a fixed rule does not chase the rounding of w1 - w2
+        z, w = np.polynomial.legendre.leggauss(24)
+
+        def over_midpoints(y):
+            s = np.exp(y)
+            lo, hi = g.a + s / 2, g.b - s / 2
+            mids = lo + 0.5 * (hi - lo) * (1 + z)
+            return s * 0.5 * (hi - lo) * sum(wi * raw(m + s / 2, m - s / 2) for wi, m in zip(w, mids))
+
+        strip = 2 * integrate.quad(over_midpoints, np.log(eps), np.log(ell),
+                                   epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        flat_strip = 2 * (ell * (ell ** (1 - 2 * h) - eps ** (1 - 2 * h)) / (1 - 2 * h)
+                          - (ell ** (2 - 2 * h) - eps ** (2 - 2 * h)) / (2 - 2 * h))
+        sub = build_M_operator(g, spec, QuadratureConfig(eps_reg=eps, tol=1e-10))
+        assert strip - flat_strip + flat_integral_exact(spec, ell, eps) == pytest.approx(
+            sub.dense()[0, 0], rel=1e-10)
 
     def test_vector_weightless_reproduces_boson(self):
         # h_v = 0 with unit normalization is the conserved current; the
@@ -194,7 +243,7 @@ class TestBuildM:
         g = Geometry(10.0, 30.0, 60.0, eps_quad / 2.0, 3)
         boson = build_M_boson(g).dense()
         om = build_M_operator(g, OperatorSpec("vector", 0.0),
-                              QuadratureConfig(eps_reg=eps_quad, abs_tol=1e-10, rel_tol=1e-10))
+                              QuadratureConfig(eps_reg=eps_quad, tol=1e-10))
         quad = om.dense()
         assert np.abs((quad - boson) / boson).max() < 1e-4
 
@@ -264,7 +313,7 @@ class TestDomainSweep:
                 assert len(om.off_row) == n // 2
                 assert np.all(np.isfinite(entries))
                 assert np.isfinite(om.error_estimate)
-                assert om.error_estimate <= max(200 * CFG.abs_tol, 1e-5 * np.abs(entries).max())
+                assert om.error_estimate <= max(200 * CFG.tol, 1e-5 * np.abs(entries).max())
 
     def test_unconverged_rule_raises(self, monkeypatch):
         monkeypatch.setattr(cft_operator, "GAUSS_NODES", 2)
@@ -277,7 +326,7 @@ class TestDomainSweep:
     ], ids=_spec_id)
     def test_tensor_rule_matches_adaptive(self, spec):
         g = Geometry(1.0, 2.0, 4.0, 1e-3, 3)
-        cfg = QuadratureConfig(eps_reg=1e-4, abs_tol=1e-10, rel_tol=1e-10)
+        cfg = QuadratureConfig(eps_reg=1e-4, tol=1e-10)
         om = build_M_operator(g, spec, cfg)
         assert matrix_entry_offdiag(g, spec, 1, cfg) == pytest.approx(om.off_row[0], rel=1e-8)
         assert matrix_entry_remainder(g, spec, cfg) == pytest.approx(om.diag_remainder, rel=1e-8)
@@ -325,7 +374,7 @@ class TestMie:
     def test_conserved_current_has_no_q_term(self):
         g = Geometry(10.0, 30.0, 60.0, 0.1, 1)
         out = mie_general(g, OperatorSpec("vector", 0.0),
-                          2, QuadratureConfig(eps_reg=0.2, abs_tol=1e-10, rel_tol=1e-10))
+                          2, QuadratureConfig(eps_reg=0.2, tol=1e-10))
         # C_2 - 2 C_1 vanishes identically for the conserved charge
         assert abs(out["q_correction_gaussian"]) < 1e-5 * abs(out["det_correction"]) + 1e-10
 
@@ -346,12 +395,34 @@ class TestMie:
         mie_sum = np.trapezoid(pq * s_q, qs)
         assert mie_sum == pytest.approx(out["total"], rel=1e-3)
 
+    def test_corrections_free_of_add_back_cancellation(self):
+        # m11 ~ 1e10 here; the old formulas evaluated at 40 digits from the
+        # same float entries are the reference
+        g, spec, n = _domain_geometry(1.0, 1000.0, 1), OperatorSpec("scalar", 1.45), 3
+        cfg = QuadratureConfig(eps_reg=5e-5)
+        out = mie_general(g, spec, n, cfg)
+        om = build_M_operator(g.with_n(n), spec, cfg)
+        row = om.subtracted().row
+        with mpmath.workdps(40):
+            m11 = mpmath.mpf(single_copy_m11_operator(g, spec, cfg))
+            M = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    M[i, j] = mpmath.mpf(row[(i - j) % n]) + (m11 if i == j else 0)
+            cn = mpmath.fsum(mpmath.lu_solve(M, mpmath.ones(n, 1)))
+            det_ref = (n * mpmath.log(m11) - mpmath.log(mpmath.det(M))) / (2 * (1 - n))
+            q_ref = -(cn - n / m11) * m11 / (2 * (1 - n))
+        assert out["m11_single"] > 1e9
+        assert out["det_correction"] == pytest.approx(float(det_ref), rel=1e-10)
+        assert out["q_correction_gaussian"] == pytest.approx(float(q_ref), rel=1e-10)
+        assert out["total"] == out["base_entropy"] + out["det_correction"] + out["q_correction_gaussian"]
+
     def test_not_a_function_of_cross_ratio(self):
         # both layouts share the anharmonic ratio a (b - L) / (b (a - L))
         # = 1.5 but are not global rescalings of each other; a conformal-
         # kinematic correction would coincide on them
         spec = OperatorSpec("scalar", 0.25)
-        cfg = QuadratureConfig(eps_reg=1e-6, abs_tol=1e-10, rel_tol=1e-10)
+        cfg = QuadratureConfig(eps_reg=1e-6, tol=1e-10)
         g1 = Geometry(1.0, 2.0, 4.0, 1e-3, 1)
         g2 = Geometry(1.0, 2.5, 10.0, 1e-3, 1)
         eta = lambda g: g.a * (g.b - g.L) / (g.b * (g.a - g.L))
@@ -361,10 +432,10 @@ class TestMie:
         # a global rescaling *would* leave it invariant (dimensionless),
         # provided the point splitting is rescaled along
         g1s = Geometry(3.0, 6.0, 12.0, 3e-3, 1)
-        cfg_s = QuadratureConfig(eps_reg=3e-6, abs_tol=1e-10, rel_tol=1e-10)
+        cfg_s = QuadratureConfig(eps_reg=3e-6, tol=1e-10)
         corr1s = mie_general(g1s, spec, 2, cfg_s)["det_correction"]
         assert corr1s == pytest.approx(corr1, rel=1e-6)
-        assert abs(corr2 - corr1) > 100 * cfg.abs_tol
+        assert abs(corr2 - corr1) > 100 * cfg.tol
         assert corr2 != pytest.approx(corr1, rel=1e-2)
 
 
@@ -413,7 +484,7 @@ class TestOverlaps:
         gam = np.array([0.2, 0.2])
         vals, raws = [], []
         for eps in (1e-3, 5e-4):
-            cfg = QuadratureConfig(eps_reg=eps, abs_tol=1e-9, rel_tol=1e-9)
+            cfg = QuadratureConfig(eps_reg=eps, tol=1e-9)
             vals.append(np.log(uv_finite_overlap_ratio(g, spec, 0.2, 0.2, cfg)))
             M = build_M_operator(g.with_n(2), spec, cfg).dense()
             raws.append(-0.5 * gam @ M @ gam)  # log of the unnormalized numerator

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opens.cft_boson import TimeParams, holevo_chi_detailed, holevo_chi_time_detailed
+from opens import cft_operator
 from opens.cli import main, parse_grid, parse_spec
 from opens.core import Geometry
 from opens.errors import RegimeWarning
@@ -224,3 +225,29 @@ class TestCommands:
         assert "# linear_fit_slope" in body
         rows = [l for l in body.splitlines() if l.startswith("operator-quadrature")]
         assert len(rows) == 3
+
+    def test_operator_commands_need_no_adaptive_quadrature(self, tmp_path, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("adaptive quad called on the run-time path")
+
+        monkeypatch.setattr(cft_operator.integrate, "quad", no_quad)
+        base = ["--L", "1", "--d", "1", "--l2", "2"]
+        for args in (CN_TABLE,
+                     ["operator-m", "--n", "3", "--spec", "vector:0.25"] + base,
+                     ["operator-mie", "--n", "2", "--spec", "scalar:1.45"] + base,
+                     ["overlap", "--gamma1", "0.3", "--gamma2", "0.5"] + base,
+                     ["averaged-purity", "--gamma", "0.3"] + base,
+                     ["uv-check", "--spec", "scalar:0.75", "--gamma", "0.3"] + base):
+            out = tmp_path / "q.csv"
+            assert main(["--output", str(out)] + args) == 0, out.read_text()
+
+    def test_heavy_vector_on_long_intervals(self, tmp_path):
+        # the flat add-back of h_v = 0.45 is about 1e12 at l2 = 1000
+        for args, nrows in ((["operator-m", "--l2", "1000", "--n", "2"], 2),
+                            (["operator-mie", "--l2", "100", "--n", "3"], 1)):
+            out = tmp_path / "v.csv"
+            assert main(["--output", str(out)] + args
+                        + ["--L", "1", "--d", "1", "--spec", "vector:0.45"]) == 0
+            rows = [l for l in out.read_text().splitlines() if l.startswith("operator-quadrature")]
+            assert len(rows) == nrows
+            assert all(np.isfinite(float(v)) for r in rows for v in r.split(",")[5:])
