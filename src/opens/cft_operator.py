@@ -462,26 +462,34 @@ def single_copy_m11_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureCon
 # ensemble diagnostics
 
 
-def purity_ratio_q(M: np.ndarray, q: float, n: int, m11_single: float) -> float:
-    """Tr rho_{A,q}^n / Tr rho_A^n for outcome q.
+def _replica_log_terms(delta: np.ndarray, m11: float):
+    """log(det M / m11^n) and C_n - n C_1 for M = m11 + D.
+
+    delta are the eigenvalues of the subtracted circulant D, delta[0] its
+    row sum. Written as sum_k log1p(delta_k / m11) and
+    -n delta_0 / (m11 (m11 + delta_0)), both keep their digits when
+    m11 ~ 1e10, where the dense M would cancel them away.
+    """
+    if np.any(delta <= -m11):
+        raise ValueError("replica matrix must have positive determinant")
+    n = len(delta)
+    return np.sum(np.log1p(delta / m11)), -n * delta[0] / (m11 * (m11 + delta[0]))
+
+
+def log_purity_ratio_q(delta: np.ndarray, q: float, m11_single: float) -> float:
+    """log(Tr rho_{A,q}^n / Tr rho_A^n) for outcome q.
 
     e^{-q^2 C_n / 2} / sqrt(det M) divided by the n-th power of the
     single-copy normalization e^{-q^2 C_1 / 2} / sqrt(m11); C_1 = 1/m11
     exactly since the one-replica matrix is 1 x 1. The log is quadratic in
-    q with coefficient -(C_n - n C_1)/2.
+    q with coefficient -(C_n - n C_1)/2. M = m11 + D is given by m11 and
+    the eigenvalues delta of the subtracted circulant D
+    (``OperatorMatrix.subtracted().eigenvalues()``), n = len(delta). The
+    log is returned because the ratio itself is 1 - O(1e-12) at heavy
+    weights, where a float ratio keeps only a few digits of it.
     """
-    M = np.asarray(M, dtype=float)
-    cn = quadratic_form_cn(M)
-    c1 = 1.0 / m11_single
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise ValueError("replica matrix must have positive determinant")
-    log_ratio = (
-        -0.5 * q * q * (cn - n * c1)
-        - 0.5 * logdet
-        + 0.5 * n * np.log(m11_single)
-    )
-    return float(np.exp(log_ratio))
+    log_det_ratio, cn_excess = _replica_log_terms(np.asarray(delta, dtype=float), m11_single)
+    return float(-0.5 * q * q * cn_excess - 0.5 * log_det_ratio)
 
 
 def mie_general(g: Geometry, spec: OperatorSpec, n: int, cfg: QuadratureConfig) -> dict:
@@ -496,22 +504,18 @@ def mie_general(g: Geometry, spec: OperatorSpec, n: int, cfg: QuadratureConfig) 
     bookkeeping). ``total`` uses the gaussian convention, which matches
     direct summation over outcomes.
 
-    M = m11 + D with D the subtracted circulant (eigenvalues delta_k), so
-    log(det M / m11^n) = sum_k log1p(delta_k / m11) and C_n - n C_1 =
-    -n delta_0 / (m11 (m11 + delta_0)) keep their digits when m11 ~ 1e10.
+    Both corrections come from m11 and the eigenvalues of the subtracted
+    circulant (`_replica_log_terms`), never from the dense M.
     """
     if n < 2:
         raise ValueError("need n >= 2 replicas")
     om = build_M_operator(g.with_n(n), spec, cfg)
     m11 = single_copy_m11_operator(g, spec, cfg)
     delta = om.subtracted().eigenvalues()
-    if np.any(delta <= -m11):
-        raise ValueError("replica matrix must have positive determinant")
-    log_det_ratio = np.sum(np.log1p(delta / m11))
+    log_det_ratio, cn_excess = _replica_log_terms(delta, m11)
     logdet = n * np.log(m11) + log_det_ratio
     det_corr = -log_det_ratio / (2.0 * (1 - n))
     c1, cn = 1.0 / m11, n / (m11 + delta[0])
-    cn_excess = -n * delta[0] / (m11 * (m11 + delta[0]))  # C_n - n C_1
     q2_gauss = m11
     q2_saddle = 1.0 / np.sqrt(2.0 * np.pi * c1**3 * m11)
     qterm_gauss = -cn_excess * q2_gauss / (2.0 * (1 - n))

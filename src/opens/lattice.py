@@ -561,19 +561,16 @@ def post_measurement_overlap(model_or_corr, layout: SubsystemLayout, q1: int, q2
 def fock_operators(n_sites: int):
     """Dense annihilation matrices with Jordan-Wigner signs (small n only)."""
     dim = 1 << n_sites
-    if dim > 4096:
-        raise ValueError("dense Fock operators limited to 12 sites")
+    if dim > EDOracle.MAX_DIM:
+        raise ValueError(f"Fock dimension 2^{n_sites} exceeds {EDOracle.MAX_DIM}")
+    s = np.arange(dim)
+    occ = (s[:, None] >> np.arange(n_sites)) & 1
+    below = np.cumsum(occ, axis=1) - occ  # the Jordan-Wigner string of c_j
     ops = []
     for j in range(n_sites):
-        rows, cols, vals = [], [], []
-        for s in range(dim):
-            if (s >> j) & 1:
-                sgn = (-1) ** bin(s & ((1 << j) - 1)).count("1")
-                rows.append(s ^ (1 << j))
-                cols.append(s)
-                vals.append(float(sgn))
+        on = occ[:, j] == 1
         m = np.zeros((dim, dim))
-        m[rows, cols] = vals
+        m[s[on] ^ (1 << j), s[on]] = np.where(below[on, j] & 1, -1.0, 1.0)
         ops.append(m)
     return ops
 
@@ -600,6 +597,14 @@ class EDOracle:
     state, and evaluates charged moments, outcome probabilities, sector
     overlaps and entropies directly from projectors, with no Gaussian
     machinery anywhere.
+
+    Basis state s holds site j in bit j, and every table is numpy bit
+    arithmetic on s = 0 .. 2^N - 1: occupations (s >> j) & 1, hopping and
+    pairing on bond (j, j+1) the flip s ^ (3 << j), which carries no
+    Jordan-Wigner string. Reordering the modes to A first, then the rest
+    in site order, signs each amplitude by the parity of its inversion
+    count: occupied pairs j < j' that the new order puts the other way
+    round.
     """
 
     MAX_DIM = 4096
@@ -611,29 +616,25 @@ class EDOracle:
         self.n = n_sites
         self.psi, self.gap = self._ground_state()
         self._reshaped = {}
+        self._labels = {}
 
     def _hamiltonian(self) -> sparse.csr_matrix:
         N, kappa, h = self.n, self.model.kappa, self.model.h_field
         dim = 1 << N
-        rows, cols, vals = [], [], []
-        for s in range(dim):
-            diag = 0.0
-            for j in range(N):
-                if (s >> j) & 1:
-                    diag -= h
-            if diag:
-                rows.append(s); cols.append(s); vals.append(diag)
-            for j in range(N - 1):
-                b1, b2 = (s >> j) & 1, (s >> (j + 1)) & 1
-                if b1 != b2:  # hopping c+_j c_{j+1} + h.c.
-                    t = s ^ (1 << j) ^ (1 << (j + 1))
-                    rows.append(t); cols.append(s); vals.append(-0.5)
-                if kappa and b1 == b2:  # pairing c+_j c+_{j+1} + h.c.
-                    # adjacent sites, no string in between: both directions
-                    # carry the bare matrix element
-                    t = s ^ (1 << j) ^ (1 << (j + 1))
-                    rows.append(t); cols.append(s); vals.append(-0.5 * kappa)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        s = np.arange(dim)
+        occ = (s[:, None] >> np.arange(N)) & 1
+        diag = np.zeros(dim)
+        for j in range(N):  # site by site: -h * occ.sum(1) rounds differently
+            diag -= h * occ[:, j]
+        # per state the diagonal, then bond by bond: a hop where the two
+        # bits differ, a pair (both directions carry the bare element) where
+        # they agree
+        hop = occ[:, :-1] != occ[:, 1:]
+        rows = np.column_stack([s, s[:, None] ^ (3 << np.arange(N - 1))])
+        vals = np.column_stack([diag, np.where(hop, -0.5, -0.5 * kappa)])
+        keep = np.column_stack([diag != 0, hop | bool(kappa)])
+        cols = np.broadcast_to(s[:, None], keep.shape)
+        return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(dim, dim))
 
     def _ground_state(self):
         H = self._hamiltonian()
@@ -660,42 +661,34 @@ class EDOracle:
         return self._reshaped[key]
 
     def _build_reshape(self, a_sites):
-        N = self.n
+        N, n_a = self.n, len(a_sites)
         rest = [j for j in range(N) if j not in a_sites]
-        order = {site: k for k, site in enumerate(a_sites + rest)}
-        dim = 1 << N
-        V = np.zeros((1 << len(a_sites), 1 << len(rest)))
-        for s in range(dim):
-            if self.psi[s] == 0.0:
-                continue
-            ai = 0
-            for k, j in enumerate(a_sites):
-                ai |= ((s >> j) & 1) << k
-            ri = 0
-            for k, j in enumerate(rest):
-                ri |= ((s >> j) & 1) << k
-            occ = [order[j] for j in range(N) if (s >> j) & 1]
-            sgn, lst = 1, occ[:]
-            for i in range(len(lst)):
-                for jj in range(len(lst) - 1 - i):
-                    if lst[jj] > lst[jj + 1]:
-                        lst[jj], lst[jj + 1] = lst[jj + 1], lst[jj]
-                        sgn = -sgn
-            V[ai, ri] = sgn * self.psi[s]
+        sites = np.array(a_sites + rest, dtype=int)  # new position -> site
+        order = np.argsort(sites)  # site -> new position
+        s = np.flatnonzero(self.psi)  # states with psi_s = 0 stay +0.0
+        occ = (s[:, None] >> np.arange(N)) & 1
+        bits = occ[:, sites]
+        ai = bits[:, :n_a] @ (1 << np.arange(n_a))
+        ri = bits[:, n_a:] @ (1 << np.arange(N - n_a))
+        # inversions: sites j < j' that the new order puts the other way round
+        inv = np.triu(order[:, None] > order[None, :]).astype(int)
+        odd = ((occ @ inv) * occ).sum(1) & 1
+        V = np.zeros((1 << n_a, 1 << (N - n_a)))
+        V[ai, ri] = np.where(odd, -self.psi[s], self.psi[s])
         return V, rest
 
-    def _q_of_rest(self, rest, b_sites):
-        pos = [rest.index(j) for j in b_sites]
-        nr = 1 << len(rest)
-        q = np.zeros(nr, dtype=int)
-        for r in range(nr):
-            q[r] = sum((r >> k) & 1 for k in pos)
-        return q
+    def _sector_labels(self, a_sites, b_sites):
+        """(V, q): V from `_reshape` and Q_B of each rest index, memoized per (A, B)."""
+        key = (tuple(a_sites), tuple(b_sites))
+        if key not in self._labels:
+            V, rest = self._reshape(a_sites)
+            pos = np.array([rest.index(j) for j in b_sites], dtype=int)
+            self._labels[key] = V, ((np.arange(V.shape[1])[:, None] >> pos) & 1).sum(1)
+        return self._labels[key]
 
     def charged_moment(self, a_sites, b_sites, gammas) -> complex:
         """Tr_A prod_j Tr_rest(rho e^{i gamma_j Q_B}) / Tr rho_A^n."""
-        V, rest = self._reshape(a_sites)
-        q = self._q_of_rest(rest, b_sites)
+        V, q = self._sector_labels(a_sites, b_sites)
         num = np.eye(V.shape[0], dtype=complex)
         for g in np.atleast_1d(gammas):
             num = num @ (V * np.exp(1j * g * q)[None, :]) @ V.conj().T
@@ -703,18 +696,9 @@ class EDOracle:
         den = np.linalg.matrix_power(rho_a, len(np.atleast_1d(gammas)))
         return complex(np.trace(num) / np.trace(den))
 
-    def charge_probabilities(self, b_sites) -> np.ndarray:
-        qfull = np.zeros(1 << self.n, dtype=int)
-        for j in b_sites:
-            qfull += (np.arange(1 << self.n) >> j) & 1
-        p = np.zeros(len(b_sites) + 1)
-        np.add.at(p, qfull, np.abs(self.psi) ** 2)
-        return p
-
     def sector_states(self, a_sites, b_sites):
         """Unnormalized post-measurement states rho~_{A,q} = Tr_rest Pi_q rho Pi_q."""
-        V, rest = self._reshape(a_sites)
-        q = self._q_of_rest(rest, b_sites)
+        V, q = self._sector_labels(a_sites, b_sites)
         out = {}
         for qv in range(len(b_sites) + 1):
             mask = (q == qv).astype(float)

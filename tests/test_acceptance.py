@@ -43,6 +43,7 @@ from opens.lattice import (
     ISING,
     TIGHT_BINDING,
     EDOracle,
+    LatticeModel,
     SubsystemLayout,
     charge_sector_table,
     charged_moments_lattice,
@@ -258,7 +259,9 @@ def test_criterion_8_lattice_ed_equivalence():
     rng = np.random.default_rng(42)
     t0 = time.time()
     worst, worst_norm, count = 0.0, 0.0, 0
-    for model in (TIGHT_BINDING, ISING):
+    # the presets and one generic kappa:h chain, which takes the finite-chain
+    # route the CLI's kappa:h models use
+    for model in (TIGHT_BINDING, ISING, LatticeModel(0.7, 0.3)):
         for n_sites in (6, 8):
             oracle = EDOracle(model, n_sites)
             # at least one site stays traced out: the measured setup keeps

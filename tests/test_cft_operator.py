@@ -13,18 +13,18 @@ from opens.cft_operator import (
     flat_integral_exact,
     flat_interval_integral,
     interaction_convergence_check,
+    log_purity_ratio_q,
     matrix_entry_offdiag,
     matrix_entry_remainder,
     mie_general,
     overlap_generating,
-    purity_ratio_q,
     replica_map,
     single_copy_m11_operator,
     uv_finite_overlap_ratio,
 )
 from opens import cft_operator
 from opens.cft_operator import _log_r
-from opens.core import Geometry, quadratic_form_cn
+from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
 from opens.errors import DomainError, QuadratureError
 
 CFG = QuadratureConfig(eps_reg=1e-6, tol=1e-10)
@@ -344,30 +344,60 @@ class TestDomainSweep:
             assert abs(vals[1] / vals[0] - 1.0) < 0.01
 
 
+def _mp_replica_matrix(row, m11):
+    """m11 + the circulant of the float row, as an mpmath matrix."""
+    n = len(row)
+    M = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            M[i, j] = mpmath.mpf(row[(i - j) % n]) + (m11 if i == j else 0)
+    return M
+
+
 class TestPurityRatio:
     def test_unit_at_origin(self):
         m11 = 8.0
-        assert purity_ratio_q(np.array([[m11]]), 0.0, 1, m11) == pytest.approx(1.0)
+        assert log_purity_ratio_q(np.zeros(1), 0.0, m11) == pytest.approx(0.0)
 
     def test_charge_case_q_independence(self):
         # for the conserved current C_n = n C_1; q drops out entirely
         g = Geometry(10.0, 30.0, 130.0, 0.05, 2)
-        M = build_M_boson(g).dense() / (4 * np.pi**2)
         m11 = single_copy_m11(g) / (4 * np.pi**2)
-        vals = [purity_ratio_q(M, q, 2, m11) for q in (0.0, 1.0, 3.0)]
-        assert np.allclose(vals, vals[0], rtol=1e-10)
+        row = build_M_boson(g).dense()[0] / (4 * np.pi**2)
+        row[0] -= m11
+        delta = SymmetricCirculant(row).eigenvalues()
+        logs = [log_purity_ratio_q(delta, q, m11) for q in (0.0, 1.0, 3.0)]
+        assert np.allclose(logs, logs[0], rtol=0.0, atol=1e-10)
 
     def test_log_quadratic_in_q(self):
         g = geo(n=2)
         spec = OperatorSpec("scalar", 0.25)
-        M = build_M_operator(g, spec, CFG).dense()
+        om = build_M_operator(g, spec, CFG)
         m11 = single_copy_m11_operator(g, spec, CFG)
         qs = np.linspace(-2.0, 2.0, 9)
-        logs = np.log([purity_ratio_q(M, q, 2, m11) for q in qs])
+        logs = [log_purity_ratio_q(om.subtracted().eigenvalues(), q, m11) for q in qs]
         coeffs = np.polyfit(qs, logs, 3)
-        cn = quadratic_form_cn(M)
+        cn = quadratic_form_cn(om.dense())
         assert coeffs[1] == pytest.approx(-(cn - 2.0 / m11) / 2.0, rel=1e-8)
         assert abs(coeffs[0]) < 1e-10  # no cubic term
+
+    def test_free_of_add_back_cancellation(self):
+        # m11 ~ 3e11; the dense formula evaluated at 40 digits from the same
+        # float entries is the reference. At q = sqrt(m11) its two terms,
+        # each about 1.2e-12, cancel to 5.7e-15
+        g, spec, n = _domain_geometry(1.0, 1000.0, 1), OperatorSpec("scalar", 1.45), 3
+        cfg = QuadratureConfig(eps_reg=5e-5)
+        m11_f = single_copy_m11_operator(g, spec, cfg)
+        sub = build_M_operator(g.with_n(n), spec, cfg).subtracted()
+        with mpmath.workdps(40):
+            m11 = mpmath.mpf(m11_f)
+            M = _mp_replica_matrix(sub.row, m11)
+            cn = mpmath.fsum(mpmath.lu_solve(M, mpmath.ones(n, 1)))
+            log_det_ratio = mpmath.log(mpmath.det(M)) - n * mpmath.log(m11)
+            for q in (0.0, np.sqrt(m11_f), 3.0 * np.sqrt(m11_f)):
+                ref = -mpmath.mpf(q) ** 2 * (cn - n / m11) / 2 - log_det_ratio / 2
+                assert log_purity_ratio_q(sub.eigenvalues(), q, m11_f) == pytest.approx(
+                    float(ref), rel=1e-10)
 
 
 class TestMie:
@@ -384,13 +414,13 @@ class TestMie:
         spec = OperatorSpec("scalar", 0.25)
         n = 2
         out = mie_general(g, spec, n, CFG)
-        M = build_M_operator(g.with_n(n), spec, CFG).dense()
+        delta = build_M_operator(g.with_n(n), spec, CFG).subtracted().eigenvalues()
         m11 = out["m11_single"]
         sigma = np.sqrt(m11)
         qs = np.linspace(-8 * sigma, 8 * sigma, 1 << 10)
         pq = np.exp(-qs**2 / (2 * m11)) / np.sqrt(2 * np.pi * m11)
         s_q = np.array(
-            [out["base_entropy"] + np.log(purity_ratio_q(M, q, n, m11)) / (1 - n) for q in qs]
+            [out["base_entropy"] + log_purity_ratio_q(delta, q, m11) / (1 - n) for q in qs]
         )
         mie_sum = np.trapezoid(pq * s_q, qs)
         assert mie_sum == pytest.approx(out["total"], rel=1e-3)
@@ -405,10 +435,7 @@ class TestMie:
         row = om.subtracted().row
         with mpmath.workdps(40):
             m11 = mpmath.mpf(single_copy_m11_operator(g, spec, cfg))
-            M = mpmath.matrix(n, n)
-            for i in range(n):
-                for j in range(n):
-                    M[i, j] = mpmath.mpf(row[(i - j) % n]) + (m11 if i == j else 0)
+            M = _mp_replica_matrix(row, m11)
             cn = mpmath.fsum(mpmath.lu_solve(M, mpmath.ones(n, 1)))
             det_ref = (n * mpmath.log(m11) - mpmath.log(mpmath.det(M))) / (2 * (1 - n))
             q_ref = -(cn - n / m11) * m11 / (2 * (1 - n))

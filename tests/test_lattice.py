@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from opens.errors import DomainError, SingularMatrixError
@@ -96,7 +97,7 @@ class TestKernels:
             assert (4 * F2[r] - F1[r]) / 3 == pytest.approx(ising_f(r), abs=1e-8)
 
     def test_ising_kernels_against_ed(self):
-        # the 12-site open chain, bulk-most entries of the measured Gamma
+        # the 10-site open chain, bulk-most entries of the measured Gamma
         oracle = EDOracle(ISING, 10)
         meas = oracle.correlation_matrix()
         gauss = finite_chain_correlations(ISING, 10)
@@ -436,3 +437,148 @@ class TestFigureChecks:
         assert coef[1] == pytest.approx(
             ising_log_coefficient_prediction([g0, g0]), rel=0.05
         )
+
+
+# ---------------------------------------------------------------------------
+# the ED oracle's former loops over the 2^N Fock states, kept as references
+# that its numpy bit arithmetic must reproduce to the bit
+
+
+def loop_hamiltonian(model, N):
+    kappa, h = model.kappa, model.h_field
+    dim = 1 << N
+    rows, cols, vals = [], [], []
+    for s in range(dim):
+        diag = 0.0
+        for j in range(N):
+            if (s >> j) & 1:
+                diag -= h
+        if diag:
+            rows.append(s); cols.append(s); vals.append(diag)
+        for j in range(N - 1):
+            b1, b2 = (s >> j) & 1, (s >> (j + 1)) & 1
+            if b1 != b2:
+                t = s ^ (1 << j) ^ (1 << (j + 1))
+                rows.append(t); cols.append(s); vals.append(-0.5)
+            if kappa and b1 == b2:
+                t = s ^ (1 << j) ^ (1 << (j + 1))
+                rows.append(t); cols.append(s); vals.append(-0.5 * kappa)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def loop_reshape(psi, a_sites, N):
+    rest = [j for j in range(N) if j not in a_sites]
+    order = {site: k for k, site in enumerate(a_sites + rest)}
+    V = np.zeros((1 << len(a_sites), 1 << len(rest)))
+    for s in range(1 << N):
+        if psi[s] == 0.0:
+            continue
+        ai = 0
+        for k, j in enumerate(a_sites):
+            ai |= ((s >> j) & 1) << k
+        ri = 0
+        for k, j in enumerate(rest):
+            ri |= ((s >> j) & 1) << k
+        occ = [order[j] for j in range(N) if (s >> j) & 1]
+        sgn, lst = 1, occ[:]
+        for i in range(len(lst)):  # bubble sort, one sign flip per swap
+            for jj in range(len(lst) - 1 - i):
+                if lst[jj] > lst[jj + 1]:
+                    lst[jj], lst[jj + 1] = lst[jj + 1], lst[jj]
+                    sgn = -sgn
+        V[ai, ri] = sgn * psi[s]
+    return V, rest
+
+
+def loop_charges(rest, b_sites):
+    pos = [rest.index(j) for j in b_sites]
+    q = np.zeros(1 << len(rest), dtype=int)
+    for r in range(1 << len(rest)):
+        q[r] = sum((r >> k) & 1 for k in pos)
+    return q
+
+
+def loop_fock_operators(n_sites):
+    dim = 1 << n_sites
+    ops = []
+    for j in range(n_sites):
+        rows, cols, vals = [], [], []
+        for s in range(dim):
+            if (s >> j) & 1:
+                rows.append(s ^ (1 << j))
+                cols.append(s)
+                vals.append(float((-1) ** bin(s & ((1 << j) - 1)).count("1")))
+        m = np.zeros((dim, dim))
+        m[rows, cols] = vals
+        ops.append(m)
+    return ops
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def unsolved_oracle(model, n_sites, psi=None):
+    """An EDOracle holding a given state, without the ground-state solve."""
+    oracle = object.__new__(EDOracle)
+    oracle.model, oracle.n, oracle.psi = model, n_sites, psi
+    oracle._reshaped, oracle._labels = {}, {}
+    return oracle
+
+
+# per size: A sorted, unsorted, and contiguous at an offset
+ED_SUBSETS = {
+    2: ([0], [1, 0], [1]),
+    5: ([0, 1, 2], [2, 4, 1], [2, 3]),
+    8: ([0, 1, 2], [2, 5, 1], [4, 5, 6]),
+    12: ([0, 1, 2], [2, 5, 1], [6, 7, 8, 9]),
+}
+# 0.7:0.3 has a non-dyadic field, where summing -h per occupied site in
+# another order than the loop rounds differently
+ED_MODELS = {"xx": TIGHT_BINDING, "ising": ISING, "0.7:0.3": LatticeModel(0.7, 0.3)}
+
+
+class TestEDBitIdentity:
+    @pytest.mark.parametrize("n_sites", sorted(ED_SUBSETS))
+    @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
+    def test_hamiltonian(self, model, n_sites):
+        H = unsolved_oracle(model, n_sites)._hamiltonian()
+        ref = loop_hamiltonian(model, n_sites)
+        for attr in ("indptr", "indices", "data"):
+            assert same_bits(getattr(H, attr), getattr(ref, attr)), attr
+
+    @pytest.mark.parametrize("n_sites", sorted(ED_SUBSETS))
+    def test_reshape_and_charges(self, n_sites):
+        # a random state with exact zeros of both signs, which stay +0.0
+        rng = np.random.default_rng(n_sites)
+        psi = rng.standard_normal(1 << n_sites)
+        psi[rng.random(psi.size) < 0.3] = 0.0
+        psi[rng.random(psi.size) < 0.1] = -0.0
+        for a_sites in ED_SUBSETS[n_sites]:
+            oracle = unsolved_oracle(ISING, n_sites, psi)
+            V_ref, rest_ref = loop_reshape(psi, a_sites, n_sites)
+            V, rest = oracle._reshape(a_sites)
+            assert same_bits(V, V_ref) and rest == rest_ref
+            b_sites = rest[len(rest) // 2:]
+            assert same_bits(oracle._sector_labels(a_sites, b_sites)[1],
+                             loop_charges(rest, b_sites))
+
+    @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
+    def test_ground_state_reshape(self, model):
+        # on the 12-site ground state (ARPACK route) as used by ed-verify
+        oracle = EDOracle(model, 12)
+        for a_sites in ED_SUBSETS[12]:
+            assert same_bits(oracle._reshape(a_sites)[0],
+                             loop_reshape(oracle.psi, a_sites, 12)[0])
+
+    # 12 sites take about 4 s, most of it in the loop reference
+    @pytest.mark.parametrize("n_sites", [1, 2, 5, 8])
+    def test_fock_operators(self, n_sites):
+        for c, c_ref in zip(fock_operators(n_sites), loop_fock_operators(n_sites), strict=True):
+            assert same_bits(c, c_ref)
+
+    def test_fock_size_limit(self):
+        # the oracle's limit, checked before any dense matrix is allocated
+        with pytest.raises(ValueError):
+            fock_operators(EDOracle.MAX_DIM.bit_length())
