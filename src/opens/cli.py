@@ -31,9 +31,9 @@ from opens.cft_boson import (
     cn_closed_form,
     holevo_chi,  # unused here; perfbench's traced run looks it up on this module
     holevo_chi_approx,
-    holevo_chi_detailed,
+    holevo_chi_sweep,
     holevo_chi_time,  # unused here, likewise
-    holevo_chi_time_detailed,
+    holevo_chi_time_sweep,
     renyi_entropy_base,
     renyi_ratio_and_mie,
 )
@@ -137,6 +137,32 @@ def _rows_and_max_error(points):
     return rows, {"max_error_estimate": _fmt(max((err for _, err in points), default=0.0))}
 
 
+def _batched_rows(grid, make, sweep, row):
+    """Rows of a batched sweep, failing as a point-by-point loop would.
+
+    ``make(x)`` builds the input of each grid point in order, and
+    ``sweep`` evaluates all inputs built before the first that raised,
+    returning per input a result or the exception it raised.
+    ``row(x, input, result)`` gives (row, error estimate). The first
+    failing point in grid order raises, whatever the stage it failed at.
+    """
+    inputs, failure = [], None
+    for x in grid:
+        try:
+            inputs.append(make(x))
+        except Exception as exc:  # raised below, once every earlier point is through
+            failure = exc
+            break
+    points = []
+    for x, inp, res in zip(grid, inputs, sweep(inputs)):
+        if isinstance(res, Exception):
+            raise res
+        points.append(row(x, inp, res))
+    if failure is not None:
+        raise failure
+    return _rows_and_max_error(points)
+
+
 def _geometry(args, l2: float, n: int = 1) -> Geometry:
     a = args.L + args.d
     return Geometry(args.L, a, a + l2, args.eps, n)
@@ -171,29 +197,24 @@ def cmd_boson_mie(args):
 
 
 def cmd_boson_holevo(args):
-    l2s = parse_grid(args.l2)
-
-    def point(l2):
-        g = _geometry(args, l2)
-        res = holevo_chi_detailed(g, args.nmax)
+    def row(l2, g, res):
         return [ROUTE_BOSON, args.L, args.d, l2, args.eps,
                 res.value, holevo_chi_approx(g)], res.error_estimate
 
     cols = ["route", "L", "d", "l2", "eps", "chi_numeric", "chi_approx"]
-    return cols, *_rows_and_max_error(_map_jobs(point, l2s, args.jobs))
+    return cols, *_batched_rows(parse_grid(args.l2), lambda l2: _geometry(args, l2),
+                                lambda gs: holevo_chi_sweep(gs, args.nmax), row)
 
 
 def cmd_boson_time(args):
-    ts = parse_grid(args.t)
-
-    def point(t):
-        g = _geometry(args, args.l2)
-        res = holevo_chi_time_detailed(g, TimeParams(t, args.epsp), args.nmax)
+    def row(t, point, res):
         return [ROUTE_BOSON, args.L, args.d, args.l2, args.eps, t,
-                res.value, chi_time_asymptote(g, t)], res.error_estimate
+                res.value, chi_time_asymptote(point[0], t)], res.error_estimate
 
     cols = ["route", "L", "d", "l2", "eps", "t", "chi_time", "asymptote"]
-    return cols, *_rows_and_max_error(_map_jobs(point, ts, args.jobs))
+    return cols, *_batched_rows(parse_grid(args.t),
+                                lambda t: (_geometry(args, args.l2), TimeParams(t, args.epsp)),
+                                lambda pts: holevo_chi_time_sweep(pts, args.nmax), row)
 
 
 def cmd_cn_table(args):
@@ -299,8 +320,14 @@ def _model_from_name(name: str) -> LatticeModel:
         return LatticeModel(0.0, 0.0)
     if name == "ising":
         return LatticeModel(1.0, 1.0)
-    kappa, _, h = name.partition(":")
-    return LatticeModel(float(kappa), float(h))
+    kappa, sep, h = name.partition(":")
+    try:
+        if sep:
+            return LatticeModel(float(kappa), float(h))
+    except ValueError:
+        pass
+    raise ValueError(f"unknown model {name!r}: use xx (or tb, tight-binding), ising, "
+                     "or kappa:h with two numbers, e.g. 0.7:0.3")
 
 
 def cmd_lattice_moments(args):
@@ -406,8 +433,26 @@ def _add_quadrature(p):
                    help="acceptance bound on the tensor rule's 32-vs-64-node difference")
 
 
-def _add_lattice(p):
-    p.add_argument("--model", default="xx", help="xx | ising | kappa:h")
+def _model_arg(presets_only: bool):
+    """``--model`` type: a name ``_model_from_name`` accepts, and with
+    ``presets_only`` one of the two presets with infinite-chain kernels."""
+    def parse(name: str) -> str:
+        try:
+            model = _model_from_name(name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if presets_only and not model.is_preset:
+            raise argparse.ArgumentTypeError(
+                f"{name!r} has no infinite-chain kernel, which exists only for the xx and "
+                "ising presets; ed-verify takes generic kappa:h couplings on a finite chain")
+        return name
+    return parse
+
+
+def _add_lattice(p, presets_only=True):
+    p.add_argument("--model", default="xx", type=_model_arg(presets_only),
+                   help=("xx | ising (infinite-chain presets; ed-verify takes kappa:h)"
+                         if presets_only else "xx | ising | kappa:h"))
     p.add_argument("--l1", type=int, default=10, help="probed sites")
     p.add_argument("--d-sites", "--gap", dest="d_sites", type=int, default=10,
                    help="gap sites between A and B")
@@ -431,7 +476,8 @@ def build_parser():
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     ap.add_argument("--jobs", type=int,
                     default=int(os.environ.get("OPENS_JOBS", "1")),
-                    help="concurrent sweep evaluations (default OPENS_JOBS or 1)")
+                    help="threads for the cn-table and lattice-moments sweeps (default "
+                    "OPENS_JOBS or 1); boson sweeps are one vectorized pass")
     ap.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
     sub = ap.add_subparsers(dest="command")
 
@@ -508,7 +554,7 @@ def build_parser():
     p.set_defaults(func=cmd_lattice_overlap)
 
     p = _register(subparsers, sub, "ed-verify", help="determinant route vs exact diagonalization")
-    _add_lattice(p)
+    _add_lattice(p, presets_only=False)
     p.add_argument("--l2-sites", dest="l2_sites", type=int, default=2)
     p.add_argument("--sites", type=int, default=8, help="total chain sites (<= 12)")
     p.add_argument("--n", type=int, default=3, help="largest replica number")

@@ -8,8 +8,10 @@ log-like in n, and polynomial extrapolation rings on such samples.
 
 The AAA fit (Nakatsukasa, Sete & Trefethen, SIAM J. Sci. Comput. 40, A1494
 (2018)) is implemented here for a stack of equal-length sample sets, so
-that one continuation costs two vectorized fits: the full sample set, and
-all of its leave-one-out subsets together. Each fit follows the rules of
+that continuing a whole sweep costs two vectorized fits: the sample sets
+of every sweep point, and all of their leave-one-out subsets together.
+Each member's fit is bit-identical to fitting it alone, so a point's
+result does not depend on which points share its stacks. Each fit follows the rules of
 ``scipy.interpolate.AAA`` (stopping tolerance, greedy selection, weight
 choice for tall, wide and ill-conditioned Loewner matrices, Froissart
 clean-up and pole computation), and the tests compare the two. A fit that
@@ -265,48 +267,120 @@ def continue_to_one(p: ContinuationProblem) -> ContinuationResult:
 
     The error estimate is the spread (max - min) of leave-one-out refits
     evaluated at the target; a pole of the interpolant on the real axis
-    between 1 and the largest sample raises ``ContinuationError``.
+    between 1 and the largest sample raises ``ContinuationError``. This is
+    ``continue_stack`` for one sample set.
     """
-    ns = np.array([float(s[0]) for s in p.samples])
-    vals = np.array([float(s[1]) for s in p.samples])
-    order = np.argsort(ns)
-    ns, vals = ns[order], vals[order]
+    (out,) = continue_stack([p.samples], p.max_degree)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    scale = np.abs(vals).max()
-    if scale == 0.0:
-        return ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)))
-    # degree (m-1, m-1) uses m support points
-    terms = p.max_degree + 1
-    fit, = AAA(ns[None], vals[None] / scale, min(terms, len(ns)))
+
+def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
+    """``continue_to_one`` for every sample set, in two stacked AAA fits.
+
+    One fit covers every set and a second all of their leave-one-out
+    subsets. A set whose interpolant grows a pole, or is not finite at
+    n = 1, is fitted again at each degree of ``fallback`` in turn, together
+    with the other sets that still fail. A stacked fit is bit-identical per
+    member to fitting that member alone, so a set's result does not depend
+    on which sets share its stacks. Returns per set its
+    ``ContinuationResult``, or the exception that continuing it alone
+    raises (for a ``ContinuationError``, the one at the last degree tried).
+    """
+    out = [None] * len(sample_sets)
+    data = {}  # set index -> (sorted n, values / scale, scale)
+    for i, samples in enumerate(sample_sets):
+        try:
+            samples = ContinuationProblem(samples, max_degree).samples
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        ns = np.array([float(s[0]) for s in samples])
+        vals = np.array([float(s[1]) for s in samples])
+        order = np.argsort(ns)
+        ns, vals = ns[order], vals[order]
+        scale = np.abs(vals).max()
+        if scale == 0.0:
+            out[i] = ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)))
+        else:
+            data[i] = ns, vals / scale, scale
+
+    fitted = {}  # set index -> (degree, value at n = 1)
+    todo = list(data)
+    for degree in (max_degree, *fallback):
+        failed = []
+        for idx in _grouped(todo, lambda i: data[i][0].size):
+            z = np.array([data[i][0] for i in idx])
+            f = np.array([data[i][1] for i in idx])
+            # degree (m-1, m-1) uses m support points
+            for i, fit in zip(idx, _fits(z, f, min(degree + 1, z.shape[1]))):
+                if isinstance(fit, Exception):
+                    out[i] = fit
+                    continue
+                try:
+                    fitted[i] = degree, _value_at_one(fit, data[i][0], data[i][2])
+                except ContinuationError as exc:
+                    out[i] = exc
+                    failed.append(i)
+                except (np.linalg.LinAlgError, ValueError) as exc:  # from the pole computation
+                    out[i] = exc
+        todo = failed
+
+    for idx in _grouped(fitted, lambda i: (data[i][0].size, fitted[i][0])):
+        m = data[idx[0]][0].size
+        terms = min(fitted[idx[0]][0] + 1, m - 1)
+        loo = {i: [] for i in idx}
+        if m > 3:
+            drop = ~np.eye(m, dtype=bool)
+            z = np.array([data[i][0] for i in idx])
+            f = np.array([data[i][1] for i in idx])
+            sub_n = np.broadcast_to(z[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
+            sub_v = np.broadcast_to(f[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
+            for k, fit in enumerate(_fits(sub_n, sub_v, terms)):
+                i = idx[k // m]
+                if not isinstance(fit, Exception):  # a subset whose fit fails is skipped
+                    y = float(fit(np.array([1.0]))[0]) * data[i][2]
+                    if np.isfinite(y):
+                        loo[i].append(y)
+        for i in idx:
+            ns, value = data[i][0], fitted[i][1]
+            vals = np.asarray(loo[i] if loo[i] else [value])
+            err = float(max(vals.max() - vals.min(), np.abs(vals - value).max()))
+            out[i] = ContinuationResult(value, err, ns, vals)
+    return out
+
+
+def _grouped(indices, key):
+    """``indices`` grouped by ``key``, each group in index order."""
+    groups = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return list(groups.values())
+
+
+def _fits(z, f, terms):
+    """AAA fits of a stack, refitting one member at a time if the stack raises.
+
+    A member whose fit raises on its own gets the exception in its place.
+    """
+    try:
+        return AAA(z, f, terms)
+    except (np.linalg.LinAlgError, ValueError):
+        pass
+    fits = []
+    for zs, fs in zip(z, f):
+        try:
+            fits.extend(AAA(zs[None], fs[None], terms))
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            fits.append(exc)
+    return fits
+
+
+def _value_at_one(fit, ns, scale):
+    """The fit at n = 1, rescaled; ``ContinuationError`` for a pole in [1, max n] or a non-finite value."""
     _check_poles(fit, 1.0 - 1e-9, ns.max() + 1e-9, scale=1.0)
     value = float(fit(np.array([1.0]))[0]) * scale
     if not np.isfinite(value):
         raise ContinuationError("interpolant evaluated to a non-finite value at n = 1")
-
-    loo = []
-    if len(ns) > 3:
-        drop = ~np.eye(len(ns), dtype=bool)
-        sub_n = np.broadcast_to(ns, drop.shape)[drop].reshape(len(ns), -1)
-        sub_v = np.broadcast_to(vals / scale, drop.shape)[drop].reshape(len(ns), -1)
-        for f in _loo_fits(sub_n, sub_v, min(terms, len(ns) - 1)):
-            y = float(f(np.array([1.0]))[0]) * scale
-            if np.isfinite(y):
-                loo.append(y)
-    loo = np.asarray(loo if loo else [value])
-    err = float(max(loo.max() - loo.min(), np.abs(loo - value).max()))
-    return ContinuationResult(value, err, ns, loo)
-
-
-def _loo_fits(sub_n, sub_v, terms):
-    """Fits of the leave-one-out subsets; a subset whose fit fails is skipped."""
-    try:
-        return AAA(sub_n, sub_v, terms)
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    fits = []
-    for zs, fs in zip(sub_n, sub_v):
-        try:
-            fits.extend(AAA(zs[None], fs[None], terms))
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-    return fits
+    return value

@@ -19,15 +19,18 @@ from opens.cft_boson import (
     correction_from_parts,
     holevo_chi,
     holevo_chi_approx,
+    _chi,
     _chi_approx_raw,
     _row,
+    holevo_chi_sweep,
+    holevo_chi_time_sweep,
     renyi_ratio_and_mie,
     single_copy_m11,
     time_correction_samples,
 )
 from opens.continuation import ContinuationProblem, continue_to_one
-from opens.core import Geometry
-from opens.errors import DomainError, RegimeWarning
+from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc
+from opens.errors import DomainError, RegimeWarning, SingularMatrixError
 
 
 def geo(L=10.0, d=20.0, l2=100.0, eps=0.5, n=1):
@@ -404,3 +407,160 @@ class TestTimeDependence:
             ContinuationProblem(time_correction_samples(g, TimeParams(t, 1e-3), 8))
         )
         assert res.value == pytest.approx(chi_time_asymptote(g, t), rel=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the per-point kernel that the batched one replaced, kept as its reference:
+# numpy complex scalars and Python complex numbers, one point and one n at a
+# time
+
+
+def loop_log_u_ratio(L, z1, z2, dz):
+    return log_ratio(L * dz / (z2 * (z1 - L)), z1 * (z2 - L) / ((z1 - L) * z2))
+
+
+def loop_endpoints(L, a, b, shift=0.0):
+    za, zb = complex(a) - shift, complex(b) - shift
+    return za, zb, loop_log_u_ratio(L, za, zb, b - a)
+
+
+def loop_row(L, a, b, eps, n, shift=0.0, exact_reg=False):
+    za, zb, ell = loop_endpoints(L, a, b, shift)
+    s = np.sinh(ell / (2 * n)) ** 2
+    w = s / np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2
+    half = np.log1p(w.real * (2.0 + w.real) + w.imag * w.imag)
+    if exact_reg:
+        width = [np.expm1(loop_log_u_ratio(L, z + eps, z, -eps) / n)
+                 - np.expm1(loop_log_u_ratio(L, z - eps, z, eps) / n) for z in (za, zb)]
+        diag = 2.0 * np.log(abs(4.0 * s / (width[0] * width[1])))
+    else:
+        diag = 2.0 * np.log(abs(n * n * s * (za * (za - L) / (eps * L)) * (zb * (zb - L) / (eps * L))))
+    return np.concatenate(([diag], half, half[:(n - 1) // 2][::-1]))
+
+
+def loop_chi(g, ns, shift=0.0):
+    ell = loop_endpoints(g.L, g.a, g.b, shift)[2]
+    m1 = loop_row(g.L, g.a, g.b, g.eps, 1, shift)[0]
+    if not m1 > 0.0:
+        raise DomainError(f"single-copy diagonal m1 = {m1:.3g} <= 0: cutoff-dominated layout")
+    out = []
+    for n in ns:
+        row = loop_row(g.L, g.a, g.b, g.eps, n, shift)
+        D = -4.0 * (log_sinhc(ell / 2.0) - log_sinhc(ell / (2.0 * n))).real
+        delta = SymmetricCirculant((D, *row[1:])).eigenvalues() / m1
+        if np.any(delta <= -1.0):
+            raise SingularMatrixError(f"non-positive replica eigenvalue at n = {n}")
+        out.append(-float(n * D / m1 + np.sum(np.log1p(delta) - delta)) / (2.0 * (n - 1)))
+    return out
+
+
+def loop_outcome(g, ns, shift):
+    try:
+        return loop_chi(g, ns, shift)
+    except Exception as exc:
+        return exc
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def benchmark_points():
+    """The continuum benchmark's six boson sweeps, with its relative grid jitter."""
+    sweeps = []
+    for seed, rep in ((1, 0), (2, 1), (3, 2)):
+        j = 1.0 + float(np.random.default_rng([seed, rep]).uniform(0.0, 1e-6))
+        for L, d in ((10.0, 10.0), (10.0, 100.0), (100.0, 500.0)):
+            sweeps.append([(Geometry(L, L + d, L + d + l2, 0.5), 0.0)
+                           for l2 in np.geomspace(10.0 * j, 1e5 * j, 25)])
+        for L, d, l2 in ((10.0, 5.0, 10.0), (10.0, 10.0, 100.0), (1.0, 1.0, 2.0)):
+            g = Geometry(L, L + d, L + d + l2, 0.5)
+            sweeps.append([(g, complex(t, 1e-3)) for t in np.geomspace(1e3 * j, 1e6 * j, 20)])
+    return sweeps
+
+
+def random_points(count, seed):
+    """Valid layouts on both routes: static, before the light cone and after it."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        L, d, l2 = 10 ** rng.uniform(-1, 3, 3)
+        eps = 10 ** rng.uniform(-3, -0.5)
+        if l2 < 3.0 * eps:
+            continue
+        g = Geometry(L, L + d, L + d + l2, eps)
+        route = rng.integers(3)
+        t = (0.0, d * rng.uniform(0.0, 0.99), g.b * 10 ** rng.uniform(0.01, 4))[route]
+        points.append((g, 0.0 if route == 0 else complex(t, 10 ** rng.uniform(-6, -1))))
+    return points
+
+
+class TestBatchedKernel:
+    NS = range(2, 9)
+
+    def assert_matches_loop(self, points, ns=NS):
+        for (g, shift), got in zip(points, _chi(points, ns)):
+            want = loop_outcome(g, ns, shift)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert same_bits(got, want), (g, shift)
+
+    def test_benchmark_sweeps_match_the_loop_bit_for_bit(self):
+        for points in benchmark_points():
+            self.assert_matches_loop(points)
+
+    def test_random_layouts_match_the_loop_bit_for_bit(self):
+        points = random_points(200, 2026)
+        # both branches of log sinhc: |ell / 2n| below and above 1/2
+        ells = np.array([abs(loop_endpoints(g.L, g.a, g.b, s)[2]) for g, s in points])
+        assert (ells / 16 < 0.5).any() and (ells / 4 >= 0.5).any()
+        self.assert_matches_loop(points)
+        self.assert_matches_loop(points[:7], ns=[2, 5, 3, 11])
+
+    def test_failing_points_keep_their_own_exception(self):
+        with pytest.warns(RegimeWarning):
+            cut = Geometry(1.0, 4.0, 4.5, 0.5)  # m1 <= 0
+            edge = Geometry(10.0, 20.0, 21.0, 0.5)  # m1 = -8.9e-16 at l2 = 2 eps
+        points = random_points(6, 7)
+        points[2:2] = [(cut, 0.0), (cut, complex(1e3, 1e-3)), (edge, 0.0)]
+        outcomes = _chi(points, self.NS)
+        assert [type(o) for o in outcomes[2:5]] == [DomainError] * 3
+        self.assert_matches_loop(points)
+
+    def test_rows_match_the_loop_bit_for_bit(self):
+        for g, shift in random_points(60, 11):
+            for n in (1, 2, 5, 8):
+                for exact in (False, True):
+                    assert same_bits(_row(g.L, g.a, g.b, g.eps, n, shift, exact),
+                                     loop_row(g.L, g.a, g.b, g.eps, n, shift, exact))
+        for L in (1e6, 1e12):  # the A = B limit, where u(a) < 0
+            assert same_bits(coincident_interval_row(L, 1.0, 3), loop_row(L, 1.0, L + 1.0, 1.0, 3))
+
+    def test_one_point_calls_are_the_batch(self):
+        g = Geometry(10.0, 20.0, 120.0, 0.5)
+        tp = TimeParams(3e4, 1e-3)
+        assert chi_samples(g) == list(zip(range(2, 9), loop_chi(g, range(2, 9))))
+        shift = complex(tp.t, tp.eps_prime)
+        assert time_correction_samples(g, tp) == list(zip(range(2, 9), loop_chi(g, range(2, 9), shift)))
+        chi3 = loop_chi(g, [3])[0]
+        assert renyi_ratio_and_mie(g, 3) == (float(np.exp(2 * chi3)), -chi3)
+
+
+class TestSweeps:
+    def test_n_max_below_six_is_rejected_before_any_point(self):
+        with pytest.warns(RegimeWarning):
+            bad = Geometry(10.0, 20.0, 20.0 + 1e-9, 0.5)  # would fail at its samples
+        for n_max in (3, 4, 5):
+            for call in (lambda: holevo_chi_sweep([bad], n_max),
+                         lambda: holevo_chi_time_sweep([(bad, TimeParams(1e3))], n_max)):
+                with pytest.raises(ValueError, match="need n_max >= 6"):
+                    call()
+        assert holevo_chi_sweep([], 6) == []
+
+    def test_light_cone_points_fail_alone(self):
+        g = Geometry(10.0, 15.0, 25.0, 0.5)
+        out = holevo_chi_time_sweep([(g, TimeParams(t, 1e-3)) for t in (4.0, 5.1, 30.0)])
+        assert isinstance(out[1], DomainError) and "t = 5.1" in str(out[1])
+        assert out[0].value > 0.0 and out[2].value > 0.0

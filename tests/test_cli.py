@@ -6,7 +6,7 @@ import pytest
 
 from opens.cft_boson import TimeParams, holevo_chi_detailed, holevo_chi_time_detailed
 from opens import cft_operator
-from opens.cli import main, parse_grid, parse_spec
+from opens.cli import _model_from_name, main, parse_grid, parse_spec
 from opens.core import Geometry
 from opens.errors import RegimeWarning
 
@@ -132,6 +132,55 @@ class TestCommands:
                          "--l2", "0.5", "--eps", "0.5", "--t", "1000"])
         assert code == 1
         assert "DomainError: single-copy diagonal" in out.read_text()
+
+    def test_first_failing_point_in_grid_order_raises(self, tmp_path):
+        # whatever the stage: the light-cone check, the samples or the geometry
+        for args, error in (
+            (["boson-time", "--L", "10", "--d", "5", "--l2", "10", "--t", "4,4.9,5.1,6,8,30"],
+             "DomainError: t = 5.1 lies in the light-cone window [a - L, b] = [5, 25], "
+             "where a shifted endpoint crosses A"),
+            (["boson-holevo", "--L", "10", "--d", "10", "--l2", "10,1,-5,100"],
+             "DomainError: single-copy diagonal m1 = -8.88e-16 <= 0: cutoff-dominated layout"),
+            (["boson-holevo", "--L", "10", "--d", "10", "--l2", "10,-5,1,100"],
+             "GeometryError: need 0 < L < a < b, got L=10.0, a=20.0, b=15.0"),
+        ):
+            for jobs in ("1", "2"):
+                out = tmp_path / "e.csv"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RegimeWarning)
+                    assert main(["--output", str(out), "--jobs", jobs] + args) == 1
+                assert out.read_text().splitlines()[-1] == error
+
+    def test_continued_routes_need_n_max_six(self, tmp_path):
+        message = ("ValueError: need n_max >= 6 for a degree-4 continuation with a "
+                   "leave-one-out error estimate, got n_max = {}")
+        for args in (["boson-holevo", "--l2", "10:1000:3:log"],
+                     ["boson-time", "--t", "1000:100000:3:log"]):
+            out = tmp_path / "n.csv"
+            for nmax in ("3", "4", "5"):
+                assert main(["--output", str(out)] + args + ["--nmax", nmax]) == 1
+                assert out.read_text().splitlines()[-1] == message.format(nmax)
+            assert main(["--output", str(out)] + args + ["--nmax", "6"]) == 0
+            lines = out.read_text().splitlines()
+            assert len([l for l in lines if l.startswith("boson-closed-form")]) == 3
+            est = [l for l in lines if l.startswith("# max_error_estimate")]
+            assert float(est[0].split("=")[1]) > 0.0
+
+    def test_lattice_models_are_checked_when_parsed(self, capsys):
+        for cmd in ("lattice-moments", "lattice-overlap", "ed-verify"):
+            for model, complaint in (("foo", "unknown model 'foo'"), ("0.7", "unknown model '0.7'"),
+                                     ("0.7:0.3", "ed-verify takes generic kappa:h")):
+                if cmd == "ed-verify" and model == "0.7:0.3":
+                    continue
+                with pytest.raises(SystemExit) as exc:
+                    main([cmd, "--model", model])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert complaint in err, err
+                if complaint.startswith("unknown"):
+                    assert "xx (or tb, tight-binding), ising, or kappa:h" in err
+        with pytest.raises(ValueError, match="kappa:h with two numbers"):
+            _model_from_name("0.7:x")
 
     def test_ed_verify_passes(self, tmp_path):
         out = tmp_path / "ed.csv"

@@ -8,7 +8,12 @@ import pytest
 
 from opens import continuation
 from opens.cft_boson import TimeParams, chi_samples, time_correction_samples
-from opens.continuation import ContinuationProblem, ContinuationResult, continue_to_one
+from opens.continuation import (
+    ContinuationProblem,
+    ContinuationResult,
+    continue_stack,
+    continue_to_one,
+)
 from opens.core import Geometry
 from opens.errors import ContinuationError
 
@@ -251,3 +256,146 @@ assert not loaded, loaded
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# stacked continuation against the per-set loop it replaced
+
+
+def loop_continue_to_one(p):
+    """One set, one full fit and one leave-one-out stack, as before stacking sets."""
+    ns = np.array([float(s[0]) for s in p.samples])
+    vals = np.array([float(s[1]) for s in p.samples])
+    order = np.argsort(ns)
+    ns, vals = ns[order], vals[order]
+    scale = np.abs(vals).max()
+    if scale == 0.0:
+        return ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)))
+    terms = p.max_degree + 1
+    fit, = continuation.AAA(ns[None], vals[None] / scale, min(terms, len(ns)))
+    continuation._check_poles(fit, 1.0 - 1e-9, ns.max() + 1e-9, scale=1.0)
+    value = float(fit(np.array([1.0]))[0]) * scale
+    if not np.isfinite(value):
+        raise ContinuationError("interpolant evaluated to a non-finite value at n = 1")
+    loo = []
+    if len(ns) > 3:
+        drop = ~np.eye(len(ns), dtype=bool)
+        sub_n = np.broadcast_to(ns, drop.shape)[drop].reshape(len(ns), -1)
+        sub_v = np.broadcast_to(vals / scale, drop.shape)[drop].reshape(len(ns), -1)
+        try:
+            fits = continuation.AAA(sub_n, sub_v, min(terms, len(ns) - 1))
+        except (np.linalg.LinAlgError, ValueError):
+            fits = []
+            for zs, fs in zip(sub_n, sub_v):
+                try:
+                    fits.extend(continuation.AAA(zs[None], fs[None], min(terms, len(ns) - 1)))
+                except (np.linalg.LinAlgError, ValueError):
+                    continue
+        for f in fits:
+            y = float(f(np.array([1.0]))[0]) * scale
+            if np.isfinite(y):
+                loo.append(y)
+    loo = np.asarray(loo if loo else [value])
+    err = float(max(loo.max() - loo.min(), np.abs(loo - value).max()))
+    return ContinuationResult(value, err, ns, loo)
+
+
+def loop_with_fallback(samples):
+    """The loop's outcome and the degree it took: lower the degree on a pole."""
+    for degree in (4, 3, 2):
+        try:
+            return loop_continue_to_one(ContinuationProblem(samples, degree)), degree
+        except ContinuationError as exc:
+            last = exc
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return exc, None
+    return last, None
+
+
+def _log_with_outlier(at, amp):
+    return _with_outlier(lambda n: np.log(n + 0.1) / n, range(2, 10), at, amp)
+
+
+# eight-sample sets that take the stack down its rarer paths
+STACK_SETS = {
+    "degree_3": _log_with_outlier(0, 0.01),
+    "degree_2": _log_with_outlier(1, 1e-3),
+    "no_degree": _log_with_outlier(0, -0.01),  # a pole at degrees 4, 3 and 2
+    "zero_weights": _with_outlier(lambda n: -0.35, range(2, 10), 1, 5.3e-7),
+    "value_error": _with_outlier(lambda n: 1.0, range(2, 10), 0, 1e-8),
+    "zero": [(n, 0.0) for n in range(2, 10)],
+    "not_finite": [(2, 1.0), (3, np.inf), (4, 0.5)],
+}
+
+
+def _stack_sets():
+    sets = list(STACK_SETS.values())
+    for L, d in ((10.0, 10.0), (100.0, 500.0)):
+        for l2 in np.geomspace(10.0, 1e5, 6):
+            sets.append(chi_samples(Geometry(L, L + d, L + d + l2, 0.5), 9))
+    return sets + _boson_sample_sets()[::4]
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return (isinstance(got, ContinuationResult)
+            and all(np.asarray(getattr(got, k)).tobytes() == np.asarray(getattr(want, k)).tobytes()
+                    for k in ("value", "error_estimate", "support_points", "loo_values")))
+
+
+def test_stacked_sets_match_the_loop_alone_together_and_reversed(monkeypatch):
+    sets = _stack_sets()
+    stacks = []
+    weights = continuation._weights
+
+    def spy(a, ill, wide):
+        w = weights(a, ill, wide)
+        stacks.append((a.shape[0], int((w == 0).any(axis=1).sum())))
+        return w
+
+    monkeypatch.setattr(continuation, "_weights", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        loop = [loop_with_fallback(s) for s in sets]
+        alone = [continue_stack([s], 4, (3, 2))[0] for s in sets]
+        # without the value_error set, whose fits make every stack it joins
+        # raise, the stacks stay whole
+        kept = [s for s in sets if s is not STACK_SETS["value_error"]]
+        stacks.clear()
+        whole = continue_stack(kept, 4, (3, 2))
+        seen = list(stacks)
+        together = continue_stack(sets, 4, (3, 2))
+        backwards = continue_stack(sets[::-1], 4, (3, 2))[::-1]
+    # the sets reach every path: each fallback degree, no degree, a fit that
+    # raises, and a zero weight inside a stack of several members, which
+    # takes the whole stack through the per-member products
+    degrees = [d for _, d in loop]
+    assert {4, 3, 2, None} <= set(degrees)
+    assert degrees[:3] == [3, 2, None] and isinstance(loop[4][0], ValueError)
+    assert any(size > 1 and zero for size, zero in seen)
+    for (want, _), a, t, b in zip(loop, alone, together, backwards):
+        assert _same_outcome(a, want) and _same_outcome(t, want) and _same_outcome(b, want)
+    assert all(_same_outcome(w, alone[sets.index(s)]) for w, s in zip(whole, kept))
+
+
+def test_stacks_fall_back_to_one_member_at_a_time(monkeypatch):
+    # the value_error set makes every stack it joins raise; the others are
+    # refitted alone and keep their results
+    sets = _stack_sets()[:8]
+    calls = []
+    aaa = continuation.AAA
+
+    def spy(z, f, max_terms):
+        calls.append(len(z))
+        return aaa(z, f, max_terms)
+
+    monkeypatch.setattr(continuation, "AAA", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = continue_stack(sets, 4, (3, 2))
+        monkeypatch.undo()
+        want = [loop_with_fallback(s)[0] for s in sets]
+    assert 1 in calls and max(calls) > 1
+    assert isinstance(out[4], ValueError)
+    assert all(_same_outcome(o, w) for o, w in zip(out, want))
