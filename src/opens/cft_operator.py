@@ -28,11 +28,11 @@ the averaged purity, and the UV-finite ratios that survive eps -> 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc, quadratic_form_cn
 from opens.errors import DomainError, QuadratureError
@@ -186,10 +186,21 @@ def flat_interval_integral(spec: OperatorSpec, length: float, eps: float) -> Fla
     return FlatIntegral(div + uni, div, uni)
 
 
+def __getattr__(name):
+    # scipy.integrate, and the scipy.optimize it imports, load on first use:
+    # only the test oracles below call quad
+    if name == "integrate":
+        global integrate
+        from scipy import integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _quad(func, lo, hi, cfg: QuadratureConfig, points=None, what=""):
     # full output returns QUADPACK's message instead of warning, so no
-    # thread has to touch the process-wide warning filters
-    val, abserr = integrate.quad(
+    # thread has to touch the process-wide warning filters; the attribute
+    # lookup goes through __getattr__ and sees any replacement of it
+    val, abserr = sys.modules[__name__].integrate.quad(
         func,
         lo,
         hi,
@@ -230,6 +241,8 @@ def _split_integral(head, head_beta, tail, tail_beta, pole, X):
     pole part integrates to log(X) exprel((pole + 1) log X) and the rest is
     taken on [1/X, 1] in t. At X <= 1 both vanish identically.
     """
+    from scipy import special
+
     x1, xt = min(X, 1.0), max(X, 1.0)
     lx = np.log(xt)
     return (_jacobi_integral(head, x1, head_beta)
@@ -256,6 +269,8 @@ def flat_integral_exact(spec: OperatorSpec, length: float, eps: float) -> float:
     """
     X, h = float(length) / eps, spec.weight
     if spec.kind == "scalar":
+        from scipy import special
+
         # (1 + t^2)^(-h) - 1 = t^2 g(t), g smooth with g(0) = -h
         g = lambda t: np.expm1(-h * np.log1p(t * t)) / (t * t)
         j0 = _split_integral(lambda x: np.exp(-h * np.log1p(x * x)), 0.0, g, 2.0 * h, -2.0 * h, X)
@@ -344,6 +359,8 @@ def matrix_entry_offdiag(g: Geometry, spec: OperatorSpec, m: int, cfg: Quadratur
 @lru_cache(maxsize=64)
 def _gauss_jacobi(N: int, beta: float):
     """Read-only nodes and weights on [-1, 1] for the weight (1 + z)^beta."""
+    from scipy import special
+
     z, w = special.roots_jacobi(N, 0.0, beta)
     z.setflags(write=False)
     w.setflags(write=False)

@@ -449,6 +449,18 @@ def _model_arg(presets_only: bool):
     return parse
 
 
+def _jobs_arg(text: str) -> int:
+    """``--jobs`` and ``OPENS_JOBS`` type: an integer of at least 1."""
+    try:
+        jobs = int(text)
+        if jobs >= 1:
+            return jobs
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is not a worker count; --jobs and OPENS_JOBS take an integer >= 1")
+
+
 def _add_lattice(p, presets_only=True):
     p.add_argument("--model", default="xx", type=_model_arg(presets_only),
                    help=("xx | ising (infinite-chain presets; ed-verify takes kappa:h)"
@@ -474,8 +486,9 @@ def build_parser():
     ap.add_argument("--config", help="key=value file supplying flag defaults")
     ap.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    ap.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("OPENS_JOBS", "1")),
+    # argparse converts a string default with the flag's type, so a bad
+    # OPENS_JOBS is rejected like a bad --jobs
+    ap.add_argument("--jobs", type=_jobs_arg, default=os.environ.get("OPENS_JOBS", "1"),
                     help="threads for the cn-table and lattice-moments sweeps (default "
                     "OPENS_JOBS or 1); boson sweeps are one vectorized pass")
     ap.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")

@@ -22,6 +22,7 @@ warns about nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dggev
@@ -56,6 +57,14 @@ class ContinuationProblem:
             raise ValueError("samples must sit at n >= 2")
         if any(not np.isfinite(v) for _, v in self.samples):
             raise ValueError("samples must be finite")
+
+
+@lru_cache(maxsize=None)
+def _dggev_lwork(size: int) -> int:
+    """dggev's optimal workspace for a size x size pencil. LAPACK's query
+    reads only the size, so it runs once per size."""
+    a = np.eye(size)
+    return int(dggev(a, a, lwork=-1)[-2][0])
 
 
 @dataclass
@@ -96,8 +105,7 @@ class BarycentricFit:
             np.fill_diagonal(e[1:, 1:], self.support)
             # the workspace that scipy.linalg.eigvals asks for, so that the
             # blocking and hence the rounding are the same
-            lwork = int(dggev(e, b, lwork=-1)[-2][0])
-            alphar, alphai, beta, *_, info = dggev(e, b, 0, 0, lwork)
+            alphar, alphai, beta, *_, info = dggev(e, b, 0, 0, _dggev_lwork(m + 1))
             if info != 0:
                 raise np.linalg.LinAlgError(f"generalized eigenvalues did not converge (info={info})")
             nz = beta != 0

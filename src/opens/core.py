@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from opens.errors import GeometryError, RegimeWarning, SingularMatrixError
 
@@ -163,9 +162,22 @@ def quadratic_form_cn(M: np.ndarray) -> float:
 
 
 # log(sinh y / y) = sum_k (-1)^(k+1) zeta(2k) / (k pi^(2k)) y^(2k), highest
-# power first; the twelve terms kept reach double precision for |y| < 1/2
-_LOG_SINHC = tuple(
-    (-1) ** (k + 1) * float(special.zeta(2 * k)) / (k * np.pi ** (2 * k)) for k in range(12, 0, -1)
+# power first; the twelve terms kept reach double precision for |y| < 1/2.
+# Written out so that importing opens needs no scipy.special; a test rebuilds
+# them from special.zeta bit for bit.
+_LOG_SINHC = (
+    -9.754877841593711e-14,
+    1.0502923908637565e-12,
+    -1.1402575602296098e-11,
+    1.2504359176005007e-10,
+    -1.3884130493737307e-09,
+    1.5661391322766993e-08,
+    -1.803670234005332e-07,
+    2.137779915557694e-06,
+    -2.6455026455026466e-05,
+    0.00035273368606701953,
+    -0.005555555555555557,
+    0.16666666666666669,
 )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -226,6 +229,31 @@ class TestCommands:
             assert main(["--output", str(out2), "--jobs", "3"] + args) == 0
             assert body(out1) == body(out2)
 
+    @pytest.mark.parametrize("env,flags,shown", [("abc", [], "'abc'"),
+                                                 (None, ["--jobs", "0"], "'0'"),
+                                                 (None, ["--jobs", "-3"], "'-3'")])
+    def test_bad_worker_counts_are_rejected_when_parsed(self, capsys, monkeypatch,
+                                                        env, flags, shown):
+        if env is not None:
+            monkeypatch.setenv("OPENS_JOBS", env)
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["boson-holevo", "--l2", "100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: {shown} is not a worker count" in err, err
+        assert "integer >= 1" in err
+
+    def test_jobs_environment_default(self, tmp_path, monkeypatch):
+        out = tmp_path / "j.csv"
+        monkeypatch.setenv("OPENS_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc:  # --help never reads the default
+            main(["--help"])
+        assert exc.value.code == 0
+        assert main(["--output", str(out), "--jobs", "2", "boson-holevo", "--l2", "100"]) == 0
+        monkeypatch.setenv("OPENS_JOBS", "3")
+        assert main(["--output", str(out), "boson-holevo", "--l2", "100"]) == 0
+        assert "# jobs = 3" in out.read_text().splitlines()
+
     def test_jobs_leave_warning_filters_alone(self, tmp_path):
         # a per-call save and restore of the filters races between threads
         before = list(warnings.filters)
@@ -300,3 +328,36 @@ class TestCommands:
             rows = [l for l in out.read_text().splitlines() if l.startswith("operator-quadrature")]
             assert len(rows) == nrows
             assert all(np.isfinite(float(v)) for r in rows for v in r.split(",")[5:])
+
+
+def test_commands_import_only_the_scipy_they_run():
+    # a fresh interpreter with nothing of scipy imported beforehand: the boson
+    # and lattice commands never call quadrature, special functions, the AAA
+    # oracle or mpmath, and the oracles still reach quad on first use
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.interpolate",
+          "scipy.stats", "mpmath")
+loaded = lambda: sorted(m for m in sys.modules
+                        if any(m == u or m.startswith(u + ".") for u in UNUSED))
+import opens.cli
+assert not loaded(), loaded()
+with redirect_stdout(io.StringIO()):
+    assert opens.cli.main(["boson-holevo", "--l2", "100"]) == 0
+    assert opens.cli.main(["lattice-moments", "--l2", "10"]) == 0
+assert not loaded(), loaded()
+from opens import cft_operator
+from opens.core import Geometry
+integrate = cft_operator.integrate
+import scipy.integrate
+assert integrate is scipy.integrate
+entry = cft_operator.matrix_entry_offdiag(Geometry(1.0, 2.0, 4.0, 0.5, 3),
+                                          cft_operator.OperatorSpec("scalar", 0.25), 1,
+                                          cft_operator.QuadratureConfig())
+assert abs(entry - 0.7516955011344182) <= 1e-12 * 0.7516955011344182, repr(entry)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -235,6 +235,15 @@ def test_capped_fit_is_silent():
     assert np.isfinite(res.value)
 
 
+def test_memoized_dggev_workspace_is_a_fresh_query():
+    from scipy.linalg.lapack import dggev
+
+    rng = np.random.default_rng(7)
+    for size in range(2, 14):
+        e, b = rng.normal(size=(2, size, size))
+        assert continuation._dggev_lwork(size) == int(dggev(e, b, lwork=-1)[-2][0])
+
+
 def test_import_and_holevo_point_touch_no_global_state():
     # the dependencies set their own filters when imported; opens sets none,
     # the continuation pulls in neither scipy.interpolate nor scipy.stats,

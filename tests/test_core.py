@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opens.core import (
+    _LOG_SINHC,
     Geometry,
     SymmetricCirculant,
     circulant_determinant,
@@ -130,3 +131,15 @@ class TestQuadraticForm:
         M = np.ones((3, 3))
         with pytest.raises(SingularMatrixError):
             quadratic_form_cn(M)
+
+
+def test_log_sinhc_series_constants_are_the_zeta_expression():
+    # the literal coefficients are the ones special.zeta gave, bit for bit
+    from scipy import special
+
+    built = tuple(
+        (-1) ** (k + 1) * float(special.zeta(2 * k)) / (k * np.pi ** (2 * k)) for k in range(12, 0, -1)
+    )
+    assert len(_LOG_SINHC) == 12
+    assert all(type(c) is float for c in _LOG_SINHC)
+    assert np.array(_LOG_SINHC).tobytes() == np.array(built).tobytes()
