@@ -22,6 +22,12 @@ never hit a singular inverse. Traces use Majoranas a_{2j} = c_j + c+_j,
 a_{2j+1} = i (c+_j - c_j) and M_kl = (i/2) <[a_k, a_l]>: the flux trace
 over B and the pair trace of two states on A are each one Pfaffian
 (Fagotti & Calabrese, J. Stat. Mech. (2010) P04016).
+
+Costs per window: one eigensolve of Gamma, which validates it and clips
+it; M in O(m^2) from sums and differences of the Gamma blocks; one
+Pfaffian per distinct flux. The Pfaffian kernel eliminates a whole stack
+of matrices at once, each with its own pivots, so a charge-sector table
+evaluates all its pair traces in a few stacked calls.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ CLIP = 1e-12
 # exists; |trace| itself is no test, exact Ising traces fall below 1e-13
 SINGULAR_RCOND = 1e-13
 PANEL = 32  # Pfaffian elimination steps per deferred trailing update
+STACK = 128  # pair traces per stacked Pfaffian call in a sector table
 
 
 @dataclass(frozen=True)
@@ -103,9 +110,12 @@ class NambuCorrelationMatrix:
         herm = np.abs(gamma - gamma.conj().T).max()
         if herm > 1e-10:
             raise ValueError(f"correlation matrix not Hermitian, residue {herm:.2e}")
-        ev = np.linalg.eigvalsh(gamma)
-        if ev.min() < -1.0 - 1e-10 or ev.max() > 1.0 + 1e-10:
-            raise ValueError(f"eigenvalues outside [-1, 1]: [{ev.min()}, {ev.max()}]")
+        # one eigensolve of D = Gamma^T serves this range check, the clip in
+        # dmatrix and the occupations in renyi_entropy
+        self._eig = np.linalg.eigh(gamma.T)
+        ev = self._eig[0]  # ascending
+        if ev[0] < -1.0 - 1e-10 or ev[-1] > 1.0 + 1e-10:
+            raise ValueError(f"eigenvalues outside [-1, 1]: [{ev[0]}, {ev[-1]}]")
         self.gamma = gamma
         self.m = m2 // 2
 
@@ -124,16 +134,15 @@ class NambuCorrelationMatrix:
 
     def dmatrix(self, clip: float = CLIP) -> np.ndarray:
         """Transposed, eigenvalue-clipped copy used by the kernel algebra."""
-        d = self.gamma.T.copy()
-        w, v = np.linalg.eigh(d)
+        w, v = self._eig
         if np.abs(w).max() <= 1.0 - clip:
-            return d
+            return self.gamma.T.copy()
         w = np.clip(w, -1.0 + clip, 1.0 - clip)
         return (v * w) @ v.conj().T
 
     def renyi_entropy(self, n: float) -> float:
         """Renyi entropy of the Gaussian state from the mode occupations."""
-        nu = np.linalg.eigvalsh(self.gamma)
+        nu = self._eig[0]
         p = np.clip((1.0 + nu) / 2.0, 1e-300, 1.0)
         q = np.clip((1.0 - nu) / 2.0, 1e-300, 1.0)
         if n == 1:
@@ -259,47 +268,64 @@ def ring_correlations(model: LatticeModel, n_sites: int, rmax: int):
 # exact-sign Gaussian traces
 
 
-def pfaffian(A: np.ndarray) -> complex:
-    """Pfaffian of a complex antisymmetric matrix.
+def pfaffian(A: np.ndarray):
+    """Pfaffian of a complex antisymmetric matrix, or of each matrix in a stack.
 
     Parlett-Reid elimination with partial pivoting, which keeps the
     trailing block antisymmetric (Wimmer, ACM TOMS 38 (2012), Alg. 923).
-    Up to PANEL rank-2 updates are held as A + U V^T - V U^T, applied to
-    each pivot column as it is needed and to the trailing block in one
-    matrix product. Pf(A)^2 = det(A), with the sign fixed exactly.
+    Each member of an (..., n, n) stack picks its own pivots, and one numpy
+    call advances every member by a step, so a member's value does not
+    depend on the stack around it. Up to PANEL rank-2 updates are held as
+    A + U V^T - V U^T, applied to each pivot column as it is needed and to
+    the trailing block in one matrix product. A member that meets a zero
+    pivot runs on as inf/nan and gets exactly 0. Pf(A)^2 = det(A), with
+    the sign fixed exactly. A 2-D input gives a complex scalar.
     """
     A = np.array(A, dtype=complex)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n or n % 2:
-        raise ValueError(f"need an even square matrix, got shape {A.shape}")
-    U = np.empty((n, PANEL), dtype=complex)
-    V = np.empty((n, PANEL), dtype=complex)
-    pf, j = 1.0 + 0.0j, 0
-    for k in range(0, n, 2):
-        col = A[k + 1:, k] + U[k + 1:, :j] @ V[k, :j] - V[k + 1:, :j] @ U[k, :j]
-        i = int(np.abs(col).argmax())
-        if i:  # swap rows and columns k+1 and k+1+i
-            p, q = [k + 1, k + 1 + i], [k + 1 + i, k + 1]
-            A[p, k:] = A[q, k:]
-            A[k:, p] = A[k:, q]
-            U[p] = U[q]
-            V[p] = V[q]
-            col[[0, i]] = col[[i, 0]]
-            pf = -pf
-        pivot = -col[0]  # A[k, k+1]
-        if pivot == 0.0:
-            return 0.0 + 0.0j
-        pf *= pivot
-        s = k + 2
-        if s == n:
-            break
-        U[s:, j] = -col[1:] / pivot  # row k past the pivot, over the pivot
-        V[s:, j] = A[s:, k + 1] + U[s:, :j] @ V[k + 1, :j] - V[s:, :j] @ U[k + 1, :j]
-        j += 1
-        if j == PANEL:
-            A[s:, s:] += U[s:] @ V[s:].T - V[s:] @ U[s:].T
-            j = 0
-    return complex(pf)
+    n = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != n or n % 2:
+        raise ValueError(f"need even square matrices, got shape {A.shape}")
+    lead = A.shape[:-2]
+    if lead:
+        A = A.reshape(-1, n, n)
+    at = (np.arange(A.shape[0])[:, None],) if lead else ()  # member of each swap
+    UV = np.empty(A.shape[:-1] + (2, min(PANEL, n // 2)), dtype=complex)
+    U, V = UV[..., 0, :], UV[..., 1, :]  # one swap moves a row of both
+    pivots = np.empty(A.shape[:-2] + (n // 2,), dtype=complex)
+    flips = np.zeros(A.shape[:-2], dtype=bool)
+    j = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(0, n, 2):
+            col = A[..., k + 1:, k] + (U[..., k + 1:, :j] @ V[..., k, :j, None])[..., 0]
+            col -= (V[..., k + 1:, :j] @ U[..., k, :j, None])[..., 0]
+            i = np.abs(col).argmax(-1, keepdims=True)
+            if np.count_nonzero(i):  # swap rows and columns k+1 and k+1+i
+                c = i * np.array([0, 1])
+                p, q = c + (k + 1), c[..., ::-1] + (k + 1)
+                A[at + (p, slice(k, None))] = A[at + (q, slice(k, None))]
+                A[at + (slice(k, None), p)] = A[at + (slice(k, None), q)]
+                UV[at + (p,)] = UV[at + (q,)]
+                col[at + (c,)] = col[at + (c[..., ::-1],)]
+                flips ^= i[..., 0] != 0
+            pivots[..., k // 2] = col[..., 0]
+            s = k + 2
+            if s == n:
+                break
+            U[..., s:, j] = col[..., 1:] / col[..., :1]  # row k past the pivot, over it
+            v = V[..., s:, j]
+            np.add(A[..., s:, k + 1], (U[..., s:, :j] @ V[..., k + 1, :j, None])[..., 0], out=v)
+            v -= (V[..., s:, :j] @ U[..., k + 1, :j, None])[..., 0]
+            j += 1
+            if j == PANEL:
+                Us, Vs = U[..., s:, :], V[..., s:, :]
+                update = Us @ Vs.swapaxes(-1, -2)
+                update -= Vs @ Us.swapaxes(-1, -2)
+                A[..., s:, s:] += update
+                j = 0
+    # pivots holds -A[k, k+1]: one sign per pivot on top of the swaps
+    pf = (-1.0) ** (n // 2) * np.where(flips, -1.0, 1.0) * np.prod(pivots, axis=-1)
+    pf = np.where((pivots == 0.0).any(axis=-1), 0.0, pf)
+    return pf.reshape(lead) if lead else complex(pf)
 
 
 def majorana_matrix(gamma: np.ndarray) -> np.ndarray:
@@ -307,14 +333,19 @@ def majorana_matrix(gamma: np.ndarray) -> np.ndarray:
 
     Majoranas a_{2j} = c_j + c+_j, a_{2j+1} = i (c+_j - c_j); M is real
     for Hermitian states and complex antisymmetric for flux-dressed ones.
+    M = (i/2) W* Gamma W^T, where row 2j of W is e_j + e_{j+m} and row
+    2j+1 is i (e_{j+m} - e_j): every entry is a sum or difference of one
+    entry from each Gamma block, formed here in O(m^2).
     """
-    m = gamma.shape[0] // 2
-    j = np.arange(m)
-    W = np.zeros((2 * m, 2 * m), dtype=complex)
-    W[2 * j, j] = W[2 * j, j + m] = 1.0
-    W[2 * j + 1, j] = -1j
-    W[2 * j + 1, j + m] = 1j
-    return 0.5j * W.conj() @ gamma @ W.T
+    g = np.asarray(gamma, dtype=complex)
+    m = g.shape[0] // 2
+    s, d = g[:m] + g[m:], g[:m] - g[m:]  # rows of W* Gamma, up to the factor i on d
+    maj = np.empty((2 * m, 2 * m), dtype=complex)
+    maj[0::2, 0::2] = 0.5j * (s[:, :m] + s[:, m:])
+    maj[0::2, 1::2] = 0.5 * (s[:, :m] - s[:, m:])
+    maj[1::2, 0::2] = -0.5 * (d[:, :m] + d[:, m:])
+    maj[1::2, 1::2] = 0.5j * (d[:, :m] - d[:, m:])
+    return maj
 
 
 def flux_trace(maj: np.ndarray, gamma: float) -> complex:
@@ -324,19 +355,29 @@ def flux_trace(maj: np.ndarray, gamma: float) -> complex:
     J = (+) [[0, 1], [-1, 0]] the Majorana matrix of the empty state.
     """
     m = maj.shape[0] // 2
-    J = np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]])
-    return np.exp(0.5j * gamma * m) * pfaffian(np.cos(gamma / 2) * J + 1j * np.sin(gamma / 2) * maj)
+    A = 1j * np.sin(gamma / 2) * maj
+    k = np.arange(0, 2 * m, 2)
+    A[k, k + 1] += np.cos(gamma / 2)  # cos(gamma/2) J, added on its 2m entries
+    A[k + 1, k] -= np.cos(gamma / 2)
+    return np.exp(0.5j * gamma * m) * pfaffian(A)
 
 
-def pair_trace(maj1: np.ndarray, maj2: np.ndarray) -> complex:
+def pair_trace(maj1: np.ndarray, maj2: np.ndarray):
     """Tr(rho1 rho2) of two normalized Gaussian states on m modes.
 
     (-1)^m 2^{-m} Pf([[M1, -1], [1, -M2]]); its square is the familiar
-    det((1 - M1 M2) / 4), but the Pfaffian also fixes the sign.
+    det((1 - M1 M2) / 4), but the Pfaffian also fixes the sign. Two
+    (..., 2m, 2m) stacks give one trace per pair from a single stacked
+    Pfaffian.
     """
-    m = maj1.shape[0] // 2
-    one = np.eye(2 * m)
-    return (-0.5) ** m * pfaffian(np.block([[maj1, -one], [one, -maj2]]))
+    m2 = maj1.shape[-1]
+    one = np.eye(m2)
+    blk = np.empty(maj1.shape[:-2] + (2 * m2, 2 * m2), dtype=complex)
+    blk[..., :m2, :m2] = maj1
+    blk[..., :m2, m2:] = -one
+    blk[..., m2:, :m2] = one
+    blk[..., m2:, m2:] = -maj2
+    return (-0.5) ** (m2 // 2) * pfaffian(blk)
 
 
 class GaussianWindow:
@@ -362,6 +403,7 @@ class GaussianWindow:
         self.idx_a = np.r_[np.arange(n_a), np.arange(n_a) + self.w]
         idx_b = np.r_[np.arange(n_a, self.w), np.arange(n_a, self.w) + self.w]
         self.maj_b = majorana_matrix(corr.gamma[np.ix_(idx_b, idx_b)])
+        self._log_flux = {}
         self._dressed_a = {}
 
     def flux_diag(self, gamma: float) -> np.ndarray:
@@ -373,9 +415,11 @@ class GaussianWindow:
         return d
 
     def log_flux_trace(self, gamma: float) -> complex:
-        """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch."""
-        with np.errstate(divide="ignore"):
-            return complex(np.log(flux_trace(self.maj_b, gamma)))
+        """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch, one Pfaffian per flux."""
+        if gamma not in self._log_flux:
+            with np.errstate(divide="ignore"):
+                self._log_flux[gamma] = complex(np.log(flux_trace(self.maj_b, gamma)))
+        return self._log_flux[gamma]
 
     def dressed_d_window(self, gamma: float) -> np.ndarray:
         """D-matrix of the normalized flux-dressed state on the window.
@@ -512,7 +556,9 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | N
 
     The charge of B takes integer values q = 0..ell2, so the gamma
     integrals collapse to exact discrete Fourier sums over
-    gamma_m = 2 pi m / (ell2 + 1). Returns (p, R, raw) with
+    gamma_m = 2 pi m / (ell2 + 1). The (ell2 + 1)(ell2 + 2)/2 pair traces
+    run as stacked Pfaffians of at most STACK members each, which bounds
+    the memory of large tables. Returns (p, R, raw) with
     raw[q1, q2] = Tr(rho~_{A,q1} rho~_{A,q2}) = p_{q1} p_{q2} R_{q1 q2}.
     """
     win = _window_for(model_or_corr, layout, n_sites)
@@ -531,11 +577,12 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | N
     # every pair overlap needs both normalized dressed states, so a flux
     # whose trace vanishes raises SingularMatrixError rather than being
     # dropped: its post-measurement contribution is generally not zero
+    majs = np.array([majorana_matrix(win.dressed_d_a(g).T) for g in gs])
+    i, j = np.triu_indices(nq)
+    ov = np.concatenate([pair_trace(majs[i[c:c + STACK]], majs[j[c:c + STACK]])
+                         for c in range(0, i.size, STACK)])
     weighted = np.empty((nq, nq), dtype=complex)
-    for i in range(nq):
-        for j in range(i, nq):
-            ov = np.exp(win.log_replica_product([gs[i], gs[j]]))
-            weighted[i, j] = weighted[j, i] = ov * traces[i] * traces[j]
+    weighted[i, j] = weighted[j, i] = ov * traces[i] * traces[j]
     raw = (phases @ weighted @ phases.T) / nq**2
     if np.abs(raw.imag).max() > 1e-9:
         raise ValueError("sector overlaps not real")

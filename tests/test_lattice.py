@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from opens import lattice
 from opens.errors import DomainError, SingularMatrixError
 from opens.lattice import (
+    CLIP,
     ISING,
     TIGHT_BINDING,
     EDOracle,
@@ -113,6 +117,49 @@ class TestKernels:
             ground_state_correlations(LatticeModel(0.5, 0.7), SubsystemLayout(2, 0, 2))
 
 
+# ---------------------------------------------------------------------------
+# the per-matrix Parlett-Reid elimination the stacked kernel replaced, kept
+# as the reference that every member of a stack must reproduce
+
+
+def loop_pfaffian(A, panel=lattice.PANEL):
+    A = np.array(A, dtype=complex)
+    n = A.shape[0]
+    U = np.empty((n, panel), dtype=complex)
+    V = np.empty((n, panel), dtype=complex)
+    pf, j = 1.0 + 0.0j, 0
+    for k in range(0, n, 2):
+        col = A[k + 1:, k] + U[k + 1:, :j] @ V[k, :j] - V[k + 1:, :j] @ U[k, :j]
+        i = int(np.abs(col).argmax())
+        if i:
+            p, q = [k + 1, k + 1 + i], [k + 1 + i, k + 1]
+            A[p, k:] = A[q, k:]
+            A[k:, p] = A[k:, q]
+            U[p] = U[q]
+            V[p] = V[q]
+            col[[0, i]] = col[[i, 0]]
+            pf = -pf
+        pivot = -col[0]
+        if pivot == 0.0:
+            return 0.0 + 0.0j
+        pf *= pivot
+        s = k + 2
+        if s == n:
+            break
+        U[s:, j] = -col[1:] / pivot
+        V[s:, j] = A[s:, k + 1] + U[s:, :j] @ V[k + 1, :j] - V[s:, :j] @ U[k + 1, :j]
+        j += 1
+        if j == panel:
+            A[s:, s:] += U[s:] @ V[s:].T - V[s:] @ U[s:].T
+            j = 0
+    return complex(pf)
+
+
+def random_antisymmetric(rng, shape):
+    A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return A - A.swapaxes(-1, -2)
+
+
 class TestPfaffian:
     def test_square_is_determinant(self):
         rng = np.random.default_rng(5)
@@ -132,8 +179,108 @@ class TestPfaffian:
         assert pfaffian(np.kron(np.diag([0.7, 0.0]), [[0.0, 1.0], [-1.0, 0.0]])) == 0.0
 
     def test_odd_size_rejected(self):
-        with pytest.raises(ValueError):
-            pfaffian(np.zeros((3, 3)))
+        for shape in ((3, 3), (2, 5, 5), (4, 6), (2, 4, 6), (4,)):
+            with pytest.raises(ValueError):
+                pfaffian(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 30, 40, 66, 150])  # 150: past one panel
+    def test_members_match_per_matrix_elimination(self, n):
+        stack = random_antisymmetric(np.random.default_rng(n), (2, 3, n, n))
+        got = pfaffian(stack)
+        assert got.shape == (2, 3)
+        ref = np.array([[loop_pfaffian(a) for a in row] for row in stack])
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).min()
+        # each member runs the 2-D arithmetic, whatever stack it sits in
+        assert same_bits(got, np.array([[pfaffian(a) for a in row] for row in stack]))
+
+    def test_zero_pivot_member_leaves_the_others_alone(self):
+        rng = np.random.default_rng(3)
+        regular = random_antisymmetric(rng, (2, 6, 6))
+        # block diagonal with an empty middle block: the second pivot is 0
+        dead = np.kron(np.diag([0.7, 0.0, 1.3]), [[0.0, 1.0], [-1.0, 0.0]])
+        stack = np.stack([regular[0], dead, regular[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the dead member's inf/nan stays silent
+            got = pfaffian(stack)
+        assert got[1] == 0.0
+        assert same_bits(got[[0, 2]], pfaffian(regular))
+        assert same_bits(got[[0, 2]], np.array([loop_pfaffian(a) for a in regular]))
+
+    def test_matrix_gives_scalar(self):
+        A = random_antisymmetric(np.random.default_rng(4), (8, 8))
+        val = pfaffian(A)
+        assert type(val) is complex
+        assert val == loop_pfaffian(A)
+        assert pfaffian(A[None]).shape == (1,)
+
+    def test_flux_trace_matches_per_matrix_elimination(self):
+        # the large 2-D Pfaffians of lattice-moments, several panels deep
+        lay = SubsystemLayout(10, 10, 200)
+        maj = GaussianWindow(ground_state_correlations(ISING, lay), 10, 200).maj_b
+        J = np.kron(np.eye(200), [[0.0, 1.0], [-1.0, 0.0]])
+        for gamma in (0.5, 2.9):
+            ref = np.exp(0.5j * gamma * 200) * loop_pfaffian(
+                np.cos(gamma / 2) * J + 1j * np.sin(gamma / 2) * maj)
+            assert abs(flux_trace(maj, gamma) / ref - 1) < 1e-13
+
+
+def dense_majorana(gamma):
+    """(i/2) W* Gamma W^T with the dense Majorana map W."""
+    m = gamma.shape[0] // 2
+    j = np.arange(m)
+    W = np.zeros((2 * m, 2 * m), dtype=complex)
+    W[2 * j, j] = W[2 * j, j + m] = 1.0
+    W[2 * j + 1, j] = -1j
+    W[2 * j + 1, j + m] = 1j
+    return 0.5j * W.conj() @ gamma @ W.T
+
+
+class TestMajoranaMatrix:
+    # each entry of the dense products sums two nonzero terms, so the index
+    # arithmetic gives every value exactly (only a zero's sign may differ)
+    def test_real_preset_window(self):
+        for model in (TIGHT_BINDING, ISING):
+            gamma = ground_state_correlations(model, SubsystemLayout(10, 10, 20)).gamma
+            assert np.array_equal(majorana_matrix(gamma), dense_majorana(gamma))
+
+    def test_complex_flux_dressed_window(self):
+        win = GaussianWindow(ground_state_correlations(ISING, SubsystemLayout(4, 3, 9)), 4, 9)
+        for gamma in (0.7, 2.4):
+            dressed = win.dressed_d_window(gamma).T
+            assert np.abs(dressed.imag).max() > 1e-3
+            assert np.array_equal(majorana_matrix(dressed), dense_majorana(dressed))
+
+
+def fresh_dmatrix(gamma, clip=CLIP):
+    d = gamma.T.copy()
+    w, v = np.linalg.eigh(d)
+    if np.abs(w).max() <= 1.0 - clip:
+        return d
+    return (v * np.clip(w, -1.0 + clip, 1.0 - clip)) @ v.conj().T
+
+
+class TestCorrelationValidation:
+    def test_non_hermitian_rejected(self):
+        gamma = window_corr(ISING, 8, SubsystemLayout(2, 1, 3)).gamma.astype(complex)
+        gamma[0, 1] += 1e-6j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            NambuCorrelationMatrix(gamma)
+
+    def test_spectrum_outside_unit_interval_rejected(self):
+        gamma = window_corr(ISING, 8, SubsystemLayout(2, 1, 3)).gamma
+        with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+            NambuCorrelationMatrix(1.5 * gamma)
+        NambuCorrelationMatrix(gamma)  # the valid state itself passes
+
+    def test_dmatrix_matches_a_fresh_clip(self):
+        # xx at ell2 = 200 has occupations within 1e-12 of 0 and 1, so the
+        # clip acts; a short Ising window stays clear of it
+        clipped = ground_state_correlations(TIGHT_BINDING, SubsystemLayout(10, 10, 200))
+        plain = ground_state_correlations(ISING, SubsystemLayout(3, 2, 4))
+        for corr, clips in ((clipped, True), (plain, False)):
+            w = np.linalg.eigvalsh(corr.gamma)
+            assert (np.abs(w).max() > 1.0 - CLIP) == clips
+            assert same_bits(corr.dmatrix(), fresh_dmatrix(corr.gamma))
 
 
 class TestGaussianTrace:
@@ -251,6 +398,16 @@ class TestVanishingTrace:
 
 
 class TestChargedMoments:
+    def test_flux_trace_memoized(self, monkeypatch):
+        win = GaussianWindow(ground_state_correlations(ISING, SubsystemLayout(3, 2, 4)), 3, 4)
+        calls = []
+        real = lattice.flux_trace
+        monkeypatch.setattr(lattice, "flux_trace", lambda *a: calls.append(a) or real(*a))
+        first = win.log_flux_trace(0.5)
+        assert win.log_flux_trace(0.5) == first and len(calls) == 1
+        win.log_flux_trace(0.7)
+        assert len(calls) == 2
+
     def test_zero_flux_exactly_one(self):
         lay = SubsystemLayout(3, 2, 4)
         val = charged_moments_lattice(TIGHT_BINDING, lay, [0.0, 0.0])
@@ -312,6 +469,25 @@ class TestIsingRescaling:
 
 
 class TestSectorOverlaps:
+    def test_stack_cap_does_not_change_the_table(self, monkeypatch):
+        lay = SubsystemLayout(3, 2, 6)  # 28 pair traces
+        whole = charge_sector_table(ISING, lay)
+        monkeypatch.setattr(lattice, "STACK", 5)
+        for a, b in zip(charge_sector_table(ISING, lay), whole, strict=True):
+            assert same_bits(a, b)
+
+    def test_pair_traces_match_replica_products(self):
+        # the stacked table against one two-replica product per pair
+        lay = SubsystemLayout(3, 2, 4)
+        win = GaussianWindow(ground_state_correlations(ISING, lay), 3, 4)
+        gs = 2 * np.pi * np.arange(5) / 5
+        traces = np.array([np.exp(win.log_flux_trace(g)) for g in gs])
+        weighted = np.array([[np.exp(win.log_replica_product([g1, g2])) for g2 in gs]
+                             for g1 in gs]) * np.outer(traces, traces)
+        phases = np.exp(-1j * gs[None, :] * np.arange(5)[:, None])
+        raw = ((phases @ weighted @ phases.T) / 25).real
+        assert np.abs(charge_sector_table(ISING, lay)[2] - raw).max() < 1e-15
+
     def test_probabilities_sum_to_one(self):
         lay = SubsystemLayout(3, 2, 4)
         p, R, raw = charge_sector_table(TIGHT_BINDING, lay)
