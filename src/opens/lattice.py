@@ -23,11 +23,22 @@ a_{2j+1} = i (c+_j - c_j) and M_kl = (i/2) <[a_k, a_l]>: the flux trace
 over B and the pair trace of two states on A are each one Pfaffian
 (Fagotti & Calabrese, J. Stat. Mech. (2010) P04016).
 
-Costs per window: one eigensolve of Gamma, which validates it and clips
-it; M in O(m^2) from sums and differences of the Gamma blocks; one
-Pfaffian per distinct flux. The Pfaffian kernel eliminates a whole stack
-of matrices at once, each with its own pivots, so a charge-sector table
-evaluates all its pair traces in a few stacked calls.
+Number-conserving states (zero pairing blocks, hole block exactly minus
+the transposed particle block: the xx preset and every kappa = 0 chain)
+take a charge-block route on the m x m particle block instead, where
+traces factorize over occupations and pair traces are determinants
+(``ChargeBlockWindow``).
+
+Costs per window. Pfaffian route: one eigensolve of Gamma, which
+validates it and clips it; M in O(m^2) from sums and differences of the
+Gamma blocks; one Pfaffian and one LU of the 2m x 2m dressing denominator
+per distinct flux. The Pfaffian kernel eliminates a whole stack of
+matrices at once, each with its own pivots, so a charge-sector table
+evaluates all its pair traces in a few stacked calls. Charge-block route:
+one eigensolve of the m x m particle block (validation and clip), one of
+the ell2 x ell2 C_B (every flux trace) and one of the clipped D_BB (every
+dressing); per flux O(ell1^2 ell2) for the dressed state of A, and one
+ell1 x ell1 determinant per pair trace.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ CLIP = 1e-12
 # exists; |trace| itself is no test, exact Ising traces fall below 1e-13
 SINGULAR_RCOND = 1e-13
 PANEL = 32  # Pfaffian elimination steps per deferred trailing update
-STACK = 128  # pair traces per stacked Pfaffian call in a sector table
+STACK = 128  # pair traces per stacked call in a sector table
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,14 @@ class SubsystemLayout:
 
 
 class NambuCorrelationMatrix:
-    """Two-point matrix over doubled indices for a Gaussian fermion state."""
+    """Two-point matrix over doubled indices for a Gaussian fermion state.
+
+    A state whose pairing blocks are exactly zero, and whose hole block is
+    exactly minus the transposed particle block, conserves particle number
+    (``conserves_charge``). Its doubled spectrum is {p} u {-p} with p that
+    of the m x m particle block, so every spectral question is put to that
+    block alone.
+    """
 
     def __init__(self, gamma: np.ndarray):
         gamma = np.asarray(gamma)
@@ -110,14 +128,26 @@ class NambuCorrelationMatrix:
         herm = np.abs(gamma - gamma.conj().T).max()
         if herm > 1e-10:
             raise ValueError(f"correlation matrix not Hermitian, residue {herm:.2e}")
-        # one eigensolve of D = Gamma^T serves this range check, the clip in
-        # dmatrix and the occupations in renyi_entropy
-        self._eig = np.linalg.eigh(gamma.T)
-        ev = self._eig[0]  # ascending
+        m = m2 // 2
+        particle = gamma[:m, :m]
+        self.conserves_charge = bool(
+            not gamma[:m, m:].any() and not gamma[m:, :m].any()
+            and np.array_equal(gamma[m:, m:], -particle.T))
+        # one eigensolve of D = Gamma^T, or of its particle block, serves
+        # this range check, the clip in dmatrix and the occupations in
+        # renyi_entropy
+        self._eig = np.linalg.eigh(particle.T if self.conserves_charge else gamma.T)
+        ev = self.spectrum
         if ev[0] < -1.0 - 1e-10 or ev[-1] > 1.0 + 1e-10:
             raise ValueError(f"eigenvalues outside [-1, 1]: [{ev[0]}, {ev[-1]}]")
         self.gamma = gamma
-        self.m = m2 // 2
+        self.m = m
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of D = Gamma^T in ascending order."""
+        w = self._eig[0]
+        return np.sort(np.r_[w, -w]) if self.conserves_charge else w
 
     def nambu_swap(self) -> np.ndarray:
         """Particle-hole conjugate Sx Gamma^T Sx; equals -Gamma."""
@@ -134,15 +164,32 @@ class NambuCorrelationMatrix:
 
     def dmatrix(self, clip: float = CLIP) -> np.ndarray:
         """Transposed, eigenvalue-clipped copy used by the kernel algebra."""
+        if not self.conserves_charge:
+            return self._clipped(self.gamma.T, clip)
+        m = self.m
+        dp = self.dmatrix_particle(clip)
+        d = np.zeros(self.gamma.shape, dtype=dp.dtype)
+        d[:m, :m] = dp
+        d[m:, m:] = -dp.T
+        return d
+
+    def dmatrix_particle(self, clip: float = CLIP) -> np.ndarray:
+        """Particle block of ``dmatrix`` for a number-conserving state, clipped on its own."""
+        if not self.conserves_charge:
+            raise ValueError("the state pairs particles: it has no particle block of its own")
+        return self._clipped(self.gamma[:self.m, :self.m].T, clip)
+
+    def _clipped(self, d: np.ndarray, clip: float) -> np.ndarray:
+        """The eigensolved matrix d, its eigenvalues clipped into [-1 + clip, 1 - clip]."""
         w, v = self._eig
         if np.abs(w).max() <= 1.0 - clip:
-            return self.gamma.T.copy()
+            return d.copy()
         w = np.clip(w, -1.0 + clip, 1.0 - clip)
         return (v * w) @ v.conj().T
 
     def renyi_entropy(self, n: float) -> float:
         """Renyi entropy of the Gaussian state from the mode occupations."""
-        nu = self._eig[0]
+        nu = self.spectrum
         p = np.clip((1.0 + nu) / 2.0, 1e-300, 1.0)
         q = np.clip((1.0 - nu) / 2.0, 1e-300, 1.0)
         if n == 1:
@@ -222,7 +269,9 @@ def finite_chain_correlations(model: LatticeModel, n_sites: int) -> NambuCorrela
 
     Works for any (kappa, h); the doubled correlation matrix is
     2 P - 1 with P the projector onto negative-energy quasiparticle
-    eigenvectors in the (c, c+) basis.
+    eigenvectors in the (c, c+) basis. Without pairing (kappa = 0) P is
+    block diagonal, so <c+c> comes from the hopping matrix alone and the
+    doubled matrix conserves charge exactly, not just to rounding.
     """
     N = n_sites
     T = np.zeros((N, N))
@@ -232,14 +281,17 @@ def finite_chain_correlations(model: LatticeModel, n_sites: int) -> NambuCorrela
         D[j, j + 1] = -0.5 * model.kappa
         D[j + 1, j] = 0.5 * model.kappa
     T -= model.h_field * np.eye(N)
-    HB = np.block([[T, D], [-D, -T]])
-    w, V = np.linalg.eigh(HB)
+    pairs = model.kappa != 0.0
+    # without pairing the BdG spectrum is that of T and of -T
+    w, V = np.linalg.eigh(np.block([[T, D], [-D, -T]]) if pairs else T)
     if np.any(np.abs(w) < 1e-12):
         raise SingularMatrixError(
             "zero mode in the single-particle spectrum: ground state degenerate"
         )
     occ = V[:, w < 0]
     P = occ @ occ.T
+    if not pairs:
+        return NambuCorrelationMatrix(_gamma_from_cf(P, np.zeros((N, N))))
     return NambuCorrelationMatrix(2 * P - np.eye(2 * N))
 
 
@@ -388,7 +440,13 @@ class GaussianWindow:
     window once (Mobius form on D = Gamma^T) and keeps the normalized
     dressed state of A, whose pair traces are again Pfaffians. Every sign
     is exact, so no value is continued along a path.
+
+    The public methods memoize and compose; ``_prepare``, ``_flux_trace``,
+    ``_dress_a``, ``pair_operand`` and ``pair_traces`` carry the algebra,
+    which ``ChargeBlockWindow`` replaces for number-conserving states.
     """
+
+    modes_per_eigenvalue = 0.5  # doubled indices count each mode twice
 
     def __init__(self, corr: NambuCorrelationMatrix, n_a: int, n_b: int):
         if corr.m != n_a + n_b:
@@ -397,14 +455,18 @@ class GaussianWindow:
         self.n_a = n_a
         self.n_b = n_b
         self.w = corr.m
-        self.D = corr.dmatrix()
-        self.Ip = np.eye(2 * self.w) + self.D
-        self.Im = np.eye(2 * self.w) - self.D
-        self.idx_a = np.r_[np.arange(n_a), np.arange(n_a) + self.w]
-        idx_b = np.r_[np.arange(n_a, self.w), np.arange(n_a, self.w) + self.w]
-        self.maj_b = majorana_matrix(corr.gamma[np.ix_(idx_b, idx_b)])
         self._log_flux = {}
         self._dressed_a = {}
+        self._prepare()
+
+    def _prepare(self):
+        self.D = self.corr.dmatrix()
+        self.Ip = np.eye(2 * self.w) + self.D
+        self.Im = np.eye(2 * self.w) - self.D
+        self.idx_a = np.r_[np.arange(self.n_a), np.arange(self.n_a) + self.w]
+        self.d_a = self.D[np.ix_(self.idx_a, self.idx_a)]
+        idx_b = np.r_[np.arange(self.n_a, self.w), np.arange(self.n_a, self.w) + self.w]
+        self.maj_b = majorana_matrix(self.corr.gamma[np.ix_(idx_b, idx_b)])
 
     def flux_diag(self, gamma: float) -> np.ndarray:
         """Kernel of e^{i gamma (Q_B - ell2/2)} in the doubled basis."""
@@ -415,11 +477,14 @@ class GaussianWindow:
         return d
 
     def log_flux_trace(self, gamma: float) -> complex:
-        """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch, one Pfaffian per flux."""
+        """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch, computed once per flux."""
         if gamma not in self._log_flux:
             with np.errstate(divide="ignore"):
-                self._log_flux[gamma] = complex(np.log(flux_trace(self.maj_b, gamma)))
+                self._log_flux[gamma] = complex(np.log(self._flux_trace(gamma)))
         return self._log_flux[gamma]
+
+    def _flux_trace(self, gamma: float) -> complex:
+        return flux_trace(self.maj_b, gamma)
 
     def dressed_d_window(self, gamma: float) -> np.ndarray:
         """D-matrix of the normalized flux-dressed state on the window.
@@ -438,19 +503,26 @@ class GaussianWindow:
         den = (self.Ip * u[:, None] + self.Im).T
         lu = lu_factor(den, check_finite=False)
         rcond, _ = lapack.zgecon(lu[0], np.linalg.norm(den, 1))
-        if rcond <= SINGULAR_RCOND:
-            raise SingularMatrixError(
-                f"flux trace vanishes at gamma = {gamma!r} (rcond {rcond:.1e}); "
-                "the normalized dressed state does not exist"
-            )
+        _check_dressing(gamma, rcond)
         dd = lu_solve(lu, num.T, check_finite=False).T
         return (dd * u[None, :]) / u[rows, None]
 
     def dressed_d_a(self, gamma: float) -> np.ndarray:
         """D-matrix of the normalized dressed state of A, solved once per flux."""
         if gamma not in self._dressed_a:
-            self._dressed_a[gamma] = self._dressed_rows(gamma, self.idx_a)[:, self.idx_a]
+            self._dressed_a[gamma] = self._dress_a(gamma)
         return self._dressed_a[gamma]
+
+    def _dress_a(self, gamma: float) -> np.ndarray:
+        return self._dressed_rows(gamma, self.idx_a)[:, self.idx_a]
+
+    def pair_operand(self, d: np.ndarray) -> np.ndarray:
+        """What ``pair_traces`` takes for the state of A with D-matrix d."""
+        return majorana_matrix(d.T)
+
+    def pair_traces(self, x1: np.ndarray, x2: np.ndarray):
+        """Tr(rho1 rho2) of states given by ``pair_operand``, member by member of two stacks."""
+        return pair_trace(x1, x2)
 
     def log_replica_product(self, gammas) -> complex:
         """log Tr_A prod_j rho_hat_{A, gamma_j} of the normalized dressed states.
@@ -462,22 +534,80 @@ class GaussianWindow:
         gammas = list(gammas)
         if len(gammas) == 1:
             return 0.0 + 0.0j
-        ia = np.eye(2 * self.n_a)
+        ia = np.eye(len(self.d_a))
         dc = self.dressed_d_a(gammas[0])
         total = 0.0 + 0.0j
         for k, g in enumerate(gammas[1:], start=2):
             dn = self.dressed_d_a(g)
-            total += np.log(pair_trace(majorana_matrix(dc.T), majorana_matrix(dn.T)))
+            total += np.log(self.pair_traces(self.pair_operand(dc), self.pair_operand(dn)))
             if k < len(gammas):
                 dc = ia - (ia - dn) @ np.linalg.solve(ia + dc @ dn, ia - dc)
         return total
 
     def log_renyi_norm(self, n: int) -> float:
         """log Tr rho_A^n from the undressed mode occupations."""
-        da = self.D[np.ix_(self.idx_a, self.idx_a)]
-        nu = np.linalg.eigvalsh((da + da.conj().T) / 2.0)
-        return 0.5 * float(
+        nu = np.linalg.eigvalsh((self.d_a + self.d_a.conj().T) / 2.0)
+        return self.modes_per_eigenvalue * float(
             np.sum(np.log(((1 + nu) / 2.0) ** n + ((1 - nu) / 2.0) ** n))
+        )
+
+
+class ChargeBlockWindow(GaussianWindow):
+    """The window of a number-conserving state, on the m x m particle block of D.
+
+    With no pairing every doubled matrix is block diagonal and its hole
+    block is minus the transposed particle block, which therefore carries
+    the whole state (Peschel, J. Phys. A 36, L205 (2003)):
+
+    - the flux trace is prod_k (1 - nu_k + nu_k e^{i gamma}) over the
+      occupations nu_k of the unclipped C_B (Klich & Levitov, PRL 102,
+      100502 (2009));
+    - the A rows of U(1+D) + (1-D) are 2, so the Mobius form of the
+      dressed state of A is D_AA - D_AB V diag(f) V+ D_BA with
+      f = (e^{i gamma} - 1) / (e^{i gamma} (1 + d) + (1 - d)) over the
+      eigenpairs (d, V) of the clipped D_BB;
+    - the pair trace of two states is det((1 + D1 D2) / 2), sign included.
+
+    One eigensolve of D_BB and one of C_B per window serve every flux.
+    ``D`` is the m x m particle block here; the doubled-basis
+    ``flux_diag`` and ``dressed_d_window`` belong to the Pfaffian route.
+    """
+
+    modes_per_eigenvalue = 1.0
+
+    def _prepare(self):
+        n_a = self.n_a
+        self.D = self.corr.dmatrix_particle()
+        self.d_a = self.D[:n_a, :n_a]
+        lam = np.linalg.eigvalsh(self.corr.gamma[n_a:self.w, n_a:self.w])  # 2 C_B - 1
+        self._empty, self._full = (1.0 - lam) / 2.0, (1.0 + lam) / 2.0
+        self._d_b, v = np.linalg.eigh(self.D[n_a:, n_a:])
+        self._left = self.D[:n_a, n_a:] @ v
+        self._right = v.conj().T @ self.D[n_a:, :n_a]
+
+    def _flux_trace(self, gamma: float) -> complex:
+        return complex(np.prod(self._empty + self._full * np.exp(1j * gamma)))
+
+    def _dress_a(self, gamma: float) -> np.ndarray:
+        z = np.exp(1j * gamma)
+        den = z * (1.0 + self._d_b) + (1.0 - self._d_b)
+        size = np.abs(den)
+        _check_dressing(gamma, size.min() / size.max())
+        return self.d_a - (self._left * ((z - 1.0) / den)) @ self._right
+
+    def pair_operand(self, d: np.ndarray) -> np.ndarray:
+        return d
+
+    def pair_traces(self, x1: np.ndarray, x2: np.ndarray):
+        return np.linalg.det((np.eye(x1.shape[-1]) + x1 @ x2) / 2.0)
+
+
+def _check_dressing(gamma: float, rcond: float):
+    """Raise where the dressing denominator is singular, i.e. the flux trace vanishes."""
+    if rcond <= SINGULAR_RCOND:
+        raise SingularMatrixError(
+            f"flux trace vanishes at gamma = {gamma!r} (rcond {rcond:.1e}); "
+            "the normalized dressed state does not exist"
         )
 
 
@@ -489,7 +619,8 @@ def _window_for(model_or_corr, layout: SubsystemLayout, n_sites: int | None = No
         corr = full.restrict(layout.sites_A + layout.sites_B)
     else:
         corr = ground_state_correlations(model_or_corr, layout)
-    return GaussianWindow(corr, layout.ell1, layout.ell2)
+    window = ChargeBlockWindow if corr.conserves_charge else GaussianWindow
+    return window(corr, layout.ell1, layout.ell2)
 
 
 def flux_correlation_matrix(corr: NambuCorrelationMatrix, gamma: float, layout: SubsystemLayout):
@@ -557,8 +688,9 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | N
     The charge of B takes integer values q = 0..ell2, so the gamma
     integrals collapse to exact discrete Fourier sums over
     gamma_m = 2 pi m / (ell2 + 1). The (ell2 + 1)(ell2 + 2)/2 pair traces
-    run as stacked Pfaffians of at most STACK members each, which bounds
-    the memory of large tables. Returns (p, R, raw) with
+    run in stacks of at most STACK members each, which bounds the memory
+    of large tables: Pfaffians, or on a number-conserving window
+    determinants of the ell1 x ell1 particle blocks. Returns (p, R, raw) with
     raw[q1, q2] = Tr(rho~_{A,q1} rho~_{A,q2}) = p_{q1} p_{q2} R_{q1 q2}.
     """
     win = _window_for(model_or_corr, layout, n_sites)
@@ -577,9 +709,9 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | N
     # every pair overlap needs both normalized dressed states, so a flux
     # whose trace vanishes raises SingularMatrixError rather than being
     # dropped: its post-measurement contribution is generally not zero
-    majs = np.array([majorana_matrix(win.dressed_d_a(g).T) for g in gs])
+    ops = np.array([win.pair_operand(win.dressed_d_a(g)) for g in gs])
     i, j = np.triu_indices(nq)
-    ov = np.concatenate([pair_trace(majs[i[c:c + STACK]], majs[j[c:c + STACK]])
+    ov = np.concatenate([win.pair_traces(ops[i[c:c + STACK]], ops[j[c:c + STACK]])
                          for c in range(0, i.size, STACK)])
     weighted = np.empty((nq, nq), dtype=complex)
     weighted[i, j] = weighted[j, i] = ov * traces[i] * traces[j]

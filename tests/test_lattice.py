@@ -280,7 +280,18 @@ class TestCorrelationValidation:
         for corr, clips in ((clipped, True), (plain, False)):
             w = np.linalg.eigvalsh(corr.gamma)
             assert (np.abs(w).max() > 1.0 - CLIP) == clips
-            assert same_bits(corr.dmatrix(), fresh_dmatrix(corr.gamma))
+        assert same_bits(plain.dmatrix(), fresh_dmatrix(plain.gamma))
+        # xx conserves charge: its particle block is clipped on its own and
+        # the hole block follows as minus its transpose
+        assert clipped.conserves_charge and not plain.conserves_charge
+        m = clipped.m
+        particle = fresh_dmatrix(clipped.gamma[:m, :m])
+        per_block = np.zeros((2 * m, 2 * m))
+        per_block[:m, :m] = particle
+        per_block[m:, m:] = -particle.T
+        assert same_bits(clipped.dmatrix_particle(), particle)
+        assert same_bits(clipped.dmatrix(), per_block)
+        assert np.abs(clipped.dmatrix() - fresh_dmatrix(clipped.gamma)).max() <= 1e-14
 
 
 class TestGaussianTrace:
@@ -377,6 +388,7 @@ class TestVanishingTrace:
 
     def test_zero_trace_flux_raises(self):
         corr = window_corr(TIGHT_BINDING, 8, self.lay)
+        assert corr.conserves_charge  # both checks run on the charge block
         with pytest.raises(SingularMatrixError, match=r"gamma = 3\.14159"):
             charged_moments_lattice(corr, self.lay, [np.pi, 0.5])
 
@@ -443,6 +455,97 @@ class TestChargedMoments:
             assert win.log_renyi_norm(n) == pytest.approx(
                 (1 - n) * corr_a.renyi_entropy(n), rel=1e-10
             )
+
+
+# ---------------------------------------------------------------------------
+# the charge-block route against the Nambu route on the same Gamma
+
+README_XX_L2 = (10, 13, 19, 27, 37, 52, 73, 102, 143, 200)  # --l2 10:200:10:log
+CROSS_FLUXES = ([0.3], [0.3, 0.7], [2.0, 2.9], [0.5, 1.1, 2.3], [np.pi - 1e-3, 0.5, 1.7, 2.6])
+KAPPA_ZERO = {"xx": TIGHT_BINDING, "0:0.3": LatticeModel(0.0, 0.3)}
+
+
+def cross_route_windows():
+    """(id, corr, layout) on the README grid, short odd windows and kappa = 0 chains."""
+    for l2 in README_XX_L2:  # 200 is clipped, the odd ones hold a half-filled mode
+        lay = SubsystemLayout(10, 10, l2)
+        yield f"xx-{l2}", ground_state_correlations(TIGHT_BINDING, lay), lay
+    lay = SubsystemLayout(3, 2, 7)
+    yield "xx-3-2-7", ground_state_correlations(TIGHT_BINDING, lay), lay
+    lay = SubsystemLayout(3, 2, 5)
+    for name, model in KAPPA_ZERO.items():
+        yield f"chain-{name}", window_corr(model, 12, lay), lay
+
+
+def window_moment(win, gammas):
+    """charged_moments_lattice on a given window."""
+    log_num = sum(win.log_flux_trace(g) for g in gammas) + win.log_replica_product(gammas)
+    return np.exp(log_num - win.log_renyi_norm(len(gammas)))
+
+
+def cross_bound(gammas):
+    # near a zero of the trace (pi - 1e-3 on a half-filled mode) both routes
+    # lose digits like rounding over |cos(gamma / 2)|; against a 50-digit
+    # reference each is off by a few 1e-12 at (10, 10, 13) and (10, 10, 37)
+    return max(1e-12, 1e-14 / min(abs(np.cos(g / 2)) for g in gammas))
+
+
+class TestChargeBlockRoute:
+    @pytest.mark.parametrize("case", list(cross_route_windows()), ids=lambda c: c[0])
+    def test_traces_and_moments_match_nambu(self, case):
+        _, corr, lay = case
+        charge = lattice._window_for(corr, lay)
+        assert type(charge) is lattice.ChargeBlockWindow
+        nambu = GaussianWindow(corr, lay.ell1, lay.ell2)
+        for gammas in CROSS_FLUXES:
+            for g in gammas:
+                rel = abs(np.exp(charge.log_flux_trace(g) - nambu.log_flux_trace(g)) - 1)
+                assert rel <= cross_bound([g]), (g, rel)
+            rel = abs(window_moment(charge, gammas) / window_moment(nambu, gammas) - 1)
+            assert rel <= cross_bound(gammas), (gammas, rel)
+
+    @pytest.mark.parametrize("case", [c for c in cross_route_windows()
+                                      if c[2].ell2 <= 19], ids=lambda c: c[0])
+    def test_sector_table_matches_nambu(self, case, monkeypatch):
+        _, corr, lay = case
+        p, _, raw = charge_sector_table(corr, lay)
+        monkeypatch.setattr(lattice, "ChargeBlockWindow", GaussianWindow)
+        p_ref, _, raw_ref = charge_sector_table(corr, lay)
+        assert np.abs(p - p_ref).max() <= 1e-15
+        assert np.abs(raw - raw_ref).max() <= 1e-15
+
+    def test_paired_states_keep_the_pfaffian_route(self):
+        lay = SubsystemLayout(3, 2, 5)
+        for corr in (ground_state_correlations(ISING, lay),
+                     window_corr(LatticeModel(0.7, 0.3), 12, lay)):
+            assert type(lattice._window_for(corr, lay)) is GaussianWindow
+        with pytest.raises(ValueError, match="pairs particles"):
+            ground_state_correlations(ISING, lay).dmatrix_particle()
+
+    def test_a_rounding_of_pairing_leaves_the_charge_block(self):
+        gamma = ground_state_correlations(TIGHT_BINDING, SubsystemLayout(2, 1, 3)).gamma.copy()
+        assert NambuCorrelationMatrix(gamma).conserves_charge
+        gamma[0, 7] = gamma[7, 0] = 1e-17
+        assert not NambuCorrelationMatrix(gamma).conserves_charge
+
+    @pytest.mark.parametrize("model", KAPPA_ZERO.values(), ids=KAPPA_ZERO.keys())
+    def test_kappa_zero_chain_matches_the_bdg_projector(self, model):
+        N = 12
+        H = np.zeros((2 * N, 2 * N))
+        for j in range(N - 1):
+            H[j, j + 1] = H[j + 1, j] = -0.5
+        H[:N, :N] -= model.h_field * np.eye(N)
+        H[N:, N:] = -H[:N, :N]
+        w, V = np.linalg.eigh(H)
+        occ = V[:, w < 0]
+        corr = finite_chain_correlations(model, N)
+        assert corr.conserves_charge
+        assert np.abs(corr.gamma - (2 * occ @ occ.T - np.eye(2 * N))).max() < 1e-14
+
+    def test_kappa_zero_zero_mode_raises(self):
+        # an odd open xx chain holds a mode at zero energy
+        with pytest.raises(SingularMatrixError, match="zero mode"):
+            finite_chain_correlations(TIGHT_BINDING, 5)
 
 
 class TestIsingRescaling:
