@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -131,20 +132,16 @@ def _map_jobs(func, items, jobs):
         return list(pool.map(func, items))
 
 
-def _rows_and_max_error(points):
-    """Split (row, error estimate) pairs; the largest estimate goes to the header."""
-    rows = [row for row, _ in points]
-    return rows, {"max_error_estimate": _fmt(max((err for _, err in points), default=0.0))}
-
-
 def _batched_rows(grid, make, sweep, row):
-    """Rows of a batched sweep, failing as a point-by-point loop would.
+    """Rows of a batched continuation sweep, failing as a point-by-point loop would.
 
     ``make(x)`` builds the input of each grid point in order, and
     ``sweep`` evaluates all inputs built before the first that raised,
-    returning per input a result or the exception it raised.
-    ``row(x, input, result)`` gives (row, error estimate). The first
-    failing point in grid order raises, whatever the stage it failed at.
+    returning per input a ``ContinuationResult`` or the exception it
+    raised. ``row(x, input, result)`` gives the row. The first failing
+    point in grid order raises, whatever the stage it failed at. The
+    header records the largest leave-one-out spread and how many rows each
+    continuation degree gave, highest degree first.
     """
     inputs, failure = [], None
     for x in grid:
@@ -153,14 +150,19 @@ def _batched_rows(grid, make, sweep, row):
         except Exception as exc:  # raised below, once every earlier point is through
             failure = exc
             break
-    points = []
+    rows, results = [], []
     for x, inp, res in zip(grid, inputs, sweep(inputs)):
         if isinstance(res, Exception):
             raise res
-        points.append(row(x, inp, res))
+        rows.append(row(x, inp, res))
+        results.append(res)
     if failure is not None:
         raise failure
-    return _rows_and_max_error(points)
+    degrees = Counter(res.degree for res in results)
+    return rows, {
+        "max_error_estimate": _fmt(max((res.error_estimate for res in results), default=0.0)),
+        "continuation_degrees": ";".join(f"{d}:{degrees[d]}" for d in sorted(degrees, reverse=True)),
+    }
 
 
 def _geometry(args, l2: float, n: int = 1) -> Geometry:
@@ -198,8 +200,7 @@ def cmd_boson_mie(args):
 
 def cmd_boson_holevo(args):
     def row(l2, g, res):
-        return [ROUTE_BOSON, args.L, args.d, l2, args.eps,
-                res.value, holevo_chi_approx(g)], res.error_estimate
+        return [ROUTE_BOSON, args.L, args.d, l2, args.eps, res.value, holevo_chi_approx(g)]
 
     cols = ["route", "L", "d", "l2", "eps", "chi_numeric", "chi_approx"]
     return cols, *_batched_rows(parse_grid(args.l2), lambda l2: _geometry(args, l2),
@@ -209,7 +210,7 @@ def cmd_boson_holevo(args):
 def cmd_boson_time(args):
     def row(t, point, res):
         return [ROUTE_BOSON, args.L, args.d, args.l2, args.eps, t,
-                res.value, chi_time_asymptote(point[0], t)], res.error_estimate
+                res.value, chi_time_asymptote(point[0], t)]
 
     cols = ["route", "L", "d", "l2", "eps", "t", "chi_time", "asymptote"]
     return cols, *_batched_rows(parse_grid(args.t),

@@ -10,13 +10,24 @@ The AAA fit (Nakatsukasa, Sete & Trefethen, SIAM J. Sci. Comput. 40, A1494
 (2018)) is implemented here for a stack of equal-length sample sets, so
 that continuing a whole sweep costs two vectorized fits: the sample sets
 of every sweep point, and all of their leave-one-out subsets together.
-Each member's fit is bit-identical to fitting it alone, so a point's
-result does not depend on which points share its stacks. Each fit follows the rules of
-``scipy.interpolate.AAA`` (stopping tolerance, greedy selection, weight
-choice for tall, wide and ill-conditioned Loewner matrices, Froissart
-clean-up and pole computation), and the tests compare the two. A fit that
-reaches its term cap is the intended degree limit, not a failure, so it
-warns about nothing.
+Each fit follows the rules of ``scipy.interpolate.AAA`` (stopping
+tolerance, greedy selection, weight choice for tall, wide and
+ill-conditioned Loewner matrices, Froissart clean-up and pole
+computation), and the tests compare the two. A fit that reaches its term
+cap is the intended degree limit, not a failure, so it warns about
+nothing.
+
+Everything after the greedy steps also runs once per stack. The members
+that finish at a step form a batch per support size. For each batch, one
+tight loop runs one ``dggev`` per member over a preallocated arrowhead
+pencil, and the residues, the geometric-mean threshold and the Froissart
+test are stacked arrays. The continuation then screens the poles and
+evaluates r(1) of every fit, and of every leave-one-out fit, in one
+stacked product per support size. Only two steps stay per fit: the SVD
+re-solve of a fit that has a Froissart doublet, and the pole computation
+of that re-solved fit when it is screened. Each member's poles and values
+are bit-identical to fitting it alone, so a point's result does not
+depend on which points share its stacks.
 """
 
 from __future__ import annotations
@@ -73,66 +84,38 @@ class ContinuationResult:
     error_estimate: float
     support_points: np.ndarray = field(repr=False, default=None)
     loo_values: np.ndarray = field(repr=False, default=None)
+    # the degree that gave the value, after any fallback to a lower one
+    degree: int | None = None
 
 
 class BarycentricFit:
     """r(x) = sum_j w_j f_j / (x - z_j) / sum_j w_j / (x - z_j) on real samples."""
 
-    def __init__(self, points, values, support, support_values, weights):
+    def __init__(self, points, values, support, support_values, weights, pole_row=None):
         self.points, self.values = points, values
         self.support, self.support_values, self.weights = support, support_values, weights
-        self._poles = self._residues = None
+        self._pole_row = pole_row
 
     def __call__(self, x) -> np.ndarray:
         """r at points ``x`` off the support points (the samples sit at n >= 2)."""
         x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cc = 1.0 / np.subtract.outer(x, self.support)
-            w = self.weights[:, None]
-            return (cc @ (w * self.support_values[:, None]) / (cc @ w))[:, 0]
+        return _rational(x[None], self.support[None], self.support_values[None],
+                         self.weights[None])[0]
+
+    def pole_row(self) -> np.ndarray:
+        """The m + 1 eigenvalues of the arrowhead pencil; the infinite ones are not finite."""
+        if self._pole_row is None:
+            self._pole_row = _pole_rows(self.support[None], self.weights[None])[0]
+        return self._pole_row
 
     def poles(self) -> np.ndarray:
         """Finite eigenvalues of the arrowhead pencil (E, diag(0, 1, ..., 1))."""
-        if self._poles is None:
-            m = self.weights.size
-            if not np.isfinite(self.weights).all():  # scipy.linalg.eigvals's check
-                raise ValueError("barycentric weights must be finite")
-            b = np.eye(m + 1)
-            b[0, 0] = 0.0
-            e = np.zeros((m + 1, m + 1))
-            e[0, 1:] = self.weights
-            e[1:, 0] = 1.0
-            np.fill_diagonal(e[1:, 1:], self.support)
-            # the workspace that scipy.linalg.eigvals asks for, so that the
-            # blocking and hence the rounding are the same
-            alphar, alphai, beta, *_, info = dggev(e, b, 0, 0, _dggev_lwork(m + 1))
-            if info != 0:
-                raise np.linalg.LinAlgError(f"generalized eigenvalues did not converge (info={info})")
-            nz = beta != 0
-            pol = (alphar + 1j * alphai)[nz] / beta[nz]
-            self._poles = pol[np.isfinite(pol)]
-        return self._poles
+        row = self.pole_row()
+        return row[np.isfinite(row)]
 
-    def residues(self) -> np.ndarray:
-        """Residue N(a) / D'(a) at each pole a."""
-        if self._residues is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cc = 1.0 / np.subtract.outer(self.poles(), self.support)
-                num = cc @ (self.support_values * self.weights)
-                self._residues = num / (-(cc**2) @ self.weights)
-        return self._residues
-
-    def clean_up(self) -> None:
-        """Drop the support point nearest each Froissart doublet and re-solve."""
-        with np.errstate(divide="ignore"):
-            geom_mean = np.exp(np.mean(np.log(np.abs(self.values))))
-        poles = self.poles()
-        dist = np.abs(np.subtract.outer(poles, self.points)).min(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            spurious = np.abs(self.residues()) / dist < _CLEANUP_TOL * geom_mean
-        if not spurious.any():
-            return
-        closest = np.abs(np.subtract.outer(self.support, poles[spurious])).argmin(axis=0)
+    def clean_up(self, doublets) -> None:
+        """Drop the support point nearest each Froissart doublet pole and re-solve."""
+        closest = np.abs(np.subtract.outer(self.support, doublets)).argmin(axis=0)
         self.support = np.delete(self.support, closest)
         self.support_values = np.delete(self.support_values, closest)
         keep = np.not_equal.outer(self.points, self.support).all(axis=1)
@@ -141,7 +124,81 @@ class BarycentricFit:
         loewner = f[:, None] * c - c * self.support_values
         vh = np.linalg.svd(loewner)[2]
         self.weights = vh[self.support.size - 1]
-        self._poles = self._residues = None
+        self._pole_row = None
+
+
+def _rational(x, support, support_values, weights):
+    """r at points ``x`` (B, p) of a stack of fits with m support points each (B, m).
+
+    Each member's products are the ones a fit of its own would take, so its
+    values are bit-identical to evaluating it alone.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cc = 1.0 / (x[:, :, None] - support[:, None, :])
+        w = weights[:, :, None]
+        return (cc @ (w * support_values[:, :, None]) / (cc @ w))[:, :, 0]
+
+
+def _pole_rows(support, weights):
+    """Eigenvalues of the arrowhead pencils (E, diag(0, 1, ..., 1)) of a stack (B, m).
+
+    Row b holds the m + 1 eigenvalues of member b, the infinite ones as
+    non-finite entries. Each member takes its own ``dggev`` call with the
+    workspace that scipy.linalg.eigvals asks for, so that the blocking and
+    hence every pole are the same as for that member alone. A member with
+    non-finite weights or an eigensolve that fails makes the stack raise.
+    """
+    nfit, m = weights.shape
+    if not np.isfinite(weights).all():  # scipy.linalg.eigvals's check
+        raise ValueError("barycentric weights must be finite")
+    b = np.eye(m + 1)
+    b[0, 0] = 0.0
+    e = np.zeros((nfit, m + 1, m + 1))
+    e[:, 0, 1:] = weights
+    e[:, 1:, 0] = 1.0
+    diag = np.arange(1, m + 1)
+    e[:, diag, diag] = support
+    lwork = _dggev_lwork(m + 1)
+    eig = np.empty((3, nfit, m + 1))
+    for i in range(nfit):
+        alphar, alphai, beta, *_, info = dggev(e[i], b, 0, 0, lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"generalized eigenvalues did not converge (info={info})")
+        eig[0, i], eig[1, i], eig[2, i] = alphar, alphai, beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (eig[0] + 1j * eig[1]) / eig[2]
+
+
+def _residues(poles, support, support_values, weights):
+    """Residue N(a) / D'(a) at each entry a of ``poles`` (B, p) of a stack (B, m).
+
+    Elementwise products summed along each row, so that a member's residues
+    do not depend on the other members of its stack.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cc = 1.0 / (poles[:, :, None] - support[:, None, :])
+        num = (cc * (support_values * weights)[:, None, :]).sum(axis=2)
+        return num / -(cc * cc * weights[:, None, :]).sum(axis=2)
+
+
+def _finish(z, f, support, support_values, weights) -> list[BarycentricFit]:
+    """Fits of a stack (B, m) of equal support size, cleaned of Froissart doublets.
+
+    A pole whose residue over its distance to the samples is below
+    ``_CLEANUP_TOL`` times the geometric mean of |f| is a doublet. Poles,
+    residues and that test run on the whole stack; only a member with a
+    doublet is re-solved, on its own.
+    """
+    poles = _pole_rows(support, weights)
+    res = _residues(poles, support, support_values, weights)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        geom_mean = np.exp(np.mean(np.log(np.abs(f)), axis=1))
+        dist = np.abs(poles[:, :, None] - z[:, None, :]).min(axis=2)
+        doublet = np.isfinite(poles) & (np.abs(res) / dist < _CLEANUP_TOL * geom_mean[:, None])
+    fits = [BarycentricFit(*member) for member in zip(z, f, support, support_values, weights, poles)]
+    for i in np.flatnonzero(doublet.any(axis=1)):
+        fits[i].clean_up(poles[i, doublet[i]])
+    return fits
 
 
 def _weights(a, ill, wide):
@@ -239,11 +296,15 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit]:
         resid = np.abs(f - num / den)
 
         done = (resid.max(axis=1) <= atol) | (m == max_terms - 1)
-        for i in np.flatnonzero(done):
-            nz = nonzero[i]
-            fit = BarycentricFit(z[i], f[i], support[i, : m + 1][nz], fj[i][nz], w[i][nz])
-            fit.clean_up()
-            fits[member[i]] = fit
+        # the members that finish here, one batch per count of nonzero weights
+        finished = np.flatnonzero(done)
+        sizes = nonzero[finished].sum(axis=1)
+        for size in np.unique(sizes):
+            sel = finished[sizes == size]
+            nz = nonzero[sel]
+            parts = (x[nz].reshape(sel.size, size) for x in (support[sel, : m + 1], fj[sel], w[sel]))
+            for i, fit in zip(sel, _finish(z[sel], f[sel], *parts)):
+                fits[member[i]] = fit
         if done.all():
             break
         if done.any():
@@ -253,21 +314,6 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit]:
                 (member, z, f, atol, support, svals, cauchy, loewner, mask, resid, ill)
             )
     return fits
-
-
-def _check_poles(fit, lo: float, hi: float, scale: float = 1.0):
-    poles = fit.poles()
-    if poles.size == 0:
-        return
-    residues = fit.residues()
-    # spurious nearly-cancelling pole-zero pairs carry negligible residues;
-    # only poles that actually move the interpolant are disqualifying
-    real_ax = (np.abs(poles.imag) < 1e-8) & (poles.real > lo) & (poles.real < hi)
-    bad = poles[real_ax & (np.abs(residues) > 1e-7 * scale)]
-    if bad.size:
-        raise ContinuationError(
-            f"interpolant has poles at {np.sort(bad.real)} inside [{lo}, {hi}]"
-        )
 
 
 def continue_to_one(p: ContinuationProblem) -> ContinuationResult:
@@ -293,8 +339,9 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
     with the other sets that still fail. A stacked fit is bit-identical per
     member to fitting that member alone, so a set's result does not depend
     on which sets share its stacks. Returns per set its
-    ``ContinuationResult``, or the exception that continuing it alone
-    raises (for a ``ContinuationError``, the one at the last degree tried).
+    ``ContinuationResult``, with the degree that gave it, or the exception
+    that continuing it alone raises (for a ``ContinuationError``, the one
+    at the last degree tried).
     """
     out = [None] * len(sample_sets)
     data = {}  # set index -> (sorted n, values / scale, scale)
@@ -310,7 +357,7 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
         ns, vals = ns[order], vals[order]
         scale = np.abs(vals).max()
         if scale == 0.0:
-            out[i] = ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)))
+            out[i] = ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)), max_degree)
         else:
             data[i] = ns, vals / scale, scale
 
@@ -322,40 +369,38 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             z = np.array([data[i][0] for i in idx])
             f = np.array([data[i][1] for i in idx])
             # degree (m-1, m-1) uses m support points
-            for i, fit in zip(idx, _fits(z, f, min(degree + 1, z.shape[1]))):
-                if isinstance(fit, Exception):
-                    out[i] = fit
+            fits = _fits(z, f, min(degree + 1, z.shape[1]))
+            values = _at_one(fits) * np.array([data[i][2] for i in idx])
+            for i, why, value in zip(idx, _pole_screen(fits, z[:, -1] + 1e-9), values):
+                if why is None and not np.isfinite(value):
+                    why = ContinuationError("interpolant evaluated to a non-finite value at n = 1")
+                if why is None:
+                    fitted[i] = degree, value
                     continue
-                try:
-                    fitted[i] = degree, _value_at_one(fit, data[i][0], data[i][2])
-                except ContinuationError as exc:
-                    out[i] = exc
+                out[i] = why
+                if isinstance(why, ContinuationError):
                     failed.append(i)
-                except (np.linalg.LinAlgError, ValueError) as exc:  # from the pole computation
-                    out[i] = exc
         todo = failed
 
     for idx in _grouped(fitted, lambda i: (data[i][0].size, fitted[i][0])):
         m = data[idx[0]][0].size
         terms = min(fitted[idx[0]][0] + 1, m - 1)
-        loo = {i: [] for i in idx}
+        loo = np.empty((len(idx), 0))
         if m > 3:
             drop = ~np.eye(m, dtype=bool)
             z = np.array([data[i][0] for i in idx])
             f = np.array([data[i][1] for i in idx])
             sub_n = np.broadcast_to(z[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
             sub_v = np.broadcast_to(f[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
-            for k, fit in enumerate(_fits(sub_n, sub_v, terms)):
-                i = idx[k // m]
-                if not isinstance(fit, Exception):  # a subset whose fit fails is skipped
-                    y = float(fit(np.array([1.0]))[0]) * data[i][2]
-                    if np.isfinite(y):
-                        loo[i].append(y)
-        for i in idx:
-            ns, value = data[i][0], fitted[i][1]
-            vals = np.asarray(loo[i] if loo[i] else [value])
+            scales = np.array([data[i][2] for i in idx])
+            loo = _at_one(_fits(sub_n, sub_v, terms)).reshape(len(idx), m) * scales[:, None]
+        for i, y in zip(idx, loo):
+            (degree, value), ns = fitted[i], data[i][0]
+            vals = y[np.isfinite(y)]  # a subset whose fit fails, or is not finite at n = 1, is skipped
+            if not vals.size:
+                vals = np.asarray([value])
             err = float(max(vals.max() - vals.min(), np.abs(vals - value).max()))
-            out[i] = ContinuationResult(value, err, ns, vals)
+            out[i] = ContinuationResult(value, err, ns, vals, degree)
     return out
 
 
@@ -385,10 +430,47 @@ def _fits(z, f, terms):
     return fits
 
 
-def _value_at_one(fit, ns, scale):
-    """The fit at n = 1, rescaled; ``ContinuationError`` for a pole in [1, max n] or a non-finite value."""
-    _check_poles(fit, 1.0 - 1e-9, ns.max() + 1e-9, scale=1.0)
-    value = float(fit(np.array([1.0]))[0]) * scale
-    if not np.isfinite(value):
-        raise ContinuationError("interpolant evaluated to a non-finite value at n = 1")
-    return value
+def _stacked(fits, idx):
+    """Support points, support values and weights of the fits ``idx``, as (B, m) stacks."""
+    return (np.array([fits[k].support for k in idx]),
+            np.array([fits[k].support_values for k in idx]),
+            np.array([fits[k].weights for k in idx]))
+
+
+def _at_one(fits) -> np.ndarray:
+    """r(1) of every fit, NaN in place of an exception: one stacked product per support size."""
+    out = np.full(len(fits), np.nan)
+    ok = [k for k, fit in enumerate(fits) if not isinstance(fit, Exception)]
+    for idx in _grouped(ok, lambda k: fits[k].support.size):
+        out[idx] = _rational(np.ones((len(idx), 1)), *_stacked(fits, idx))[:, 0]
+    return out
+
+
+def _pole_screen(fits, hi) -> list:
+    """Per fit, None, or why its value at n = 1 cannot be used.
+
+    That is the fit's own exception, the one its pole computation raises,
+    or a ``ContinuationError`` for a pole on the real axis inside
+    [1, ``hi``]. Spurious, nearly cancelling pole-zero pairs carry
+    negligible residues, so only poles that move the interpolant count.
+    Residues and the test run on one stack per support size.
+    """
+    out = [fit if isinstance(fit, Exception) else None for fit in fits]
+    rows = {}
+    for k, fit in enumerate(fits):
+        if out[k] is None:
+            try:
+                rows[k] = fit.pole_row()  # computed here only for a fit its clean-up re-solved
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                out[k] = exc
+    lo = 1.0 - 1e-9
+    for idx in _grouped(rows, lambda k: rows[k].size):
+        poles = np.array([rows[k] for k in idx])
+        res = _residues(poles, *_stacked(fits, idx))
+        top = hi[idx][:, None]
+        bad = ((np.abs(poles.imag) < 1e-8) & (poles.real > lo) & (poles.real < top)
+               & (np.abs(res) > 1e-7))
+        for j in np.flatnonzero(bad.any(axis=1)):
+            out[idx[j]] = ContinuationError(f"interpolant has poles at "
+                                            f"{np.sort(poles[j, bad[j]].real)} inside [{lo}, {top[j, 0]}]")
+    return out

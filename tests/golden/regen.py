@@ -1,0 +1,77 @@
+"""Rewrite the golden CLI outputs after an intended change to their numbers.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+``boson_sweeps.csv`` holds the CSV of every command in ``COMMANDS``, each
+block opened by a ``## opens <argv>`` line. ``tests/test_golden.py``
+reruns them in-process and compares. A change that rewrites the file lists
+in its change notes every row that moved and by how much.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+PATH = Path(__file__).with_name("boson_sweeps.csv")
+
+
+def _holevo(L, d, l2="10.0:100000.0:25:log"):
+    return ("boson-holevo", "--L", L, "--d", d, "--eps", "0.5", "--l2", l2, "--nmax", "8")
+
+
+def _time(L, d, l2):
+    return ("boson-time", "--L", L, "--d", d, "--l2", l2, "--t", "1000.0:1000000.0:20:log")
+
+
+# the README boson-holevo sweep, then the benchmark's continuum panels on
+# their unjittered grids
+COMMANDS = (
+    _holevo("10", "10", "10:100000:25:log"),
+    _holevo("10.0", "10.0"),
+    _holevo("10.0", "100.0"),
+    _holevo("100.0", "500.0"),
+    _time("10.0", "5.0", "10.0"),
+    _time("10.0", "10.0", "100.0"),
+    _time("1.0", "1.0", "2.0"),
+)
+
+
+def run(argv) -> str:
+    """The CLI's CSV for ``argv``, with ``OPENS_JOBS`` unset as in a clean shell."""
+    from opens.cli import main
+
+    jobs = os.environ.pop("OPENS_JOBS", None)
+    try:
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(list(argv))
+    finally:
+        if jobs is not None:
+            os.environ["OPENS_JOBS"] = jobs
+    if code != 0:
+        raise RuntimeError(f"opens {' '.join(argv)} exited {code}:\n{out.getvalue()}")
+    return out.getvalue()
+
+
+def read(path=PATH) -> dict:
+    """{argv: CSV text} of a golden file."""
+    blocks, argv = {}, None
+    for line in Path(path).read_text().splitlines(keepends=True):
+        if line.startswith("## opens "):
+            argv = tuple(line[len("## opens "):].split())
+            blocks[argv] = ""
+        else:
+            blocks[argv] += line
+    return blocks
+
+
+def main() -> None:
+    PATH.write_text("".join(f"## opens {' '.join(argv)}\n{run(argv)}" for argv in COMMANDS))
+    print(f"wrote {len(COMMANDS)} commands to {PATH}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -283,6 +283,26 @@ class TestCommands:
             assert [l for l in outs[0] if l.startswith("# max_error_estimate")] == [
                 f"# max_error_estimate = {want:.12g}"]
 
+    def test_boson_commands_record_continuation_degrees(self, tmp_path):
+        # rows per degree left after the 4 -> 3 -> 2 fallback, as each point
+        # alone reports it; the counts cover every row
+        geo = lambda l2: Geometry(10.0, 20.0, 20.0 + l2, 0.5)
+        for args, results in (
+            (["boson-holevo", "--l2", "10,250,4000,100000"],
+             [holevo_chi_detailed(geo(l2)) for l2 in (10.0, 250.0, 4000.0, 1e5)]),
+            (["boson-time", "--l2", "10", "--t", "1000,30000,1000000"],
+             [holevo_chi_time_detailed(geo(10.0), TimeParams(t, 1e-3)) for t in (1e3, 3e4, 1e6)]),
+        ):
+            out = tmp_path / "d.csv"
+            assert main(["--output", str(out)] + args) == 0
+            lines = out.read_text().splitlines()
+            rows = [l for l in lines if not l.startswith("#")][1:]
+            (degrees,) = [l.split(" = ")[1] for l in lines if l.startswith("# continuation_degrees")]
+            counts = dict(tuple(map(int, part.split(":"))) for part in degrees.split(";"))
+            assert sum(counts.values()) == len(rows) == len(results)
+            assert counts == {d: [r.degree for r in results].count(d) for d in counts}
+            assert list(counts) == sorted(counts, reverse=True)
+
     def test_operator_commands_record_error_estimate(self, tmp_path):
         base = ["--L", "1", "--d", "1", "--spec", "scalar:1.25"]
         for args in (["operator-m", "--l2", "2", "--n", "3"],

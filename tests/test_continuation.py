@@ -98,6 +98,18 @@ def _scipy_stack(z, f, max_terms):
         return [ScipyAAA(zi, fi, max_terms=max_terms) for zi, fi in zip(z, f)]
 
 
+def _scipy_fits(z, f, max_terms):
+    """``_scipy_stack`` as the fits the pipeline reads: scipy's support, weights and poles."""
+    fits = []
+    for zi, fi, ref in zip(z, f, _scipy_stack(z, f, max_terms)):
+        poles = ref.poles()
+        row = np.full(ref.weights.size + 1, np.nan, dtype=complex)  # the infinite ones
+        row[:poles.size] = poles
+        fits.append(continuation.BarycentricFit(zi, fi, ref.support_points, ref.support_values,
+                                                ref.weights, row))
+    return fits
+
+
 def _outcome(samples, degree):
     try:
         res = continue_to_one(ContinuationProblem(samples, max_degree=degree))
@@ -158,9 +170,9 @@ def _branches(monkeypatch, samples, degree):
             seen["null2"] += int((a.shape[-1] - rank >= 2).any())
         return w
 
-    def spy_clean_up(fit):
+    def spy_clean_up(fit, *args):
         size = fit.support.size
-        clean_up(fit)
+        clean_up(fit, *args)
         seen["cleanup"] += int(fit.support.size < size)
 
     monkeypatch.setattr(continuation, "_weights", spy_weights)
@@ -200,7 +212,7 @@ def test_continuation_matches_scipy_aaa(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the 0/0 of zero_column
         ours = [_outcome(s, degree) for s, degree in cases]
-        monkeypatch.setattr(continuation, "AAA", _scipy_stack)
+        monkeypatch.setattr(continuation, "AAA", _scipy_fits)
         ref = [_outcome(s, degree) for s, degree in cases]
     assert {"ContinuationError", "ValueError"} <= {r for r in ref if isinstance(r, str)}
     for got, want in zip(ours, ref):
@@ -271,6 +283,20 @@ assert not loaded, loaded
 # stacked continuation against the per-set loop it replaced
 
 
+def check_poles(fit, lo, hi):
+    """The per-fit pole screen: a real pole in (lo, hi) whose residue moves r raises."""
+    poles = fit.poles()
+    if poles.size == 0:
+        return
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cc = 1.0 / np.subtract.outer(poles, fit.support)
+        residues = cc @ (fit.support_values * fit.weights) / (-(cc**2) @ fit.weights)
+    real_ax = (np.abs(poles.imag) < 1e-8) & (poles.real > lo) & (poles.real < hi)
+    bad = poles[real_ax & (np.abs(residues) > 1e-7)]
+    if bad.size:
+        raise ContinuationError(f"interpolant has poles at {np.sort(bad.real)} inside [{lo}, {hi}]")
+
+
 def loop_continue_to_one(p):
     """One set, one full fit and one leave-one-out stack, as before stacking sets."""
     ns = np.array([float(s[0]) for s in p.samples])
@@ -282,7 +308,7 @@ def loop_continue_to_one(p):
         return ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)))
     terms = p.max_degree + 1
     fit, = continuation.AAA(ns[None], vals[None] / scale, min(terms, len(ns)))
-    continuation._check_poles(fit, 1.0 - 1e-9, ns.max() + 1e-9, scale=1.0)
+    check_poles(fit, 1.0 - 1e-9, ns.max() + 1e-9)
     value = float(fit(np.array([1.0]))[0]) * scale
     if not np.isfinite(value):
         raise ContinuationError("interpolant evaluated to a non-finite value at n = 1")
@@ -342,7 +368,12 @@ def _stack_sets():
     for L, d in ((10.0, 10.0), (100.0, 500.0)):
         for l2 in np.geomspace(10.0, 1e5, 6):
             sets.append(chi_samples(Geometry(L, L + d, L + d + l2, 0.5), 9))
-    return sets + _boson_sample_sets()[::4]
+    # the special sets with a boson set of their own length each, so that
+    # a clean-up and a pole screen that raises sit in stacks of several
+    near = Geometry(10.0, 20.0, 120.0, 0.5)
+    return sets + _boson_sample_sets()[::4] + [
+        SPECIAL_SETS["pole_and_outlier"], chi_samples(near, 12),
+        SPECIAL_SETS["constant_and_outlier"], chi_samples(near, 7)]
 
 
 def _same_outcome(got, want):
@@ -363,7 +394,26 @@ def test_stacked_sets_match_the_loop_alone_together_and_reversed(monkeypatch):
         stacks.append((a.shape[0], int((w == 0).any(axis=1).sum())))
         return w
 
+    # which fits a clean-up shortened, and per pole screen: its stack size,
+    # whether it holds such a fit, and how many of its fits it rejects
+    cleaned, screens = set(), []
+    clean_up, pole_screen = continuation.BarycentricFit.clean_up, continuation._pole_screen
+
+    def spy_clean_up(fit, *args):
+        size = fit.support.size
+        clean_up(fit, *args)
+        if fit.support.size < size:
+            cleaned.add(id(fit))
+
+    def spy_screen(fits, hi):
+        why = pole_screen(fits, hi)
+        screens.append((len(fits), any(id(fit) in cleaned for fit in fits),
+                        sum(isinstance(w, ContinuationError) for w in why)))
+        return why
+
     monkeypatch.setattr(continuation, "_weights", spy)
+    monkeypatch.setattr(continuation.BarycentricFit, "clean_up", spy_clean_up)
+    monkeypatch.setattr(continuation, "_pole_screen", spy_screen)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         loop = [loop_with_fallback(s) for s in sets]
@@ -372,19 +422,25 @@ def test_stacked_sets_match_the_loop_alone_together_and_reversed(monkeypatch):
         # raise, the stacks stay whole
         kept = [s for s in sets if s is not STACK_SETS["value_error"]]
         stacks.clear()
+        screens.clear()
         whole = continue_stack(kept, 4, (3, 2))
-        seen = list(stacks)
+        seen, screened = list(stacks), list(screens)
         together = continue_stack(sets, 4, (3, 2))
         backwards = continue_stack(sets[::-1], 4, (3, 2))[::-1]
     # the sets reach every path: each fallback degree, no degree, a fit that
-    # raises, and a zero weight inside a stack of several members, which
-    # takes the whole stack through the per-member products
+    # raises, a zero weight inside a stack of several members, which takes
+    # the whole stack through the per-member products, and a stack of
+    # several members holding a fit that its clean-up re-solved and a pole
+    # that the screen rejects
     degrees = [d for _, d in loop]
     assert {4, 3, 2, None} <= set(degrees)
     assert degrees[:3] == [3, 2, None] and isinstance(loop[4][0], ValueError)
     assert any(size > 1 and zero for size, zero in seen)
-    for (want, _), a, t, b in zip(loop, alone, together, backwards):
+    assert any(size > 1 and shortened and rejected for size, shortened, rejected in screened)
+    for (want, degree), a, t, b in zip(loop, alone, together, backwards):
         assert _same_outcome(a, want) and _same_outcome(t, want) and _same_outcome(b, want)
+        if degree is not None:  # the degree left after the fallback
+            assert a.degree == t.degree == b.degree == degree
     assert all(_same_outcome(w, alone[sets.index(s)]) for w, s in zip(whole, kept))
 
 
