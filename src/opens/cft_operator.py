@@ -197,8 +197,8 @@ def __getattr__(name):
 
 
 def _quad(func, lo, hi, cfg: QuadratureConfig, points=None, what=""):
-    # full output returns QUADPACK's message instead of warning, so no
-    # thread has to touch the process-wide warning filters; the attribute
+    # full output returns QUADPACK's message instead of warning, so the
+    # check below decides whatever the warning filters; the attribute
     # lookup goes through __getattr__ and sees any replacement of it
     val, abserr = sys.modules[__name__].integrate.quad(
         func,

@@ -162,29 +162,29 @@ class NambuCorrelationMatrix:
         idx = np.r_[np.asarray(sites), np.asarray(sites) + self.m]
         return NambuCorrelationMatrix(self.gamma[np.ix_(idx, idx)])
 
-    def dmatrix(self, clip: float = CLIP) -> np.ndarray:
+    def dmatrix(self) -> np.ndarray:
         """Transposed, eigenvalue-clipped copy used by the kernel algebra."""
         if not self.conserves_charge:
-            return self._clipped(self.gamma.T, clip)
+            return self._clipped(self.gamma.T)
         m = self.m
-        dp = self.dmatrix_particle(clip)
+        dp = self.dmatrix_particle()
         d = np.zeros(self.gamma.shape, dtype=dp.dtype)
         d[:m, :m] = dp
         d[m:, m:] = -dp.T
         return d
 
-    def dmatrix_particle(self, clip: float = CLIP) -> np.ndarray:
+    def dmatrix_particle(self) -> np.ndarray:
         """Particle block of ``dmatrix`` for a number-conserving state, clipped on its own."""
         if not self.conserves_charge:
             raise ValueError("the state pairs particles: it has no particle block of its own")
-        return self._clipped(self.gamma[:self.m, :self.m].T, clip)
+        return self._clipped(self.gamma[:self.m, :self.m].T)
 
-    def _clipped(self, d: np.ndarray, clip: float) -> np.ndarray:
-        """The eigensolved matrix d, its eigenvalues clipped into [-1 + clip, 1 - clip]."""
+    def _clipped(self, d: np.ndarray) -> np.ndarray:
+        """The eigensolved matrix d, its eigenvalues clipped into [-1 + CLIP, 1 - CLIP]."""
         w, v = self._eig
-        if np.abs(w).max() <= 1.0 - clip:
+        if np.abs(w).max() <= 1.0 - CLIP:
             return d.copy()
-        w = np.clip(w, -1.0 + clip, 1.0 - clip)
+        w = np.clip(w, -1.0 + CLIP, 1.0 - CLIP)
         return (v * w) @ v.conj().T
 
     def renyi_entropy(self, n: float) -> float:
@@ -611,12 +611,9 @@ def _check_dressing(gamma: float, rcond: float):
         )
 
 
-def _window_for(model_or_corr, layout: SubsystemLayout, n_sites: int | None = None) -> GaussianWindow:
+def _window_for(model_or_corr, layout: SubsystemLayout) -> GaussianWindow:
     if isinstance(model_or_corr, NambuCorrelationMatrix):
         corr = model_or_corr
-    elif n_sites is not None:
-        full = finite_chain_correlations(model_or_corr, n_sites)
-        corr = full.restrict(layout.sites_A + layout.sites_B)
     else:
         corr = ground_state_correlations(model_or_corr, layout)
     window = ChargeBlockWindow if corr.conserves_charge else GaussianWindow
@@ -640,36 +637,32 @@ def flux_correlation_matrix(corr: NambuCorrelationMatrix, gamma: float, layout: 
     return dd.T, log_ratio
 
 
-def charged_moments_lattice(model_or_corr, layout: SubsystemLayout, gammas,
-                            n_sites: int | None = None) -> complex:
+def charged_moments_lattice(model_or_corr, layout: SubsystemLayout, gammas) -> complex:
     """Normalized flux-dressed replica trace Z_n(gamma_1..gamma_n) / Z_n.
 
     Tr_A prod_j Tr_B(rho_AB e^{i gamma_j Q_B}) over Tr rho_A^n. Accepts a
-    preset model (infinite-chain kernels), a model plus ``n_sites`` (open
-    finite chain), or an explicit window ``NambuCorrelationMatrix``.
-    Exactly 1 at zero flux.
+    preset model (infinite-chain kernels) or an explicit window
+    ``NambuCorrelationMatrix``; an open finite chain enters as
+    ``finite_chain_correlations(model, n).restrict(layout.sites_A +
+    layout.sites_B)``. Exactly 1 at zero flux.
     """
     gammas = [float(g) for g in np.atleast_1d(gammas)]
-    win = _window_for(model_or_corr, layout, n_sites)
+    win = _window_for(model_or_corr, layout)
     log_num = sum(win.log_flux_trace(g) for g in gammas)
     log_num += win.log_replica_product(gammas)
     log_den = win.log_renyi_norm(len(gammas))
     return complex(np.exp(log_num - log_den))
 
 
-def ising_gamma_rescaling(gamma: float, divide_by_pi: bool = False) -> float:
+def ising_gamma_rescaling(gamma: float) -> float:
     """Flux rescaling mapping Ising charged moments onto the Gaussian form.
 
-    arctanh(tan(gamma / 2)), approximately gamma / 2 at small flux. The
-    ``divide_by_pi`` variant returns arctanh(tan(gamma/2)) / pi, the
-    normalization under which the rescaled flux feeds the h_s = 1 flat
-    integral directly; lattice fits select this convention.
+    arctanh(tan(gamma / 2)), approximately gamma / 2 at small flux.
     """
     t = np.tan(gamma / 2.0)
     if np.abs(t) >= 1.0:
         raise DomainError(f"|tan(gamma/2)| = {abs(t):.3f} >= 1: rescaling undefined")
-    u = np.arctanh(t)
-    return float(u / np.pi) if divide_by_pi else float(u)
+    return float(np.arctanh(t))
 
 
 def ising_log_coefficient_prediction(gammas) -> float:
@@ -677,12 +670,13 @@ def ising_log_coefficient_prediction(gammas) -> float:
 
     Plugging the h_s = 1 flat-interval integral (universal part
     -2 log ell2 per replica diagonal) into the Gaussian quadratic form
-    with rescaled fluxes gives sum_i (arctanh(tan(gamma_i/2)) / pi)^2.
+    with rescaled fluxes gives sum_i (arctanh(tan(gamma_i/2)) / pi)^2: the
+    rescaled flux over pi feeds the h_s = 1 flat integral directly.
     """
-    return float(sum(ising_gamma_rescaling(g, divide_by_pi=True) ** 2 for g in np.atleast_1d(gammas)))
+    return float(sum((ising_gamma_rescaling(g) / np.pi) ** 2 for g in np.atleast_1d(gammas)))
 
 
-def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | None = None):
+def charge_sector_table(model_or_corr, layout: SubsystemLayout):
     """Outcome probabilities p_q and pairwise overlaps R_{q1 q2}.
 
     The charge of B takes integer values q = 0..ell2, so the gamma
@@ -693,7 +687,7 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | N
     determinants of the ell1 x ell1 particle blocks. Returns (p, R, raw) with
     raw[q1, q2] = Tr(rho~_{A,q1} rho~_{A,q2}) = p_{q1} p_{q2} R_{q1 q2}.
     """
-    win = _window_for(model_or_corr, layout, n_sites)
+    win = _window_for(model_or_corr, layout)
     nq = layout.ell2 + 1
     # any nq equally spaced fluxes mod 2 pi invert the integer spectrum
     # exactly; the half-spacing offset (odd ell2) keeps gamma = pi, where
@@ -724,12 +718,11 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout, n_sites: int | N
     return p, R, raw
 
 
-def post_measurement_overlap(model_or_corr, layout: SubsystemLayout, q1: int, q2: int,
-                             n_sites: int | None = None) -> float:
+def post_measurement_overlap(model_or_corr, layout: SubsystemLayout, q1: int, q2: int) -> float:
     """Overlap R_{q1 q2} = Tr(rho_{A,q1} rho_{A,q2}) of two outcome states."""
     if not (0 <= q1 <= layout.ell2 and 0 <= q2 <= layout.ell2):
         raise ValueError(f"charges must lie in 0..{layout.ell2}")
-    _, R, _ = charge_sector_table(model_or_corr, layout, n_sites)
+    _, R, _ = charge_sector_table(model_or_corr, layout)
     return float(R[q1, q2])
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -214,7 +215,12 @@ class TestCommands:
         assert lines[0].split(",")[-2:] == ["cft_prediction", "fitted_constant"]
         assert len(lines) == 3
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
+    def test_jobs_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # --jobs is accepted and recorded, but every sweep runs serially
+        def no_thread(self):
+            raise AssertionError(f"a sweep started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         body = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")]
         for args in (
             ["boson-holevo", "--L", "10", "--d", "10", "--l2", "10:1000:4:log"],
@@ -228,6 +234,22 @@ class TestCommands:
             assert main(["--output", str(out1), "--jobs", "1"] + args) == 0
             assert main(["--output", str(out2), "--jobs", "3"] + args) == 0
             assert body(out1) == body(out2)
+            assert "# jobs = 3" in out2.read_text().splitlines()
+
+    def test_integer_grids_reject_repeated_points(self, tmp_path):
+        # truncation to integers would evaluate n = 1,1,1,2,2,2,3 and l2 = 1
+        # six times; the grid is refused before any point runs
+        out = tmp_path / "r.csv"
+        for args, error in (
+            (CN_TABLE[:4] + ["1:3:7"] + CN_TABLE[5:],
+             "ValueError: grid '1:3:7' repeats n = 1 once truncated to integers; "
+             "give distinct integer points"),
+            (["lattice-moments", "--l1", "4", "--d-sites", "4", "--l2", "1:10:20:log"],
+             "ValueError: grid '1:10:20:log' repeats l2 = 1 once truncated to integers; "
+             "give distinct integer points"),
+        ):
+            assert main(["--output", str(out)] + args) == 1
+            assert out.read_text().splitlines()[-1] == error
 
     @pytest.mark.parametrize("env,flags,shown", [("abc", [], "'abc'"),
                                                  (None, ["--jobs", "0"], "'0'"),
@@ -255,7 +277,7 @@ class TestCommands:
         assert "# jobs = 3" in out.read_text().splitlines()
 
     def test_jobs_leave_warning_filters_alone(self, tmp_path):
-        # a per-call save and restore of the filters races between threads
+        # a command leaves the process-wide warning filters as it found them
         before = list(warnings.filters)
         for args in (["boson-holevo", "--L", "10", "--d", "10", "--l2", "10:1000:4:log"],
                      CN_TABLE):

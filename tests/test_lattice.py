@@ -563,9 +563,6 @@ class TestIsingRescaling:
             ising_gamma_rescaling(2.0)  # tan(1) > 1
 
     def test_pi_convention(self):
-        assert ising_gamma_rescaling(0.6, divide_by_pi=True) == pytest.approx(
-            ising_gamma_rescaling(0.6) / np.pi, rel=1e-12
-        )
         assert ising_log_coefficient_prediction([0.6, 0.6]) == pytest.approx(
             2 * (np.arctanh(np.tan(0.3)) / np.pi) ** 2, rel=1e-12
         )
