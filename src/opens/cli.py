@@ -407,7 +407,8 @@ def cmd_ed_verify(args):
     cols = ["route", "model", "sites", "l1", "d", "l2", "quantity", "gammas",
             "det_re", "det_im", "ed_re", "ed_im", "abs_diff"]
     prov = {"max_abs_diff": _fmt(worst), "tolerance": "1e-08",
-            "verdict": "pass" if worst < 1e-8 else "FAIL"}
+            "verdict": "pass" if worst < 1e-8 else "FAIL",
+            "ed_gap": _fmt(oracle.gap), "ed_residual": _fmt(oracle.residual)}
     return cols, rows, prov, (0 if worst < 1e-8 else 1)
 
 

@@ -23,11 +23,14 @@ a_{2j+1} = i (c+_j - c_j) and M_kl = (i/2) <[a_k, a_l]>: the flux trace
 over B and the pair trace of two states on A are each one Pfaffian
 (Fagotti & Calabrese, J. Stat. Mech. (2010) P04016).
 
-Number-conserving states (zero pairing blocks, hole block exactly minus
-the transposed particle block: the xx preset and every kappa = 0 chain)
-take a charge-block route on the m x m particle block instead, where
+The route follows the state's type. Number-conserving states (the xx
+preset and every kappa = 0 chain) are built as the m x m particle block
+alone (``ParticleCorrelationMatrix``) and take a charge-block route, where
 traces factorize over occupations and pair traces are determinants
-(``ChargeBlockWindow``).
+(``ChargeBlockWindow``). Paired states are built doubled
+(``NambuCorrelationMatrix``) and take the Pfaffians; so does a conserving
+Gamma passed in doubled form, which agrees with the charge-block route to
+<= 1e-12 relative away from zeros of the flux trace.
 
 Costs per window. Pfaffian route: one eigensolve of Gamma, which
 validates it and clips it; M in O(m^2) from sums and differences of the
@@ -110,80 +113,53 @@ class SubsystemLayout:
         return list(range(self.ell1 + self.d, self.ell1 + self.d + self.ell2))
 
 
-class NambuCorrelationMatrix:
-    """Two-point matrix over doubled indices for a Gaussian fermion state.
+class CorrelationMatrix:
+    """Validated two-point matrix Gamma of a Gaussian fermion state.
 
-    A state whose pairing blocks are exactly zero, and whose hole block is
-    exactly minus the transposed particle block, conserves particle number
-    (``conserves_charge``). Its doubled spectrum is {p} u {-p} with p that
-    of the m x m particle block, so every spectral question is put to that
-    block alone.
+    Each mode of the m-site window holds ``blocks`` rows of Gamma. One
+    eigensolve of D = Gamma^T serves the range check, the clip in
+    ``dmatrix`` and the occupations in ``renyi_entropy``.
     """
+
+    blocks = 1
 
     def __init__(self, gamma: np.ndarray):
         gamma = np.asarray(gamma)
-        m2 = gamma.shape[0]
-        if gamma.ndim != 2 or gamma.shape[1] != m2 or m2 % 2:
-            raise ValueError(f"need a 2m x 2m matrix, got shape {gamma.shape}")
+        size = gamma.shape[0]
+        if gamma.ndim != 2 or gamma.shape[1] != size or size % self.blocks:
+            raise ValueError(f"need a square matrix of {self.blocks} rows per site, "
+                             f"got shape {gamma.shape}")
         herm = np.abs(gamma - gamma.conj().T).max()
         if herm > 1e-10:
             raise ValueError(f"correlation matrix not Hermitian, residue {herm:.2e}")
-        m = m2 // 2
-        particle = gamma[:m, :m]
-        self.conserves_charge = bool(
-            not gamma[:m, m:].any() and not gamma[m:, :m].any()
-            and np.array_equal(gamma[m:, m:], -particle.T))
-        # one eigensolve of D = Gamma^T, or of its particle block, serves
-        # this range check, the clip in dmatrix and the occupations in
-        # renyi_entropy
-        self._eig = np.linalg.eigh(particle.T if self.conserves_charge else gamma.T)
+        self._eig = np.linalg.eigh(gamma.T)
         ev = self.spectrum
         if ev[0] < -1.0 - 1e-10 or ev[-1] > 1.0 + 1e-10:
             raise ValueError(f"eigenvalues outside [-1, 1]: [{ev[0]}, {ev[-1]}]")
         self.gamma = gamma
-        self.m = m
+        self.m = size // self.blocks
 
     @property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of D = Gamma^T in ascending order."""
-        w = self._eig[0]
-        return np.sort(np.r_[w, -w]) if self.conserves_charge else w
+        return self._eig[0]
 
-    def nambu_swap(self) -> np.ndarray:
-        """Particle-hole conjugate Sx Gamma^T Sx; equals -Gamma."""
-        m = self.m
-        sw = np.block(
-            [[np.zeros((m, m)), np.eye(m)], [np.eye(m), np.zeros((m, m))]]
-        )
-        return sw @ self.gamma.T @ sw
+    @property
+    def modes_per_eigenvalue(self) -> float:
+        """Fermion modes per eigenvalue of Gamma: doubled indices count each twice."""
+        return 1.0 / self.blocks
 
-    def restrict(self, sites) -> "NambuCorrelationMatrix":
+    def restrict(self, sites) -> "CorrelationMatrix":
         """Correlations of the subsystem on the given window positions."""
-        idx = np.r_[np.asarray(sites), np.asarray(sites) + self.m]
-        return NambuCorrelationMatrix(self.gamma[np.ix_(idx, idx)])
+        sites = np.asarray(sites)
+        idx = np.concatenate([sites + k * self.m for k in range(self.blocks)])
+        return type(self)(self.gamma[np.ix_(idx, idx)])
 
     def dmatrix(self) -> np.ndarray:
-        """Transposed, eigenvalue-clipped copy used by the kernel algebra."""
-        if not self.conserves_charge:
-            return self._clipped(self.gamma.T)
-        m = self.m
-        dp = self.dmatrix_particle()
-        d = np.zeros(self.gamma.shape, dtype=dp.dtype)
-        d[:m, :m] = dp
-        d[m:, m:] = -dp.T
-        return d
-
-    def dmatrix_particle(self) -> np.ndarray:
-        """Particle block of ``dmatrix`` for a number-conserving state, clipped on its own."""
-        if not self.conserves_charge:
-            raise ValueError("the state pairs particles: it has no particle block of its own")
-        return self._clipped(self.gamma[:self.m, :self.m].T)
-
-    def _clipped(self, d: np.ndarray) -> np.ndarray:
-        """The eigensolved matrix d, its eigenvalues clipped into [-1 + CLIP, 1 - CLIP]."""
+        """D = Gamma^T with its eigenvalues clipped into [-1 + CLIP, 1 - CLIP]."""
         w, v = self._eig
         if np.abs(w).max() <= 1.0 - CLIP:
-            return d.copy()
+            return self.gamma.T.copy()
         w = np.clip(w, -1.0 + CLIP, 1.0 - CLIP)
         return (v * w) @ v.conj().T
 
@@ -196,7 +172,36 @@ class NambuCorrelationMatrix:
             s = -(p * np.log(p) + q * np.log(q))
         else:
             s = np.log(p**n + q**n) / (1.0 - n)
-        return 0.5 * float(np.sum(s))  # doubled indices count each mode twice
+        return self.modes_per_eigenvalue * float(np.sum(s))
+
+
+class NambuCorrelationMatrix(CorrelationMatrix):
+    """2m x 2m Gamma over the doubled indices (c, c+), pairing allowed.
+
+    Its windows take the Pfaffian route (``GaussianWindow``). That holds
+    for a number-conserving state given in this form too; the route agrees
+    with the charge-block one to <= 1e-12 relative away from trace zeros.
+    """
+
+    blocks = 2
+
+    def nambu_swap(self) -> np.ndarray:
+        """Particle-hole conjugate Sx Gamma^T Sx; equals -Gamma."""
+        m = self.m
+        sw = np.block(
+            [[np.zeros((m, m)), np.eye(m)], [np.eye(m), np.zeros((m, m))]]
+        )
+        return sw @ self.gamma.T @ sw
+
+
+class ParticleCorrelationMatrix(CorrelationMatrix):
+    """m x m G = 2 C - 1, C_jl = <c+_j c_l>, of a number-conserving state.
+
+    Without pairing the doubled matrix is diag(G, -G^T), so G carries the
+    whole state and each of its eigenvalues stands for one mode (Peschel,
+    J. Phys. A 36, L205 (2003)). Its windows take the charge-block route
+    (``ChargeBlockWindow``).
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +240,14 @@ def _gamma_from_cf(C: np.ndarray, F: np.ndarray) -> np.ndarray:
     )
 
 
-def ground_state_correlations(model: LatticeModel, layout: SubsystemLayout) -> NambuCorrelationMatrix:
+def ground_state_correlations(model: LatticeModel, layout: SubsystemLayout) -> CorrelationMatrix:
     """Infinite-chain ground-state correlations on the A u B window.
 
     The gap between A and B is traced out, which for Gaussian states just
     means its rows and columns are dropped. Only the two preset models
     carry infinite-volume kernels; other couplings go through
-    ``finite_chain_correlations``.
+    ``finite_chain_correlations``. xx gives a ``ParticleCorrelationMatrix``,
+    Ising a ``NambuCorrelationMatrix``.
     """
     if not model.is_preset:
         raise DomainError(
@@ -256,22 +262,18 @@ def ground_state_correlations(model: LatticeModel, layout: SubsystemLayout) -> N
         return np.array([kernel(r) for r in range(-span, span + 1)])[idx]
 
     if model.is_tight_binding:
-        C = table(tight_binding_c)
-        F = np.zeros_like(C)
-    else:
-        C = table(ising_c)
-        F = table(ising_f)
-    return NambuCorrelationMatrix(_gamma_from_cf(C, F))
+        return ParticleCorrelationMatrix(2 * table(tight_binding_c) - np.eye(len(sites)))
+    return NambuCorrelationMatrix(_gamma_from_cf(table(ising_c), table(ising_f)))
 
 
-def finite_chain_correlations(model: LatticeModel, n_sites: int) -> NambuCorrelationMatrix:
+def finite_chain_correlations(model: LatticeModel, n_sites: int) -> CorrelationMatrix:
     """Ground-state correlations of the open chain from its BdG modes.
 
-    Works for any (kappa, h); the doubled correlation matrix is
-    2 P - 1 with P the projector onto negative-energy quasiparticle
-    eigenvectors in the (c, c+) basis. Without pairing (kappa = 0) P is
-    block diagonal, so <c+c> comes from the hopping matrix alone and the
-    doubled matrix conserves charge exactly, not just to rounding.
+    Works for any (kappa, h); the correlation matrix is 2 P - 1 with P the
+    projector onto negative-energy quasiparticle eigenvectors. With pairing
+    that is the doubled (c, c+) basis, a ``NambuCorrelationMatrix``.
+    Without it (kappa = 0) P comes from the hopping matrix alone and
+    projects onto the occupied orbitals, a ``ParticleCorrelationMatrix``.
     """
     N = n_sites
     T = np.zeros((N, N))
@@ -290,9 +292,8 @@ def finite_chain_correlations(model: LatticeModel, n_sites: int) -> NambuCorrela
         )
     occ = V[:, w < 0]
     P = occ @ occ.T
-    if not pairs:
-        return NambuCorrelationMatrix(_gamma_from_cf(P, np.zeros((N, N))))
-    return NambuCorrelationMatrix(2 * P - np.eye(2 * N))
+    kind = NambuCorrelationMatrix if pairs else ParticleCorrelationMatrix
+    return kind(2 * P - np.eye(len(P)))
 
 
 def ring_correlations(model: LatticeModel, n_sites: int, rmax: int):
@@ -443,12 +444,10 @@ class GaussianWindow:
 
     The public methods memoize and compose; ``_prepare``, ``_flux_trace``,
     ``_dress_a``, ``pair_operand`` and ``pair_traces`` carry the algebra,
-    which ``ChargeBlockWindow`` replaces for number-conserving states.
+    which ``ChargeBlockWindow`` replaces for a ``ParticleCorrelationMatrix``.
     """
 
-    modes_per_eigenvalue = 0.5  # doubled indices count each mode twice
-
-    def __init__(self, corr: NambuCorrelationMatrix, n_a: int, n_b: int):
+    def __init__(self, corr: CorrelationMatrix, n_a: int, n_b: int):
         if corr.m != n_a + n_b:
             raise ValueError(f"window has {corr.m} sites, layout wants {n_a + n_b}")
         self.corr = corr
@@ -547,17 +546,15 @@ class GaussianWindow:
     def log_renyi_norm(self, n: int) -> float:
         """log Tr rho_A^n from the undressed mode occupations."""
         nu = np.linalg.eigvalsh((self.d_a + self.d_a.conj().T) / 2.0)
-        return self.modes_per_eigenvalue * float(
+        return self.corr.modes_per_eigenvalue * float(
             np.sum(np.log(((1 + nu) / 2.0) ** n + ((1 - nu) / 2.0) ** n))
         )
 
 
 class ChargeBlockWindow(GaussianWindow):
-    """The window of a number-conserving state, on the m x m particle block of D.
+    """The window of a ``ParticleCorrelationMatrix``, on its m x m D = G^T.
 
-    With no pairing every doubled matrix is block diagonal and its hole
-    block is minus the transposed particle block, which therefore carries
-    the whole state (Peschel, J. Phys. A 36, L205 (2003)):
+    With no pairing the particle block carries the whole state, and:
 
     - the flux trace is prod_k (1 - nu_k + nu_k e^{i gamma}) over the
       occupations nu_k of the unclipped C_B (Klich & Levitov, PRL 102,
@@ -569,17 +566,15 @@ class ChargeBlockWindow(GaussianWindow):
     - the pair trace of two states is det((1 + D1 D2) / 2), sign included.
 
     One eigensolve of D_BB and one of C_B per window serve every flux.
-    ``D`` is the m x m particle block here; the doubled-basis
-    ``flux_diag`` and ``dressed_d_window`` belong to the Pfaffian route.
+    The doubled-basis ``flux_diag`` and ``dressed_d_window`` belong to the
+    Pfaffian route.
     """
-
-    modes_per_eigenvalue = 1.0
 
     def _prepare(self):
         n_a = self.n_a
-        self.D = self.corr.dmatrix_particle()
+        self.D = self.corr.dmatrix()
         self.d_a = self.D[:n_a, :n_a]
-        lam = np.linalg.eigvalsh(self.corr.gamma[n_a:self.w, n_a:self.w])  # 2 C_B - 1
+        lam = np.linalg.eigvalsh(self.corr.gamma[n_a:, n_a:])  # 2 C_B - 1
         self._empty, self._full = (1.0 - lam) / 2.0, (1.0 + lam) / 2.0
         self._d_b, v = np.linalg.eigh(self.D[n_a:, n_a:])
         self._left = self.D[:n_a, n_a:] @ v
@@ -612,11 +607,11 @@ def _check_dressing(gamma: float, rcond: float):
 
 
 def _window_for(model_or_corr, layout: SubsystemLayout) -> GaussianWindow:
-    if isinstance(model_or_corr, NambuCorrelationMatrix):
-        corr = model_or_corr
-    else:
-        corr = ground_state_correlations(model_or_corr, layout)
-    window = ChargeBlockWindow if corr.conserves_charge else GaussianWindow
+    """The window of the state's type: the charge block for a ``ParticleCorrelationMatrix``."""
+    corr = model_or_corr
+    if isinstance(corr, LatticeModel):
+        corr = ground_state_correlations(corr, layout)
+    window = ChargeBlockWindow if isinstance(corr, ParticleCorrelationMatrix) else GaussianWindow
     return window(corr, layout.ell1, layout.ell2)
 
 
@@ -641,10 +636,14 @@ def charged_moments_lattice(model_or_corr, layout: SubsystemLayout, gammas) -> c
     """Normalized flux-dressed replica trace Z_n(gamma_1..gamma_n) / Z_n.
 
     Tr_A prod_j Tr_B(rho_AB e^{i gamma_j Q_B}) over Tr rho_A^n. Accepts a
-    preset model (infinite-chain kernels) or an explicit window
-    ``NambuCorrelationMatrix``; an open finite chain enters as
+    preset model (infinite-chain kernels) or an explicit window correlation
+    matrix; an open finite chain enters as
     ``finite_chain_correlations(model, n).restrict(layout.sites_A +
-    layout.sites_B)``. Exactly 1 at zero flux.
+    layout.sites_B)``. The route follows the state's type: a
+    ``ParticleCorrelationMatrix`` (xx, every kappa = 0 chain) takes the
+    charge block, a ``NambuCorrelationMatrix`` the Pfaffians, even when its
+    Gamma conserves charge; the two agree to <= 1e-12 relative away from
+    zeros of the flux trace. Exactly 1 at zero flux.
     """
     gammas = [float(g) for g in np.atleast_1d(gammas)]
     win = _window_for(model_or_corr, layout)
@@ -683,8 +682,8 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout):
     integrals collapse to exact discrete Fourier sums over
     gamma_m = 2 pi m / (ell2 + 1). The (ell2 + 1)(ell2 + 2)/2 pair traces
     run in stacks of at most STACK members each, which bounds the memory
-    of large tables: Pfaffians, or on a number-conserving window
-    determinants of the ell1 x ell1 particle blocks. Returns (p, R, raw) with
+    of large tables: Pfaffians, or on a ``ParticleCorrelationMatrix``
+    window determinants of the ell1 x ell1 particle blocks. Returns (p, R, raw) with
     raw[q1, q2] = Tr(rho~_{A,q1} rho~_{A,q2}) = p_{q1} p_{q2} R_{q1 q2}.
     """
     win = _window_for(model_or_corr, layout)
@@ -786,7 +785,7 @@ class EDOracle:
             raise ValueError(f"Fock dimension 2^{n_sites} exceeds {self.MAX_DIM}")
         self.model = model
         self.n = n_sites
-        self.psi, self.gap = self._ground_state()
+        self.psi, self.gap, self.residual = self._ground_state()
         self._reshaped = {}
         self._labels = {}
 
@@ -809,21 +808,20 @@ class EDOracle:
         return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(dim, dim))
 
     def _ground_state(self):
+        """(psi, gap, residual |H psi - E0 psi|) of the ground state."""
         H = self._hamiltonian()
         if H.shape[0] <= 512:
             w, v = np.linalg.eigh(H.toarray())
-            gap = w[1] - w[0]
-            psi = v[:, 0]
         else:
             # a fixed start vector keeps the result reproducible to the bit
             v0 = np.random.default_rng(0).standard_normal(H.shape[0])
             w, v = eigsh(H, k=2, which="SA", v0=v0)
-            order = np.argsort(w)
-            gap = w[order[1]] - w[order[0]]
-            psi = v[:, order[0]]
+        order = np.argsort(w)
+        gap = w[order[1]] - w[order[0]]
+        psi = v[:, order[0]]
         if gap < 1e-10:
             raise SingularMatrixError(f"ground state degenerate, gap = {gap:.2e}")
-        return psi, float(gap)
+        return psi, float(gap), float(np.linalg.norm(H @ psi - w[order[0]] * psi))
 
     def _reshape(self, a_sites):
         """State as a matrix V[a, rest] with fermionic reorder signs, memoized per A."""

@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python tests/golden/regen.py
 
-``boson_sweeps.csv`` holds the CSV of every command in ``COMMANDS``, each
-block opened by a ``## opens <argv>`` line. ``tests/test_golden.py``
-reruns them in-process and compares. A change that rewrites the file lists
-in its change notes every row that moved and by how much.
+Each file in ``FILES`` holds the CSV of every command listed for it, each
+block opened by a ``## opens <argv>`` line: ``boson_sweeps.csv`` the
+continuation sweeps, ``lattice_sweeps.csv`` the free-fermion sweeps.
+``tests/test_golden.py`` reruns them in-process and compares. A change
+that rewrites a file lists in its change notes every row that moved and
+by how much.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-
-PATH = Path(__file__).with_name("boson_sweeps.csv")
 
 
 def _holevo(L, d, l2="10.0:100000.0:25:log"):
@@ -29,7 +29,7 @@ def _time(L, d, l2):
 
 # the README boson-holevo sweep, then the benchmark's continuum panels on
 # their unjittered grids
-COMMANDS = (
+BOSON = (
     _holevo("10", "10", "10:100000:25:log"),
     _holevo("10.0", "10.0"),
     _holevo("10.0", "100.0"),
@@ -38,6 +38,22 @@ COMMANDS = (
     _time("10.0", "10.0", "100.0"),
     _time("1.0", "1.0", "2.0"),
 )
+
+# the benchmark's two lattice-moments sweeps, the xx one as in the README;
+# lattice-overlap stays out: sectors with p_q near 1e-16 print Fourier noise
+# whose digits are not stable
+LATTICE = (
+    ("lattice-moments", "--model", "xx", "--l1", "10", "--d-sites", "10",
+     "--gamma", "0.3,0.7", "--l2", "10:200:10:log", "--compare", "cft"),
+    ("lattice-moments", "--model", "ising", "--l1", "10", "--d-sites", "10",
+     "--gamma", "0.5,0.5", "--l2", "20,40,80,140"),
+)
+
+FILES = {
+    Path(__file__).with_name("boson_sweeps.csv"): BOSON,
+    Path(__file__).with_name("lattice_sweeps.csv"): LATTICE,
+}
+COMMANDS = BOSON + LATTICE
 
 
 def run(argv) -> str:
@@ -56,7 +72,7 @@ def run(argv) -> str:
     return out.getvalue()
 
 
-def read(path=PATH) -> dict:
+def read(path) -> dict:
     """{argv: CSV text} of a golden file."""
     blocks, argv = {}, None
     for line in Path(path).read_text().splitlines(keepends=True):
@@ -69,8 +85,9 @@ def read(path=PATH) -> dict:
 
 
 def main() -> None:
-    PATH.write_text("".join(f"## opens {' '.join(argv)}\n{run(argv)}" for argv in COMMANDS))
-    print(f"wrote {len(COMMANDS)} commands to {PATH}", file=sys.stderr)
+    for path, commands in FILES.items():
+        path.write_text("".join(f"## opens {' '.join(argv)}\n{run(argv)}" for argv in commands))
+        print(f"wrote {len(commands)} commands to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ import pytest
 
 from opens.cft_boson import TimeParams, holevo_chi_detailed, holevo_chi_time_detailed
 from opens import cft_operator
-from opens.cli import _model_from_name, main, parse_grid, parse_spec
+from opens.cli import _fmt, _model_from_name, main, parse_grid, parse_spec
 from opens.core import Geometry
 from opens.errors import RegimeWarning
+from opens.lattice import EDOracle
 
 
 class TestGridParsing:
@@ -203,6 +204,16 @@ class TestCommands:
         assert main(["--output", str(out1)] + args) == 0
         assert main(["--output", str(out2)] + args) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("model", ["xx", "ising"])
+    def test_ed_verify_reports_gap_and_residual(self, tmp_path, model):
+        out = tmp_path / "ed.csv"
+        assert main(["--output", str(out), "ed-verify", "--model", model, "--sites", "12",
+                     "--l1", "3", "--d-sites", "3", "--l2-sites", "5", "--n", "2"]) == 0
+        header = dict(line[2:].split(" = ") for line in out.read_text().splitlines()
+                      if line.startswith("# ") and " = " in line)
+        assert header["ed_gap"] == _fmt(EDOracle(_model_from_name(model), 12).gap)
+        assert float(header["ed_residual"]) <= 1e-12
 
     def test_lattice_moments_with_cft_columns(self, tmp_path):
         out = tmp_path / "lat.csv"

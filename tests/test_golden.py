@@ -1,4 +1,4 @@
-"""Golden rows: the boson continuation sweeps rerun in-process.
+"""Golden rows: the boson continuation and lattice sweeps rerun in-process.
 
 Data rows must match the checked-in CSV as exact strings. On a mismatch
 the failure lists every number that moved past 1e-11 relative (the 12
@@ -16,7 +16,7 @@ _spec = importlib.util.spec_from_file_location(
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
-GOLDEN = regen.read()
+GOLDEN = {argv: (path, text) for path in regen.FILES for argv, text in regen.read(path).items()}
 
 
 def _split(text):
@@ -44,12 +44,14 @@ def _moved(want, got, rtol=1e-11):
 
 
 def test_golden_file_covers_every_command():
-    assert tuple(GOLDEN) == regen.COMMANDS
+    for path, commands in regen.FILES.items():
+        assert tuple(regen.read(path)) == commands, path.name
 
 
 @pytest.mark.parametrize("argv", regen.COMMANDS, ids=lambda argv: " ".join(argv[:5]))
 def test_golden_rows_are_unchanged(argv):
-    want_header, want_rows = _split(GOLDEN[argv])
+    path, text = GOLDEN[argv]
+    want_header, want_rows = _split(text)
     got_header, got_rows = _split(regen.run(argv))
     assert got_header == want_header
     assert len(got_rows) == len(want_rows)
@@ -58,4 +60,4 @@ def test_golden_rows_are_unchanged(argv):
         if w != g:
             moved = _moved(w, g)
             report.append(f"row {i}: " + ("; ".join(moved) if moved else "below 1e-11 relative"))
-    assert not report, "data rows differ from tests/golden/boson_sweeps.csv:\n" + "\n".join(report)
+    assert not report, f"data rows differ from tests/golden/{path.name}:\n" + "\n".join(report)

@@ -15,6 +15,7 @@ from opens.lattice import (
     GaussianWindow,
     LatticeModel,
     NambuCorrelationMatrix,
+    ParticleCorrelationMatrix,
     SubsystemLayout,
     charge_sector_table,
     charged_moments_lattice,
@@ -41,6 +42,36 @@ def window_corr(model, n_sites, layout):
     return finite_chain_correlations(model, n_sites).restrict(
         layout.sites_A + layout.sites_B
     )
+
+
+def doubled(g):
+    """[[g, 0], [0, -g^T]]: the doubled matrix of a number-conserving state."""
+    z = np.zeros_like(g)
+    return np.block([[g, z], [z, -g.T]])
+
+
+class DoubledParticle(NambuCorrelationMatrix):
+    """A ParticleCorrelationMatrix doubled, with D clipped block by block.
+
+    D is diag(D_p, -D_p^T) with D_p the charge route's own clipped D, so the
+    Pfaffian route runs on exactly the state the charge route holds. The
+    clip of the whole doubled matrix breaks charge conservation at the
+    rounding level: near a trace zero (fluxes pi - 1e-3, 0.5, 1.7, 2.6 at
+    (10, 10, 143)) that costs 2.6e-11 relative against a 40-digit reference,
+    where the charge route is off by 3e-13.
+    """
+
+    def __init__(self, particle: ParticleCorrelationMatrix):
+        super().__init__(doubled(particle.gamma))
+        self.particle = particle
+
+    def dmatrix(self):
+        return doubled(self.particle.dmatrix())
+
+
+def as_nambu(corr):
+    """A paired state as it is, a conserving one as a ``DoubledParticle``."""
+    return corr if isinstance(corr, NambuCorrelationMatrix) else DoubledParticle(corr)
 
 
 def fock_state(H, flux=0.0):
@@ -82,7 +113,7 @@ class TestKernels:
     def test_gamma_is_valid_covariance(self):
         lay = SubsystemLayout(4, 3, 5)
         for model in (TIGHT_BINDING, ISING):
-            corr = ground_state_correlations(model, lay)
+            corr = as_nambu(ground_state_correlations(model, lay))
             ev = np.linalg.eigvalsh(corr.gamma)
             assert ev.min() > -1.0 - 1e-10 and ev.max() < 1.0 + 1e-10
             assert np.abs(corr.gamma - corr.gamma.conj().T).max() < 1e-12
@@ -240,7 +271,7 @@ class TestMajoranaMatrix:
     # arithmetic gives every value exactly (only a zero's sign may differ)
     def test_real_preset_window(self):
         for model in (TIGHT_BINDING, ISING):
-            gamma = ground_state_correlations(model, SubsystemLayout(10, 10, 20)).gamma
+            gamma = as_nambu(ground_state_correlations(model, SubsystemLayout(10, 10, 20))).gamma
             assert np.array_equal(majorana_matrix(gamma), dense_majorana(gamma))
 
     def test_complex_flux_dressed_window(self):
@@ -259,39 +290,37 @@ def fresh_dmatrix(gamma, clip=CLIP):
     return (v * np.clip(w, -1.0 + clip, 1.0 - clip)) @ v.conj().T
 
 
+# per type: a window whose spectrum reaches within CLIP of +-1, and one clear of it
+CORRELATION_TYPES = {
+    "nambu": (NambuCorrelationMatrix, ISING, SubsystemLayout(10, 10, 20)),
+    "particle": (ParticleCorrelationMatrix, TIGHT_BINDING, SubsystemLayout(10, 10, 200)),
+}
+
+
+@pytest.mark.parametrize("kind, model, clipped_layout", CORRELATION_TYPES.values(),
+                         ids=CORRELATION_TYPES.keys())
 class TestCorrelationValidation:
-    def test_non_hermitian_rejected(self):
-        gamma = window_corr(ISING, 8, SubsystemLayout(2, 1, 3)).gamma.astype(complex)
+    def test_non_hermitian_rejected(self, kind, model, clipped_layout):
+        gamma = window_corr(model, 8, SubsystemLayout(2, 1, 3)).gamma.astype(complex)
         gamma[0, 1] += 1e-6j
         with pytest.raises(ValueError, match="not Hermitian"):
-            NambuCorrelationMatrix(gamma)
+            kind(gamma)
 
-    def test_spectrum_outside_unit_interval_rejected(self):
-        gamma = window_corr(ISING, 8, SubsystemLayout(2, 1, 3)).gamma
+    def test_spectrum_outside_unit_interval_rejected(self, kind, model, clipped_layout):
+        corr = window_corr(model, 8, SubsystemLayout(2, 1, 3))
+        assert type(corr) is kind
         with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
-            NambuCorrelationMatrix(1.5 * gamma)
-        NambuCorrelationMatrix(gamma)  # the valid state itself passes
+            kind(1.5 * corr.gamma)
+        kind(corr.gamma)  # the valid state itself passes
 
-    def test_dmatrix_matches_a_fresh_clip(self):
-        # xx at ell2 = 200 has occupations within 1e-12 of 0 and 1, so the
-        # clip acts; a short Ising window stays clear of it
-        clipped = ground_state_correlations(TIGHT_BINDING, SubsystemLayout(10, 10, 200))
-        plain = ground_state_correlations(ISING, SubsystemLayout(3, 2, 4))
+    def test_dmatrix_matches_a_fresh_clip(self, kind, model, clipped_layout):
+        clipped = ground_state_correlations(model, clipped_layout)
+        plain = ground_state_correlations(model, SubsystemLayout(3, 2, 4))
         for corr, clips in ((clipped, True), (plain, False)):
+            assert type(corr) is kind
             w = np.linalg.eigvalsh(corr.gamma)
             assert (np.abs(w).max() > 1.0 - CLIP) == clips
-        assert same_bits(plain.dmatrix(), fresh_dmatrix(plain.gamma))
-        # xx conserves charge: its particle block is clipped on its own and
-        # the hole block follows as minus its transpose
-        assert clipped.conserves_charge and not plain.conserves_charge
-        m = clipped.m
-        particle = fresh_dmatrix(clipped.gamma[:m, :m])
-        per_block = np.zeros((2 * m, 2 * m))
-        per_block[:m, :m] = particle
-        per_block[m:, m:] = -particle.T
-        assert same_bits(clipped.dmatrix_particle(), particle)
-        assert same_bits(clipped.dmatrix(), per_block)
-        assert np.abs(clipped.dmatrix() - fresh_dmatrix(clipped.gamma)).max() <= 1e-14
+            assert same_bits(corr.dmatrix(), fresh_dmatrix(corr.gamma))
 
 
 class TestGaussianTrace:
@@ -342,14 +371,14 @@ class TestGaussianTrace:
 class TestFluxMatrix:
     def test_zero_flux(self):
         lay = SubsystemLayout(2, 1, 3)
-        corr = window_corr(TIGHT_BINDING, 8, lay)
+        corr = as_nambu(window_corr(TIGHT_BINDING, 8, lay))
         dressed, logratio = flux_correlation_matrix(corr, 0.0, lay)
         assert np.abs(dressed - corr.gamma).max() < 1e-10
         assert abs(logratio) < 1e-12
 
     def test_conjugate_fluxes(self):
         lay = SubsystemLayout(2, 1, 3)
-        corr = window_corr(TIGHT_BINDING, 8, lay)
+        corr = as_nambu(window_corr(TIGHT_BINDING, 8, lay))
         _, lr_plus = flux_correlation_matrix(corr, 0.8, lay)
         _, lr_minus = flux_correlation_matrix(corr, -0.8, lay)
         assert lr_minus == pytest.approx(np.conj(lr_plus), rel=1e-12)
@@ -359,7 +388,7 @@ class TestFluxMatrix:
         lay = SubsystemLayout(3, 2, 2)
         n_sites = 8
         oracle = EDOracle(model, n_sites)
-        corr = window_corr(model, n_sites, lay)
+        corr = as_nambu(window_corr(model, n_sites, lay))
         dim = 1 << n_sites
         qb = np.zeros(dim)
         for j in lay.sites_B:
@@ -374,7 +403,7 @@ class TestFluxMatrix:
         # charge is conserved, so the trace factorizes over the occupations
         # nu_k of C_BB: prod_k (1 - nu_k + nu_k e^{i gamma}), exact per mode
         lay = SubsystemLayout(10, 10, 200)
-        win = GaussianWindow(ground_state_correlations(TIGHT_BINDING, lay), 10, 200)
+        win = GaussianWindow(as_nambu(ground_state_correlations(TIGHT_BINDING, lay)), 10, 200)
         r = np.arange(200)
         nu = np.linalg.eigvalsh(np.vectorize(tight_binding_c)(r[:, None] - r[None, :]))
         for gamma in (0.3, 0.7, 2.0, 3.0):
@@ -388,7 +417,7 @@ class TestVanishingTrace:
 
     def test_zero_trace_flux_raises(self):
         corr = window_corr(TIGHT_BINDING, 8, self.lay)
-        assert corr.conserves_charge  # both checks run on the charge block
+        assert type(corr) is ParticleCorrelationMatrix  # both checks run on the charge block
         with pytest.raises(SingularMatrixError, match=r"gamma = 3\.14159"):
             charged_moments_lattice(corr, self.lay, [np.pi, 0.5])
 
@@ -440,7 +469,7 @@ class TestChargedMoments:
 
     def test_modulus_bounded(self):
         lay = SubsystemLayout(4, 2, 6)
-        win = GaussianWindow(ground_state_correlations(TIGHT_BINDING, lay), 4, 6)
+        win = lattice._window_for(TIGHT_BINDING, lay)
         for g in np.linspace(0.0, 2 * np.pi, 9):
             t = np.exp(win.log_flux_trace(g))
             assert abs(t) <= 1.0 + 1e-12
@@ -449,7 +478,7 @@ class TestChargedMoments:
         # gamma = 0 window restriction reproduces the Renyi entropies of A
         lay = SubsystemLayout(3, 2, 4)
         corr = ground_state_correlations(TIGHT_BINDING, lay)
-        win = GaussianWindow(corr, lay.ell1, lay.ell2)
+        win = lattice._window_for(corr, lay)
         corr_a = corr.restrict(range(lay.ell1))
         for n in (2, 3):
             assert win.log_renyi_norm(n) == pytest.approx(
@@ -458,7 +487,7 @@ class TestChargedMoments:
 
 
 # ---------------------------------------------------------------------------
-# the charge-block route against the Nambu route on the same Gamma
+# the charge-block route against the Pfaffian route on the same state doubled
 
 README_XX_L2 = (10, 13, 19, 27, 37, 52, 73, 102, 143, 200)  # --l2 10:200:10:log
 CROSS_FLUXES = ([0.3], [0.3, 0.7], [2.0, 2.9], [0.5, 1.1, 2.3], [np.pi - 1e-3, 0.5, 1.7, 2.6])
@@ -496,7 +525,7 @@ class TestChargeBlockRoute:
         _, corr, lay = case
         charge = lattice._window_for(corr, lay)
         assert type(charge) is lattice.ChargeBlockWindow
-        nambu = GaussianWindow(corr, lay.ell1, lay.ell2)
+        nambu = GaussianWindow(as_nambu(corr), lay.ell1, lay.ell2)
         for gammas in CROSS_FLUXES:
             for g in gammas:
                 rel = abs(np.exp(charge.log_flux_trace(g) - nambu.log_flux_trace(g)) - 1)
@@ -504,13 +533,23 @@ class TestChargeBlockRoute:
             rel = abs(window_moment(charge, gammas) / window_moment(nambu, gammas) - 1)
             assert rel <= cross_bound(gammas), (gammas, rel)
 
+    @pytest.mark.parametrize("case", list(cross_route_windows()), ids=lambda c: c[0])
+    def test_doubled_form_agrees_away_from_trace_zeros(self, case):
+        # a plain NambuCorrelationMatrix clips the whole doubled matrix
+        _, corr, lay = case
+        charge = lattice._window_for(corr, lay)
+        pfaffian_route = lattice._window_for(NambuCorrelationMatrix(doubled(corr.gamma)), lay)
+        for gammas in CROSS_FLUXES:
+            if all(abs(np.cos(g / 2)) > 0.1 for g in gammas):
+                rel = abs(window_moment(charge, gammas) / window_moment(pfaffian_route, gammas) - 1)
+                assert rel <= 1e-12, (gammas, rel)
+
     @pytest.mark.parametrize("case", [c for c in cross_route_windows()
                                       if c[2].ell2 <= 19], ids=lambda c: c[0])
-    def test_sector_table_matches_nambu(self, case, monkeypatch):
+    def test_sector_table_matches_nambu(self, case):
         _, corr, lay = case
         p, _, raw = charge_sector_table(corr, lay)
-        monkeypatch.setattr(lattice, "ChargeBlockWindow", GaussianWindow)
-        p_ref, _, raw_ref = charge_sector_table(corr, lay)
+        p_ref, _, raw_ref = charge_sector_table(as_nambu(corr), lay)
         assert np.abs(p - p_ref).max() <= 1e-15
         assert np.abs(raw - raw_ref).max() <= 1e-15
 
@@ -519,14 +558,23 @@ class TestChargeBlockRoute:
         for corr in (ground_state_correlations(ISING, lay),
                      window_corr(LatticeModel(0.7, 0.3), 12, lay)):
             assert type(lattice._window_for(corr, lay)) is GaussianWindow
-        with pytest.raises(ValueError, match="pairs particles"):
-            ground_state_correlations(ISING, lay).dmatrix_particle()
+        assert type(lattice._window_for(ISING, lay)) is GaussianWindow
 
-    def test_a_rounding_of_pairing_leaves_the_charge_block(self):
-        gamma = ground_state_correlations(TIGHT_BINDING, SubsystemLayout(2, 1, 3)).gamma.copy()
-        assert NambuCorrelationMatrix(gamma).conserves_charge
-        gamma[0, 7] = gamma[7, 0] = 1e-17
-        assert not NambuCorrelationMatrix(gamma).conserves_charge
+    def test_the_route_follows_the_state_type(self):
+        lay = SubsystemLayout(3, 2, 5)
+        assert type(lattice._window_for(TIGHT_BINDING, lay)) is lattice.ChargeBlockWindow
+        windows = [ground_state_correlations(TIGHT_BINDING, lay)]
+        for model in KAPPA_ZERO.values():
+            assert type(finite_chain_correlations(model, 12)) is ParticleCorrelationMatrix
+            windows.append(window_corr(model, 12, lay))
+        for corr in windows:
+            assert type(corr) is ParticleCorrelationMatrix
+            assert type(lattice._window_for(corr, lay)) is lattice.ChargeBlockWindow
+            # the same state doubled takes the Pfaffians, exact zeros or not
+            gamma = doubled(corr.gamma)
+            assert type(lattice._window_for(NambuCorrelationMatrix(gamma), lay)) is GaussianWindow
+            gamma[0, -1] = gamma[-1, 0] = 1e-17
+            assert type(lattice._window_for(NambuCorrelationMatrix(gamma), lay)) is GaussianWindow
 
     @pytest.mark.parametrize("model", KAPPA_ZERO.values(), ids=KAPPA_ZERO.keys())
     def test_kappa_zero_chain_matches_the_bdg_projector(self, model):
@@ -539,8 +587,8 @@ class TestChargeBlockRoute:
         w, V = np.linalg.eigh(H)
         occ = V[:, w < 0]
         corr = finite_chain_correlations(model, N)
-        assert corr.conserves_charge
-        assert np.abs(corr.gamma - (2 * occ @ occ.T - np.eye(2 * N))).max() < 1e-14
+        assert type(corr) is ParticleCorrelationMatrix
+        assert np.abs(doubled(corr.gamma) - (2 * occ @ occ.T - np.eye(2 * N))).max() < 1e-14
 
     def test_kappa_zero_zero_mode_raises(self):
         # an odd open xx chain holds a mode at zero energy
