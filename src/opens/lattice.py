@@ -49,9 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lapack, lu_factor, lu_solve
-from scipy.sparse.linalg import eigsh
 
 from opens.errors import DomainError, SingularMatrixError
 
@@ -459,6 +457,9 @@ class GaussianWindow:
         self._prepare()
 
     def _prepare(self):
+        if isinstance(self.corr, ParticleCorrelationMatrix):
+            raise TypeError("the Pfaffian route needs the doubled NambuCorrelationMatrix; "
+                            "a ParticleCorrelationMatrix takes ChargeBlockWindow")
         self.D = self.corr.dmatrix()
         self.Ip = np.eye(2 * self.w) + self.D
         self.Im = np.eye(2 * self.w) - self.D
@@ -764,21 +765,24 @@ def quadratic_fock_operator(H: np.ndarray) -> np.ndarray:
 class EDOracle:
     """Brute-force many-body reference on chains of up to 12 sites.
 
-    Builds the sparse Hamiltonian in the 2^N Fock basis, finds the ground
-    state, and evaluates charged moments, outcome probabilities, sector
-    overlaps and entropies directly from projectors, with no Gaussian
-    machinery anywhere.
+    Finds the ground state block by block, and evaluates charged moments,
+    outcome probabilities, sector overlaps and entropies directly from
+    projectors, with no Gaussian machinery anywhere.
 
     Basis state s holds site j in bit j, and every table is numpy bit
     arithmetic on s = 0 .. 2^N - 1: occupations (s >> j) & 1, hopping and
     pairing on bond (j, j+1) the flip s ^ (3 << j), which carries no
-    Jordan-Wigner string. Reordering the modes to A first, then the rest
-    in site order, signs each amplitude by the parity of its inversion
-    count: occupied pairs j < j' that the new order puts the other way
-    round.
+    Jordan-Wigner string. Both flips keep the fermion parity
+    popcount(s) & 1, so H splits into an even and an odd block of 2^(N-1)
+    states each; ``psi`` lives on the 2^N basis with exact zeros on the
+    other parity. Reordering the modes to A first, then the rest in site
+    order, signs each amplitude by the parity of its inversion count:
+    occupied pairs j < j' that the new order puts the other way round.
     """
 
     MAX_DIM = 4096
+    # blocks up to this size are diagonalized densely (chains of <= 9 sites)
+    DENSE_DIM = 256
 
     def __init__(self, model: LatticeModel, n_sites: int):
         if (1 << n_sites) > self.MAX_DIM:
@@ -789,39 +793,68 @@ class EDOracle:
         self._reshaped = {}
         self._labels = {}
 
-    def _hamiltonian(self) -> sparse.csr_matrix:
+    def _parity_blocks(self):
+        """[(H, states)] for the even and the odd parity: CSR blocks and their Fock states.
+
+        Row r of a block is Fock state states[r], ascending. From one
+        occupation table over the basis sorted by parity: per state the
+        diagonal, then bond by bond a hop where the two bits differ and a
+        pair (both directions carry the bare element) where they agree,
+        each at the rank of the flipped state within the block.
+        """
+        from scipy import sparse  # loads with the first oracle: only ed-verify runs one
+
         N, kappa, h = self.n, self.model.kappa, self.model.h_field
-        dim = 1 << N
-        s = np.arange(dim)
+        s = np.arange(1 << N)
+        half = s.size // 2
         occ = (s[:, None] >> np.arange(N)) & 1
-        diag = np.zeros(dim)
+        states = np.argsort(occ.sum(1) & 1, kind="stable")  # even ones, then odd ones
+        occ = occ[states]
+        rank = np.empty_like(s)
+        rank[states] = s % half
+        diag = np.zeros(s.size)
         for j in range(N):  # site by site: -h * occ.sum(1) rounds differently
             diag -= h * occ[:, j]
-        # per state the diagonal, then bond by bond: a hop where the two
-        # bits differ, a pair (both directions carry the bare element) where
-        # they agree
         hop = occ[:, :-1] != occ[:, 1:]
-        rows = np.column_stack([s, s[:, None] ^ (3 << np.arange(N - 1))])
+        cols = np.column_stack([s % half, rank[states[:, None] ^ (3 << np.arange(N - 1))]])
         vals = np.column_stack([diag, np.where(hop, -0.5, -0.5 * kappa)])
         keep = np.column_stack([diag != 0, hop | bool(kappa)])
-        cols = np.broadcast_to(s[:, None], keep.shape)
-        return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(dim, dim))
+        blocks = []
+        for rows in (slice(0, half), slice(half, None)):
+            k = keep[rows]
+            indptr = np.r_[0, np.cumsum(k.sum(1))]
+            H = sparse.csr_matrix((vals[rows][k], cols[rows][k], indptr), shape=(half, half))
+            blocks.append((H, states[rows]))
+        return blocks
 
     def _ground_state(self):
-        """(psi, gap, residual |H psi - E0 psi|) of the ground state."""
-        H = self._hamiltonian()
-        if H.shape[0] <= 512:
-            w, v = np.linalg.eigh(H.toarray())
-        else:
-            # a fixed start vector keeps the result reproducible to the bit
-            v0 = np.random.default_rng(0).standard_normal(H.shape[0])
-            w, v = eigsh(H, k=2, which="SA", v0=v0)
-        order = np.argsort(w)
-        gap = w[order[1]] - w[order[0]]
-        psi = v[:, order[0]]
+        """(psi, gap, residual |H psi - E0 psi|) from the lowest level of each parity block.
+
+        The lower block gives E0 and psi; gap is the other block's lowest
+        level minus E0. For a quadratic chain that is the spectral gap: one
+        quasiparticle flips the parity, and a same-parity excitation costs
+        at least two. Only each block's lowest level is kept: blocks of up
+        to ``DENSE_DIM`` states are diagonalized densely, larger ones take
+        ARPACK for that level alone, from a fixed start vector that keeps
+        the result reproducible to the bit.
+        """
+        from scipy.sparse.linalg import eigsh
+
+        lowest = []
+        for H, states in self._parity_blocks():
+            if H.shape[0] <= self.DENSE_DIM:
+                w, v = np.linalg.eigh(H.toarray())
+            else:
+                v0 = np.random.default_rng(0).standard_normal(H.shape[0])
+                w, v = eigsh(H, k=1, which="SA", v0=v0)
+            lowest.append((w[0], v[:, 0], H, states))
+        (e0, v, H, states), (e1, *_) = sorted(lowest, key=lambda b: b[0])
+        gap = e1 - e0
         if gap < 1e-10:
             raise SingularMatrixError(f"ground state degenerate, gap = {gap:.2e}")
-        return psi, float(gap), float(np.linalg.norm(H @ psi - w[order[0]] * psi))
+        psi = np.zeros(1 << self.n)
+        psi[states] = v
+        return psi, float(gap), float(np.linalg.norm(H @ v - e0 * v))
 
     def _reshape(self, a_sites):
         """State as a matrix V[a, rest] with fermionic reorder signs, memoized per A."""

@@ -205,6 +205,16 @@ class TestCommands:
         assert main(["--output", str(out2)] + args) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_ed_verify_on_a_degenerate_chain_records_the_error(self, tmp_path):
+        # the Kitaev chain at h = 0 holds an exact zero mode
+        out = tmp_path / "ed.csv"
+        assert main(["--output", str(out), "ed-verify", "--model", "1:0", "--sites", "12",
+                     "--l1", "3", "--d-sites", "3", "--l2-sites", "5", "--n", "2"]) == 1
+        body = out.read_text()
+        assert "# status = error" in body
+        assert body.splitlines()[-1].startswith(
+            "SingularMatrixError: ground state degenerate, gap = ")
+
     @pytest.mark.parametrize("model", ["xx", "ising"])
     def test_ed_verify_reports_gap_and_residual(self, tmp_path, model):
         out = tmp_path / "ed.csv"
@@ -386,12 +396,13 @@ class TestCommands:
 def test_commands_import_only_the_scipy_they_run():
     # a fresh interpreter with nothing of scipy imported beforehand: the boson
     # and lattice commands never call quadrature, special functions, the AAA
-    # oracle or mpmath, and the oracles still reach quad on first use
+    # oracle, mpmath or the sparse eigensolver; ed-verify loads the latter,
+    # and the oracles still reach quad on first use
     code = """
 import io, sys
 from contextlib import redirect_stdout
 UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.interpolate",
-          "scipy.stats", "mpmath")
+          "scipy.stats", "scipy.sparse", "mpmath")
 loaded = lambda: sorted(m for m in sys.modules
                         if any(m == u or m.startswith(u + ".") for u in UNUSED))
 import opens.cli
@@ -400,6 +411,10 @@ with redirect_stdout(io.StringIO()):
     assert opens.cli.main(["boson-holevo", "--l2", "100"]) == 0
     assert opens.cli.main(["lattice-moments", "--l2", "10"]) == 0
 assert not loaded(), loaded()
+with redirect_stdout(io.StringIO()):
+    assert opens.cli.main(["ed-verify", "--l1", "2", "--d-sites", "2", "--l2-sites", "2"]) == 0
+assert "scipy.sparse" in sys.modules
+assert {m.split(".")[1] for m in loaded()} == {"sparse"}, loaded()
 from opens import cft_operator
 from opens.core import Geometry
 integrate = cft_operator.integrate

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import eigsh
 
 from opens import lattice
 from opens.errors import DomainError, SingularMatrixError
@@ -560,6 +561,16 @@ class TestChargeBlockRoute:
             assert type(lattice._window_for(corr, lay)) is GaussianWindow
         assert type(lattice._window_for(ISING, lay)) is GaussianWindow
 
+    def test_pfaffian_route_refuses_the_particle_type(self):
+        # the m x m block would otherwise meet the 2m x 2m algebra much later
+        lay = SubsystemLayout(4, 2, 6)
+        corr = ground_state_correlations(TIGHT_BINDING, lay)
+        assert type(corr) is ParticleCorrelationMatrix
+        with pytest.raises(TypeError, match="NambuCorrelationMatrix"):
+            GaussianWindow(corr, lay.ell1, lay.ell2)
+        with pytest.raises(TypeError, match="NambuCorrelationMatrix"):
+            flux_correlation_matrix(corr, 0.5, lay)
+
     def test_the_route_follows_the_state_type(self):
         lay = SubsystemLayout(3, 2, 5)
         assert type(lattice._window_for(TIGHT_BINDING, lay)) is lattice.ChargeBlockWindow
@@ -670,6 +681,10 @@ class TestSectorOverlaps:
             post_measurement_overlap(TIGHT_BINDING, lay, 0, 4)
 
 
+GAP_MODELS = {"xx": TIGHT_BINDING, "ising": ISING, "0.7:0.3": LatticeModel(0.7, 0.3),
+              "0:0.3": LatticeModel(0.0, 0.3)}
+
+
 class TestEDOracle:
     def test_two_orderings_agree(self):
         # partial trace over the complement of A directly, vs going through
@@ -730,6 +745,26 @@ class TestEDOracle:
         )
 
 
+    @pytest.mark.parametrize("n_sites", [10, 12])
+    @pytest.mark.parametrize("model", GAP_MODELS.values(), ids=GAP_MODELS.keys())
+    def test_gap_is_the_full_space_gap(self, model, n_sites):
+        # the other parity's lowest level is the first excited level of H,
+        # and the embedded psi is the ground state of the whole Fock space
+        H = loop_hamiltonian(model, n_sites)
+        v0 = np.random.default_rng(1).standard_normal(H.shape[0])
+        w = np.sort(eigsh(H, k=2, which="SA", v0=v0)[0])
+        oracle = EDOracle(model, n_sites)
+        assert abs(oracle.gap - (w[1] - w[0])) <= 1e-12
+        assert np.linalg.norm(H @ oracle.psi - w[0] * oracle.psi) <= 1e-12
+
+    @pytest.mark.parametrize("n_sites", [8, 12])
+    def test_degenerate_ground_state_raises(self, n_sites):
+        # the Kitaev chain at h = 0: its edge zero mode pairs the two
+        # parities' ground states, dense at 8 sites and ARPACK at 12
+        with pytest.raises(SingularMatrixError, match="ground state degenerate"):
+            EDOracle(LatticeModel(1.0, 0.0), n_sites)
+
+
 class TestFigureChecks:
     def test_tb_matches_charge_formula_shape(self):
         # compressed Fig. 5-style check: one gamma pair, short sweep
@@ -788,6 +823,10 @@ def loop_hamiltonian(model, N):
                 t = s ^ (1 << j) ^ (1 << (j + 1))
                 rows.append(t); cols.append(s); vals.append(-0.5 * kappa)
     return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def loop_odd_parity(N):
+    return np.array([bin(s).count("1") % 2 == 1 for s in range(1 << N)])
 
 
 def loop_reshape(psi, a_sites, N):
@@ -867,10 +906,18 @@ class TestEDBitIdentity:
     @pytest.mark.parametrize("n_sites", sorted(ED_SUBSETS))
     @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
     def test_hamiltonian(self, model, n_sites):
-        H = unsolved_oracle(model, n_sites)._hamiltonian()
+        # each parity block is the loop reference restricted to that parity,
+        # entry for entry, and the reference links no two parities
         ref = loop_hamiltonian(model, n_sites)
-        for attr in ("indptr", "indices", "data"):
-            assert same_bits(getattr(H, attr), getattr(ref, attr)), attr
+        s = np.arange(1 << n_sites)
+        odd = loop_odd_parity(n_sites)
+        blocks = unsolved_oracle(model, n_sites)._parity_blocks()
+        for (H, states), parity in zip(blocks, (~odd, odd), strict=True):
+            assert same_bits(states, s[parity])
+            H, want = H.sorted_indices(), ref[states][:, states].sorted_indices()
+            for attr in ("indptr", "indices", "data"):
+                assert same_bits(getattr(H, attr), getattr(want, attr)), attr
+        assert ref[s[odd]][:, s[~odd]].nnz == 0 and ref[s[~odd]][:, s[odd]].nnz == 0
 
     @pytest.mark.parametrize("n_sites", sorted(ED_SUBSETS))
     def test_reshape_and_charges(self, n_sites):
@@ -895,6 +942,15 @@ class TestEDBitIdentity:
         for a_sites in ED_SUBSETS[12]:
             assert same_bits(oracle._reshape(a_sites)[0],
                              loop_reshape(oracle.psi, a_sites, 12)[0])
+
+    @pytest.mark.parametrize("n_sites", [8, 12])
+    @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
+    def test_ground_state_vanishes_off_its_parity(self, model, n_sites):
+        # dense blocks at 8 sites, ARPACK at 12
+        psi = EDOracle(model, n_sites).psi
+        odd = loop_odd_parity(n_sites)
+        off = odd if np.any(psi[~odd]) else ~odd
+        assert same_bits(psi[off], np.zeros(off.sum()))
 
     # 12 sites take about 4 s, most of it in the loop reference
     @pytest.mark.parametrize("n_sites", [1, 2, 5, 8])
