@@ -21,9 +21,11 @@ estimate. Nothing on this path calls adaptive quadrature: the nested
 ``quad`` entries ``matrix_entry_offdiag`` and ``matrix_entry_remainder``
 are kept only as the independent check that the tests compare against.
 
-The same matrix then feeds every ensemble diagnostic: q-resolved purity
-ratios, the generalized entropy correction, overlap generating functions,
-the averaged purity, and the UV-finite ratios that survive eps -> 0.
+One ``OperatorMatrix`` per (geometry, n) feeds every ensemble diagnostic:
+q-resolved purity ratios, the generalized entropy correction, overlap
+generating functions, the averaged purity, and the UV-finite ratios that
+survive eps -> 0. Only its add-back ``m11`` reads the cutoff ``eps_reg``, so
+``dataclasses.replace(om, eps_reg=...)`` is the same matrix at another eps.
 """
 
 from __future__ import annotations
@@ -314,42 +316,29 @@ def _remainder_integrand(s, mm, g: Geometry, spec: OperatorSpec):
     return c * s ** (-2.0 * p) * np.expm1(p * log_r)
 
 
-def matrix_entry_remainder(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
-    """Diagonal entry with the flat kernel subtracted (cutoff-independent)."""
+def _nested_quad(inner, g: Geometry, cfg: QuadratureConfig, what: str) -> float:
+    """int over s in [-(b - a), b - a] and midpoints mm of inner(s, mm), both by
+    adaptive quad; the outer rule splits at s = 0 and never evaluates there."""
     a, b = g.a, g.b
     inner_cfg = replace(cfg, tol=cfg.tol / 10.0)
 
     def outer(s):
-        if s == 0.0:
-            return 0.0
-        lo, hi = a + abs(s) / 2.0, b - abs(s) / 2.0
-        return _quad(
-            lambda mm: _remainder_integrand(s, mm, g, spec),
-            lo,
-            hi,
-            inner_cfg,
-            what="diagonal remainder (inner)",
-        )
+        return _quad(lambda mm: inner(s, mm), a + abs(s) / 2.0, b - abs(s) / 2.0, inner_cfg,
+                     what=f"{what} (inner)")
 
-    return _quad(outer, -(b - a), b - a, cfg, points=[0.0], what="diagonal remainder")
+    return _quad(outer, -(b - a), b - a, cfg, points=[0.0], what=what)
+
+
+def matrix_entry_remainder(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
+    """Diagonal entry with the flat kernel subtracted (cutoff-independent)."""
+    return _nested_quad(lambda s, mm: _remainder_integrand(s, mm, g, spec), g, cfg,
+                        "diagonal remainder")
 
 
 def matrix_entry_offdiag(g: Geometry, spec: OperatorSpec, m: int, cfg: QuadratureConfig) -> float:
     """Entry at branch offset m != 0 (finite, no regulator needed)."""
-    a, b = g.a, g.b
-    inner_cfg = replace(cfg, tol=cfg.tol / 10.0)
-
-    def outer(s):
-        lo, hi = a + abs(s) / 2.0, b - abs(s) / 2.0
-        return _quad(
-            lambda mm: _offdiag_integrand(s, mm, m, g, spec),
-            lo,
-            hi,
-            inner_cfg,
-            what=f"entry m={m} (inner)",
-        )
-
-    return _quad(outer, -(b - a), b - a, cfg, points=[0.0], what=f"entry m={m}")
+    return _nested_quad(lambda s, mm: _offdiag_integrand(s, mm, m, g, spec), g, cfg,
+                        f"entry m={m}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +406,8 @@ class OperatorMatrix:
     """Replica covariance with its cutoff dependence kept analytic.
 
     ``off_row[m]`` holds the (cutoff-free) entries at branch offset m and
-    ``diag_remainder`` the subtracted diagonal, so re-evaluating at a new
-    point-splitting eps only re-adds the closed-form flat integral.
+    ``diag_remainder`` the subtracted diagonal, so the point-splitting
+    ``eps_reg`` enters only through the closed-form add-back ``m11``.
     ``error_estimate`` is the largest N-vs-2N difference of the tensor rule
     over the entries it computed.
     """
@@ -430,19 +419,23 @@ class OperatorMatrix:
     eps_reg: float
     error_estimate: float
 
+    @property
+    def m11(self) -> float:
+        """One-replica diagonal and add-back of ``dense``: the flat integral at
+        ``eps_reg`` exactly, since the n = 1 map is Mobius."""
+        return flat_integral_exact(self.spec, self.geometry.ell2, self.eps_reg)
+
     def subtracted(self) -> SymmetricCirculant:
         """M minus the flat add-back times the identity: the cutoff-free part."""
         n = self.geometry.n
         return SymmetricCirculant(
             [self.diag_remainder] + [self.off_row[min(m, n - m) - 1] for m in range(1, n)])
 
-    def dense(self, eps: float | None = None) -> np.ndarray:
-        eps = self.eps_reg if eps is None else eps
-        flat = flat_integral_exact(self.spec, self.geometry.ell2, eps)
-        return self.subtracted().dense() + flat * np.eye(self.geometry.n)
+    def dense(self) -> np.ndarray:
+        return self.subtracted().dense() + self.m11 * np.eye(self.geometry.n)
 
-    def cn(self, eps: float | None = None) -> float:
-        return quadratic_form_cn(self.dense(eps))
+    def cn(self) -> float:
+        return quadratic_form_cn(self.dense())
 
 
 def build_M_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> OperatorMatrix:
@@ -469,9 +462,7 @@ def build_M_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> 
 
 
 def single_copy_m11_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:
-    """One-replica diagonal; equals the flat integral exactly (the n = 1
-    map is a Mobius transformation, which leaves the integrated two-point
-    function invariant)."""
+    """``OperatorMatrix.m11`` without a build: the flat integral at ``cfg.eps_reg``."""
     return flat_integral_exact(spec, g.ell2, cfg.eps_reg)
 
 
@@ -493,23 +484,27 @@ def _replica_log_terms(delta: np.ndarray, m11: float):
     return np.sum(np.log1p(delta / m11)), -n * delta[0] / (m11 * (m11 + delta[0]))
 
 
-def log_purity_ratio_q(delta: np.ndarray, q: float, m11_single: float) -> float:
-    """log(Tr rho_{A,q}^n / Tr rho_A^n) for outcome q.
+def _two_replica(om: OperatorMatrix) -> OperatorMatrix:
+    if om.geometry.n != 2:
+        raise ValueError(f"need the n = 2 replica matrix, got n = {om.geometry.n}")
+    return om
+
+
+def log_purity_ratio_q(om: OperatorMatrix, q: float) -> float:
+    """log(Tr rho_{A,q}^n / Tr rho_A^n) for outcome q, n = om.geometry.n.
 
     e^{-q^2 C_n / 2} / sqrt(det M) divided by the n-th power of the
     single-copy normalization e^{-q^2 C_1 / 2} / sqrt(m11); C_1 = 1/m11
     exactly since the one-replica matrix is 1 x 1. The log is quadratic in
-    q with coefficient -(C_n - n C_1)/2. M = m11 + D is given by m11 and
-    the eigenvalues delta of the subtracted circulant D
-    (``OperatorMatrix.subtracted().eigenvalues()``), n = len(delta). The
-    log is returned because the ratio itself is 1 - O(1e-12) at heavy
-    weights, where a float ratio keeps only a few digits of it.
+    q with coefficient -(C_n - n C_1)/2. It is returned because the ratio
+    itself is 1 - O(1e-12) at heavy weights, where a float keeps only a few
+    digits of it.
     """
-    log_det_ratio, cn_excess = _replica_log_terms(np.asarray(delta, dtype=float), m11_single)
+    log_det_ratio, cn_excess = _replica_log_terms(om.subtracted().eigenvalues(), om.m11)
     return float(-0.5 * q * q * cn_excess - 0.5 * log_det_ratio)
 
 
-def mie_general(g: Geometry, spec: OperatorSpec, n: int, cfg: QuadratureConfig) -> dict:
+def mie_general(om: OperatorMatrix) -> dict:
     """Outcome-averaged Renyi entropy of A for a generic Gaussian observable.
 
     Returns the pieces separately: the measurement-free base entropy
@@ -519,23 +514,22 @@ def mie_general(g: Geometry, spec: OperatorSpec, n: int, cfg: QuadratureConfig) 
     (``gaussian``: <q^2> = 1/C_1 from the normalized outcome density;
     ``saddle``: <q^2> = (2 pi C_1^3 m11)^{-1/2}, the saddle-normalized
     bookkeeping). ``total`` uses the gaussian convention, which matches
-    direct summation over outcomes.
+    direct summation over outcomes. n is ``om.geometry.n``.
 
     Both corrections come from m11 and the eigenvalues of the subtracted
     circulant (`_replica_log_terms`), never from the dense M.
     """
+    g, n = om.geometry, om.geometry.n
     if n < 2:
         raise ValueError("need n >= 2 replicas")
-    om = build_M_operator(g.with_n(n), spec, cfg)
-    m11 = single_copy_m11_operator(g, spec, cfg)
+    m11 = om.m11
     delta = om.subtracted().eigenvalues()
     log_det_ratio, cn_excess = _replica_log_terms(delta, m11)
     logdet = n * np.log(m11) + log_det_ratio
     det_corr = -log_det_ratio / (2.0 * (1 - n))
     c1, cn = 1.0 / m11, n / (m11 + delta[0])
-    q2_gauss = m11
     q2_saddle = 1.0 / np.sqrt(2.0 * np.pi * c1**3 * m11)
-    qterm_gauss = -cn_excess * q2_gauss / (2.0 * (1 - n))
+    qterm_gauss = -cn_excess * m11 / (2.0 * (1 - n))  # <q^2> = m11
     qterm_saddle = -cn_excess * q2_saddle / (2.0 * (1 - n))
     base = (n + 1.0) / (6.0 * n) * np.log(g.L / g.eps)
     return {
@@ -552,65 +546,58 @@ def mie_general(g: Geometry, spec: OperatorSpec, n: int, cfg: QuadratureConfig) 
     }
 
 
-def overlap_generating(g: Geometry, spec: OperatorSpec, gamma1: float, gamma2: float,
-                       cfg: QuadratureConfig) -> float:
+def overlap_generating(om: OperatorMatrix, gamma1: float, gamma2: float) -> float:
     """Two-flux overlap generating function, as a ratio to the purity.
 
     Weighted sum of pairwise post-measurement overlaps over both outcomes,
-    equal to exp(-1/2 sum_{ij} gamma_i gamma_j M_ij) Tr rho_A^2; the
-    absolute purity is non-universal, so the exponential ratio is
-    returned.
+    equal to exp(-1/2 sum_{ij} gamma_i gamma_j M_ij) Tr rho_A^2 for the
+    n = 2 matrix; the absolute purity is non-universal, so the exponential
+    ratio is returned.
     """
-    M = build_M_operator(g.with_n(2), spec, cfg).dense()
     gam = np.array([gamma1, gamma2])
-    return float(np.exp(-0.5 * gam @ M @ gam))
+    return float(np.exp(-0.5 * gam @ _two_replica(om).dense() @ gam))
 
 
-def uv_finite_overlap_ratio(g: Geometry, spec: OperatorSpec, gamma1: float, gamma2: float,
-                            cfg: QuadratureConfig) -> float:
+def uv_finite_overlap_ratio(om: OperatorMatrix, gamma1: float, gamma2: float) -> float:
     """Overlap generating function over the single-flux generating functions.
 
     Dividing by <e^{i gamma_1 Q_B}> <e^{i gamma_2 Q_B}> cancels the
     replica-diagonal cutoff divergence: the log reduces to
-    -gamma_1 gamma_2 M_12 - (gamma_i^2 / 2)(M_ii - m11_single), every piece
-    finite as eps -> 0. Reported as a ratio to Tr rho_A^2.
+    -gamma_1 gamma_2 M_12 - (gamma_i^2 / 2)(M_ii - m11), every piece
+    finite as eps -> 0 and free of ``eps_reg``. Reported as a ratio to
+    Tr rho_A^2.
 
-    M_ii - m11_single is the subtracted diagonal itself, taken as such:
-    formed as a difference of the two cutoff-divergent numbers it loses
-    every digit at heavy weights.
+    M_ii - m11 is the subtracted diagonal itself, taken as such: formed as
+    a difference of the two cutoff-divergent numbers it loses every digit
+    at heavy weights.
     """
-    om = build_M_operator(g.with_n(2), spec, cfg)
-    log_ratio = (
-        -gamma1 * gamma2 * om.off_row[0]
-        - 0.5 * (gamma1**2 + gamma2**2) * om.diag_remainder
-    )
+    _two_replica(om)
+    log_ratio = (-gamma1 * gamma2 * om.off_row[0]
+                 - 0.5 * (gamma1**2 + gamma2**2) * om.diag_remainder)
     return float(np.exp(log_ratio))
 
 
-def averaged_purity(g: Geometry, spec: OperatorSpec, gamma: float,
-                    cfg: QuadratureConfig) -> dict:
+def averaged_purity(om: OperatorMatrix, gamma: float) -> dict:
     """Flux-weighted average of the post-measurement purities.
 
     sum_q p_q e^{i gamma q} Tr rho_{A,q}^2 =
-    sqrt(pi / (M11 - M12)) exp(-gamma^2 (M11 - M12) / 4) in the Gaussian
-    closed form. ``uv_finite`` divides by the single-copy generating
-    function at gamma / sqrt(2) and by the gamma = 0 value, leaving the
-    cutoff-free exponential exp(-gamma^2 (M11 - M12 - m11_single) / 4),
-    where M11 - m11_single is the subtracted diagonal.
+    sqrt(pi / gap) exp(-gamma^2 gap / 4), gap = M11 - M12 of the n = 2
+    matrix. ``normalized`` divides by the single-copy generating function
+    exp(-gamma^2 m11 / 4) at gamma / sqrt(2), and ``uv_finite`` by the
+    gamma = 0 value too, leaving exp(-gamma^2 (gap - m11) / 4), where
+    gap - m11 is the subtracted diagonal minus M12. So ``normalized`` is
+    sqrt(pi / gap) uv_finite, finite where both exponentials underflow.
     """
-    om = build_M_operator(g.with_n(2), spec, cfg)
-    M = om.dense()
-    m11 = single_copy_m11_operator(g, spec, cfg)
+    M = _two_replica(om).dense()
     gap = M[0, 0] - M[0, 1]
     if gap <= 0.0:
         raise ValueError(f"M11 - M12 = {gap:.3e} <= 0: not a valid covariance")
-    value = np.sqrt(np.pi / gap) * np.exp(-0.25 * gamma**2 * gap)
-    gen_single = np.exp(-0.25 * gamma**2 * m11)  # <e^{i gamma Q_B / sqrt 2}>
-    uv_gap = om.diag_remainder - om.off_row[0]
+    root = np.sqrt(np.pi / gap)
+    uv_finite = np.exp(-0.25 * gamma**2 * (om.diag_remainder - om.off_row[0]))
     return {
-        "value": float(value),
-        "normalized": float(value / gen_single),
-        "uv_finite": float(np.exp(-0.25 * gamma**2 * uv_gap)),
+        "value": float(root * np.exp(-0.25 * gamma**2 * gap)),
+        "normalized": float(root * uv_finite),
+        "uv_finite": float(uv_finite),
         "m_gap": float(gap),
     }
 

@@ -14,6 +14,7 @@ comma list, or a single value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -263,8 +264,7 @@ def cmd_operator_mie(args):
     cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     rows, err = [], 0.0
     for l2 in parse_grid(args.l2):
-        g = _geometry(args, l2)
-        out = mie_general(g, spec, args.n, cfg)
+        out = mie_general(build_M_operator(_geometry(args, l2, args.n), spec, cfg))
         err = max(err, out["error_estimate"])
         rows.append([ROUTE_OPERATOR, args.L, args.d, l2, spec.kind, spec.weight, args.n,
                      out["base_entropy"], out["det_correction"],
@@ -275,47 +275,54 @@ def cmd_operator_mie(args):
     return cols, rows, {"max_error_estimate": _fmt(err)}
 
 
+def _two_replica_matrix(args):
+    """The n = 2 operator matrix of a fixed-l2 command and its
+    ``max_error_estimate`` provenance."""
+    om = build_M_operator(_geometry(args, args.l2, 2), parse_spec(args.spec),
+                          QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol))
+    return om, {"max_error_estimate": _fmt(om.error_estimate)}
+
+
 def cmd_overlap(args):
-    spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
-    g = _geometry(args, args.l2)
+    om, prov = _two_replica_matrix(args)
+    spec = om.spec
     rows = []
     for g1 in parse_grid(args.gamma1):
         for g2 in parse_grid(args.gamma2):
             rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind,
                          spec.weight, g1, g2,
-                         overlap_generating(g, spec, g1, g2, cfg),
-                         uv_finite_overlap_ratio(g, spec, g1, g2, cfg)])
+                         overlap_generating(om, g1, g2),
+                         uv_finite_overlap_ratio(om, g1, g2)])
     return ["route", "L", "d", "l2", "kind", "weight", "gamma1", "gamma2",
-            "generating", "uv_ratio"], rows
+            "generating", "uv_ratio"], rows, prov
 
 
 def cmd_averaged_purity(args):
-    spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
-    g = _geometry(args, args.l2)
+    om, prov = _two_replica_matrix(args)
+    spec = om.spec
     rows = []
     for gam in parse_grid(args.gamma):
-        out = averaged_purity(g, spec, gam, cfg)
+        out = averaged_purity(om, gam)
         rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
                      gam, out["value"], out["normalized"], out["uv_finite"]])
     return ["route", "L", "d", "l2", "kind", "weight", "gamma", "value",
-            "normalized", "uv_finite"], rows
+            "normalized", "uv_finite"], rows, prov
 
 
 def cmd_uv_check(args):
-    spec = parse_spec(args.spec)
-    g = _geometry(args, args.l2)
+    # one build serves both cutoffs: only the add-back m11 reads eps_reg
+    om, prov = _two_replica_matrix(args)
+    spec = om.spec
     rows = []
     for eps in (args.eps_reg, args.eps_reg / 2.0):
-        cfg = QuadratureConfig(eps_reg=eps, tol=args.tol)
-        ratio = uv_finite_overlap_ratio(g, spec, args.gamma, args.gamma, cfg)
-        numer = overlap_generating(g, spec, args.gamma, args.gamma, cfg)
-        ap = averaged_purity(g, spec, args.gamma, cfg)
+        om_eps = dataclasses.replace(om, eps_reg=eps)
+        ap = averaged_purity(om_eps, args.gamma)
         rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
-                     args.gamma, eps, ratio, numer, ap["uv_finite"], ap["value"]])
+                     args.gamma, eps, uv_finite_overlap_ratio(om_eps, args.gamma, args.gamma),
+                     overlap_generating(om_eps, args.gamma, args.gamma),
+                     ap["uv_finite"], ap["value"]])
     return ["route", "L", "d", "l2", "kind", "weight", "gamma", "eps_reg",
-            "uv_ratio", "raw_generating", "purity_uv_finite", "purity_raw"], rows
+            "uv_ratio", "raw_generating", "purity_uv_finite", "purity_raw"], rows, prov
 
 
 def _model_from_name(name: str) -> LatticeModel:

@@ -4,7 +4,8 @@
 
 Each file in ``FILES`` holds the CSV of every command listed for it, each
 block opened by a ``## opens <argv>`` line: ``boson_sweeps.csv`` the
-continuation sweeps, ``lattice_sweeps.csv`` the free-fermion sweeps.
+continuation sweeps, ``lattice_sweeps.csv`` the free-fermion sweeps,
+``operator_sweeps.csv`` the operator-quadrature sweeps.
 ``tests/test_golden.py`` reruns them in-process and compares. A change
 that rewrites a file lists in its change notes every row that moved and
 by how much.
@@ -49,11 +50,28 @@ LATTICE = (
      "--gamma", "0.5,0.5", "--l2", "20,40,80,140"),
 )
 
+_CN = ("cn-table", "--L", "1", "--d", "1", "--l2", "2")
+
+# the benchmark's operator commands, which it runs unjittered, and one
+# overlap grid
+OPERATOR = (
+    _CN + ("--spec", "scalar:0.25", "--n", "1:10"),
+    _CN + ("--spec", "scalar:0.75", "--n", "1:10"),
+    _CN + ("--spec", "vector:0", "--n", "1:10"),
+    ("cn-table", "--L", "1", "--d", "0.01", "--l2", "2", "--spec", "scalar:0.25", "--n", "2:4"),
+    ("operator-mie", "--L", "1", "--d", "1", "--l2", "2:20:8:log", "--spec", "scalar:0.25",
+     "--n", "2"),
+    ("uv-check", "--L", "2", "--d", "2", "--l2", "5", "--spec", "scalar:0.75", "--gamma", "0.3",
+     "--eps-reg", "1e-3"),
+    ("overlap", "--gamma1", "0.1,0.5", "--gamma2", "0.2,0.4"),
+)
+
 FILES = {
     Path(__file__).with_name("boson_sweeps.csv"): BOSON,
     Path(__file__).with_name("lattice_sweeps.csv"): LATTICE,
+    Path(__file__).with_name("operator_sweeps.csv"): OPERATOR,
 }
-COMMANDS = BOSON + LATTICE
+COMMANDS = BOSON + LATTICE + OPERATOR
 
 
 def run(argv) -> str:

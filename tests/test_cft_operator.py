@@ -1,3 +1,7 @@
+import dataclasses
+import types
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -202,8 +206,8 @@ class TestBuildM:
         g = geo(n=2)
         spec = OperatorSpec("scalar", 0.3)
         om = build_M_operator(g, spec, QuadratureConfig(eps_reg=1e-5, tol=1e-10))
-        d1 = om.dense(1e-5)[0, 0]
-        d2 = om.dense(5e-6)[0, 0]
+        d1 = om.dense()[0, 0]
+        d2 = dataclasses.replace(om, eps_reg=5e-6).dense()[0, 0]
         assert abs(d2 - d1) / abs(d1) < 1e-3
 
     def test_strip_mode_agrees_for_light_weights(self):
@@ -338,10 +342,46 @@ class TestDomainSweep:
             om = build_M_operator(g.with_n(2), spec, CFG)
             # a flux that keeps the log of the ratio of order 0.1
             gam = np.sqrt(0.1 / max(abs(om.off_row[0]), abs(om.diag_remainder)))
-            vals = [uv_finite_overlap_ratio(g, spec, gam, gam, QuadratureConfig(eps_reg=eps))
-                    for eps in (1e-4, 5e-5)]
+            vals = [uv_finite_overlap_ratio(
+                build_M_operator(g.with_n(2), spec, QuadratureConfig(eps_reg=eps)), gam, gam)
+                for eps in (1e-4, 5e-5)]
             assert 0.0 < vals[0] < np.inf
             assert abs(vals[1] / vals[0] - 1.0) < 0.01
+
+
+class TestOperatorMatrix:
+    """One build per (geometry, n): the cutoff lives only in ``eps_reg``."""
+
+    @pytest.mark.parametrize("spec", [OperatorSpec("scalar", 0.25), OperatorSpec("scalar", 1.45),
+                                      OperatorSpec("vector", 0.25)], ids=_spec_id)
+    def test_rule_entries_do_not_read_the_cutoff(self, spec):
+        g = _domain_geometry(1.0, 30.0, 3)
+        a, b = (build_M_operator(g, spec, QuadratureConfig(eps_reg=eps)) for eps in (1e-4, 5e-5))
+        assert a.off_row == b.off_row
+        assert a.diag_remainder == b.diag_remainder
+        assert a.error_estimate == b.error_estimate
+        assert (a.eps_reg, b.eps_reg) == (1e-4, 5e-5)
+        # so a cutoff change is a field change, down to the last bit
+        moved = dataclasses.replace(a, eps_reg=5e-5)
+        assert np.array_equal(moved.dense(), b.dense())
+        assert moved.cn() == b.cn()
+
+    def test_m11_is_the_add_back(self):
+        g, spec, cfg = geo(n=3), OperatorSpec("scalar", 0.6), QuadratureConfig(eps_reg=1e-5)
+        om = build_M_operator(g, spec, cfg)
+        assert om.m11 == single_copy_m11_operator(g, spec, cfg)
+        assert om.m11 == flat_integral_exact(spec, g.ell2, 1e-5)
+        assert np.array_equal(om.dense() - om.subtracted().dense(), om.m11 * np.eye(3))
+
+    def test_two_replica_diagnostics_refuse_other_n(self):
+        om = build_M_operator(geo(n=3), OperatorSpec("scalar", 0.25), CFG)
+        for call in (lambda: overlap_generating(om, 0.1, 0.2),
+                     lambda: uv_finite_overlap_ratio(om, 0.1, 0.2),
+                     lambda: averaged_purity(om, 0.1)):
+            with pytest.raises(ValueError, match="n = 2 replica matrix, got n = 3"):
+                call()
+        with pytest.raises(ValueError, match="need n >= 2"):
+            mie_general(build_M_operator(geo(n=1), OperatorSpec("scalar", 0.25), CFG))
 
 
 def _mp_replica_matrix(row, m11):
@@ -356,8 +396,8 @@ def _mp_replica_matrix(row, m11):
 
 class TestPurityRatio:
     def test_unit_at_origin(self):
-        m11 = 8.0
-        assert log_purity_ratio_q(np.zeros(1), 0.0, m11) == pytest.approx(0.0)
+        one = types.SimpleNamespace(m11=8.0, subtracted=lambda: SymmetricCirculant([0.0]))
+        assert log_purity_ratio_q(one, 0.0) == pytest.approx(0.0)
 
     def test_charge_case_q_independence(self):
         # for the conserved current C_n = n C_1; q drops out entirely
@@ -365,8 +405,9 @@ class TestPurityRatio:
         m11 = single_copy_m11(g) / (4 * np.pi**2)
         row = build_M_boson(g).dense()[0] / (4 * np.pi**2)
         row[0] -= m11
-        delta = SymmetricCirculant(row).eigenvalues()
-        logs = [log_purity_ratio_q(delta, q, m11) for q in (0.0, 1.0, 3.0)]
+        # the boson matrix, read through the two fields log_purity_ratio_q uses
+        boson = types.SimpleNamespace(m11=m11, subtracted=lambda: SymmetricCirculant(row))
+        logs = [log_purity_ratio_q(boson, q) for q in (0.0, 1.0, 3.0)]
         assert np.allclose(logs, logs[0], rtol=0.0, atol=1e-10)
 
     def test_log_quadratic_in_q(self):
@@ -375,7 +416,7 @@ class TestPurityRatio:
         om = build_M_operator(g, spec, CFG)
         m11 = single_copy_m11_operator(g, spec, CFG)
         qs = np.linspace(-2.0, 2.0, 9)
-        logs = [log_purity_ratio_q(om.subtracted().eigenvalues(), q, m11) for q in qs]
+        logs = [log_purity_ratio_q(om, q) for q in qs]
         coeffs = np.polyfit(qs, logs, 3)
         cn = quadratic_form_cn(om.dense())
         assert coeffs[1] == pytest.approx(-(cn - 2.0 / m11) / 2.0, rel=1e-8)
@@ -388,7 +429,8 @@ class TestPurityRatio:
         g, spec, n = _domain_geometry(1.0, 1000.0, 1), OperatorSpec("scalar", 1.45), 3
         cfg = QuadratureConfig(eps_reg=5e-5)
         m11_f = single_copy_m11_operator(g, spec, cfg)
-        sub = build_M_operator(g.with_n(n), spec, cfg).subtracted()
+        om = build_M_operator(g.with_n(n), spec, cfg)
+        sub = om.subtracted()
         with mpmath.workdps(40):
             m11 = mpmath.mpf(m11_f)
             M = _mp_replica_matrix(sub.row, m11)
@@ -396,15 +438,15 @@ class TestPurityRatio:
             log_det_ratio = mpmath.log(mpmath.det(M)) - n * mpmath.log(m11)
             for q in (0.0, np.sqrt(m11_f), 3.0 * np.sqrt(m11_f)):
                 ref = -mpmath.mpf(q) ** 2 * (cn - n / m11) / 2 - log_det_ratio / 2
-                assert log_purity_ratio_q(sub.eigenvalues(), q, m11_f) == pytest.approx(
+                assert log_purity_ratio_q(om, q) == pytest.approx(
                     float(ref), rel=1e-10)
 
 
 class TestMie:
     def test_conserved_current_has_no_q_term(self):
         g = Geometry(10.0, 30.0, 60.0, 0.1, 1)
-        out = mie_general(g, OperatorSpec("vector", 0.0),
-                          2, QuadratureConfig(eps_reg=0.2, tol=1e-10))
+        out = mie_general(build_M_operator(g.with_n(2), OperatorSpec("vector", 0.0),
+                                           QuadratureConfig(eps_reg=0.2, tol=1e-10)))
         # C_2 - 2 C_1 vanishes identically for the conserved charge
         assert abs(out["q_correction_gaussian"]) < 1e-5 * abs(out["det_correction"]) + 1e-10
 
@@ -413,14 +455,14 @@ class TestMie:
         g = geo(n=1)
         spec = OperatorSpec("scalar", 0.25)
         n = 2
-        out = mie_general(g, spec, n, CFG)
-        delta = build_M_operator(g.with_n(n), spec, CFG).subtracted().eigenvalues()
+        om = build_M_operator(g.with_n(n), spec, CFG)
+        out = mie_general(om)
         m11 = out["m11_single"]
         sigma = np.sqrt(m11)
         qs = np.linspace(-8 * sigma, 8 * sigma, 1 << 10)
         pq = np.exp(-qs**2 / (2 * m11)) / np.sqrt(2 * np.pi * m11)
         s_q = np.array(
-            [out["base_entropy"] + log_purity_ratio_q(delta, q, m11) / (1 - n) for q in qs]
+            [out["base_entropy"] + log_purity_ratio_q(om, q) / (1 - n) for q in qs]
         )
         mie_sum = np.trapezoid(pq * s_q, qs)
         assert mie_sum == pytest.approx(out["total"], rel=1e-3)
@@ -430,8 +472,8 @@ class TestMie:
         # same float entries are the reference
         g, spec, n = _domain_geometry(1.0, 1000.0, 1), OperatorSpec("scalar", 1.45), 3
         cfg = QuadratureConfig(eps_reg=5e-5)
-        out = mie_general(g, spec, n, cfg)
         om = build_M_operator(g.with_n(n), spec, cfg)
+        out = mie_general(om)
         row = om.subtracted().row
         with mpmath.workdps(40):
             m11 = mpmath.mpf(single_copy_m11_operator(g, spec, cfg))
@@ -454,13 +496,13 @@ class TestMie:
         g2 = Geometry(1.0, 2.5, 10.0, 1e-3, 1)
         eta = lambda g: g.a * (g.b - g.L) / (g.b * (g.a - g.L))
         assert eta(g1) == pytest.approx(eta(g2), rel=1e-12)
-        corr1 = mie_general(g1, spec, 2, cfg)["det_correction"]
-        corr2 = mie_general(g2, spec, 2, cfg)["det_correction"]
+        corr1 = mie_general(build_M_operator(g1.with_n(2), spec, cfg))["det_correction"]
+        corr2 = mie_general(build_M_operator(g2.with_n(2), spec, cfg))["det_correction"]
         # a global rescaling *would* leave it invariant (dimensionless),
         # provided the point splitting is rescaled along
         g1s = Geometry(3.0, 6.0, 12.0, 3e-3, 1)
         cfg_s = QuadratureConfig(eps_reg=3e-6, tol=1e-10)
-        corr1s = mie_general(g1s, spec, 2, cfg_s)["det_correction"]
+        corr1s = mie_general(build_M_operator(g1s.with_n(2), spec, cfg_s))["det_correction"]
         assert corr1s == pytest.approx(corr1, rel=1e-6)
         assert abs(corr2 - corr1) > 100 * cfg.tol
         assert corr2 != pytest.approx(corr1, rel=1e-2)
@@ -468,31 +510,31 @@ class TestMie:
 
 class TestOverlaps:
     def test_no_flux_is_purity_ratio(self):
-        g = geo()
-        spec = OperatorSpec("scalar", 0.25)
-        assert overlap_generating(g, spec, 0.0, 0.0, CFG) == pytest.approx(1.0)
-        assert uv_finite_overlap_ratio(g, spec, 0.0, 0.0, CFG) == pytest.approx(1.0)
+        om = build_M_operator(geo(n=2), OperatorSpec("scalar", 0.25), CFG)
+        assert overlap_generating(om, 0.0, 0.0) == pytest.approx(1.0)
+        assert uv_finite_overlap_ratio(om, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_flux_exchange_symmetry(self):
-        g = geo()
-        spec = OperatorSpec("scalar", 0.25)
-        assert overlap_generating(g, spec, 0.4, 1.1, CFG) == pytest.approx(
-            overlap_generating(g, spec, 1.1, 0.4, CFG), rel=1e-12
+        om = build_M_operator(geo(n=2), OperatorSpec("scalar", 0.25), CFG)
+        assert overlap_generating(om, 0.4, 1.1) == pytest.approx(
+            overlap_generating(om, 1.1, 0.4), rel=1e-12
         )
 
     def test_gaussian_closed_form(self):
         g = geo()
         spec = OperatorSpec("scalar", 0.25)
-        M = build_M_operator(g.with_n(2), spec, CFG).dense()
+        om = build_M_operator(g.with_n(2), spec, CFG)
+        M = om.dense()
         gam = np.array([0.7, -0.3])
-        assert overlap_generating(g, spec, *gam, CFG) == pytest.approx(
+        assert overlap_generating(om, *gam) == pytest.approx(
             np.exp(-0.5 * gam @ M @ gam), rel=1e-10
         )
 
     def test_uv_ratio_algebraic_expansion(self):
         g = geo()
         spec = OperatorSpec("scalar", 0.25)
-        M = build_M_operator(g.with_n(2), spec, CFG).dense()
+        om = build_M_operator(g.with_n(2), spec, CFG)
+        M = om.dense()
         m11 = single_copy_m11_operator(g, spec, CFG)
         g1, g2 = 0.8, 0.5
         expected = (
@@ -500,7 +542,7 @@ class TestOverlaps:
             - 0.5 * g1**2 * (M[0, 0] - m11)
             - 0.5 * g2**2 * (M[1, 1] - m11)
         )
-        assert np.log(uv_finite_overlap_ratio(g, spec, g1, g2, CFG)) == pytest.approx(
+        assert np.log(uv_finite_overlap_ratio(om, g1, g2)) == pytest.approx(
             expected, rel=1e-10
         )
 
@@ -512,8 +554,9 @@ class TestOverlaps:
         vals, raws = [], []
         for eps in (1e-3, 5e-4):
             cfg = QuadratureConfig(eps_reg=eps, tol=1e-9)
-            vals.append(np.log(uv_finite_overlap_ratio(g, spec, 0.2, 0.2, cfg)))
-            M = build_M_operator(g.with_n(2), spec, cfg).dense()
+            om = build_M_operator(g.with_n(2), spec, cfg)
+            vals.append(np.log(uv_finite_overlap_ratio(om, 0.2, 0.2)))
+            M = om.dense()
             raws.append(-0.5 * gam @ M @ gam)  # log of the unnormalized numerator
         assert abs(vals[1] - vals[0]) < 0.01 * abs(vals[0])
         assert abs(raws[1] - raws[0]) > 0.10 * abs(raws[0])
@@ -523,17 +566,19 @@ class TestAveragedPurity:
     def test_zero_flux_value(self):
         g = geo()
         spec = OperatorSpec("scalar", 0.25)
-        M = build_M_operator(g.with_n(2), spec, CFG).dense()
-        out = averaged_purity(g, spec, 0.0, CFG)
+        om = build_M_operator(g.with_n(2), spec, CFG)
+        M = om.dense()
+        out = averaged_purity(om, 0.0)
         assert out["value"] == pytest.approx(np.sqrt(np.pi / (M[0, 0] - M[0, 1])), rel=1e-10)
 
     def test_log_quadratic_coefficient(self):
         g = geo()
         spec = OperatorSpec("scalar", 0.25)
-        M = build_M_operator(g.with_n(2), spec, CFG).dense()
+        om = build_M_operator(g.with_n(2), spec, CFG)
+        M = om.dense()
         gap = M[0, 0] - M[0, 1]
         gs = np.linspace(0.0, 1.5, 7)
-        logs = np.log([averaged_purity(g, spec, gam, CFG)["value"] for gam in gs])
+        logs = np.log([averaged_purity(om, gam)["value"] for gam in gs])
         coef = np.polyfit(gs, logs, 2)[0]
         assert coef == pytest.approx(-gap / 4.0, rel=1e-9)
 
@@ -541,7 +586,8 @@ class TestAveragedPurity:
         # brute force: integrate over gamma_1 with gamma_2 = gamma - gamma_1
         g = geo()
         spec = OperatorSpec("scalar", 0.25)
-        M = build_M_operator(g.with_n(2), spec, CFG).dense()
+        om = build_M_operator(g.with_n(2), spec, CFG)
+        M = om.dense()
         gamma = 0.8
         f = lambda g1: np.exp(
             -0.5 * M[0, 0] * g1**2
@@ -549,8 +595,36 @@ class TestAveragedPurity:
             - 0.5 * M[1, 1] * (gamma - g1) ** 2
         )
         ref, _ = integrate.quad(f, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12)
-        out = averaged_purity(g, spec, gamma, CFG)
+        out = averaged_purity(om, gamma)
         assert out["value"] == pytest.approx(ref, rel=1e-6)
+
+    def test_normalized_is_value_over_single_copy(self):
+        # where neither exponential underflows, the quotient itself
+        g = geo()
+        spec = OperatorSpec("scalar", 0.25)
+        om = build_M_operator(g.with_n(2), spec, CFG)
+        for gamma in (0.0, 0.1, 0.3):
+            out = averaged_purity(om, gamma)
+            quotient = out["value"] / np.exp(-0.25 * gamma**2 * om.m11)
+            assert out["normalized"] == pytest.approx(quotient, rel=1e-12)
+
+    def test_normalized_survives_underflow(self):
+        # gamma^2 m11 / 4 ~ 1e8: value and the single-copy generating
+        # function are both 0.0, and their quotient used to be nan; the
+        # reference is the quotient at 40 digits from the same float entries
+        g = _domain_geometry(1.0, 1000.0, 2)
+        spec, gamma = OperatorSpec("scalar", 1.45), 0.5
+        om = build_M_operator(g, spec, QuadratureConfig(eps_reg=5e-5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 0/0 warned as an invalid value
+            out = averaged_purity(om, gamma)
+        assert out["value"] == 0.0
+        with mpmath.workdps(40):
+            m11 = mpmath.mpf(om.m11)
+            gap = m11 + mpmath.mpf(om.diag_remainder) - mpmath.mpf(om.off_row[0])
+            g2 = mpmath.mpf(gamma) ** 2
+            ref = mpmath.sqrt(mpmath.pi / gap) * mpmath.exp(-g2 * gap / 4 + g2 * m11 / 4)
+        assert out["normalized"] == pytest.approx(float(ref), rel=1e-10)
 
 
 class TestConvergenceCheck:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from opens.cft_boson import TimeParams, holevo_chi_detailed, holevo_chi_time_detailed
-from opens import cft_operator
+from opens import cft_operator, cli
 from opens.cli import _fmt, _model_from_name, main, parse_grid, parse_spec
 from opens.core import Geometry
 from opens.errors import RegimeWarning
@@ -350,7 +350,10 @@ class TestCommands:
         base = ["--L", "1", "--d", "1", "--spec", "scalar:1.25"]
         for args in (["operator-m", "--l2", "2", "--n", "3"],
                      ["cn-table", "--l2", "2", "--n", "1:3"],
-                     ["operator-mie", "--l2", "2,4", "--n", "2"]):
+                     ["operator-mie", "--l2", "2,4", "--n", "2"],
+                     ["overlap", "--l2", "2", "--gamma1", "0.1,0.5", "--gamma2", "0.2"],
+                     ["averaged-purity", "--l2", "2", "--gamma", "0.1,0.5"],
+                     ["uv-check", "--l2", "2", "--gamma", "0.3"]):
             out = tmp_path / "e.csv"
             assert main(["--output", str(out)] + args + base) == 0
             est = [l for l in out.read_text().splitlines() if l.startswith("# max_error_estimate")]
@@ -380,6 +383,27 @@ class TestCommands:
                      ["uv-check", "--spec", "scalar:0.75", "--gamma", "0.3"] + base):
             out = tmp_path / "q.csv"
             assert main(["--output", str(out)] + args) == 0, out.read_text()
+
+    def test_one_operator_build_per_matrix(self, tmp_path, monkeypatch):
+        # overlap, averaged-purity and uv-check read one n = 2 matrix, whatever
+        # their grid; operator-mie builds one per l2 and cn-table one per n >= 2
+        real, calls = cft_operator.build_M_operator, []
+
+        def counting(*args):
+            calls.append(args[0].n)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "build_M_operator", counting)
+        monkeypatch.setattr(cft_operator, "build_M_operator", counting)
+        for args, want in ((["overlap", "--gamma1", "0.1,0.5", "--gamma2", "0.2,0.4"], [2]),
+                           (["averaged-purity", "--gamma", "0.1,0.5,2"], [2]),
+                           (["uv-check", "--spec", "scalar:0.75", "--gamma", "0.3"], [2]),
+                           (["operator-mie", "--n", "3", "--l2", "2,4,8"], [3, 3, 3]),
+                           (["cn-table", "--n", "1:4"], [2, 3, 4])):
+            calls.clear()
+            out = tmp_path / "b.csv"
+            assert main(["--output", str(out)] + args + ["--L", "1", "--d", "1"]) == 0
+            assert calls == want, args[0]
 
     def test_heavy_vector_on_long_intervals(self, tmp_path):
         # the flat add-back of h_v = 0.45 is about 1e12 at l2 = 1000
