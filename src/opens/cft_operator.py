@@ -587,17 +587,24 @@ def averaged_purity(om: OperatorMatrix, gamma: float) -> dict:
     gamma = 0 value too, leaving exp(-gamma^2 (gap - m11) / 4), where
     gap - m11 is the subtracted diagonal minus M12. So ``normalized`` is
     sqrt(pi / gap) uv_finite, finite where both exponentials underflow.
+    ``log_value`` and ``log_uv_finite`` are the logs of ``value`` and
+    ``uv_finite`` formed before exponentiating, finite where those leave
+    the float range.
     """
     M = _two_replica(om).dense()
     gap = M[0, 0] - M[0, 1]
     if gap <= 0.0:
         raise ValueError(f"M11 - M12 = {gap:.3e} <= 0: not a valid covariance")
     root = np.sqrt(np.pi / gap)
-    uv_finite = np.exp(-0.25 * gamma**2 * (om.diag_remainder - om.off_row[0]))
+    log_value = 0.5 * np.log(np.pi / gap) - 0.25 * gamma**2 * gap
+    log_uv_finite = -0.25 * gamma**2 * (om.diag_remainder - om.off_row[0])
+    uv_finite = np.exp(log_uv_finite)
     return {
         "value": float(root * np.exp(-0.25 * gamma**2 * gap)),
         "normalized": float(root * uv_finite),
         "uv_finite": float(uv_finite),
+        "log_value": float(log_value),
+        "log_uv_finite": float(log_uv_finite),
         "m_gap": float(gap),
     }
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -224,6 +225,9 @@ def cmd_cn_table(args):
     spec = parse_spec(args.spec)
     cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     ns = _integer_grid(args.n, "n")
+    if len(ns) < 2:
+        raise ValueError(f"grid {args.n!r} gives fewer than two n; the linear fit needs "
+                         "at least two distinct integer points")
     cns, errs = [], []
     for n in ns:
         g = _geometry(args, args.l2, n)
@@ -304,9 +308,10 @@ def cmd_averaged_purity(args):
     for gam in parse_grid(args.gamma):
         out = averaged_purity(om, gam)
         rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
-                     gam, out["value"], out["normalized"], out["uv_finite"]])
+                     gam, out["value"], out["normalized"], out["uv_finite"],
+                     out["log_value"], out["log_uv_finite"]])
     return ["route", "L", "d", "l2", "kind", "weight", "gamma", "value",
-            "normalized", "uv_finite"], rows, prov
+            "normalized", "uv_finite", "log_value", "log_uv_finite"], rows, prov
 
 
 def cmd_uv_check(args):
@@ -457,7 +462,7 @@ def _model_arg(presets_only: bool):
 
 
 def _jobs_arg(text: str) -> int:
-    """``--jobs`` and ``OPENS_JOBS`` type: an integer of at least 1."""
+    """``--jobs`` type, and ``OPENS_JOBS`` check in ``main``: an integer of at least 1."""
     try:
         jobs = int(text)
         if jobs >= 1:
@@ -485,6 +490,7 @@ def _register(registry, sub, name, **kw):
 
 
 def build_parser():
+    """A new ``(parser, subparsers)`` pair; ``subparsers`` maps command names to parsers."""
     subparsers = {}
     ap = argparse.ArgumentParser(
         prog="opens",
@@ -493,9 +499,9 @@ def build_parser():
     ap.add_argument("--config", help="key=value file supplying flag defaults")
     ap.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    # argparse converts a string default with the flag's type, so a bad
-    # OPENS_JOBS is rejected like a bad --jobs
-    ap.add_argument("--jobs", type=_jobs_arg, default=os.environ.get("OPENS_JOBS", "1"),
+    # the OPENS_JOBS default is read by main on each call, not here: the
+    # parser outlives the call that built it
+    ap.add_argument("--jobs", type=_jobs_arg, default=None,
                     help="no effect: every sweep runs serially; accepted (default OPENS_JOBS "
                     "or 1) and recorded in the provenance until the benchmark stops passing it")
     ap.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
@@ -598,12 +604,20 @@ def _load_config(path: str) -> dict:
     return out
 
 
+@functools.cache
+def _shared_parser():
+    """The process-wide ``build_parser()`` pair; parsing never mutates it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap, subparsers = build_parser()
+    ap, subparsers = _shared_parser()
     # a config file supplies defaults; explicit flags still win
     pre, rest = ap.parse_known_args(argv)
     if pre.config:
+        # set_defaults mutates a parser, so the rare config call builds its own
+        ap, subparsers = build_parser()
         overrides = _load_config(pre.config)
         cmd = pre.command or overrides.get("command")
         targets = [ap] + ([subparsers[cmd]] if cmd in subparsers else [])
@@ -616,6 +630,11 @@ def main(argv=None) -> int:
             args = ap.parse_args(argv)
     else:
         args = ap.parse_args(argv)
+    if args.jobs is None:
+        try:
+            args.jobs = _jobs_arg(os.environ.get("OPENS_JOBS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            ap.error(f"argument --jobs: {exc}")
     if not args.command:
         ap.print_usage(sys.stderr)
         return 2

@@ -5,10 +5,12 @@ the asserts carry the same bounds, so the suite is the machine-checked
 version of the acceptance table.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from opens.cft_boson import (
     build_M_boson,
@@ -26,6 +28,7 @@ from opens.cft_operator import (
     QuadratureConfig,
     averaged_purity,
     build_M_operator,
+    flat_integral_exact,
     flat_interval_integral,
     overlap_generating,
     single_copy_m11_operator,
@@ -166,8 +169,6 @@ def test_criterion_5_large_time_decay():
 
 
 def test_criterion_6_flat_integrals():
-    from scipy import integrate
-
     ell = 1.0
     checks = []
     # h = 1/4: no divergence; quadrature extrapolated in eps vs closed form
@@ -341,6 +342,63 @@ def test_criterion_10_ising_log_coefficient():
     )
 
 
+def _point_split_diagonal(g: Geometry, h: float, eps: float) -> float:
+    """The scalar diagonal entry point-split at eps, by nested adaptive quad.
+
+    Integrates (j1 j2)^h (|u1 - u2|^2 + j1 j2 eps^2)^(-h) over x1, x2 in B,
+    with the raw map u = (x / (x - L))^(1/n) and j = |du/dx| written out
+    here, in s = x1 - x2 (outer, split at eps 4^k where the kernel has
+    width eps) and the midpoint (inner).
+    """
+    L, a, b, n = g.L, g.a, g.b, g.n
+
+    def kernel(mid, s):
+        x1, x2 = mid + 0.5 * s, mid - 0.5 * s
+        u1, u2 = (x1 / (x1 - L)) ** (1.0 / n), (x2 / (x2 - L)) ** (1.0 / n)
+        jj = u1 * u2 * L * L / (n * n * x1 * (x1 - L) * x2 * (x2 - L))
+        return jj**h * ((u1 - u2) ** 2 + jj * eps * eps) ** (-h)
+
+    def over_midpoints(s):
+        return integrate.quad(kernel, a + 0.5 * s, b - 0.5 * s, args=(s,),
+                              epsabs=0.0, epsrel=1e-11)[0]
+
+    ell = b - a
+    cuts = [0.0] + [eps * 4.0**k for k in range(12) if eps * 4.0**k < ell] + [ell]
+    return 2.0 * sum(integrate.quad(over_midpoints, lo, hi, epsabs=0.0, epsrel=1e-11)[0]
+                     for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _point_split_leading(g: Geometry, h: float) -> float:
+    """C in point-split diagonal - flat(eps) - diag_remainder = C eps^(3 - 2h) + O(eps^2).
+
+    With s = x1 - x2 and r = j1 j2 s^2 / |u1 - u2|^2 the point-split kernel
+    is (s^2 / r + eps^2)^(-h), and the Schwarzian gives r = 1 + kappa s^2 +
+    O(s^4), kappa(x) = (1 - 1/n^2) L^2 / (12 x^2 (x - L)^2). Less the flat
+    kernel (s^2 + eps^2)^(-h) that leaves h kappa s^4 (s^2 + eps^2)^(-h-1),
+    whose eps -> 0 limit h kappa |s|^(2-2h) is what diag_remainder
+    integrates. Their difference, integrated over s on the real line at a
+    fixed midpoint, is 2 h kappa eps^(3-2h) I(h) after s = eps t, with
+    I(h) = int_0^inf [t^4 (1 + t^2)^(-h-1) - t^(2-2h)] dt
+         = Gamma(5/2) Gamma(h - 3/2) / (2 Gamma(h + 1)),
+    the beta integral continued to 1/2 < h < 3/2, where it converges. So
+    C = 2 h I(h) times the integral of kappa over B. The next term, from
+    s >> eps, is eps^2 times a cutoff-free integral, eps^(2h-1) relative
+    to the leading one.
+    """
+    L, a, b, n = g.L, g.a, g.b, g.n
+    kappa = lambda x: (1.0 - 1.0 / n**2) * L**2 / (12.0 * x**2 * (x - L) ** 2)
+    I = math.gamma(2.5) * math.gamma(h - 1.5) / (2.0 * math.gamma(h + 1.0))
+    return 2.0 * h * I * integrate.quad(kappa, a, b, epsabs=0.0, epsrel=1e-13)[0]
+
+
+def _point_split_misfit(g: Geometry, h: float, eps: float):
+    """diag_remainder -> relative miss of the predicted remainder C eps^(3 - 2h)."""
+    rest = _point_split_diagonal(g, h, eps) - flat_integral_exact(OperatorSpec("scalar", h),
+                                                                  g.ell2, eps)
+    lead = _point_split_leading(g, h) * eps ** (3.0 - 2.0 * h)
+    return lambda diag_remainder: abs((rest - diag_remainder) / lead - 1.0)
+
+
 def test_criterion_11_uv_finiteness():
     g = Geometry(2.0, 4.0, 9.0, 0.5, 1)
     gam = 0.3
@@ -349,6 +407,13 @@ def test_criterion_11_uv_finiteness():
     for hs in (0.75, 1.0):
         spec = OperatorSpec("scalar", hs)
         ratios, purs, logs_raw_gen, logs_raw_pur = [], [], [], []
+        # the independent route: the raw point-split diagonal less the flat
+        # integral tends to diag_remainder, missing it by the leading
+        # C eps^(3 - 2h) of _point_split_leading. The O(eps^2) rest is a few
+        # percent of that at h = 0.75 (eps^(2h - 1) = 0.03 at eps = 1e-3) and
+        # less at h = 1; the bound allows 10%. 1% of diag_remainder is about
+        # 200 times C eps^(3 - 2h) at h = 0.75, so a 1% error cannot hide in it.
+        misfits, wrong = [], []
         for eps in (1e-3, 5e-4):
             cfg = QuadratureConfig(eps_reg=eps, tol=1e-9)
             om = build_M_operator(g.with_n(2), spec, cfg)
@@ -358,6 +423,11 @@ def test_criterion_11_uv_finiteness():
             purs.append(ap["uv_finite"])
             logs_raw_gen.append(-0.5 * np.array([gam, gam]) @ M @ np.array([gam, gam]))
             logs_raw_pur.append(-0.25 * gam**2 * ap["m_gap"])
+            misfit = _point_split_misfit(g.with_n(2), hs, eps)
+            misfits.append(misfit(om.diag_remainder))
+            wrong.append(misfit(1.01 * om.diag_remainder))
+        independent = max(misfits) < 0.10
+        assert min(wrong) > 0.10  # the comparison rejects a 1% error in diag_remainder
         ch_ratio = abs(ratios[1] / ratios[0] - 1.0)
         ch_pur = abs(purs[1] / purs[0] - 1.0)
         # the unnormalized numerators diverge exponentially, so their logs
@@ -368,10 +438,12 @@ def test_criterion_11_uv_finiteness():
         # cutoff enters: equal by construction, so the < 1% bound cannot fail
         equal = ratios[1] == ratios[0] and purs[1] == purs[0]
         ok = (ok and equal and ch_ratio < 0.01 and ch_pur < 0.01
-              and ch_gen > 0.10 and ch_rawp > 0.10)
+              and ch_gen > 0.10 and ch_rawp > 0.10 and independent)
         details.append(
             f"h={hs}: ratio {ch_ratio * 100:.4f}%, purity {ch_pur * 100:.4f}% (<1%; "
             f"{'equal' if equal else 'NOT equal'} at both cutoffs, by construction); "
-            f"raw logs {ch_gen * 100:.0f}%/{ch_rawp * 100:.0f}% (>10%)"
+            f"raw logs {ch_gen * 100:.0f}%/{ch_rawp * 100:.0f}% (>10%); point-split "
+            f"remainder off C eps^(3-2h) by {max(misfits) * 100:.1f}% (<10%), "
+            f"by {min(wrong) * 100:.0f}% at 1.01 diag_remainder"
         )
     assert report(11, ok, "; ".join(details))

@@ -626,6 +626,24 @@ class TestAveragedPurity:
             ref = mpmath.sqrt(mpmath.pi / gap) * mpmath.exp(-g2 * gap / 4 + g2 * m11 / 4)
         assert out["normalized"] == pytest.approx(float(ref), rel=1e-10)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_logs_on_long_intervals(self):
+        # m_gap ~ 2.5e5: value underflows to 0.0 and uv_finite overflows to
+        # inf at gamma >= 0.1, while both logs stay finite
+        g = Geometry(10.0, 20.0, 1020.0, 0.5, 2)
+        om = build_M_operator(g, OperatorSpec("scalar", 0.05), QuadratureConfig())
+        seen = set()
+        for gamma in (0.05, 0.1, 1.0):
+            out = averaged_purity(om, gamma)
+            for col in ("value", "uv_finite"):
+                log = out["log_" + col]
+                assert np.isfinite(log)
+                if np.isfinite(out[col]) and out[col] != 0.0:
+                    assert log == pytest.approx(np.log(out[col]), rel=1e-12, abs=1e-12)
+                    seen.add(col)
+        assert seen == {"value", "uv_finite"}  # each log met its float column somewhere
+        assert out["value"] == 0.0 and out["uv_finite"] == np.inf
+
 
 class TestConvergenceCheck:
     def test_boundary_scalar(self):

@@ -110,6 +110,22 @@ class TestCommands:
         assert main(["--config", str(cfg), "--output", str(out2), "--jobs", "2"]) == 0
         assert "# jobs = 2" in out2.read_text()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_averaged_purity_log_columns(self, tmp_path):
+        # value underflows and uv_finite overflows on this grid; their logs do not
+        out = tmp_path / "ap.csv"
+        assert main(["--output", str(out), "averaged-purity", "--spec", "scalar:0.05",
+                     "--L", "10", "--d", "10", "--l2", "1000", "--gamma", "0.05,0.1,1"]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        cols = lines[0].split(",")
+        assert cols == ["route", "L", "d", "l2", "kind", "weight", "gamma", "value",
+                        "normalized", "uv_finite", "log_value", "log_uv_finite"]
+        rows = [dict(zip(cols, l.split(","))) for l in lines[1:]]
+        assert [r["uv_finite"] for r in rows][1:] == ["inf", "inf"]
+        assert rows[-1]["value"] == "0"
+        for r in rows:
+            assert np.isfinite([float(r["log_value"]), float(r["log_uv_finite"])]).all()
+
     def test_numerical_failure_records_diagnostics(self, tmp_path):
         out = tmp_path / "bad.csv"
         code = main(
@@ -271,6 +287,26 @@ class TestCommands:
         ):
             assert main(["--output", str(out)] + args) == 1
             assert out.read_text().splitlines()[-1] == error
+
+    def test_cn_table_rejects_a_single_n(self, tmp_path, monkeypatch):
+        # a linear fit through one point is undetermined: refused before any
+        # matrix is built, and polyfit never runs to warn about it
+        def no_build(*args):
+            raise AssertionError("operator matrix built for a one-point grid")
+
+        monkeypatch.setattr(cli, "build_M_operator", no_build)
+        monkeypatch.setattr(cli, "single_copy_m11_operator", no_build)
+        out = tmp_path / "one.csv"
+        for grid in ("3", "1"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                argv = ["cn-table", "--L", "1", "--d", "1", "--l2", "2", "--n", grid]
+                assert main(["--output", str(out)] + argv) == 1
+            assert not [w for w in caught if issubclass(w.category, np.exceptions.RankWarning)]
+            lines = out.read_text().splitlines()
+            assert "# status = error" in lines
+            assert lines[-1] == (f"ValueError: grid '{grid}' gives fewer than two n; the linear "
+                                 "fit needs at least two distinct integer points")
 
     @pytest.mark.parametrize("env,flags,shown", [("abc", [], "'abc'"),
                                                  (None, ["--jobs", "0"], "'0'"),
@@ -453,3 +489,42 @@ assert abs(entry - 0.7516955011344182) <= 1e-12 * 0.7516955011344182, repr(entry
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; ``--config`` builds its own."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._shared_parser.cache_clear()
+        yield
+        cli._shared_parser.cache_clear()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        real, built = cli.build_parser, []
+
+        def spy():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        out = tmp_path / "s.csv"
+        for args in (["boson-holevo", "--l2", "100"], ["boson-mie", "--l2", "50"],
+                     ["boson-moments", "--l2", "100,200"], ["boson-holevo", "--l2", "200"]):
+            assert main(["--output", str(out)] + args) == 0
+        assert len(built) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = boson-holevo\nl2 = 100\n")
+        assert main(["--config", str(cfg), "--output", str(out)]) == 0
+        assert main(["--output", str(out), "boson-holevo", "--l2", "100"]) == 0
+        assert len(built) == 2  # the config call's private parser, then the shared one again
+
+    def test_config_defaults_do_not_leak(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = boson-holevo\nL = 5\nl2 = 100\n")
+        first, second = tmp_path / "c.csv", tmp_path / "p.csv"
+        assert main(["--output", str(second), "boson-holevo", "--l2", "100"]) == 0
+        assert main(["--config", str(cfg), "--output", str(first)]) == 0
+        assert "# L = 5.0" in first.read_text().splitlines()
+        assert main(["--output", str(second), "boson-holevo", "--l2", "100"]) == 0
+        assert "# L = 10.0" in second.read_text().splitlines()
