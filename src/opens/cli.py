@@ -489,22 +489,31 @@ def _register(registry, sub, name, **kw):
     return p
 
 
+@functools.cache
+def _top_level_parser():
+    """The options that precede the command, on a parser of their own: a
+    ``--config`` call parses them without reading a flag value as the command."""
+    top = argparse.ArgumentParser(prog="opens", add_help=False)
+    top.add_argument("--config", help="key = value file whose entries act as the flags they name")
+    top.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+    top.add_argument("--format", choices=("csv", "json"), default="csv")
+    # the OPENS_JOBS default is read by main on each call, not here: the
+    # parser outlives the call that built it
+    top.add_argument("--jobs", type=_jobs_arg, default=None,
+                     help="no effect: every sweep runs serially; accepted (default OPENS_JOBS "
+                     "or 1) and recorded in the provenance until the benchmark stops passing it")
+    top.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
+    return top
+
+
 def build_parser():
     """A new ``(parser, subparsers)`` pair; ``subparsers`` maps command names to parsers."""
     subparsers = {}
     ap = argparse.ArgumentParser(
         prog="opens",
         description="entanglement diagnostics of observable-projected ensembles",
+        parents=[_top_level_parser()],
     )
-    ap.add_argument("--config", help="key=value file supplying flag defaults")
-    ap.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    # the OPENS_JOBS default is read by main on each call, not here: the
-    # parser outlives the call that built it
-    ap.add_argument("--jobs", type=_jobs_arg, default=None,
-                    help="no effect: every sweep runs serially; accepted (default OPENS_JOBS "
-                    "or 1) and recorded in the provenance until the benchmark stops passing it")
-    ap.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
     sub = ap.add_subparsers(dest="command")
 
     p = _register(subparsers, sub, "boson-moments", help="charged-moment ratio, closed form")
@@ -604,6 +613,29 @@ def _load_config(path: str) -> dict:
     return out
 
 
+def _config_flags(parser, config: dict) -> list:
+    """The ``config`` entries ``parser`` has options for, as ``--flag=value`` tokens."""
+    flags = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
+    return [f"{flags[k]}={v}" for k, v in config.items() if k in flags]
+
+
+def _parse_with_config(ap, subparsers, argv, path):
+    """Parse ``argv`` with the file at ``path`` supplying flags, the command included.
+
+    The file's entries go in as flags ahead of the explicit ones, so they are
+    checked as flags are and an explicit flag still wins. The options that
+    precede the command are parsed first on their own parser; the command is
+    the first token left over, or else the file's ``command``.
+    """
+    config = _load_config(path)
+    top_parser = _top_level_parser()
+    top, rest = top_parser.parse_known_args(_config_flags(top_parser, config) + argv)
+    cmd = rest.pop(0) if rest and rest[0] in subparsers else config.get("command")
+    if cmd is not None:
+        rest = [cmd] + (_config_flags(subparsers[cmd], config) if cmd in subparsers else []) + rest
+    return ap.parse_args(rest, namespace=top)
+
+
 @functools.cache
 def _shared_parser():
     """The process-wide ``build_parser()`` pair; parsing never mutates it."""
@@ -613,21 +645,9 @@ def _shared_parser():
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap, subparsers = _shared_parser()
-    # a config file supplies defaults; explicit flags still win
-    pre, rest = ap.parse_known_args(argv)
+    pre, _ = _top_level_parser().parse_known_args(argv)
     if pre.config:
-        # set_defaults mutates a parser, so the rare config call builds its own
-        ap, subparsers = build_parser()
-        overrides = _load_config(pre.config)
-        cmd = pre.command or overrides.get("command")
-        targets = [ap] + ([subparsers[cmd]] if cmd in subparsers else [])
-        for p in targets:
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in overrides.items() if k in known})
-        if pre.command is None and cmd in subparsers:
-            args = ap.parse_args([cmd] + rest, namespace=pre)
-        else:
-            args = ap.parse_args(argv)
+        args = _parse_with_config(ap, subparsers, argv, pre.config)
     else:
         args = ap.parse_args(argv)
     if args.jobs is None:

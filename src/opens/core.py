@@ -163,8 +163,8 @@ def quadratic_form_cn(M: np.ndarray) -> float:
 
 # log(sinh y / y) = sum_k (-1)^(k+1) zeta(2k) / (k pi^(2k)) y^(2k), highest
 # power first; the twelve terms kept reach double precision for |y| < 1/2.
-# Written out so that importing opens needs no scipy.special; a test rebuilds
-# them from special.zeta bit for bit.
+# Written out so that importing opens needs no special-function library; a test
+# rebuilds them from scipy's zeta bit for bit.
 _LOG_SINHC = (
     -9.754877841593711e-14,
     1.0502923908637565e-12,

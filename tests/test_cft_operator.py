@@ -27,7 +27,7 @@ from opens.cft_operator import (
     uv_finite_overlap_ratio,
 )
 from opens import cft_operator
-from opens.cft_operator import _log_r
+from opens.cft_operator import _exprel, _gauss_jacobi, _log_r
 from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
 from opens.errors import DomainError, QuadratureError
 
@@ -349,6 +349,48 @@ class TestDomainSweep:
             assert abs(vals[1] / vals[0] - 1.0) < 0.01
 
 
+class TestGaussJacobi:
+    """The in-repo Golub-Welsch rule and exprel against their closed forms and scipy."""
+
+    BETAS = (-0.9, -0.5, 0.0, 0.5, 1.5, 2.9)
+
+    @pytest.mark.parametrize("N", (32, 64, 128))
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_moments(self, beta, N):
+        z, w = _gauss_jacobi(N, beta)
+        for j in range(min(2 * N - 1, 60)):
+            exact = 2.0 ** (beta + j + 1.0) / (beta + j + 1.0)
+            assert abs(w @ (1.0 + z) ** j - exact) <= 1e-14 * exact, j
+
+    @pytest.mark.parametrize("N", (32, 64, 128))
+    def test_nodes_match_scipy(self, N):
+        from scipy import special
+
+        for beta in self.BETAS:
+            z, _ = _gauss_jacobi(N, beta)
+            np.testing.assert_allclose(z, special.roots_jacobi(N, 0.0, beta)[0], rtol=0,
+                                       atol=1e-15)
+
+    def test_rule_is_cached_and_read_only(self):
+        z, w = _gauss_jacobi(32, 0.5)
+        assert _gauss_jacobi(32, 0.5)[0] is z
+        assert not (z.flags.writeable or w.flags.writeable)
+
+    def test_exprel_matches_scipy(self):
+        from scipy import special
+
+        tiny = [0.0, 1e-300, 5e-17, 9.9e-17, 1e-16]
+        ramp = list(np.logspace(-20, -1, 39))
+        grid = tiny + ramp + [0.3, 0.5, 1.0, 7.5, 40.0, 700.0, 709.0, 710.0, 717.0, 717.5,
+                              800.0, 1e300, -1e300, -800.0, -40.0, -1.0, -0.5]
+        for x in grid + [-x for x in tiny + ramp]:
+            got, want = _exprel(x), float(special.exprel(x))
+            if np.isinf(want):
+                assert got == want, x
+            else:
+                assert abs(got - want) <= np.spacing(want), x
+
+
 class TestOperatorMatrix:
     """One build per (geometry, n): the cutoff lives only in ``eps_reg``."""
 
@@ -626,7 +668,7 @@ class TestAveragedPurity:
             ref = mpmath.sqrt(mpmath.pi / gap) * mpmath.exp(-g2 * gap / 4 + g2 * m11 / 4)
         assert out["normalized"] == pytest.approx(float(ref), rel=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_logs_on_long_intervals(self):
         # m_gap ~ 2.5e5: value underflows to 0.0 and uv_finite overflows to
         # inf at gamma >= 0.1, while both logs stay finite
@@ -643,6 +685,8 @@ class TestAveragedPurity:
                     seen.add(col)
         assert seen == {"value", "uv_finite"}  # each log met its float column somewhere
         assert out["value"] == 0.0 and out["uv_finite"] == np.inf
+        # opposite fluxes send the overlap ratio past the float range the same way
+        assert uv_finite_overlap_ratio(om, 1.0, -1.0) == np.inf
 
 
 class TestConvergenceCheck:

@@ -110,9 +110,58 @@ class TestCommands:
         assert main(["--config", str(cfg), "--output", str(out2), "--jobs", "2"]) == 0
         assert "# jobs = 2" in out2.read_text()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.parametrize("flag", ["--L=7", "--L 7"])
+    def test_config_command_takes_flags_in_either_form(self, tmp_path, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = boson-holevo\nL = 5\nl2 = 100\n")
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(cfg), "--output", str(out)] + flag.split()) == 0
+        assert "# L = 7.0" in out.read_text().splitlines()
+
+    def test_config_format(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = boson-holevo\nl2 = 100\nformat = json\n")
+        assert main(["--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0][0] == "boson-closed-form"
+        # an explicit flag still wins, and a bad value is rejected as a flag's would be
+        assert main(["--config", str(cfg), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("# opens")
+        cfg.write_text("command = boson-holevo\nformat = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_config_seed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = ed-verify\nl1 = 2\nd-sites = 2\nl2-sites = 2\nseed = 7\n")
+        out, flag_out = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert main(["--config", str(cfg), "--output", str(out)]) == 0
+        assert main(["--output", str(flag_out), "--seed", "7", "ed-verify", "--l1", "2",
+                     "--d-sites", "2", "--l2-sites", "2"]) == 0
+        assert "# seed = 7" in out.read_text().splitlines()
+        assert out.read_text() == flag_out.read_text()
+
+    def test_config_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENS_JOBS", "2")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = boson-holevo\nl2 = 100\njobs = 3\n")
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(cfg), "--output", str(out)]) == 0
+        assert "# jobs = 3" in out.read_text().splitlines()
+
+    def test_config_output(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command = boson-holevo\nl2 = 100\noutput = {out}\n")
+        assert main(["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("# opens")
+
+    @pytest.mark.filterwarnings("error")
     def test_averaged_purity_log_columns(self, tmp_path):
-        # value underflows and uv_finite overflows on this grid; their logs do not
+        # value underflows and uv_finite overflows on this grid, with no
+        # warning; their logs do not
         out = tmp_path / "ap.csv"
         assert main(["--output", str(out), "averaged-purity", "--spec", "scalar:0.05",
                      "--L", "10", "--d", "10", "--l2", "1000", "--gamma", "0.05,0.1,1"]) == 0
@@ -454,10 +503,10 @@ class TestCommands:
 
 
 def test_commands_import_only_the_scipy_they_run():
-    # a fresh interpreter with nothing of scipy imported beforehand: the boson
-    # and lattice commands never call quadrature, special functions, the AAA
-    # oracle, mpmath or the sparse eigensolver; ed-verify loads the latter,
-    # and the oracles still reach quad on first use
+    # a fresh interpreter with nothing of scipy imported beforehand: the boson,
+    # lattice and operator commands never call quadrature, special functions,
+    # the AAA oracle, mpmath or the sparse eigensolver; ed-verify loads the
+    # latter, and the oracles still reach quad on first use
     code = """
 import io, sys
 from contextlib import redirect_stdout
@@ -474,6 +523,13 @@ assert not loaded(), loaded()
 with redirect_stdout(io.StringIO()):
     assert opens.cli.main(["ed-verify", "--l1", "2", "--d-sites", "2", "--l2-sites", "2"]) == 0
 assert "scipy.sparse" in sys.modules
+assert {m.split(".")[1] for m in loaded()} == {"sparse"}, loaded()
+# the operator route's Gauss-Jacobi nodes and exprel are in-repo
+with redirect_stdout(io.StringIO()):
+    for argv in (["cn-table", "--L", "1", "--d", "1", "--l2", "2", "--n", "1:4"],
+                 ["operator-m"], ["operator-mie", "--l2", "2,4"], ["overlap"],
+                 ["averaged-purity"], ["uv-check"]):
+        assert opens.cli.main(argv) == 0, argv
 assert {m.split(".")[1] for m in loaded()} == {"sparse"}, loaded()
 from opens import cft_operator
 from opens.core import Geometry
@@ -492,7 +548,7 @@ assert abs(entry - 0.7516955011344182) <= 1e-12 * 0.7516955011344182, repr(entry
 
 
 class TestSharedParser:
-    """``main`` parses with one parser per process; ``--config`` builds its own."""
+    """``main`` parses with one parser per process, a ``--config`` call included."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
@@ -517,7 +573,7 @@ class TestSharedParser:
         cfg.write_text("command = boson-holevo\nl2 = 100\n")
         assert main(["--config", str(cfg), "--output", str(out)]) == 0
         assert main(["--output", str(out), "boson-holevo", "--l2", "100"]) == 0
-        assert len(built) == 2  # the config call's private parser, then the shared one again
+        assert len(built) == 1  # the config file's entries go in as flags, not as defaults
 
     def test_config_defaults_do_not_leak(self, tmp_path):
         cfg = tmp_path / "run.cfg"
