@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from collections import Counter
 
@@ -174,7 +173,7 @@ def _geometry(args, l2: float, n: int = 1) -> Geometry:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns (columns, rows, provenance entries)
 
 
 def cmd_boson_moments(args):
@@ -186,7 +185,7 @@ def cmd_boson_moments(args):
         val = charged_moments_ratio(g, params, gammas)
         rows.append([ROUTE_BOSON, args.L, args.d, l2, args.eps, args.K,
                      ";".join(_fmt(x) for x in gammas), val])
-    return ["route", "L", "d", "l2", "eps", "K", "gammas", "ratio"], rows
+    return ["route", "L", "d", "l2", "eps", "K", "gammas", "ratio"], rows, {}
 
 
 def cmd_boson_mie(args):
@@ -198,7 +197,7 @@ def cmd_boson_mie(args):
         rows.append([ROUTE_BOSON, args.L, args.d, l2, args.eps, args.n,
                      ratio, corr, base, base + corr])
     return ["route", "L", "d", "l2", "eps", "n", "ratio", "correction",
-            "base_entropy", "mie"], rows
+            "base_entropy", "mie"], rows, {}
 
 
 def cmd_boson_holevo(args):
@@ -372,7 +371,7 @@ def cmd_lattice_moments(args):
     cols = ["route", "model", "l1", "d", "l2", "gammas", "re_log", "im_log"]
     if args.compare == "cft":
         cols += ["cft_prediction", "fitted_constant"]
-    return cols, rows
+    return cols, rows, {}
 
 
 def cmd_lattice_overlap(args):
@@ -384,7 +383,7 @@ def cmd_lattice_overlap(args):
         for q2 in range(q1, lay.ell2 + 1):
             rows.append([ROUTE_LATTICE, args.model, args.l1, args.d_sites,
                          args.l2_sites, q1, q2, p[q1], p[q2], R[q1, q2]])
-    return ["route", "model", "l1", "d", "l2", "q1", "q2", "p_q1", "p_q2", "overlap"], rows
+    return ["route", "model", "l1", "d", "l2", "q1", "q2", "p_q1", "p_q2", "overlap"], rows, {}
 
 
 def cmd_ed_verify(args):
@@ -421,7 +420,7 @@ def cmd_ed_verify(args):
     prov = {"max_abs_diff": _fmt(worst), "tolerance": "1e-08",
             "verdict": "pass" if worst < 1e-8 else "FAIL",
             "ed_gap": _fmt(oracle.gap), "ed_residual": _fmt(oracle.residual)}
-    return cols, rows, prov, (0 if worst < 1e-8 else 1)
+    return cols, rows, prov
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +461,7 @@ def _model_arg(presets_only: bool):
 
 
 def _jobs_arg(text: str) -> int:
-    """``--jobs`` type, and ``OPENS_JOBS`` check in ``main``: an integer of at least 1."""
+    """``--jobs`` type: an integer of at least 1."""
     try:
         jobs = int(text)
         if jobs >= 1:
@@ -470,7 +469,7 @@ def _jobs_arg(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"{text!r} is not a worker count; --jobs and OPENS_JOBS take an integer >= 1")
+        f"{text!r} is not a worker count; --jobs takes an integer >= 1")
 
 
 def _add_lattice(p, presets_only=True):
@@ -497,11 +496,9 @@ def _top_level_parser():
     top.add_argument("--config", help="key = value file whose entries act as the flags they name")
     top.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     top.add_argument("--format", choices=("csv", "json"), default="csv")
-    # the OPENS_JOBS default is read by main on each call, not here: the
-    # parser outlives the call that built it
-    top.add_argument("--jobs", type=_jobs_arg, default=None,
-                     help="no effect: every sweep runs serially; accepted (default OPENS_JOBS "
-                     "or 1) and recorded in the provenance until the benchmark stops passing it")
+    top.add_argument("--jobs", type=_jobs_arg, default=1,
+                     help="no effect: every sweep runs serially; accepted and recorded in the "
+                     "provenance until the benchmark stops passing it")
     top.add_argument("--seed", type=int, default=1234, help="seed for randomized checks")
     return top
 
@@ -613,9 +610,16 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _config_flags(parser, config: dict) -> list:
-    """The ``config`` entries ``parser`` has options for, as ``--flag=value`` tokens."""
-    flags = {a.dest: a.option_strings[0] for a in parser._actions if a.option_strings}
+def _options(parser) -> dict:
+    """{name: first option string} of ``parser``'s flags, named by dest and by
+    each long option with ``-`` read as ``_``, as config keys are."""
+    return {name: a.option_strings[0] for a in parser._actions if a.option_strings
+            for name in [a.dest] + [o[2:].replace("-", "_") for o in a.option_strings
+                                    if o.startswith("--")]}
+
+
+def _config_flags(flags: dict, config: dict) -> list:
+    """The ``config`` entries that ``flags`` names, as ``--flag=value`` tokens."""
     return [f"{flags[k]}={v}" for k, v in config.items() if k in flags]
 
 
@@ -625,14 +629,20 @@ def _parse_with_config(ap, subparsers, argv, path):
     The file's entries go in as flags ahead of the explicit ones, so they are
     checked as flags are and an explicit flag still wins. The options that
     precede the command are parsed first on their own parser; the command is
-    the first token left over, or else the file's ``command``.
+    the first token left over, or else the file's ``command``. An entry that
+    neither parser has an option for is a usage error.
     """
     config = _load_config(path)
     top_parser = _top_level_parser()
-    top, rest = top_parser.parse_known_args(_config_flags(top_parser, config) + argv)
+    top_flags = _options(top_parser)
+    top, rest = top_parser.parse_known_args(_config_flags(top_flags, config) + argv)
     cmd = rest.pop(0) if rest and rest[0] in subparsers else config.get("command")
+    flags = _options(subparsers[cmd]) if cmd in subparsers else {}
+    unknown = [k for k in config if k not in flags and k not in top_flags and k != "command"]
+    if cmd in subparsers and unknown:  # an unknown command is argparse's to report
+        ap.error(f"config file {path}: {unknown[0]!r} is not an option of opens or of {cmd}")
     if cmd is not None:
-        rest = [cmd] + (_config_flags(subparsers[cmd], config) if cmd in subparsers else []) + rest
+        rest = [cmd] + _config_flags(flags, config) + rest
     return ap.parse_args(rest, namespace=top)
 
 
@@ -650,11 +660,6 @@ def main(argv=None) -> int:
         args = _parse_with_config(ap, subparsers, argv, pre.config)
     else:
         args = ap.parse_args(argv)
-    if args.jobs is None:
-        try:
-            args.jobs = _jobs_arg(os.environ.get("OPENS_JOBS", "1"))
-        except argparse.ArgumentTypeError as exc:
-            ap.error(f"argument --jobs: {exc}")
     if not args.command:
         ap.print_usage(sys.stderr)
         return 2
@@ -663,22 +668,14 @@ def main(argv=None) -> int:
         if k not in ("func", "config", "output", "format") and not callable(v)
     }
     try:
-        result = args.func(args)
+        cols, rows, prov_extra = args.func(args)
     except Exception as exc:  # numerical failure: diagnostic record, nonzero exit
         write_output(args.output, ["error"], [[f"{type(exc).__name__}: {exc}"]],
                      dict(provenance, status="error"), args.format)
         return 1
-    code = 0
-    if len(result) == 2:
-        cols, rows = result
-        prov_extra = {}
-    elif len(result) == 3:
-        cols, rows, prov_extra = result
-    else:
-        cols, rows, prov_extra, code = result
     provenance.update(prov_extra)
     write_output(args.output, cols, rows, provenance, args.format)
-    return code
+    return 1 if prov_extra.get("verdict") == "FAIL" else 0
 
 
 if __name__ == "__main__":

@@ -188,7 +188,7 @@ def log_sinhc(y):
     series = 0.0
     for c in _LOG_SINHC:
         series = (series + c) * z
-    if np.ndim(y) == 0:  # the adaptive check and the boson rows call it per point
+    if np.ndim(y) == 0:  # per point only in the adaptive test oracle, matrix_entry_remainder
         return series if abs(y) < 0.5 else np.log(np.sinh(y) / y)
     small = np.abs(y) < 0.5
     safe = np.where(small, 1.0, y)

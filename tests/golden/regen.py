@@ -6,15 +6,16 @@ Each file in ``FILES`` holds the CSV of every command listed for it, each
 block opened by a ``## opens <argv>`` line: ``boson_sweeps.csv`` the
 continuation sweeps, ``lattice_sweeps.csv`` the free-fermion sweeps,
 ``operator_sweeps.csv`` the operator-quadrature sweeps.
-``tests/test_golden.py`` reruns them in-process and compares. A change
-that rewrites a file lists in its change notes every row that moved and
-by how much.
+``tests/test_golden.py`` reruns them in-process and compares each with
+``compare``; ``replay`` does the same for every command at once, which
+needs nothing beyond the runtime dependencies. A change that rewrites a
+file lists in its change notes every row that moved and by how much.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
-import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -75,16 +76,11 @@ COMMANDS = BOSON + LATTICE + OPERATOR
 
 
 def run(argv) -> str:
-    """The CLI's CSV for ``argv``, with ``OPENS_JOBS`` unset as in a clean shell."""
+    """The CLI's CSV for ``argv``."""
     from opens.cli import main
 
-    jobs = os.environ.pop("OPENS_JOBS", None)
-    try:
-        with redirect_stdout(io.StringIO()) as out:
-            code = main(list(argv))
-    finally:
-        if jobs is not None:
-            os.environ["OPENS_JOBS"] = jobs
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
     if code != 0:
         raise RuntimeError(f"opens {' '.join(argv)} exited {code}:\n{out.getvalue()}")
     return out.getvalue()
@@ -100,6 +96,62 @@ def read(path) -> dict:
         else:
             blocks[argv] += line
     return blocks
+
+
+def _split(text):
+    """(header lines without the version line, data lines) of a CSV output."""
+    lines = text.splitlines()
+    header = [ln for ln in lines if ln.startswith("#") and not ln.startswith("# opens ")]
+    return header, [ln for ln in lines if not ln.startswith("#")]
+
+
+def _moved(want, got, rtol=1e-11):
+    """Every field of two data rows that moved past ``rtol`` relative."""
+    out = []
+    for k, (w, g) in enumerate(zip(want.split(","), got.split(","))):
+        try:
+            a, b = float(w), float(g)
+        except ValueError:
+            if w != g:
+                out.append(f"column {k}: {w!r} -> {g!r}")
+            continue
+        if a == b:
+            continue
+        rel = abs(a - b) / max(abs(a), abs(b))
+        if not rel <= rtol:  # NaN and infinities count as moved
+            out.append(f"column {k}: {w} -> {g} ({rel:.2e} relative)")
+    return out
+
+
+def compare(want: str, got: str) -> list[str]:
+    """What differs between a golden output ``want`` and a rerun ``got``: no lines if nothing.
+
+    Headers are compared without the version line, and data rows, the
+    column names being row 0, as exact strings. A differing row lists every
+    number that moved past 1e-11 relative (the 12 printed digits).
+    """
+    want_header, want_rows = _split(want)
+    got_header, got_rows = _split(got)
+    report = [f"header: {ln}" for ln in difflib.ndiff(want_header, got_header) if ln[0] in "-+"]
+    if len(got_rows) != len(want_rows):
+        report.append(f"{len(want_rows)} data rows -> {len(got_rows)}")
+    for i, (w, g) in enumerate(zip(want_rows, got_rows)):
+        if w != g:
+            moved = _moved(w, g)
+            report.append(f"row {i}: " + ("; ".join(moved) if moved else "below 1e-11 relative"))
+    return report
+
+
+def replay(files=FILES) -> dict:
+    """{argv: ``compare`` report} of every command of ``files`` whose rerun differs."""
+    moved = {}
+    for path, commands in files.items():
+        golden = read(path)
+        for argv in commands:
+            report = compare(golden[argv], run(argv))
+            if report:
+                moved[argv] = report
+    return moved
 
 
 def main() -> None:

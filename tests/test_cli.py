@@ -142,13 +142,30 @@ class TestCommands:
         assert "# seed = 7" in out.read_text().splitlines()
         assert out.read_text() == flag_out.read_text()
 
-    def test_config_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OPENS_JOBS", "2")
+    def test_config_jobs(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("command = boson-holevo\nl2 = 100\njobs = 3\n")
         out = tmp_path / "o.csv"
         assert main(["--config", str(cfg), "--output", str(out)]) == 0
         assert "# jobs = 3" in out.read_text().splitlines()
+
+    def test_config_rejects_a_key_no_parser_knows(self, tmp_path, capsys):
+        # a misspelt l2 is a usage error, not a run at the default l2 = 100
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "o.csv"
+        for text, argv in (("command = boson-holevo\nl2s = 250\n", []),
+                           ("l2s = 250\n", ["boson-holevo"])):
+            cfg.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", str(cfg), "--output", str(out)] + argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"config file {cfg}: 'l2s' is not an option of opens or of boson-holevo" in err
+        assert not out.exists()
+        # a flag's alias names it too: --gap is --d-sites
+        cfg.write_text("command = lattice-overlap\ngap = 3\nl2-sites = 2\n")
+        assert main(["--config", str(cfg), "--output", str(out)]) == 0
+        assert "# d_sites = 3" in out.read_text().splitlines()
 
     def test_config_output(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -280,15 +297,36 @@ class TestCommands:
         assert body.splitlines()[-1].startswith(
             "SingularMatrixError: ground state degenerate, gap = ")
 
-    @pytest.mark.parametrize("model", ["xx", "ising"])
+    # xx and the kappa = 0 chain 0:0.3 take the charge-block route, ising and
+    # 0.7:0.3 the Pfaffian one
+    @pytest.mark.parametrize("model", ["xx", "ising", "0.7:0.3", "0:0.3"])
     def test_ed_verify_reports_gap_and_residual(self, tmp_path, model):
         out = tmp_path / "ed.csv"
         assert main(["--output", str(out), "ed-verify", "--model", model, "--sites", "12",
-                     "--l1", "3", "--d-sites", "3", "--l2-sites", "5", "--n", "2"]) == 0
+                     "--l1", "3", "--d-sites", "3", "--l2-sites", "5", "--n", "4"]) == 0
         header = dict(line[2:].split(" = ") for line in out.read_text().splitlines()
                       if line.startswith("# ") and " = " in line)
+        assert header["verdict"] == "pass"
         assert header["ed_gap"] == _fmt(EDOracle(_model_from_name(model), 12).gap)
         assert float(header["ed_residual"]) <= 1e-12
+
+    def test_ed_verify_exit_code_follows_the_verdict(self, tmp_path, monkeypatch):
+        out = tmp_path / "ed.csv"
+        argv = ["--output", str(out), "ed-verify", "--l1", "2", "--d-sites", "2",
+                "--l2-sites", "2"]
+        real = cli.charged_moments_lattice
+        monkeypatch.setattr(cli, "charged_moments_lattice", lambda *a: real(*a) + 1e-6)
+        assert main(argv) == 1
+        assert "# verdict = FAIL" in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("model,ell2", [("ising", 4), ("xx", 10)])
+    def test_lattice_overlap_runs_on_both_presets(self, tmp_path, model, ell2):
+        out = tmp_path / "ov.csv"
+        assert main(["--output", str(out), "lattice-overlap", "--model", model,
+                     "--l2-sites", str(ell2)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if l.startswith("lattice,")]
+        assert len(rows) == (ell2 + 1) * (ell2 + 2) // 2
+        assert all(np.isfinite([float(v) for v in r[-3:]]).all() for r in rows)
 
     def test_lattice_moments_with_cft_columns(self, tmp_path):
         out = tmp_path / "lat.csv"
@@ -357,30 +395,14 @@ class TestCommands:
             assert lines[-1] == (f"ValueError: grid '{grid}' gives fewer than two n; the linear "
                                  "fit needs at least two distinct integer points")
 
-    @pytest.mark.parametrize("env,flags,shown", [("abc", [], "'abc'"),
-                                                 (None, ["--jobs", "0"], "'0'"),
-                                                 (None, ["--jobs", "-3"], "'-3'")])
-    def test_bad_worker_counts_are_rejected_when_parsed(self, capsys, monkeypatch,
-                                                        env, flags, shown):
-        if env is not None:
-            monkeypatch.setenv("OPENS_JOBS", env)
+    @pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
+    def test_bad_worker_counts_are_rejected_when_parsed(self, capsys, jobs):
         with pytest.raises(SystemExit) as exc:
-            main(flags + ["boson-holevo", "--l2", "100"])
+            main(["--jobs", jobs, "boson-holevo", "--l2", "100"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument --jobs: {shown} is not a worker count" in err, err
-        assert "integer >= 1" in err
-
-    def test_jobs_environment_default(self, tmp_path, monkeypatch):
-        out = tmp_path / "j.csv"
-        monkeypatch.setenv("OPENS_JOBS", "abc")
-        with pytest.raises(SystemExit) as exc:  # --help never reads the default
-            main(["--help"])
-        assert exc.value.code == 0
-        assert main(["--output", str(out), "--jobs", "2", "boson-holevo", "--l2", "100"]) == 0
-        monkeypatch.setenv("OPENS_JOBS", "3")
-        assert main(["--output", str(out), "boson-holevo", "--l2", "100"]) == 0
-        assert "# jobs = 3" in out.read_text().splitlines()
+        want = f"argument --jobs: '{jobs}' is not a worker count; --jobs takes an integer >= 1"
+        assert want in err, err
 
     def test_jobs_leave_warning_filters_alone(self, tmp_path):
         # a command leaves the process-wide warning filters as it found them
@@ -430,6 +452,21 @@ class TestCommands:
             assert sum(counts.values()) == len(rows) == len(results)
             assert counts == {d: [r.degree for r in results].count(d) for d in counts}
             assert list(counts) == sorted(counts, reverse=True)
+
+    def test_boson_sweep_rows_are_their_points_rows(self, tmp_path):
+        # the points of a sweep share continuation stacks; each row must still be
+        # the row of its point run alone (exact grid values: a log grid prints
+        # l2 rounded)
+        body = lambda p: [l for l in p.read_text().splitlines() if not l.startswith("#")][1:]
+        for cmd, flag, grid in (("boson-holevo", "--l2", "10,250,4000,100000"),
+                                ("boson-time", "--t", "1000,30000,1000000")):
+            sweep, point = tmp_path / "s.csv", tmp_path / "p.csv"
+            assert main(["--output", str(sweep), cmd, flag, grid]) == 0
+            rows = []
+            for x in grid.split(","):
+                assert main(["--output", str(point), cmd, flag, x]) == 0
+                rows += body(point)
+            assert body(sweep) == rows
 
     def test_operator_commands_record_error_estimate(self, tmp_path):
         base = ["--L", "1", "--d", "1", "--spec", "scalar:1.25"]
@@ -489,6 +526,18 @@ class TestCommands:
             out = tmp_path / "b.csv"
             assert main(["--output", str(out)] + args + ["--L", "1", "--d", "1"]) == 0
             assert calls == want, args[0]
+
+    def test_long_interval_operator_commands_print_no_nan(self, tmp_path):
+        # averaged-purity's normalized column once printed nan where its two
+        # exponentials underflow
+        for args in (["operator-m", "--spec", "vector:0.45", "--l2", "1000"],
+                     ["operator-mie", "--spec", "scalar:1.45", "--l2", "1000"],
+                     ["averaged-purity", "--spec", "scalar:1.45", "--l2", "1000",
+                      "--gamma", "0.1,0.5,2"]):
+            out = tmp_path / "n.csv"
+            assert main(["--output", str(out)] + args) == 0
+            rows = [l for l in out.read_text().splitlines() if l.startswith("operator-quadrature,")]
+            assert rows and not [r for r in rows if "nan" in r.split(",")], rows
 
     def test_heavy_vector_on_long_intervals(self, tmp_path):
         # the flat add-back of h_v = 0.45 is about 1e12 at l2 = 1000

@@ -1,9 +1,8 @@
-"""Golden rows: the boson continuation and lattice sweeps rerun in-process.
+"""Golden rows: the boson, lattice and operator sweeps rerun in-process.
 
-Data rows must match the checked-in CSV as exact strings. On a mismatch
-the failure lists every number that moved past 1e-11 relative (the 12
-printed digits). Headers are compared without the version line.
-``tests/golden/regen.py`` rewrites the file after an intended change.
+``regen.compare`` holds the comparison: data rows as exact strings,
+headers without the version line. ``tests/golden/regen.py`` rewrites the
+files after an intended change.
 """
 
 import importlib.util
@@ -19,30 +18,6 @@ _spec.loader.exec_module(regen)
 GOLDEN = {argv: (path, text) for path in regen.FILES for argv, text in regen.read(path).items()}
 
 
-def _split(text):
-    lines = text.splitlines()
-    header = [ln for ln in lines if ln.startswith("#") and not ln.startswith("# opens ")]
-    return header, [ln for ln in lines if not ln.startswith("#")]
-
-
-def _moved(want, got, rtol=1e-11):
-    """Every field of two data rows that moved past ``rtol`` relative."""
-    out = []
-    for k, (w, g) in enumerate(zip(want.split(","), got.split(","))):
-        try:
-            a, b = float(w), float(g)
-        except ValueError:
-            if w != g:
-                out.append(f"column {k}: {w!r} -> {g!r}")
-            continue
-        if a == b:
-            continue
-        rel = abs(a - b) / max(abs(a), abs(b))
-        if not rel <= rtol:  # NaN and infinities count as moved
-            out.append(f"column {k}: {w} -> {g} ({rel:.2e} relative)")
-    return out
-
-
 def test_golden_file_covers_every_command():
     for path, commands in regen.FILES.items():
         assert tuple(regen.read(path)) == commands, path.name
@@ -51,13 +26,25 @@ def test_golden_file_covers_every_command():
 @pytest.mark.parametrize("argv", regen.COMMANDS, ids=lambda argv: " ".join(argv[:5]))
 def test_golden_rows_are_unchanged(argv):
     path, text = GOLDEN[argv]
-    want_header, want_rows = _split(text)
-    got_header, got_rows = _split(regen.run(argv))
-    assert got_header == want_header
-    assert len(got_rows) == len(want_rows)
-    report = []
-    for i, (w, g) in enumerate(zip(want_rows, got_rows)):
-        if w != g:
-            moved = _moved(w, g)
-            report.append(f"row {i}: " + ("; ".join(moved) if moved else "below 1e-11 relative"))
-    assert not report, f"data rows differ from tests/golden/{path.name}:\n" + "\n".join(report)
+    report = regen.compare(text, regen.run(argv))
+    assert not report, f"output differs from tests/golden/{path.name}:\n" + "\n".join(report)
+
+
+def test_replay_reports_a_changed_digit(tmp_path):
+    # a copy of a golden file with one printed digit changed: the replay
+    # names that row and column, and reports nothing on the real file
+    path, argv = next((p, a) for p, cmds in regen.FILES.items() for a in cmds if a[0] == "overlap")
+    assert regen.replay({path: (argv,)}) == {}
+    head, opener, block = path.read_text().partition(f"## opens {' '.join(argv)}\n")
+    lines = block.splitlines(keepends=True)
+    k = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1  # data row 1
+    fields = lines[k].split(",")
+    assert fields[8][0] in "123456789", fields[8]  # the leading digit of `generating`
+    fields[8] = str(int(fields[8][0]) % 9 + 1) + fields[8][1:]
+    lines[k] = ",".join(fields)
+    copy = tmp_path / path.name
+    copy.write_text(head + opener + "".join(lines))
+    moved = regen.replay({copy: (argv,)})
+    assert list(moved) == [argv]
+    (line,) = moved[argv]
+    assert line.startswith(f"row 1: column 8: {fields[8]} -> "), line
