@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dggev
 
 from opens.errors import ContinuationError
 
@@ -74,6 +73,8 @@ class ContinuationProblem:
 def _dggev_lwork(size: int) -> int:
     """dggev's optimal workspace for a size x size pencil. LAPACK's query
     reads only the size, so it runs once per size."""
+    from scipy.linalg.lapack import dggev  # scipy.linalg loads with the first fit
+
     a = np.eye(size)
     return int(dggev(a, a, lwork=-1)[-2][0])
 
@@ -148,6 +149,8 @@ def _pole_rows(support, weights):
     hence every pole are the same as for that member alone. A member with
     non-finite weights or an eigensolve that fails makes the stack raise.
     """
+    from scipy.linalg.lapack import dggev
+
     nfit, m = weights.shape
     if not np.isfinite(weights).all():  # scipy.linalg.eigvals's check
         raise ValueError("barycentric weights must be finite")

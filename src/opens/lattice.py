@@ -34,10 +34,11 @@ Gamma passed in doubled form, which agrees with the charge-block route to
 
 Costs per window. Pfaffian route: one eigensolve of Gamma, which
 validates it and clips it; M in O(m^2) from sums and differences of the
-Gamma blocks; one Pfaffian and one LU of the 2m x 2m dressing denominator
-per distinct flux. The Pfaffian kernel eliminates a whole stack of
-matrices at once, each with its own pivots, so a charge-sector table
-evaluates all its pair traces in a few stacked calls. Charge-block route:
+Gamma blocks; one Pfaffian and one LU of the 2 ell2 x 2 ell2 B block of
+the dressing denominator per distinct flux. The Pfaffian kernel
+eliminates a whole stack of matrices at once, each with its own pivots,
+so a charge-sector table evaluates all its pair traces in a few stacked
+calls. Charge-block route:
 one eigensolve of the m x m particle block (validation and clip), one of
 the ell2 x ell2 C_B (every flux trace) and one of the clipped D_BB (every
 dressing); per flux O(ell1^2 ell2) for the dressed state of A, and one
@@ -49,12 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
 
 from opens.errors import DomainError, SingularMatrixError
 
 CLIP = 1e-12
-# reciprocal condition number below which the dressing denominator counts
+# reciprocal condition number below which the dressing denominator S counts
 # as singular, i.e. the flux trace vanishes and no normalized dressed state
 # exists; |trace| itself is no test, exact Ising traces fall below 1e-13
 SINGULAR_RCOND = 1e-13
@@ -435,10 +435,22 @@ class GaussianWindow:
     """Flux traces and replica products on an A u B window of a Gaussian state.
 
     Flux traces are single Pfaffians over the Majorana matrix of B, since
-    e^{i gamma Q_B} leaves A untouched. Each distinct flux dresses the
-    window once (Mobius form on D = Gamma^T) and keeps the normalized
-    dressed state of A, whose pair traces are again Pfaffians. Every sign
-    is exact, so no value is continued along a path.
+    e^{i gamma Q_B} leaves A untouched. Each distinct flux dresses A once
+    and keeps the normalized dressed state, whose pair traces are again
+    Pfaffians. Every sign is exact, so no value is continued along a path.
+
+    The dressed window is the Mobius form
+    U^{-1} [U(1+D) - (1-D)] [U(1+D) + (1-D)]^{-1} U on D = Gamma^T, with U
+    the kernel of e^{i gamma Q_B}. The A rows of its denominator are 2, so
+    one Schur identity leaves the dressed state of A as
+
+        D_AA - D_AB S^{-1} (U_B - 1) D_BA,  S = U_B (1 + D_BB) + (1 - D_BB),
+
+    with U_B = diag(e^{i gamma}, e^{-i gamma}) on the particle and hole
+    rows of B: one LU of the 2 ell2 x 2 ell2 block S per flux. S stays well
+    conditioned even at exactly pure modes, and is singular where the flux
+    trace vanishes; there the dressed state cannot be normalized and
+    ``SingularMatrixError`` names the flux.
 
     The public methods memoize and compose; ``_prepare``, ``_flux_trace``,
     ``_dress_a``, ``pair_operand`` and ``pair_traces`` carry the algebra,
@@ -460,21 +472,13 @@ class GaussianWindow:
         if isinstance(self.corr, ParticleCorrelationMatrix):
             raise TypeError("the Pfaffian route needs the doubled NambuCorrelationMatrix; "
                             "a ParticleCorrelationMatrix takes ChargeBlockWindow")
-        self.D = self.corr.dmatrix()
-        self.Ip = np.eye(2 * self.w) + self.D
-        self.Im = np.eye(2 * self.w) - self.D
-        self.idx_a = np.r_[np.arange(self.n_a), np.arange(self.n_a) + self.w]
-        self.d_a = self.D[np.ix_(self.idx_a, self.idx_a)]
-        idx_b = np.r_[np.arange(self.n_a, self.w), np.arange(self.n_a, self.w) + self.w]
-        self.maj_b = majorana_matrix(self.corr.gamma[np.ix_(idx_b, idx_b)])
-
-    def flux_diag(self, gamma: float) -> np.ndarray:
-        """Kernel of e^{i gamma (Q_B - ell2/2)} in the doubled basis."""
-        d = np.ones(2 * self.w, dtype=complex)
-        pos = np.arange(self.n_a, self.w)
-        d[pos] = np.exp(1j * gamma)
-        d[pos + self.w] = np.exp(-1j * gamma)
-        return d
+        n_a, w, k = self.n_a, self.w, 2 * self.n_a
+        ab = np.r_[0:n_a, w:w + n_a, n_a:w, w + n_a:2 * w]  # A's particle and hole rows, then B's
+        D = self.corr.dmatrix()[ab][:, ab]  # two takes: np.ix_ costs 5 times as much
+        self.d_a, self._d_ab, self._d_ba, d_bb = D[:k, :k], D[:k, k:], D[k:, :k], D[k:, k:]
+        eye = np.eye(len(d_bb))
+        self._ip_b, self._im_b = eye + d_bb, eye - d_bb
+        self.maj_b = majorana_matrix(self.corr.gamma[ab[k:]][:, ab[k:]])
 
     def log_flux_trace(self, gamma: float) -> complex:
         """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch, computed once per flux."""
@@ -486,27 +490,6 @@ class GaussianWindow:
     def _flux_trace(self, gamma: float) -> complex:
         return flux_trace(self.maj_b, gamma)
 
-    def dressed_d_window(self, gamma: float) -> np.ndarray:
-        """D-matrix of the normalized flux-dressed state on the window.
-
-        Mobius form U^{-1} [U(1+D) - (1-D)][U(1+D) + (1-D)]^{-1} U, whose
-        denominator stays well conditioned even at exactly pure modes. It
-        is singular where the flux trace vanishes; there the dressed state
-        cannot be normalized and ``SingularMatrixError`` names the flux.
-        """
-        return self._dressed_rows(gamma, slice(None))
-
-    def _dressed_rows(self, gamma: float, rows) -> np.ndarray:
-        """The given rows of ``dressed_d_window``; the solve runs only for them."""
-        u = self.flux_diag(gamma)
-        num = self.Ip[rows] * u[rows, None] - self.Im[rows]
-        den = (self.Ip * u[:, None] + self.Im).T
-        lu = lu_factor(den, check_finite=False)
-        rcond, _ = lapack.zgecon(lu[0], np.linalg.norm(den, 1))
-        _check_dressing(gamma, rcond)
-        dd = lu_solve(lu, num.T, check_finite=False).T
-        return (dd * u[None, :]) / u[rows, None]
-
     def dressed_d_a(self, gamma: float) -> np.ndarray:
         """D-matrix of the normalized dressed state of A, solved once per flux."""
         if gamma not in self._dressed_a:
@@ -514,7 +497,15 @@ class GaussianWindow:
         return self._dressed_a[gamma]
 
     def _dress_a(self, gamma: float) -> np.ndarray:
-        return self._dressed_rows(gamma, self.idx_a)[:, self.idx_a]
+        from scipy.linalg import lapack, lu_factor, lu_solve  # on first use: xx never loads it
+
+        u_b = np.repeat([np.exp(1j * gamma), np.exp(-1j * gamma)], self.n_b)
+        den = self._ip_b * u_b[:, None] + self._im_b  # S = U_B (1 + D_BB) + (1 - D_BB)
+        lu = lu_factor(den, check_finite=False)
+        rcond, _ = lapack.zgecon(lu[0], np.linalg.norm(den, 1))
+        _check_dressing(gamma, rcond)
+        return self.d_a - self._d_ab @ lu_solve(lu, (u_b - 1.0)[:, None] * self._d_ba,
+                                                check_finite=False)
 
     def pair_operand(self, d: np.ndarray) -> np.ndarray:
         """What ``pair_traces`` takes for the state of A with D-matrix d."""
@@ -560,26 +551,24 @@ class ChargeBlockWindow(GaussianWindow):
     - the flux trace is prod_k (1 - nu_k + nu_k e^{i gamma}) over the
       occupations nu_k of the unclipped C_B (Klich & Levitov, PRL 102,
       100502 (2009));
-    - the A rows of U(1+D) + (1-D) are 2, so the Mobius form of the
-      dressed state of A is D_AA - D_AB V diag(f) V+ D_BA with
-      f = (e^{i gamma} - 1) / (e^{i gamma} (1 + d) + (1 - d)) over the
-      eigenpairs (d, V) of the clipped D_BB;
+    - the dressed state of A is the Schur identity of ``GaussianWindow``
+      with U_B = e^{i gamma}, written in the eigenbasis (d, V) of the
+      clipped D_BB, where S is diagonal: D_AA - D_AB V diag(f) V+ D_BA with
+      f = (e^{i gamma} - 1) / (e^{i gamma} (1 + d) + (1 - d)), and no LU;
     - the pair trace of two states is det((1 + D1 D2) / 2), sign included.
 
     One eigensolve of D_BB and one of C_B per window serve every flux.
-    The doubled-basis ``flux_diag`` and ``dressed_d_window`` belong to the
-    Pfaffian route.
     """
 
     def _prepare(self):
         n_a = self.n_a
-        self.D = self.corr.dmatrix()
-        self.d_a = self.D[:n_a, :n_a]
+        D = self.corr.dmatrix()
+        self.d_a = D[:n_a, :n_a]
         lam = np.linalg.eigvalsh(self.corr.gamma[n_a:, n_a:])  # 2 C_B - 1
         self._empty, self._full = (1.0 - lam) / 2.0, (1.0 + lam) / 2.0
-        self._d_b, v = np.linalg.eigh(self.D[n_a:, n_a:])
-        self._left = self.D[:n_a, n_a:] @ v
-        self._right = v.conj().T @ self.D[n_a:, :n_a]
+        self._d_b, v = np.linalg.eigh(D[n_a:, n_a:])
+        self._left = D[:n_a, n_a:] @ v
+        self._right = v.conj().T @ D[n_a:, :n_a]
 
     def _flux_trace(self, gamma: float) -> complex:
         return complex(np.prod(self._empty + self._full * np.exp(1j * gamma)))
@@ -614,23 +603,6 @@ def _window_for(model_or_corr, layout: SubsystemLayout) -> GaussianWindow:
         corr = ground_state_correlations(corr, layout)
     window = ChargeBlockWindow if isinstance(corr, ParticleCorrelationMatrix) else GaussianWindow
     return window(corr, layout.ell1, layout.ell2)
-
-
-def flux_correlation_matrix(corr: NambuCorrelationMatrix, gamma: float, layout: SubsystemLayout):
-    """Dressed correlation matrix and the flux partition-function log ratio.
-
-    Returns (Gamma^gamma, log of det(1 + K e^{i gamma n_B}) / det(1 + K))
-    where K is the entanglement kernel of rho_AB; in the particle-first
-    ordering used here K = (1 + Gamma^T)(1 - Gamma^T)^{-1}, with the
-    correlation eigenvalues clipped away from +-1 before any kernel is
-    formed. No matrix logarithm is ever taken: the dressed state is
-    carried as a ratio matrix throughout. The physical flux trace is
-    Tr(rho_AB e^{i gamma Q_B}) = e^{i gamma ell2 / 2 + logratio / 2}.
-    """
-    win = GaussianWindow(corr, layout.ell1, layout.ell2)
-    dd = win.dressed_d_window(gamma)
-    log_ratio = 2.0 * (win.log_flux_trace(gamma) - 1j * gamma * win.n_b / 2.0)
-    return dd.T, log_ratio
 
 
 def charged_moments_lattice(model_or_corr, layout: SubsystemLayout, gammas) -> complex:
@@ -716,14 +688,6 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout):
     with np.errstate(divide="ignore", invalid="ignore"):
         R = raw / np.outer(p, p)
     return p, R, raw
-
-
-def post_measurement_overlap(model_or_corr, layout: SubsystemLayout, q1: int, q2: int) -> float:
-    """Overlap R_{q1 q2} = Tr(rho_{A,q1} rho_{A,q2}) of two outcome states."""
-    if not (0 <= q1 <= layout.ell2 and 0 <= q2 <= layout.ell2):
-        raise ValueError(f"charges must lie in 0..{layout.ell2}")
-    _, R, _ = charge_sector_table(model_or_corr, layout)
-    return float(R[q1, q2])
 
 
 # ---------------------------------------------------------------------------

@@ -552,10 +552,12 @@ class TestCommands:
 
 
 def test_commands_import_only_the_scipy_they_run():
-    # a fresh interpreter with nothing of scipy imported beforehand: the boson,
-    # lattice and operator commands never call quadrature, special functions,
-    # the AAA oracle, mpmath or the sparse eigensolver; ed-verify loads the
-    # latter, and the oracles still reach quad on first use
+    # a fresh interpreter with nothing of scipy imported beforehand. Importing
+    # the CLI loads no scipy. The operator commands and the xx lattice (the
+    # charge block) load no scipy.linalg; the boson continuation's dggev and
+    # the Ising dressing LU do. Only ed-verify loads the sparse eigensolver,
+    # no command calls quadrature, special functions, the AAA oracle or
+    # mpmath, and the tests' oracles still reach quad on first use.
     code = """
 import io, sys
 from contextlib import redirect_stdout
@@ -564,21 +566,20 @@ UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.interpola
 loaded = lambda: sorted(m for m in sys.modules
                         if any(m == u or m.startswith(u + ".") for u in UNUSED))
 import opens.cli
-assert not loaded(), loaded()
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+with redirect_stdout(io.StringIO()):
+    for argv in (["cn-table", "--L", "1", "--d", "1", "--l2", "2", "--n", "1:4"],
+                 ["operator-m"], ["operator-mie", "--l2", "2,4"], ["overlap"],
+                 ["averaged-purity"], ["uv-check"], ["lattice-moments", "--l2", "10"]):
+        assert opens.cli.main(argv) == 0, argv
+assert "scipy.linalg" not in sys.modules and not loaded(), loaded()
 with redirect_stdout(io.StringIO()):
     assert opens.cli.main(["boson-holevo", "--l2", "100"]) == 0
-    assert opens.cli.main(["lattice-moments", "--l2", "10"]) == 0
+    assert opens.cli.main(["lattice-moments", "--model", "ising", "--l2", "10"]) == 0
 assert not loaded(), loaded()
 with redirect_stdout(io.StringIO()):
     assert opens.cli.main(["ed-verify", "--l1", "2", "--d-sites", "2", "--l2-sites", "2"]) == 0
 assert "scipy.sparse" in sys.modules
-assert {m.split(".")[1] for m in loaded()} == {"sparse"}, loaded()
-# the operator route's Gauss-Jacobi nodes and exprel are in-repo
-with redirect_stdout(io.StringIO()):
-    for argv in (["cn-table", "--L", "1", "--d", "1", "--l2", "2", "--n", "1:4"],
-                 ["operator-m"], ["operator-mie", "--l2", "2,4"], ["overlap"],
-                 ["averaged-purity"], ["uv-check"]):
-        assert opens.cli.main(argv) == 0, argv
 assert {m.split(".")[1] for m in loaded()} == {"sparse"}, loaded()
 from opens import cft_operator
 from opens.core import Geometry

@@ -21,7 +21,6 @@ from opens.lattice import (
     charge_sector_table,
     charged_moments_lattice,
     finite_chain_correlations,
-    flux_correlation_matrix,
     flux_trace,
     fock_operators,
     ground_state_correlations,
@@ -32,7 +31,6 @@ from opens.lattice import (
     majorana_matrix,
     pair_trace,
     pfaffian,
-    post_measurement_overlap,
     quadratic_fock_operator,
     ring_correlations,
     tight_binding_c,
@@ -278,7 +276,7 @@ class TestMajoranaMatrix:
     def test_complex_flux_dressed_window(self):
         win = GaussianWindow(ground_state_correlations(ISING, SubsystemLayout(4, 3, 9)), 4, 9)
         for gamma in (0.7, 2.4):
-            dressed = win.dressed_d_window(gamma).T
+            dressed = win.dressed_d_a(gamma).T
             assert np.abs(dressed.imag).max() > 1e-3
             assert np.array_equal(majorana_matrix(dressed), dense_majorana(dressed))
 
@@ -369,20 +367,62 @@ class TestGaussianTrace:
             assert np.abs(m1.imag).max() > 1e-3  # dressed states: complex M
 
 
+def mobius_dressed_window(D, n_a, n_b, gamma):
+    """D-matrix of the flux-dressed state on the whole doubled window.
+
+    U^{-1} [U(1+D) - (1-D)] [U(1+D) + (1-D)]^{-1} U with U the kernel of
+    e^{i gamma Q_B}: the full-window form that ``dressed_d_a`` reduces to
+    its B block, kept as the independent reference.
+    """
+    w = n_a + n_b
+    u = np.ones(2 * w, dtype=complex)
+    u[n_a:w], u[w + n_a:] = np.exp(1j * gamma), np.exp(-1j * gamma)
+    one = np.eye(2 * w)
+    num = u[:, None] * (one + D) - (one - D)
+    den = u[:, None] * (one + D) + (one - D)
+    return np.linalg.solve(den.T, num.T).T * u[None, :] / u[:, None]
+
+
+def doubled_a(lay):
+    """The particle and hole rows of A in the doubled window."""
+    w = lay.ell1 + lay.ell2
+    return np.r_[0:lay.ell1, w:w + lay.ell1]
+
+
+# Ising windows from short to the longest README one, and xx doubled
+MOBIUS_WINDOWS = {"ising-4-3-9": (ISING, SubsystemLayout(4, 3, 9)),
+                  "ising-10-10-20": (ISING, SubsystemLayout(10, 10, 20)),
+                  "ising-10-10-140": (ISING, SubsystemLayout(10, 10, 140)),
+                  "xx-doubled-10-10-19": (TIGHT_BINDING, SubsystemLayout(10, 10, 19))}
+
+
 class TestFluxMatrix:
+    """The flux trace and the dressed state of A on the Pfaffian route."""
+
     def test_zero_flux(self):
         lay = SubsystemLayout(2, 1, 3)
         corr = as_nambu(window_corr(TIGHT_BINDING, 8, lay))
-        dressed, logratio = flux_correlation_matrix(corr, 0.0, lay)
-        assert np.abs(dressed - corr.gamma).max() < 1e-10
-        assert abs(logratio) < 1e-12
+        win = GaussianWindow(corr, lay.ell1, lay.ell2)
+        a = doubled_a(lay)
+        assert np.abs(win.dressed_d_a(0.0) - corr.gamma[np.ix_(a, a)].T).max() < 1e-10
+        assert abs(win.log_flux_trace(0.0)) < 1e-12
 
     def test_conjugate_fluxes(self):
         lay = SubsystemLayout(2, 1, 3)
-        corr = as_nambu(window_corr(TIGHT_BINDING, 8, lay))
-        _, lr_plus = flux_correlation_matrix(corr, 0.8, lay)
-        _, lr_minus = flux_correlation_matrix(corr, -0.8, lay)
-        assert lr_minus == pytest.approx(np.conj(lr_plus), rel=1e-12)
+        win = GaussianWindow(as_nambu(window_corr(TIGHT_BINDING, 8, lay)), lay.ell1, lay.ell2)
+        assert win.log_flux_trace(-0.8) == pytest.approx(np.conj(win.log_flux_trace(0.8)),
+                                                         rel=1e-12)
+        assert np.abs(win.dressed_d_a(-0.8) - win.dressed_d_a(0.8).conj()).max() < 1e-12
+
+    @pytest.mark.parametrize("model, lay", MOBIUS_WINDOWS.values(), ids=MOBIUS_WINDOWS.keys())
+    def test_dressed_state_matches_the_full_window_mobius_form(self, model, lay):
+        corr = as_nambu(ground_state_correlations(model, lay))
+        win = GaussianWindow(corr, lay.ell1, lay.ell2)
+        a = doubled_a(lay)
+        for gamma in (0.3, 1.1, 2.0, 2.9, 4.4, 5.9):
+            ref = mobius_dressed_window(corr.dmatrix(), lay.ell1, lay.ell2, gamma)[np.ix_(a, a)]
+            got = win.dressed_d_a(gamma)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), gamma
 
     @pytest.mark.parametrize("model", [TIGHT_BINDING, ISING])
     def test_flux_trace_against_ed(self, model):
@@ -394,9 +434,9 @@ class TestFluxMatrix:
         qb = np.zeros(dim)
         for j in lay.sites_B:
             qb += (np.arange(dim) >> j) & 1
+        win = GaussianWindow(corr, lay.ell1, lay.ell2)
         for gamma in (0.35, 1.2, 2.7):
-            _, logratio = flux_correlation_matrix(corr, gamma, lay)
-            det_val = np.exp(1j * gamma * lay.ell2 / 2 + logratio / 2)
+            det_val = np.exp(win.log_flux_trace(gamma))
             ed_val = np.sum(np.abs(oracle.psi) ** 2 * np.exp(1j * gamma * qb))
             assert abs(det_val - ed_val) < 1e-10
 
@@ -413,22 +453,36 @@ class TestFluxMatrix:
 
 
 class TestVanishingTrace:
-    # xx, 8 sites, layout (3, 2, 3): the flux trace has an exact zero at pi
+    # xx, 8 sites, layout (3, 2, 3): the flux trace has an exact zero at pi,
+    # met on the charge block and on the same state doubled for the Pfaffians
     lay = SubsystemLayout(3, 2, 3)
 
-    def test_zero_trace_flux_raises(self):
-        corr = window_corr(TIGHT_BINDING, 8, self.lay)
-        assert type(corr) is ParticleCorrelationMatrix  # both checks run on the charge block
+    def zero_trace_flux_raises(self, corr):
         with pytest.raises(SingularMatrixError, match=r"gamma = 3\.14159"):
             charged_moments_lattice(corr, self.lay, [np.pi, 0.5])
 
-    def test_near_zero_trace_matches_ed(self):
+    def near_zero_trace_matches_ed(self, corr):
         oracle = EDOracle(TIGHT_BINDING, 8)
-        corr = window_corr(TIGHT_BINDING, 8, self.lay)
         gammas = [np.pi - 1e-3, 0.5]
         det_v = charged_moments_lattice(corr, self.lay, gammas)
         ed_v = oracle.charged_moment(self.lay.sites_A, self.lay.sites_B, gammas)
         assert abs(det_v - ed_v) < 1e-8
+
+    def test_zero_trace_flux_raises(self):
+        corr = window_corr(TIGHT_BINDING, 8, self.lay)
+        assert type(corr) is ParticleCorrelationMatrix
+        self.zero_trace_flux_raises(corr)
+
+    def test_near_zero_trace_matches_ed(self):
+        self.near_zero_trace_matches_ed(window_corr(TIGHT_BINDING, 8, self.lay))
+
+    def test_zero_trace_flux_raises_on_the_pfaffian_route(self):
+        corr = as_nambu(window_corr(TIGHT_BINDING, 8, self.lay))
+        assert type(lattice._window_for(corr, self.lay)) is GaussianWindow
+        self.zero_trace_flux_raises(corr)
+
+    def test_near_zero_trace_matches_ed_on_the_pfaffian_route(self):
+        self.near_zero_trace_matches_ed(as_nambu(window_corr(TIGHT_BINDING, 8, self.lay)))
 
     def test_small_exact_trace_is_not_zero(self):
         # Ising traces decay exponentially in ell2 without vanishing
@@ -568,8 +622,6 @@ class TestChargeBlockRoute:
         assert type(corr) is ParticleCorrelationMatrix
         with pytest.raises(TypeError, match="NambuCorrelationMatrix"):
             GaussianWindow(corr, lay.ell1, lay.ell2)
-        with pytest.raises(TypeError, match="NambuCorrelationMatrix"):
-            flux_correlation_matrix(corr, 0.5, lay)
 
     def test_the_route_follows_the_state_type(self):
         lay = SubsystemLayout(3, 2, 5)
@@ -673,12 +725,9 @@ class TestSectorOverlaps:
         assert np.abs((R - Re)[pop]).max() < 1e-8
 
     def test_overlap_value_and_bounds(self):
-        lay = SubsystemLayout(2, 1, 3)
-        val = post_measurement_overlap(TIGHT_BINDING, lay, 1, 2)
-        assert val >= 0.0
-        assert post_measurement_overlap(TIGHT_BINDING, lay, 2, 1) == pytest.approx(val)
-        with pytest.raises(ValueError):
-            post_measurement_overlap(TIGHT_BINDING, lay, 0, 4)
+        R = charge_sector_table(TIGHT_BINDING, SubsystemLayout(2, 1, 3))[1]
+        assert R[1, 2] >= 0.0
+        assert R[2, 1] == pytest.approx(R[1, 2])
 
 
 GAP_MODELS = {"xx": TIGHT_BINDING, "ising": ISING, "0.7:0.3": LatticeModel(0.7, 0.3),
