@@ -32,7 +32,8 @@ import numpy as np
 
 from opens.continuation import continue_stack
 from opens.continuation import continue_to_one  # noqa: F401 - perfbench's traced run looks it up here
-from opens.core import _LOG_SINHC, IMAG_TOL, Geometry, SymmetricCirculant, log_ratio, quadratic_form_cn
+from opens.core import (IMAG_TOL, Geometry, SymmetricCirculant, _cmul, _complex, _one, _where_ok,
+                        log_ratio, log_sinhc, quadratic_form_cn)
 from opens.errors import DomainError, RegimeWarning, SingularMatrixError
 
 TWO_PI = 2.0 * np.pi
@@ -110,24 +111,6 @@ def _endpoints(layouts):
         w[i], q[i] = _u_ratio(L, za, zb, b - a)
         pa[i], pb[i] = za * (za - L) / (eps * L), zb * (zb - L) / (eps * L)
     return log_ratio(w, q), pa, pb
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) in real arithmetic, as numpy's complex scalars form it.
-
-    numpy's complex array loops use fused multiply-add and round
-    differently; with them the samples would move by up to 1e-15 and the
-    continued Holevo bound by up to 3e-10 relative from a point-by-point
-    evaluation, which the tests keep as the reference.
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _complex(re, im):
-    """Complex array from its parts; re + 1j * im could flip a signed zero."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def _rows(ell, pa, pb, n):
@@ -242,17 +225,6 @@ def correction_from_parts(log_m11: float, log_det: float, n: int) -> float:
     return (n * log_m11 - log_det) / (2.0 * (1 - n))
 
 
-def _log_sinhc_real(y):
-    """Re log_sinhc(y) for a complex array, as each complex scalar gives it."""
-    zr, zi = _cmul(y.real, y.imag, y.real, y.imag)
-    sr = si = np.zeros(y.shape)
-    for c in _LOG_SINHC:
-        sr, si = _cmul(sr + c, si + 0.0, zr, zi)
-    far = ~(np.hypot(y.real, y.imag) < 0.5)
-    sr[far] = np.log(np.sinh(y[far]) / y[far]).real
-    return sr
-
-
 def _circulant_failure(row, n):
     """The exception a row that fails the checks of ``_chi`` raises."""
     try:
@@ -289,12 +261,12 @@ def _chi(points, ns):
         for i in np.flatnonzero(~(m1 > 0.0)):
             failure[i] = DomainError(
                 f"single-copy diagonal m1 = {m1[i]:.3g} <= 0: cutoff-dominated layout")
-        f1 = _log_sinhc_real(ell / 2.0)
+        f1 = log_sinhc(ell / 2.0).real
         for k, n in enumerate(ns):
             live = np.array([f is None for f in failure])
             row = _rows(ell, pa, pb, n)
             _warn_unless_dominant(row[live])
-            row[:, 0] = -4.0 * (f1 - _log_sinhc_real(ell / (2.0 * n)))
+            row[:, 0] = -4.0 * (f1 - log_sinhc(ell / (2.0 * n)).real)
             lam = np.fft.fft(row)
             delta = lam.real / m1[:, None]
             top = np.abs(lam.real).max(axis=1)
@@ -305,23 +277,6 @@ def _chi(points, ns):
                 failure[i] = _circulant_failure(row[i], n)
             chi[:, k] = -(n * row[:, 0] / m1 + np.sum(np.log1p(delta) - delta, axis=1)) / (2.0 * (n - 1))
     return [f if f is not None else c for f, c in zip(failure, chi.tolist())]
-
-
-def _one(outcomes):
-    """The single entry of a one-point batch, raising it if it is an exception."""
-    (out,) = outcomes
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def _where_ok(outcomes, batch):
-    """``batch`` applied, in one call, to the entries that are not exceptions."""
-    ok = [i for i, x in enumerate(outcomes) if not isinstance(x, Exception)]
-    out = list(outcomes)
-    for i, y in zip(ok, batch([outcomes[i] for i in ok])):
-        out[i] = y
-    return out
 
 
 def renyi_ratio_and_mie(g: Geometry, n: int):
@@ -387,16 +342,11 @@ def holevo_chi(g: Geometry, n_max: int = 8) -> float:
     n = 1 with the rational-fit module. The result is non-negative: the
     measurement can only lower the average entropy of A.
     """
-    return holevo_chi_detailed(g, n_max).value
-
-
-def holevo_chi_detailed(g: Geometry, n_max: int = 8):
-    """Holevo bound together with the continuation diagnostics."""
-    return _one(holevo_chi_sweep([g], n_max))
+    return _one(holevo_chi_sweep([g], n_max)).value
 
 
 def holevo_chi_sweep(geometries, n_max: int = 8) -> list:
-    """``holevo_chi_detailed`` at every geometry, as one batch.
+    """``holevo_chi`` at every geometry, as one batch.
 
     The samples of all geometries come from one vectorized pass and are
     continued in shared stacks; each entry is that geometry's
@@ -500,16 +450,11 @@ def holevo_chi_time(g: Geometry, tp: TimeParams, n_max: int = 8) -> float:
     Decays as (b-a)^2 L^2 / (24 log((b-a)/(2 eps)) t^4) once t exceeds
     every geometric scale.
     """
-    return holevo_chi_time_detailed(g, tp, n_max).value
-
-
-def holevo_chi_time_detailed(g: Geometry, tp: TimeParams, n_max: int = 8):
-    """Time-dependent Holevo bound together with the continuation diagnostics."""
-    return _one(holevo_chi_time_sweep([(g, tp)], n_max))
+    return _one(holevo_chi_time_sweep([(g, tp)], n_max)).value
 
 
 def holevo_chi_time_sweep(points, n_max: int = 8) -> list:
-    """``holevo_chi_time_detailed`` at every (g, tp) point, as one batch.
+    """``holevo_chi_time`` at every (g, tp) point, as one batch.
 
     Batched and checked as ``holevo_chi_sweep``.
     """

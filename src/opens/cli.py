@@ -47,7 +47,7 @@ from opens.cft_operator import (
     single_copy_m11_operator,
     uv_finite_overlap_ratio,
 )
-from opens.core import Geometry
+from opens.core import Geometry, _where_ok
 from opens.lattice import (
     EDOracle,
     LatticeModel,
@@ -99,6 +99,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json(v):
+    """``v`` for the JSON mirror: JSON has no inf or nan, so a non-finite
+    float is written as the CSV's string for it."""
+    return _fmt(v) if isinstance(v, float) and not np.isfinite(v) else v
+
+
 def write_output(path, columns, rows, provenance, fmt="csv"):
     lines = []
     if fmt == "csv":
@@ -112,11 +118,12 @@ def write_output(path, columns, rows, provenance, fmt="csv"):
     else:
         payload = {
             "version": __version__,
-            "provenance": {k: provenance[k] for k in sorted(provenance)},
+            "provenance": {k: _json(provenance[k]) for k in sorted(provenance)},
             "columns": list(columns),
-            "rows": [[v if not isinstance(v, float) else float(_fmt(v)) for v in row] for row in rows],
+            "rows": [[_json(float(_fmt(v))) if isinstance(v, float) else v for v in row]
+                     for row in rows],
         }
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -127,29 +134,27 @@ def write_output(path, columns, rows, provenance, fmt="csv"):
 def _batched_rows(grid, make, sweep, row):
     """Rows of a batched continuation sweep, failing as a point-by-point loop would.
 
-    ``make(x)`` builds the input of each grid point in order, and
-    ``sweep`` evaluates all inputs built before the first that raised,
-    returning per input a ``ContinuationResult`` or the exception it
-    raised. ``row(x, input, result)`` gives the row. The first failing
-    point in grid order raises, whatever the stage it failed at. The
-    header records the largest leave-one-out spread and how many rows each
-    continuation degree gave, highest degree first.
+    ``make(x)`` builds the input of each grid point in order, up to the
+    first that raises, whose exception takes its slot. ``sweep`` evaluates
+    the built inputs in one call, returning per input a
+    ``ContinuationResult`` or the exception it raised. ``row(x, input,
+    result)`` gives the row. The first failing point in grid order raises,
+    whatever the stage it failed at. The header records the largest
+    leave-one-out spread and how many rows each continuation degree gave,
+    highest degree first.
     """
-    inputs, failure = [], None
+    inputs = []
     for x in grid:
         try:
             inputs.append(make(x))
-        except Exception as exc:  # raised below, once every earlier point is through
-            failure = exc
+        except Exception as exc:  # the points after it are not built
+            inputs.append(exc)
             break
-    rows, results = [], []
-    for x, inp, res in zip(grid, inputs, sweep(inputs)):
+    rows, results = [], _where_ok(inputs, sweep)
+    for x, inp, res in zip(grid, inputs, results):
         if isinstance(res, Exception):
             raise res
         rows.append(row(x, inp, res))
-        results.append(res)
-    if failure is not None:
-        raise failure
     degrees = Counter(res.degree for res in results)
     return rows, {
         "max_error_estimate": _fmt(max((res.error_estimate for res in results), default=0.0)),

@@ -15,7 +15,8 @@ tolerance, greedy selection, weight choice for tall, wide and
 ill-conditioned Loewner matrices, Froissart clean-up and pole
 computation), and the tests compare the two. A fit that reaches its term
 cap is the intended degree limit, not a failure, so it warns about
-nothing.
+nothing. A set whose fit fails leaves its stack with the exception in its
+slot, and the other sets go on.
 
 Everything after the greedy steps also runs once per stack. The members
 that finish at a step form a batch per support size. For each batch, one
@@ -207,7 +208,10 @@ def _finish(z, f, support, support_values, weights) -> list[BarycentricFit]:
 def _weights(a, ill, wide):
     """AAA weights for a stack of masked Loewner matrices ``a`` (B, rows, m).
 
-    Updates the sticky ill-conditioning flags ``ill`` in place.
+    Updates the sticky ill-conditioning flags ``ill`` in place. A member
+    whose column scaling puts a NaN entry in its matrix gets NaN weights,
+    which mark its fit as failed; the other members take the scaled SVD
+    without it.
     """
     cols = a.shape[-1]
     if wide:
@@ -230,11 +234,12 @@ def _weights(a, ill, wide):
     if ill.any():
         col_norm = np.linalg.norm(a[ill], axis=1)
         scaled = a[ill] / col_norm[:, None, :]
-        if np.isnan(scaled).any():
-            # a zero column (values equal to its support value on every
-            # remaining row) divided by its zero norm
-            raise ValueError("Loewner matrix has a NaN entry")
-        s[ill], vh[ill] = np.linalg.svd(scaled, full_matrices=False)[1:]
+        # a zero column (values equal to its support value on every
+        # remaining row) divided by its zero norm
+        nan = np.isnan(scaled).any(axis=(1, 2))
+        rows = np.flatnonzero(ill)
+        s[rows[nan]], vh[rows[nan]] = 1.0, np.nan
+        s[rows[~nan]], vh[rows[~nan]] = np.linalg.svd(scaled[~nan], full_matrices=False)[1:]
     # repeated smallest singular values: sum their vectors for a non-sparse weight
     smallest = s == s.min(axis=-1, keepdims=True)
     w = np.where(smallest[:, :, None], vh, 0.0).sum(axis=1) / np.sqrt(smallest.sum(axis=-1))[:, None]
@@ -243,13 +248,17 @@ def _weights(a, ill, wide):
     return w
 
 
-def AAA(z, f, max_terms: int) -> list[BarycentricFit]:
+def AAA(z, f, max_terms: int) -> list[BarycentricFit | ValueError]:
     """AAA fits of a stack of real sample sets ``z``, ``f`` of shape (B, M).
 
     The points of each set must be distinct and its values finite. Each fit
     uses at most ``max_terms`` support points and is cleaned of Froissart
     doublets. The greedy steps run on the whole stack at once; a set leaves
-    the stack when its residual meets the tolerance.
+    the stack when its residual meets the tolerance, or, with the
+    ``ValueError("Loewner matrix has a NaN entry")`` that fitting it alone
+    raises in place of its fit, when its column scaling divides a zero
+    column by its zero norm. A LAPACK routine that does not converge raises
+    ``LinAlgError`` for the whole call; no known input reaches one.
     """
     z, f = np.asarray(z, dtype=float), np.asarray(f, dtype=float)
     nfit, npts = z.shape
@@ -276,6 +285,7 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit]:
         nrow = npts - m - 1
         a = loewner[:, :, : m + 1][mask].reshape(member.size, nrow, m + 1)
         w = _weights(a, ill, wide=nrow < m + 1)
+        failed = np.isnan(w).any(axis=1)
 
         # Fortran-ordered Cauchy blocks, as a column-masked copy would be, so
         # that the products round the same way
@@ -298,9 +308,11 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit]:
         num[at_support] = f[at_support]
         resid = np.abs(f - num / den)
 
-        done = (resid.max(axis=1) <= atol) | (m == max_terms - 1)
+        done = failed | (resid.max(axis=1) <= atol) | (m == max_terms - 1)
+        for i in member[failed]:
+            fits[i] = ValueError("Loewner matrix has a NaN entry")
         # the members that finish here, one batch per count of nonzero weights
-        finished = np.flatnonzero(done)
+        finished = np.flatnonzero(done & ~failed)
         sizes = nonzero[finished].sum(axis=1)
         for size in np.unique(sizes):
             sel = finished[sizes == size]
@@ -339,12 +351,14 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
     One fit covers every set and a second all of their leave-one-out
     subsets. A set whose interpolant grows a pole, or is not finite at
     n = 1, is fitted again at each degree of ``fallback`` in turn, together
-    with the other sets that still fail. A stacked fit is bit-identical per
-    member to fitting that member alone, so a set's result does not depend
-    on which sets share its stacks. Returns per set its
-    ``ContinuationResult``, with the degree that gave it, or the exception
-    that continuing it alone raises (for a ``ContinuationError``, the one
-    at the last degree tried).
+    with the other sets that still fail. A set whose fit fails keeps that
+    fit's ``ValueError`` in its slot, and its stack is not refitted; a
+    leave-one-out subset whose fit fails is left out of the error estimate.
+    A stacked fit is bit-identical per member to fitting that member alone,
+    so a set's result does not depend on which sets share its stacks.
+    Returns per set its ``ContinuationResult``, with the degree that gave
+    it, or the exception that continuing it alone raises (for a
+    ``ContinuationError``, the one at the last degree tried).
     """
     out = [None] * len(sample_sets)
     data = {}  # set index -> (sorted n, values / scale, scale)
@@ -372,7 +386,7 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             z = np.array([data[i][0] for i in idx])
             f = np.array([data[i][1] for i in idx])
             # degree (m-1, m-1) uses m support points
-            fits = _fits(z, f, min(degree + 1, z.shape[1]))
+            fits = AAA(z, f, min(degree + 1, z.shape[1]))
             values = _at_one(fits) * np.array([data[i][2] for i in idx])
             for i, why, value in zip(idx, _pole_screen(fits, z[:, -1] + 1e-9), values):
                 if why is None and not np.isfinite(value):
@@ -396,7 +410,7 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             sub_n = np.broadcast_to(z[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
             sub_v = np.broadcast_to(f[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
             scales = np.array([data[i][2] for i in idx])
-            loo = _at_one(_fits(sub_n, sub_v, terms)).reshape(len(idx), m) * scales[:, None]
+            loo = _at_one(AAA(sub_n, sub_v, terms)).reshape(len(idx), m) * scales[:, None]
         for i, y in zip(idx, loo):
             (degree, value), ns = fitted[i], data[i][0]
             vals = y[np.isfinite(y)]  # a subset whose fit fails, or is not finite at n = 1, is skipped
@@ -413,24 +427,6 @@ def _grouped(indices, key):
     for i in indices:
         groups.setdefault(key(i), []).append(i)
     return list(groups.values())
-
-
-def _fits(z, f, terms):
-    """AAA fits of a stack, refitting one member at a time if the stack raises.
-
-    A member whose fit raises on its own gets the exception in its place.
-    """
-    try:
-        return AAA(z, f, terms)
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    fits = []
-    for zs, fs in zip(z, f):
-        try:
-            fits.extend(AAA(zs[None], fs[None], terms))
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            fits.append(exc)
-    return fits
 
 
 def _stacked(fits, idx):

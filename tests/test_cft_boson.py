@@ -438,6 +438,14 @@ def loop_row(L, a, b, eps, n, shift=0.0, exact_reg=False):
     return np.concatenate(([diag], half, half[:(n - 1) // 2][::-1]))
 
 
+def mp_diagonal_difference(ell, n):
+    """D = -4 Re[F(ell / 2) - F(ell / 2n)], F(y) = log(sinh(y) / y), at 50 digits."""
+    with mp.workdps(50):
+        y = mp.mpc(ell.real, ell.imag) / 2
+        F = lambda y: mp.log(mp.sinh(y) / y)
+        return float(mp.re(-4 * (F(y) - F(y / n))))
+
+
 def loop_chi(g, ns, shift=0.0):
     ell = loop_endpoints(g.L, g.a, g.b, shift)[2]
     m1 = loop_row(g.L, g.a, g.b, g.eps, 1, shift)[0]
@@ -446,7 +454,11 @@ def loop_chi(g, ns, shift=0.0):
     out = []
     for n in ns:
         row = loop_row(g.L, g.a, g.b, g.eps, n, shift)
+        # the complex-scalar series, whose rounding the kernel's lanes follow,
+        # held to the 50-digit value
         D = -4.0 * (log_sinhc(ell / 2.0) - log_sinhc(ell / (2.0 * n))).real
+        ref = mp_diagonal_difference(ell, n)
+        assert abs(D - ref) <= 1e-13 * abs(ref), (ell, n, D, ref)
         delta = SymmetricCirculant((D, *row[1:])).eigenvalues() / m1
         if np.any(delta <= -1.0):
             raise SingularMatrixError(f"non-positive replica eigenvalue at n = {n}")
@@ -457,6 +469,8 @@ def loop_chi(g, ns, shift=0.0):
 def loop_outcome(g, ns, shift):
     try:
         return loop_chi(g, ns, shift)
+    except AssertionError:
+        raise
     except Exception as exc:
         return exc
 

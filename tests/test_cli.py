@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opens.cft_boson import TimeParams, holevo_chi_detailed, holevo_chi_time_detailed
+from opens.cft_boson import TimeParams, holevo_chi_sweep, holevo_chi_time_sweep
 from opens import cft_operator, cli
 from opens.cli import _fmt, _model_from_name, main, parse_grid, parse_spec
 from opens.core import Geometry
@@ -97,6 +97,22 @@ class TestCommands:
         assert payload["columns"][0] == "route"
         assert payload["rows"][0][0] == "boson-closed-form"
         assert payload["provenance"]["command"] == "boson-moments"
+
+    def test_json_mirror_of_non_finite_values_is_strict_json(self, capsys):
+        # generating underflows to 0 and uv_ratio overflows to inf here
+        argv = ["--format", "json", "overlap", "--spec", "scalar:0.05", "--L", "10", "--d", "10",
+                "--l2", "1000", "--gamma1", "0.1,1", "--gamma2=-1"]
+        assert main(argv) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert "inf" in [row[-1] for row in payload["rows"]]
+        # each JSON row prints as its CSV row
+        assert main(argv[2:]) == 0
+        csv_rows = capsys.readouterr().out.splitlines()[-2:]
+        assert [",".join(_fmt(v) for v in row) for row in payload["rows"]] == csv_rows
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -418,10 +434,11 @@ class TestCommands:
         geo = lambda l2: Geometry(10.0, 20.0, 20.0 + l2, 0.5)
         for args, want in (
             (["boson-holevo", "--l2", "10,100,1000"],
-             max(holevo_chi_detailed(geo(l2)).error_estimate for l2 in (10.0, 100.0, 1000.0))),
+             max(r.error_estimate for l2 in (10.0, 100.0, 1000.0)
+                 for r in holevo_chi_sweep([geo(l2)]))),
             (["boson-time", "--l2", "10", "--t", "1000,30000"],
-             max(holevo_chi_time_detailed(geo(10.0), TimeParams(t, 1e-3)).error_estimate
-                 for t in (1000.0, 30000.0))),
+             max(r.error_estimate for t in (1000.0, 30000.0)
+                 for r in holevo_chi_time_sweep([(geo(10.0), TimeParams(t, 1e-3))]))),
         ):
             outs = []
             for jobs in ("1", "2"):
@@ -439,9 +456,10 @@ class TestCommands:
         geo = lambda l2: Geometry(10.0, 20.0, 20.0 + l2, 0.5)
         for args, results in (
             (["boson-holevo", "--l2", "10,250,4000,100000"],
-             [holevo_chi_detailed(geo(l2)) for l2 in (10.0, 250.0, 4000.0, 1e5)]),
+             [r for l2 in (10.0, 250.0, 4000.0, 1e5) for r in holevo_chi_sweep([geo(l2)])]),
             (["boson-time", "--l2", "10", "--t", "1000,30000,1000000"],
-             [holevo_chi_time_detailed(geo(10.0), TimeParams(t, 1e-3)) for t in (1e3, 3e4, 1e6)]),
+             [r for t in (1e3, 3e4, 1e6)
+              for r in holevo_chi_time_sweep([(geo(10.0), TimeParams(t, 1e-3))])]),
         ):
             out = tmp_path / "d.csv"
             assert main(["--output", str(out)] + args) == 0
