@@ -6,30 +6,24 @@ Three mutually validating computational routes:
   (replica covariance matrix, charged moments, Renyi ratios, Holevo bound,
   real-time decay),
 - ``cft_operator``: fixed tensor Gauss rules and a closed-form flat
-  add-back for generic Gaussian scalar/vector operators (q-resolved
-  purities, measurement-induced entanglement, UV-finite overlap ratios),
+  add-back for generic Gaussian scalar/vector operators
+  (measurement-induced entanglement, averaged purities, UV-finite
+  overlap ratios),
 - ``lattice``: exact free-fermion Pfaffian formulas for tight-binding
   and critical Ising chains, gated by a brute-force exact-diagonalization
   oracle on small systems.
 
 Shared linear-algebra and geometry contracts live in ``core``; the
-replica-index continuation to n -> 1 lives in ``continuation``.
+replica-index continuation to n -> 1 lives in ``continuation``; ``cli``
+drives all of it. The package holds only what a command, another module
+or the benchmark uses. The independent checks that the tests compare the
+routes against (circulant determinants, closed-form C_n, the regularized
+flat integrals, ring momentum sums, dense Fock operators, the per-point
+boson rows) live in ``tests/oracles.py``.
 """
 
-from opens.core import (
-    Geometry,
-    SymmetricCirculant,
-    circulant_determinant,
-    circulant_inverse_row_sum,
-    quadratic_form_cn,
-)
+from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
 
-__all__ = [
-    "Geometry",
-    "SymmetricCirculant",
-    "circulant_determinant",
-    "circulant_inverse_row_sum",
-    "quadratic_form_cn",
-]
+__all__ = ["Geometry", "SymmetricCirculant", "quadratic_form_cn"]
 
 __version__ = "0.1.0"

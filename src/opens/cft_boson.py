@@ -25,6 +25,7 @@ and a point that fails gets the exception it raises on its own.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,10 +34,9 @@ import numpy as np
 from opens.continuation import continue_stack
 from opens.continuation import continue_to_one  # noqa: F401 - perfbench's traced run looks it up here
 from opens.core import (IMAG_TOL, Geometry, SymmetricCirculant, _cmul, _complex, _one, _where_ok,
-                        log_ratio, log_sinhc, quadratic_form_cn)
+                        log_ratio, log_sinhc)
+from opens.core import quadratic_form_cn  # noqa: F401 - perfbench's traced run looks it up here
 from opens.errors import DomainError, RegimeWarning, SingularMatrixError
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class BosonParams:
     K: float = 1.0
 
     def __post_init__(self):
-        if self.K <= 0.0:
-            raise ValueError(f"Luttinger parameter must be positive, got {self.K}")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError(f"Luttinger parameter must be positive and finite, got K={self.K}")
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,11 @@ class TimeParams:
     eps_prime: float = 1e-6
 
     def __post_init__(self):
-        if self.t < 0.0:
-            raise ValueError(f"time must be non-negative, got {self.t}")
-        if self.eps_prime <= 0.0:
-            raise ValueError(f"eps_prime must be positive, got {self.eps_prime}")
-
-
-@dataclass(frozen=True)
-class ReplicaMatrix:
-    """Replica covariance of flux insertions on an n-sheeted geometry."""
-
-    geometry: Geometry
-    circulant: SymmetricCirculant
-
-    @property
-    def m11(self) -> float:
-        return self.circulant.row[0]
-
-    def dense(self) -> np.ndarray:
-        return self.circulant.dense()
-
-    def cn_numeric(self) -> float:
-        return quadratic_form_cn(self.dense())
+        if not 0.0 <= self.t < math.inf:
+            raise ValueError(f"time must be non-negative and finite, got t={self.t}")
+        if not 0.0 < self.eps_prime < math.inf:
+            raise ValueError(
+                f"eps_prime must be positive and finite, got eps_prime={self.eps_prime}")
 
 
 def _u_ratio(L, z1, z2, dz):
@@ -134,22 +117,9 @@ def _rows(ell, pa, pb, n):
     return np.concatenate((diag[:, None], half, half[:, :(n - 1) // 2][:, ::-1]), axis=1)
 
 
-def _row(L, a, b, eps, n, shift=0.0, exact_reg=False):
-    """First row of M for one layout (see ``_rows``).
-
-    With ``exact_reg`` the diagonal keeps each image difference at z +- eps
-    exactly: u(z)^{1/n} times expm1(ell_+ / n) - expm1(ell_- / n), with
-    ell_+- = log(u(z +- eps) / u(z)).
-    """
-    ell, pa, pb = _endpoints([(L, a, b, eps, shift)])
-    row = _rows(ell, pa, pb, n)[0]
-    if exact_reg:
-        s = np.sinh(ell[0] / (2 * n)) ** 2
-        width = [np.expm1(log_ratio(*_u_ratio(L, z + eps, z, -eps)) / n)
-                 - np.expm1(log_ratio(*_u_ratio(L, z - eps, z, eps)) / n)
-                 for z in (complex(a) - shift, complex(b) - shift)]
-        row[0] = 2.0 * np.log(abs(4.0 * s / (width[0] * width[1])))
-    return row
+def _row(L, a, b, eps, n, shift=0.0):
+    """First row of M for one layout (see ``_rows``)."""
+    return _rows(*_endpoints([(L, a, b, eps, shift)]), n)[0]
 
 
 def _warn_unless_dominant(rows):
@@ -162,29 +132,18 @@ def _warn_unless_dominant(rows):
         )
 
 
-def build_M_boson(g: Geometry, exact_reg: bool = False) -> ReplicaMatrix:
-    """Replica covariance matrix for the compact-boson charge.
+def build_M_boson(g: Geometry) -> SymmetricCirculant:
+    """Replica covariance matrix for the compact-boson charge, as its circulant.
 
     Off-diagonal entries are the cross-ratio logs of the branch-point
-    images; the diagonal carries the UV regularization. By default the
-    point splitting enters at leading order in eps (which makes the row
-    sum equal 4 log((b-a)/(2 eps)) exactly); ``exact_reg=True`` keeps the
-    exact split-point difference for eps-convergence studies.
+    images; the diagonal carries the UV regularization, with the point
+    splitting at leading order in eps, which makes the row sum equal
+    4 log((b-a)/(2 eps)) exactly. ``.dense()`` expands it; at n = 1,
+    ``.row[0]`` is the single-copy diagonal m1.
     """
-    row = _row(g.L, g.a, g.b, g.eps, g.n, exact_reg=exact_reg)
+    row = _row(g.L, g.a, g.b, g.eps, g.n)
     _warn_unless_dominant(row[None])
-    return ReplicaMatrix(g, SymmetricCirculant(row))
-
-
-def coincident_interval_row(L: float, eps: float, n: int) -> np.ndarray:
-    """Row of M in the A = B limit, a = eps and b = L + eps.
-
-    This layout violates the B-right-of-A validation on purpose (it is the
-    sanity limit where the measured and probed intervals coincide), so it
-    bypasses ``Geometry``; u(a) < 0 there, and ell = log(u(a) / u(b)) is
-    complex. Every element grows as (4/n) log(L/eps).
-    """
-    return _row(L, eps, L + eps, eps, n)
+    return SymmetricCirculant(row)
 
 
 def charged_moments_ratio(g: Geometry, p: BosonParams, gammas) -> float:
@@ -198,31 +157,6 @@ def charged_moments_ratio(g: Geometry, p: BosonParams, gammas) -> float:
         raise ValueError(f"need {g.n} flux angles, got shape {gam.shape}")
     M = build_M_boson(g).dense()
     return float(np.exp(-p.K / (8.0 * np.pi**2) * gam @ M @ gam))
-
-
-def cn_closed_form(g: Geometry) -> float:
-    """C_n = n / (4 log((b-a)/(2 eps))), independent of L.
-
-    The numeric route ``build_M_boson(g).cn_numeric()`` agrees to machine
-    precision in the default (leading-order) regularization and converges
-    as eps -> 0 in the exact-difference mode.
-    """
-    arg = g.ell2 / (2.0 * g.eps)
-    if arg <= 1.0:
-        raise DomainError(f"(b-a)/(2 eps) = {arg:.3g} <= 1: closed form undefined")
-    return g.n / (4.0 * np.log(arg))
-
-
-def single_copy_m11(g: Geometry) -> float:
-    """Diagonal of the one-replica matrix, 4 log((b-a)/(2 eps)) at leading eps."""
-    return float(_row(g.L, g.a, g.b, g.eps, 1)[0])
-
-
-def correction_from_parts(log_m11: float, log_det: float, n: int) -> float:
-    """Entropy correction (1/(2(1-n))) log(m11^n / det M) from its pieces."""
-    if n < 2:
-        raise ValueError("correction is defined for integer n >= 2")
-    return (n * log_m11 - log_det) / (2.0 * (1 - n))
 
 
 def _circulant_failure(row, n):
@@ -381,32 +315,6 @@ def holevo_chi_approx(g: Geometry) -> float:
     from A, and vanishes as L -> 0 (an unmeasured point cannot inform).
     """
     return -0.5 * _chi_approx_raw(g)
-
-
-def charge_variances(g: Geometry, p: BosonParams) -> dict:
-    """Second moment of the measured-charge distribution, both conventions.
-
-    ``gaussian`` follows from Fourier transforming the single-flux
-    generating function exp(-K gamma^2 m11 / (8 pi^2)), giving
-    K m11 / (4 pi^2). ``saddle`` keeps the saddle-point prefactor
-    bookkeeping of the replica computation and is smaller by sqrt(2 pi).
-    Both are reported because the two normalizations appear side by side
-    in the source analysis of the generic-operator case.
-    """
-    m11 = single_copy_m11(g)
-    gaussian = p.K * m11 / (4.0 * np.pi**2)
-    return {"gaussian": gaussian, "saddle": gaussian / np.sqrt(TWO_PI)}
-
-
-def charge_distribution(g: Geometry, p: BosonParams, q) -> np.ndarray:
-    """Normalized Gaussian outcome density p(q) of the measured charge.
-
-    Uses the ``gaussian`` variance convention; symmetric in q -> -q and
-    integrates to 1.
-    """
-    var = charge_variances(g, p)["gaussian"]
-    q = np.asarray(q, dtype=float)
-    return np.exp(-q * q / (2.0 * var)) / np.sqrt(TWO_PI * var)
 
 
 # ---------------------------------------------------------------------------

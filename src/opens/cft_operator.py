@@ -26,9 +26,9 @@ eigensolve (``_gauss_jacobi``) and exprel from ``math.expm1``
 special functions.
 
 One ``OperatorMatrix`` per (geometry, n) feeds every ensemble diagnostic:
-q-resolved purity ratios, the generalized entropy correction, overlap
-generating functions, the averaged purity, and the UV-finite ratios that
-survive eps -> 0. Only its add-back ``m11`` reads the cutoff ``eps_reg``, so
+the generalized entropy correction, overlap generating functions, the
+averaged purity, and the UV-finite ratios that survive eps -> 0. Only its
+add-back ``m11`` reads the cutoff ``eps_reg``, so
 ``dataclasses.replace(om, eps_reg=...)`` is the same matrix at another eps.
 """
 
@@ -42,9 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc, quadratic_form_cn
-from opens.errors import DomainError, QuadratureError
-
-SQRT_2PI = np.sqrt(2.0 * np.pi)
+from opens.errors import QuadratureError
 
 #: nodes per axis of the coarse tensor rule; the fine rule doubles it
 GAUSS_NODES = 32
@@ -82,35 +80,15 @@ class QuadratureConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.eps_reg <= 0.0:
-            raise ValueError("eps_reg must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class FlatIntegral:
-    """Regularized flat-interval integral split into its pieces."""
-
-    value: float
-    divergent: float
-    universal: float
+        # nan fails both checks: a nan tol would switch _check_converged off
+        if not 0.0 < self.eps_reg < math.inf:
+            raise ValueError(f"eps_reg must be positive and finite, got eps_reg={self.eps_reg}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got tol={self.tol}")
 
 
 # ---------------------------------------------------------------------------
 # uniformization map helpers
-
-
-def replica_map(x: float, k: int, g: Geometry):
-    """Branch-k image w_k(x) of a real point and its derivative.
-
-    w_k = e^{2 pi i k / n} (x / (x - L))^{1/n}, defined for x outside the
-    probed interval [0, L].
-    """
-    if 0.0 <= x <= g.L:
-        raise DomainError(f"x = {x} lies inside the probed interval [0, {g.L}]")
-    phase = np.exp(2j * np.pi * k / g.n)
-    return phase * _u(x, g.L, g.n), -phase * _du_abs(x, g.L, g.n)
 
 
 def _u(x, L, n):
@@ -149,48 +127,6 @@ def _remainder_power(spec: OperatorSpec):
 
 # ---------------------------------------------------------------------------
 # flat-interval integrals
-
-
-def flat_interval_integral(spec: OperatorSpec, length: float, eps: float) -> FlatIntegral:
-    """Closed form of the regularized plane-correlator interval integral.
-
-    This is the two-point function of the observable integrated twice over
-    a single interval, the object that controls the outcome distribution
-    of the measured density. The returned split isolates the cutoff-
-    dependent part from the universal one.
-
-    Scalar special cases h_s = 1/2 and h_s = 1 replace the generic
-    expression, whose rational coefficients develop poles there. For the
-    vector the universal term is -4 length^{-2 h_v} / (2 h_v (1 + 2 h_v));
-    a positive-exponent variant of that term sometimes quoted for this
-    integral is dimensionally inconsistent and disagrees with direct
-    quadrature, so it is not used.
-    """
-    if length <= 0.0 or eps <= 0.0:
-        raise DomainError("need length > 0 and eps > 0")
-    ell, h = float(length), spec.weight
-    if spec.kind == "scalar":
-        if np.isclose(h, 0.5):
-            div = 2.0 * ell * np.log(1.0 / eps)
-            uni = 2.0 * ell * (np.log(ell) - 1.0)
-            return FlatIntegral(2.0 * ell * (np.log(ell / eps) - 1.0), div, uni)
-        if np.isclose(h, 1.0):
-            div = np.pi * ell / eps + 2.0 * np.log(eps)
-            uni = -2.0 * (1.0 + np.log(ell))
-            return FlatIntegral(np.pi * ell / eps - 2.0 * (1.0 + np.log(ell / eps)), div, uni)
-        div = ell * eps ** (1.0 - 2.0 * h) / (2.0 * h - 1.0)
-        uni = ell ** (2.0 - 2.0 * h) / (1.0 - 3.0 * h + 2.0 * h * h)
-        return FlatIntegral(div + uni, div, uni)
-    # vector
-    if h == 0.0:
-        val = 2.0 * np.log1p(ell * ell / (eps * eps))
-        return FlatIntegral(val, 4.0 * np.log(1.0 / eps), 4.0 * np.log(ell))
-    div = (
-        4.0 * np.pi * h / np.cos(np.pi * h) * ell * eps ** (-1.0 - 2.0 * h)
-        + 2.0 * np.pi * (1.0 - 2.0 * h) / np.sin(np.pi * h) * eps ** (-2.0 * h)
-    )
-    uni = -4.0 * ell ** (-2.0 * h) / (2.0 * h * (1.0 + 2.0 * h))
-    return FlatIntegral(div + uni, div, uni)
 
 
 def __getattr__(name):
@@ -526,20 +462,6 @@ def _two_replica(om: OperatorMatrix) -> OperatorMatrix:
     return om
 
 
-def log_purity_ratio_q(om: OperatorMatrix, q: float) -> float:
-    """log(Tr rho_{A,q}^n / Tr rho_A^n) for outcome q, n = om.geometry.n.
-
-    e^{-q^2 C_n / 2} / sqrt(det M) divided by the n-th power of the
-    single-copy normalization e^{-q^2 C_1 / 2} / sqrt(m11); C_1 = 1/m11
-    exactly since the one-replica matrix is 1 x 1. The log is quadratic in
-    q with coefficient -(C_n - n C_1)/2. It is returned because the ratio
-    itself is 1 - O(1e-12) at heavy weights, where a float keeps only a few
-    digits of it.
-    """
-    log_det_ratio, cn_excess = _replica_log_terms(om.subtracted().eigenvalues(), om.m11)
-    return float(-0.5 * q * q * cn_excess - 0.5 * log_det_ratio)
-
-
 def mie_general(om: OperatorMatrix) -> dict:
     """Outcome-averaged Renyi entropy of A for a generic Gaussian observable.
 
@@ -643,20 +565,3 @@ def averaged_purity(om: OperatorMatrix, gamma: float) -> dict:
         "log_uv_finite": float(log_uv_finite),
         "m_gap": float(gap),
     }
-
-
-def interaction_convergence_check(spec: OperatorSpec, k: int) -> bool:
-    """Whether UV-finiteness of the overlap ratio survives interactions.
-
-    For interaction vertices coupling to up to k copies of the observable
-    the ratio stays finite iff h_s <= 1/2 + 1/(2k) (scalar) or
-    h_v <= 1/(2k) (vector). Both bounds tighten with k, so passing at k
-    covers every smaller degree. Degrees with k h_s >= 2 cannot come from
-    a relevant vertex in the first place, which makes the check
-    conservative there.
-    """
-    if k < 1:
-        raise ValueError("vertex degree must be at least 1")
-    if spec.kind == "scalar":
-        return spec.weight <= 0.5 + 0.5 / k
-    return spec.weight <= 0.5 / k

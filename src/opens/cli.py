@@ -49,6 +49,8 @@ from opens.cft_operator import (
 )
 from opens.core import Geometry, _where_ok
 from opens.lattice import (
+    ISING,
+    TIGHT_BINDING,
     EDOracle,
     LatticeModel,
     SubsystemLayout,
@@ -336,9 +338,9 @@ def cmd_uv_check(args):
 
 def _model_from_name(name: str) -> LatticeModel:
     if name in ("xx", "tight-binding", "tb"):
-        return LatticeModel(0.0, 0.0)
+        return TIGHT_BINDING
     if name == "ising":
-        return LatticeModel(1.0, 1.0)
+        return ISING
     kappa, sep, h = name.partition(":")
     try:
         if sep:

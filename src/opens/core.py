@@ -3,7 +3,7 @@
 Everything downstream (the boson closed forms, the operator quadrature and
 the lattice determinants) goes through the small set of contracts defined
 here: a validated interval layout, a palindromic symmetric circulant with
-eigenvalue-product determinants, a solve-based quadratic form
+its real FFT eigenvalues, a solve-based quadratic form
 ``v M^{-1} v^T``, the two cancellation-free logarithms that the
 uniformization map's cross ratios are built from, and the two helpers by
 which a batch of points carries a failed point as the exception in its
@@ -12,6 +12,7 @@ slot.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,12 +40,15 @@ class Geometry:
     n: int = 1
 
     def __post_init__(self):
+        # nan fails every comparison, and with L < a < b only b can be infinite
         if not (0.0 < self.L < self.a < self.b):
             raise GeometryError(
                 f"need 0 < L < a < b, got L={self.L}, a={self.a}, b={self.b}"
             )
-        if self.eps <= 0.0:
-            raise GeometryError(f"UV cutoff must be positive, got eps={self.eps}")
+        if self.b == math.inf:
+            raise GeometryError(f"the measured interval must end at a finite b, got b={self.b}")
+        if not 0.0 < self.eps < math.inf:
+            raise GeometryError(f"UV cutoff must be positive and finite, got eps={self.eps}")
         if int(self.n) != self.n or self.n < 1:
             raise GeometryError(f"replica count must be an integer >= 1, got {self.n}")
         if self.ell2 / (2.0 * self.eps) <= 1.0:
@@ -108,30 +112,6 @@ class SymmetricCirculant:
         if resid > IMAG_TOL * max(1.0, np.abs(lam.real).max()):
             raise ValueError(f"circulant eigenvalues not real, residue {resid:.3e}")
         return lam.real
-
-
-def circulant_determinant(c: SymmetricCirculant) -> float:
-    """Determinant as the product of circulant eigenvalues.
-
-    Accumulated in log space (sum of log |eigenvalue| plus a sign) so that
-    rows with entries of order log(1/eps^2) do not overflow.
-    """
-    lam = c.eigenvalues()
-    if np.any(lam == 0.0):
-        return 0.0
-    sign = 1.0 if np.count_nonzero(lam < 0) % 2 == 0 else -1.0
-    return sign * float(np.exp(np.sum(np.log(np.abs(lam)))))
-
-
-def circulant_inverse_row_sum(c: SymmetricCirculant) -> float:
-    """Row sum of the inverse, sum_j (M^{-1})_{jl} = 1 / sum_m row[m].
-
-    Column-independent because every row of a circulant sums identically.
-    """
-    s = float(np.sum(c.row))
-    if s == 0.0:
-        raise SingularMatrixError("circulant row sums to zero, inverse row sum undefined")
-    return 1.0 / s
 
 
 def quadratic_form_cn(M: np.ndarray) -> float:

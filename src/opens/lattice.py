@@ -294,27 +294,6 @@ def finite_chain_correlations(model: LatticeModel, n_sites: int) -> CorrelationM
     return kind(2 * P - np.eye(len(P)))
 
 
-def ring_correlations(model: LatticeModel, n_sites: int, rmax: int):
-    """(C(r), F(r)) for r = 0..rmax on an antiperiodic ring of n_sites.
-
-    Momentum sums over k = pi (2m + 1) / N converge to the infinite-chain
-    kernels like 1/N^2 and serve as the finite-size validation of the
-    preset kernels.
-    """
-    N = n_sites
-    ks = np.pi * (2 * np.arange(N) + 1 - N) / N
-    eps = -(np.cos(ks) + model.h_field)
-    delta = model.kappa * np.sin(ks)  # sign anchored to the open-chain ED
-    E = np.hypot(eps, delta)
-    nk = 0.5 * (1.0 - eps / E)            # <c+_k c_k>
-    fk = -1j * delta / (2.0 * E)          # <c_k c_{-k}>
-    rs = np.arange(rmax + 1)
-    phase = np.exp(-1j * np.outer(rs, ks))
-    C = np.real(phase @ nk) / N
-    F = np.real(phase @ fk) / N
-    return C, F
-
-
 # ---------------------------------------------------------------------------
 # exact-sign Gaussian traces
 
@@ -694,38 +673,6 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout):
 # exact-diagonalization oracle
 
 
-def fock_operators(n_sites: int):
-    """Dense annihilation matrices with Jordan-Wigner signs (small n only)."""
-    dim = 1 << n_sites
-    if dim > EDOracle.MAX_DIM:
-        raise ValueError(f"Fock dimension 2^{n_sites} exceeds {EDOracle.MAX_DIM}")
-    s = np.arange(dim)
-    occ = (s[:, None] >> np.arange(n_sites)) & 1
-    below = np.cumsum(occ, axis=1) - occ  # the Jordan-Wigner string of c_j
-    ops = []
-    for j in range(n_sites):
-        on = occ[:, j] == 1
-        m = np.zeros((dim, dim))
-        m[s[on] ^ (1 << j), s[on]] = np.where(below[on, j] & 1, -1.0, 1.0)
-        ops.append(m)
-    return ops
-
-
-def quadratic_fock_operator(H: np.ndarray) -> np.ndarray:
-    """(1/2) psi+ H psi as a dense Fock-space matrix (for oracle checks)."""
-    H = np.asarray(H, dtype=complex)
-    m = H.shape[0] // 2
-    cs = fock_operators(m)
-    ops = cs + [c.conj().T for c in cs]
-    dim = 1 << m
-    out = np.zeros((dim, dim), dtype=complex)
-    for a in range(2 * m):
-        for b in range(2 * m):
-            if H[a, b] != 0:
-                out += 0.5 * H[a, b] * (ops[a].conj().T @ ops[b])
-    return out
-
-
 class EDOracle:
     """Brute-force many-body reference on chains of up to 12 sites.
 
@@ -909,15 +856,3 @@ class EDOracle:
         if n == 1:
             return float(-np.sum(lam * np.log(lam)))
         return float(np.log(np.sum(lam**n)) / (1.0 - n))
-
-    def correlation_matrix(self) -> NambuCorrelationMatrix:
-        """Doubled two-point matrix measured directly on the ground state."""
-        cs = fock_operators(self.n)
-        ops = cs + [c.conj().T for c in cs]
-        m2 = 2 * self.n
-        P = np.zeros((m2, m2), dtype=complex)
-        for a in range(m2):
-            va = ops[a] @ self.psi
-            for b in range(m2):
-                P[a, b] = np.vdot(va, ops[b] @ self.psi)
-        return NambuCorrelationMatrix(2 * P - np.eye(m2))

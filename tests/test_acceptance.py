@@ -15,12 +15,9 @@ from scipy import integrate
 from opens.cft_boson import (
     build_M_boson,
     chi_time_asymptote,
-    cn_closed_form,
-    coincident_interval_row,
     holevo_chi,
     holevo_chi_approx,
     renyi_ratio_and_mie,
-    single_copy_m11,
     time_correction_samples,
 )
 from opens.cft_operator import (
@@ -29,18 +26,12 @@ from opens.cft_operator import (
     averaged_purity,
     build_M_operator,
     flat_integral_exact,
-    flat_interval_integral,
     overlap_generating,
     single_copy_m11_operator,
     uv_finite_overlap_ratio,
 )
 from opens.continuation import ContinuationProblem, continue_to_one
-from opens.core import (
-    Geometry,
-    SymmetricCirculant,
-    circulant_determinant,
-    circulant_inverse_row_sum,
-)
+from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
 from opens.cft_boson import TimeParams
 from opens.lattice import (
     ISING,
@@ -52,6 +43,14 @@ from opens.lattice import (
     charged_moments_lattice,
     finite_chain_correlations,
     ising_log_coefficient_prediction,
+)
+from oracles import (
+    circulant_determinant,
+    circulant_inverse_row_sum,
+    cn_closed_form,
+    flat_interval_integral,
+    loop_row,
+    mp_flat_integral,
 )
 
 
@@ -70,7 +69,7 @@ def test_criterion_1_circulant_identities():
         d = rng.uniform(0.5, 100.0)
         l2 = rng.uniform(5.0, 500.0)
         g = Geometry(L, L + d, L + d + l2, rng.uniform(0.01, 0.5), n)
-        c = build_M_boson(g).circulant
+        c = build_M_boson(g)
         dense = c.dense()
         det_ref = np.linalg.det(dense)
         worst_det = max(worst_det, abs(circulant_determinant(c) - det_ref) / abs(det_ref))
@@ -87,21 +86,25 @@ def test_criterion_1_circulant_identities():
     )
 
 
+def _exact_split_cn(g: Geometry) -> float:
+    """C_n of M with the point splitting kept exact on the diagonal, which
+    converges to the closed form as eps -> 0."""
+    return quadratic_form_cn(SymmetricCirculant(loop_row(g.L, g.a, g.b, g.eps, g.n,
+                                                         exact_reg=True)).dense())
+
+
 def test_criterion_2_cn_closed_form():
     L, d, l2 = 10.0, 20.0, 100.0
     rels = []
     for ratio in (1e-2, 1e-3, 1e-4):
         g = Geometry(L, L + d, L + d + l2, l2 * ratio, 5)
-        num = build_M_boson(g, exact_reg=True).cn_numeric()
+        num = _exact_split_cn(g)
         rels.append(abs(num - cn_closed_form(g)) / cn_closed_form(g))
     monotone = rels[0] > rels[1] > rels[2]
     # closed form is bitwise L-independent; the numeric route stays within 1e-3
     a, b, eps = 40.0, 140.0, 0.01
     closed = {cn_closed_form(Geometry(L_, a, b, eps, 4)) for L_ in (5.0, 10.0, 20.0)}
-    nums = [
-        build_M_boson(Geometry(L_, a, b, eps, 4), exact_reg=True).cn_numeric()
-        for L_ in (5.0, 10.0, 20.0)
-    ]
+    nums = [_exact_split_cn(Geometry(L_, a, b, eps, 4)) for L_ in (5.0, 10.0, 20.0)]
     drift = (max(nums) - min(nums)) / min(nums)
     ok = monotone and rels[2] < 1e-3 and len(closed) == 1 and drift < 1e-3
     assert report(
@@ -115,7 +118,8 @@ def test_criterion_3_coincident_interval_slope():
     worst = 0.0
     for n in (2, 3, 4):
         Ls = np.geomspace(1e6, 1e12, 4)
-        rows = np.array([coincident_interval_row(L, 1.0, n) for L in Ls])
+        # the A = B limit a = eps, b = L + eps, which Geometry rejects
+        rows = np.array([loop_row(L, 1.0, L + 1.0, 1.0, n) for L in Ls])
         for col in range(n):
             slope = np.polyfit(np.log(Ls), rows[:, col], 1)[0]
             worst = max(worst, abs(slope - 4.0 / n) / (4.0 / n))
@@ -171,6 +175,9 @@ def test_criterion_5_large_time_decay():
 def test_criterion_6_flat_integrals():
     ell = 1.0
     checks = []
+    # beside each adaptive reference, the mpmath value of the same integral,
+    # 2 int_0^ell (ell - s) K(s) ds: (name, miss, bound)
+    exact = []
     # h = 1/4: no divergence; quadrature extrapolated in eps vs closed form
     spec = OperatorSpec("scalar", 0.25)
     vals = []
@@ -181,8 +188,12 @@ def test_criterion_6_flat_integrals():
         )
         vals.append(num)
     extrap = vals[1] + (vals[1] - vals[0]) / (np.sqrt(2.0) - 1.0)
-    rel = abs(extrap - flat_interval_integral(spec, ell, 1e-12).universal) / extrap
+    universal = flat_interval_integral(spec, ell, 1e-12).universal
+    rel = abs(extrap - universal) / extrap
     checks.append(("h=1/4", rel))
+    # the cutoff-free integral, (8/3) ell^(3/2) exactly
+    ref = mp_flat_integral(0.25, ell, 0.0)
+    exact.append(("h=1/4", abs(universal - ref) / ref, 1e-14))
     # h = 1/2: the closed form's constant corresponds to a +-eps split,
     # i.e. a 2 eps kernel width
     eps = 1e-5
@@ -190,8 +201,16 @@ def test_criterion_6_flat_integrals():
         lambda y, x: ((x - y) ** 2 + (2 * eps) ** 2) ** -0.5,
         0.0, ell, 0.0, ell, epsabs=1e-11, epsrel=1e-11,
     )
-    rel = abs(num - flat_interval_integral(OperatorSpec("scalar", 0.5), ell, eps).value) / num
+    closed = flat_interval_integral(OperatorSpec("scalar", 0.5), ell, eps).value
+    rel = abs(num - closed) / num
     checks.append(("h=1/2", rel))
+    # at width w = 2 eps the integral is
+    # 2 ell (asinh(ell / w) - sqrt(1 + (w / ell)^2) + w / ell)
+    # = closed + 2 w - w^2 / (2 ell) + O(w^4 / ell^3): past the 2 w term the
+    # rest is below w^2 / ell
+    w = 2 * eps
+    ref = mp_flat_integral(0.5, ell, w)
+    exact.append(("h=1/2 past 2w", abs(ref - closed - 2 * w) / ref, w * w / ell / ref))
     # h = 1: the printed form is the exact small-eps expansion of the
     # (s^2 + eps^2)^-1 kernel
     eps = 1e-5
@@ -199,12 +218,21 @@ def test_criterion_6_flat_integrals():
         lambda y, x: 1.0 / ((x - y) ** 2 + eps * eps),
         0.0, ell, 0.0, ell, epsabs=1e-9, epsrel=1e-9,
     )
-    rel = abs(num - flat_interval_integral(OperatorSpec("scalar", 1.0), ell, eps).value) / num
+    closed = flat_interval_integral(OperatorSpec("scalar", 1.0), ell, eps).value
+    rel = abs(num - closed) / num
     checks.append(("h=1", rel))
+    # its next term is O(eps^2 / ell^2), 1e-10 against ~ 3e5
+    ref = mp_flat_integral(1.0, ell, eps)
+    exact.append(("h=1", abs(ref - closed) / ref, 1e-13))
     ok = all(r < 1e-4 for _, r in checks)
     assert report(
-        6, ok, ", ".join(f"{name}: rel {r:.1e}" for name, r in checks) + " (<1e-4)"
+        6, ok, ", ".join(f"{name}: rel {r:.1e}" for name, r in checks) + " (<1e-4); mpmath: "
+        + ", ".join(f"{name} rel {r:.1e} (<{b:.0e})" for name, r, b in exact)
     )
+    # the adaptive references limit the bound's margin; the closed forms
+    # themselves hold to rounding against the same integrals at 30 digits
+    for name, miss, bound in exact:
+        assert miss <= bound, (name, miss, bound)
 
 
 def test_criterion_7_cn_nonlinearity():

@@ -9,14 +9,9 @@ from opens.cft_boson import (
     BosonParams,
     TimeParams,
     build_M_boson,
-    charge_distribution,
-    charge_variances,
     charged_moments_ratio,
     chi_samples,
     chi_time_asymptote,
-    cn_closed_form,
-    coincident_interval_row,
-    correction_from_parts,
     holevo_chi,
     holevo_chi_approx,
     _chi,
@@ -25,12 +20,12 @@ from opens.cft_boson import (
     holevo_chi_sweep,
     holevo_chi_time_sweep,
     renyi_ratio_and_mie,
-    single_copy_m11,
     time_correction_samples,
 )
 from opens.continuation import ContinuationProblem, continue_to_one
-from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc
+from opens.core import Geometry, SymmetricCirculant, log_sinhc, quadratic_form_cn
 from opens.errors import DomainError, RegimeWarning, SingularMatrixError
+from oracles import charge_distribution, charge_variances, cn_closed_form, loop_endpoints, loop_row
 
 
 def geo(L=10.0, d=20.0, l2=100.0, eps=0.5, n=1):
@@ -104,9 +99,10 @@ class TestRowOracle:
             for n in (1, 2, 5, 8):
                 np.testing.assert_allclose(_row(L, a, a + l2, eps, n),
                                            mp_row(L, a, a + l2, eps, n), rtol=1e-14, atol=0.0)
+        # the exact point-split diagonal that the tests' C_n convergence uses
         for L, d, l2, eps in layouts[:8]:
             a = L + d
-            np.testing.assert_allclose(_row(L, a, a + l2, eps, 5, exact_reg=True),
+            np.testing.assert_allclose(loop_row(L, a, a + l2, eps, 5, exact_reg=True),
                                        mp_row(L, a, a + l2, eps, 5, exact_reg=True),
                                        rtol=1e-14, atol=0.0)
 
@@ -114,7 +110,7 @@ class TestRowOracle:
         # u(a) < 0 in the A = B limit: q = u(a) / u(b) ~ -1e-24 at L = 1e12
         for L in (1e6, 1e9, 1e12):
             for n in (2, 3, 4):
-                np.testing.assert_allclose(coincident_interval_row(L, 1.0, n),
+                np.testing.assert_allclose(_row(L, 1.0, L + 1.0, 1.0, n),
                                            mp_row(L, 1.0, L + 1.0, 1.0, n), rtol=1e-14, atol=0.0)
 
 
@@ -126,11 +122,11 @@ class TestBuildM:
         areg = -2 * g.eps * g.L / (g.a**2 - g.a * g.L) * u(g.a)
         breg = -2 * g.eps * g.L / (g.b**2 - g.b * g.L) * u(g.b)
         expected = -2.0 * np.log(abs(areg * breg / (u(g.a) - u(g.b)) ** 2))
-        assert build_M_boson(g).m11 == pytest.approx(expected, rel=1e-12)
+        assert build_M_boson(g).row[0] == pytest.approx(expected, rel=1e-12)
 
     def test_coincident_limit_matches_printed_value(self):
         # A = B limit at n=2, L=100, eps=1: L-dependent part 2 log 100 = 9.2103
-        row = coincident_interval_row(100.0, 1.0, 2)
+        row = _row(100.0, 1.0, 101.0, 1.0, 2)
         assert row[0] == pytest.approx(2.0 * np.log(100.0), abs=1e-3)
 
     def test_coincident_limit_slope(self):
@@ -138,17 +134,17 @@ class TestBuildM:
         # corrections for n >= 3, so the fit window sits at large L
         for n in (2, 3, 4):
             Ls = np.geomspace(1e6, 1e12, 4)
-            rows = np.array([coincident_interval_row(L, 1.0, n) for L in Ls])
+            rows = np.array([_row(L, 1.0, L + 1.0, 1.0, n) for L in Ls])
             for col in range(n):
                 slope = np.polyfit(np.log(Ls), rows[:, col], 1)[0]
                 assert slope == pytest.approx(4.0 / n, rel=0.01)
 
     def test_palindromic_and_psd(self):
         g = geo(n=6)
-        rm = build_M_boson(g)
-        row = np.asarray(rm.circulant.row)
+        M = build_M_boson(g)
+        row = np.asarray(M.row)
         assert np.array_equal(row[1:], row[1:][::-1])
-        assert np.linalg.eigvalsh(rm.dense()).min() > -1e-8
+        assert np.linalg.eigvalsh(M.dense()).min() > -1e-8
 
     def test_warns_when_diagonal_not_dominant(self):
         # B hugging A with a coarse cutoff: the off-diagonal coupling wins
@@ -158,7 +154,7 @@ class TestBuildM:
 
     def test_row_sum_identity_exact(self):
         g = geo(L=7.0, d=13.0, l2=211.0, eps=0.05, n=5)
-        total = np.sum(build_M_boson(g).circulant.row)
+        total = np.sum(build_M_boson(g).row)
         assert total == pytest.approx(4.0 * np.log(g.ell2 / (2 * g.eps)), rel=1e-13)
 
 
@@ -170,7 +166,7 @@ class TestChargedMoments:
     def test_single_replica_reduction(self):
         g = geo(n=1)
         K, gam = 0.8, 0.6
-        expected = np.exp(-K * gam**2 * build_M_boson(g).m11 / (8 * np.pi**2))
+        expected = np.exp(-K * gam**2 * build_M_boson(g).row[0] / (8 * np.pi**2))
         assert charged_moments_ratio(g, BosonParams(K), [gam]) == pytest.approx(expected, rel=1e-12)
 
     def test_two_replica_log_ratio(self):
@@ -198,14 +194,16 @@ class TestCn:
 
     def test_numeric_exact_in_leading_mode(self):
         g = geo(l2=150.0, eps=0.01, n=4)
-        assert build_M_boson(g).cn_numeric() == pytest.approx(cn_closed_form(g), rel=1e-12)
+        cn = quadratic_form_cn(build_M_boson(g).dense())
+        assert cn == pytest.approx(cn_closed_form(g), rel=1e-12)
 
     def test_numeric_converges_in_exact_mode(self):
         L, d, l2 = 10.0, 20.0, 100.0
         rels = []
         for ratio in (1e-2, 1e-3, 1e-4):
             g = Geometry(L, L + d, L + d + l2, l2 * ratio, 5)
-            num = build_M_boson(g, exact_reg=True).cn_numeric()
+            row = loop_row(g.L, g.a, g.b, g.eps, g.n, exact_reg=True)
+            num = quadratic_form_cn(SymmetricCirculant(row).dense())
             rels.append(abs(num - cn_closed_form(g)) / cn_closed_form(g))
         assert rels[0] > rels[1] > rels[2]
         assert rels[2] < 1e-3
@@ -218,17 +216,11 @@ class TestCn:
 
 
 class TestRenyiRatio:
-    def test_artificial_diagonal_matrix(self):
-        # det M = m11^n when the circulant is diagonal: ratio 1, correction 0
-        m11, n = 7.3, 4
-        corr = correction_from_parts(np.log(m11), n * np.log(m11), n)
-        assert corr == 0.0
-
     def test_against_direct_algebra(self):
         g = Geometry(100.0, 600.0, 1600.0, 0.5, 1)
         ratio, corr = renyi_ratio_and_mie(g, 2)
         M = build_M_boson(g.with_n(2)).dense()
-        m1 = single_copy_m11(g)
+        m1 = build_M_boson(g).row[0]
         direct = 0.5 * np.log(np.linalg.det(M) / m1**2)
         assert corr == pytest.approx(direct, rel=1e-10)
         assert corr < 0.0
@@ -307,7 +299,7 @@ class TestChargeDistribution:
         # Fourier-transform oracle: second moment of the density built by
         # numerically transforming exp(-K gamma^2 m11 / (8 pi^2))
         g, p = geo(), BosonParams(0.7)
-        m11 = single_copy_m11(g)
+        m11 = build_M_boson(g).row[0]
         gen = lambda gam: np.exp(-p.K * gam**2 * m11 / (8 * np.pi**2))
         density = lambda q: integrate.quad(
             gen, 0, np.inf, weight="cos", wvar=q
@@ -412,30 +404,7 @@ class TestTimeDependence:
 # ---------------------------------------------------------------------------
 # the per-point kernel that the batched one replaced, kept as its reference:
 # numpy complex scalars and Python complex numbers, one point and one n at a
-# time
-
-
-def loop_log_u_ratio(L, z1, z2, dz):
-    return log_ratio(L * dz / (z2 * (z1 - L)), z1 * (z2 - L) / ((z1 - L) * z2))
-
-
-def loop_endpoints(L, a, b, shift=0.0):
-    za, zb = complex(a) - shift, complex(b) - shift
-    return za, zb, loop_log_u_ratio(L, za, zb, b - a)
-
-
-def loop_row(L, a, b, eps, n, shift=0.0, exact_reg=False):
-    za, zb, ell = loop_endpoints(L, a, b, shift)
-    s = np.sinh(ell / (2 * n)) ** 2
-    w = s / np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2
-    half = np.log1p(w.real * (2.0 + w.real) + w.imag * w.imag)
-    if exact_reg:
-        width = [np.expm1(loop_log_u_ratio(L, z + eps, z, -eps) / n)
-                 - np.expm1(loop_log_u_ratio(L, z - eps, z, eps) / n) for z in (za, zb)]
-        diag = 2.0 * np.log(abs(4.0 * s / (width[0] * width[1])))
-    else:
-        diag = 2.0 * np.log(abs(n * n * s * (za * (za - L) / (eps * L)) * (zb * (zb - L) / (eps * L))))
-    return np.concatenate(([diag], half, half[:(n - 1) // 2][::-1]))
+# time, on the rows of oracles.loop_row
 
 
 def mp_diagonal_difference(ell, n):
@@ -546,11 +515,10 @@ class TestBatchedKernel:
     def test_rows_match_the_loop_bit_for_bit(self):
         for g, shift in random_points(60, 11):
             for n in (1, 2, 5, 8):
-                for exact in (False, True):
-                    assert same_bits(_row(g.L, g.a, g.b, g.eps, n, shift, exact),
-                                     loop_row(g.L, g.a, g.b, g.eps, n, shift, exact))
+                assert same_bits(_row(g.L, g.a, g.b, g.eps, n, shift),
+                                 loop_row(g.L, g.a, g.b, g.eps, n, shift))
         for L in (1e6, 1e12):  # the A = B limit, where u(a) < 0
-            assert same_bits(coincident_interval_row(L, 1.0, 3), loop_row(L, 1.0, L + 1.0, 1.0, 3))
+            assert same_bits(_row(L, 1.0, L + 1.0, 1.0, 3), loop_row(L, 1.0, L + 1.0, 1.0, 3))
 
     def test_one_point_calls_are_the_batch(self):
         g = Geometry(10.0, 20.0, 120.0, 0.5)

@@ -219,6 +219,24 @@ class TestCommands:
         assert "# status = error" in body
         assert "GeometryError" in body
 
+    @pytest.mark.parametrize("args, named", [
+        (["boson-moments", "--eps", "nan"], "eps=nan"),
+        (["boson-moments", "--eps", "inf"], "eps=inf"),
+        (["boson-moments", "--l2", "inf"], "b=inf"),
+        (["boson-moments", "--K", "nan"], "K=nan"),
+        (["boson-time", "--t", "nan"], "t=nan"),
+        (["boson-time", "--epsp", "nan"], "eps_prime=nan"),
+        (CN_TABLE + ["--eps-reg", "nan"], "eps_reg=nan"),
+        (CN_TABLE + ["--tol", "nan"], "tol=nan"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_non_finite_parameters_are_rejected(self, tmp_path, args, named):
+        # nan fails every comparison, so each check is written to pass only
+        # a finite value in range; a nan tol would switch the 32-vs-64 check off
+        out = tmp_path / "nan.csv"
+        assert main(["--output", str(out)] + args) == 1
+        error = out.read_text().splitlines()[-1]
+        assert named in error, error
+
     def test_boson_time_has_no_precision_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["boson-time", "--dps", "50"])

@@ -22,7 +22,6 @@ from opens.lattice import (
     charged_moments_lattice,
     finite_chain_correlations,
     flux_trace,
-    fock_operators,
     ground_state_correlations,
     ising_c,
     ising_f,
@@ -31,10 +30,9 @@ from opens.lattice import (
     majorana_matrix,
     pair_trace,
     pfaffian,
-    quadratic_fock_operator,
-    ring_correlations,
     tight_binding_c,
 )
+from oracles import correlation_matrix, fock_operators, quadratic_fock_operator, ring_correlations
 
 
 def window_corr(model, n_sites, layout):
@@ -133,7 +131,7 @@ class TestKernels:
     def test_ising_kernels_against_ed(self):
         # the 10-site open chain, bulk-most entries of the measured Gamma
         oracle = EDOracle(ISING, 10)
-        meas = oracle.correlation_matrix()
+        meas = correlation_matrix(oracle)
         gauss = finite_chain_correlations(ISING, 10)
         assert np.abs(meas.gamma - gauss.gamma).max() < 1e-10
 
