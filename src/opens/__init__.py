@@ -9,17 +9,21 @@ Three mutually validating computational routes:
   add-back for generic Gaussian scalar/vector operators
   (measurement-induced entanglement, averaged purities, UV-finite
   overlap ratios),
-- ``lattice``: exact free-fermion Pfaffian formulas for tight-binding
-  and critical Ising chains, gated by a brute-force exact-diagonalization
-  oracle on small systems.
+- ``lattice``: exact free-fermion formulas for tight-binding and critical
+  Ising chains, determinants on the charge block of number-conserving
+  states and Pfaffians for paired ones, gated by a brute-force
+  exact-diagonalization oracle on small systems.
 
 Shared linear-algebra and geometry contracts live in ``core``; the
 replica-index continuation to n -> 1 lives in ``continuation``; ``cli``
 drives all of it. The package holds only what a command, another module
-or the benchmark uses. The independent checks that the tests compare the
-routes against (circulant determinants, closed-form C_n, the regularized
-flat integrals, ring momentum sums, dense Fock operators, the per-point
-boson rows) live in ``tests/oracles.py``.
+or the benchmark uses, down to the methods of its classes. The
+independent checks that the tests compare the routes against (circulant
+determinants, closed-form C_n, the regularized flat integrals, ring
+momentum sums, dense Fock operators, the per-point boson rows, the
+Gaussian Renyi entropy from the occupations, and the ED Renyi entropy and
+outcome-averaged entropy from the post-measurement states) live in
+``tests/oracles.py``.
 """
 
 from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn

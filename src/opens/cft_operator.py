@@ -483,9 +483,8 @@ def mie_general(om: OperatorMatrix) -> dict:
     m11 = om.m11
     delta = om.subtracted().eigenvalues()
     log_det_ratio, cn_excess = _replica_log_terms(delta, m11)
-    logdet = n * np.log(m11) + log_det_ratio
     det_corr = -log_det_ratio / (2.0 * (1 - n))
-    c1, cn = 1.0 / m11, n / (m11 + delta[0])
+    c1 = 1.0 / m11
     q2_saddle = 1.0 / np.sqrt(2.0 * np.pi * c1**3 * m11)
     qterm_gauss = -cn_excess * m11 / (2.0 * (1 - n))  # <q^2> = m11
     qterm_saddle = -cn_excess * q2_saddle / (2.0 * (1 - n))
@@ -496,10 +495,6 @@ def mie_general(om: OperatorMatrix) -> dict:
         "q_correction_gaussian": float(qterm_gauss),
         "q_correction_saddle": float(qterm_saddle),
         "total": float(base + det_corr + qterm_gauss),
-        "cn": float(cn),
-        "c1": float(c1),
-        "m11_single": float(m11),
-        "log_det": float(logdet),
         "error_estimate": om.error_estimate,
     }
 
@@ -563,5 +558,4 @@ def averaged_purity(om: OperatorMatrix, gamma: float) -> dict:
         "uv_finite": float(uv_finite),
         "log_value": float(log_value),
         "log_uv_finite": float(log_uv_finite),
-        "m_gap": float(gap),
     }

@@ -65,27 +65,36 @@ ROUTE_LATTICE = "lattice"
 ROUTE_ED = "ed-oracle"
 
 
-def parse_grid(text: str):
-    """Parse a sweep specification into a list of floats."""
+def parse_grid(text: str, flag: str = "grid"):
+    """Parse a sweep specification into a list of floats, naming ``flag`` if it gives none."""
     text = str(text)
-    if "," in text:
-        return [float(x) for x in text.split(",") if x]
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) == 2:
+    if "," in text:
+        values = [float(x) for x in text.split(",") if x]
+    elif len(parts) == 1:
+        values = [float(parts[0])]
+    elif len(parts) == 2:
         lo, hi = int(float(parts[0])), int(float(parts[1]))
-        return [float(v) for v in range(lo, hi + 1)]
-    if len(parts) == 3 and parts[2] == "log":
-        lo, hi = float(parts[0]), float(parts[1])
-        return list(np.geomspace(lo, hi, 25))
-    if len(parts) == 3:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.linspace(lo, hi, count))
-    if len(parts) == 4 and parts[3] == "log":
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.geomspace(lo, hi, count))
-    raise ValueError(f"cannot parse grid {text!r}; use lo:hi:count[:log]")
+        values = [float(v) for v in range(lo, hi + 1)]
+    elif len(parts) == 3 and parts[2] == "log":
+        values = list(np.geomspace(float(parts[0]), float(parts[1]), 25))
+    elif len(parts) == 3:
+        values = list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
+    elif len(parts) == 4 and parts[3] == "log":
+        values = list(np.geomspace(float(parts[0]), float(parts[1]), int(parts[2])))
+    else:
+        raise ValueError(f"cannot parse grid {text!r}; use lo:hi:count[:log]")
+    if not values:
+        raise ValueError(f"{flag} {text!r} gives no point")
+    return values
+
+
+def _fluxes(text, flag: str):
+    """The fluxes of ``flag``, a grid of finite values."""
+    gammas = parse_grid(text, flag)
+    if not np.isfinite(gammas).all():
+        raise ValueError(f"{flag} {str(text)!r} holds a non-finite flux; every flux must be finite")
+    return gammas
 
 
 def parse_spec(text: str) -> OperatorSpec:
@@ -165,8 +174,8 @@ def _batched_rows(grid, make, sweep, row):
 
 
 def _integer_grid(text: str, name: str) -> list[int]:
-    """A sweep grid of integers; truncation must not evaluate a point twice."""
-    values = [int(v) for v in parse_grid(text)]
+    """The sweep grid of ``--name``, in integers; truncation must not evaluate a point twice."""
+    values = [int(v) for v in parse_grid(text, f"--{name}")]
     repeated = next((v for v, k in Counter(values).items() if k > 1), None)
     if repeated is not None:
         raise ValueError(f"grid {text!r} repeats {name} = {repeated} once truncated to "
@@ -184,10 +193,10 @@ def _geometry(args, l2: float, n: int = 1) -> Geometry:
 
 
 def cmd_boson_moments(args):
-    gammas = parse_grid(args.gamma)
+    gammas = _fluxes(args.gamma, "--gamma")
     params = BosonParams(args.K)
     rows = []
-    for l2 in parse_grid(args.l2):
+    for l2 in parse_grid(args.l2, "--l2"):
         g = _geometry(args, l2, len(gammas))
         val = charged_moments_ratio(g, params, gammas)
         rows.append([ROUTE_BOSON, args.L, args.d, l2, args.eps, args.K,
@@ -197,7 +206,7 @@ def cmd_boson_moments(args):
 
 def cmd_boson_mie(args):
     rows = []
-    for l2 in parse_grid(args.l2):
+    for l2 in parse_grid(args.l2, "--l2"):
         g = _geometry(args, l2)
         ratio, corr = renyi_ratio_and_mie(g, args.n)
         base = renyi_entropy_base(g, args.n)
@@ -212,7 +221,7 @@ def cmd_boson_holevo(args):
         return [ROUTE_BOSON, args.L, args.d, l2, args.eps, res.value, holevo_chi_approx(g)]
 
     cols = ["route", "L", "d", "l2", "eps", "chi_numeric", "chi_approx"]
-    return cols, *_batched_rows(parse_grid(args.l2), lambda l2: _geometry(args, l2),
+    return cols, *_batched_rows(parse_grid(args.l2, "--l2"), lambda l2: _geometry(args, l2),
                                 lambda gs: holevo_chi_sweep(gs, args.nmax), row)
 
 
@@ -222,7 +231,7 @@ def cmd_boson_time(args):
                 res.value, chi_time_asymptote(point[0], t)]
 
     cols = ["route", "L", "d", "l2", "eps", "t", "chi_time", "asymptote"]
-    return cols, *_batched_rows(parse_grid(args.t),
+    return cols, *_batched_rows(parse_grid(args.t, "--t"),
                                 lambda t: (_geometry(args, args.l2), TimeParams(t, args.epsp)),
                                 lambda pts: holevo_chi_time_sweep(pts, args.nmax), row)
 
@@ -273,7 +282,7 @@ def cmd_operator_mie(args):
     spec = parse_spec(args.spec)
     cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
     rows, err = [], 0.0
-    for l2 in parse_grid(args.l2):
+    for l2 in parse_grid(args.l2, "--l2"):
         out = mie_general(build_M_operator(_geometry(args, l2, args.n), spec, cfg))
         err = max(err, out["error_estimate"])
         rows.append([ROUTE_OPERATOR, args.L, args.d, l2, spec.kind, spec.weight, args.n,
@@ -296,9 +305,10 @@ def _two_replica_matrix(args):
 def cmd_overlap(args):
     om, prov = _two_replica_matrix(args)
     spec = om.spec
+    gammas1, gammas2 = _fluxes(args.gamma1, "--gamma1"), _fluxes(args.gamma2, "--gamma2")
     rows = []
-    for g1 in parse_grid(args.gamma1):
-        for g2 in parse_grid(args.gamma2):
+    for g1 in gammas1:
+        for g2 in gammas2:
             rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind,
                          spec.weight, g1, g2,
                          overlap_generating(om, g1, g2),
@@ -311,7 +321,7 @@ def cmd_averaged_purity(args):
     om, prov = _two_replica_matrix(args)
     spec = om.spec
     rows = []
-    for gam in parse_grid(args.gamma):
+    for gam in _fluxes(args.gamma, "--gamma"):
         out = averaged_purity(om, gam)
         rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
                      gam, out["value"], out["normalized"], out["uv_finite"],
@@ -321,16 +331,17 @@ def cmd_averaged_purity(args):
 
 
 def cmd_uv_check(args):
+    (gamma,) = _fluxes(args.gamma, "--gamma")
     # one build serves both cutoffs: only the add-back m11 reads eps_reg
     om, prov = _two_replica_matrix(args)
     spec = om.spec
     rows = []
     for eps in (args.eps_reg, args.eps_reg / 2.0):
         om_eps = dataclasses.replace(om, eps_reg=eps)
-        ap = averaged_purity(om_eps, args.gamma)
+        ap = averaged_purity(om_eps, gamma)
         rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
-                     args.gamma, eps, uv_finite_overlap_ratio(om_eps, args.gamma, args.gamma),
-                     overlap_generating(om_eps, args.gamma, args.gamma),
+                     gamma, eps, uv_finite_overlap_ratio(om_eps, gamma, gamma),
+                     overlap_generating(om_eps, gamma, gamma),
                      ap["uv_finite"], ap["value"]])
     return ["route", "L", "d", "l2", "kind", "weight", "gamma", "eps_reg",
             "uv_ratio", "raw_generating", "purity_uv_finite", "purity_raw"], rows, prov
@@ -353,7 +364,7 @@ def _model_from_name(name: str) -> LatticeModel:
 
 def cmd_lattice_moments(args):
     model = _model_from_name(args.model)
-    gammas = parse_grid(args.gamma)
+    gammas = _fluxes(args.gamma, "--gamma")
     data = []
     for l2 in _integer_grid(args.l2, "l2"):
         lay = SubsystemLayout(args.l1, args.d_sites, l2)

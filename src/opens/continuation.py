@@ -98,22 +98,11 @@ class BarycentricFit:
         self.support, self.support_values, self.weights = support, support_values, weights
         self._pole_row = pole_row
 
-    def __call__(self, x) -> np.ndarray:
-        """r at points ``x`` off the support points (the samples sit at n >= 2)."""
-        x = np.asarray(x, dtype=float)
-        return _rational(x[None], self.support[None], self.support_values[None],
-                         self.weights[None])[0]
-
     def pole_row(self) -> np.ndarray:
         """The m + 1 eigenvalues of the arrowhead pencil; the infinite ones are not finite."""
         if self._pole_row is None:
             self._pole_row = _pole_rows(self.support[None], self.weights[None])[0]
         return self._pole_row
-
-    def poles(self) -> np.ndarray:
-        """Finite eigenvalues of the arrowhead pencil (E, diag(0, 1, ..., 1))."""
-        row = self.pole_row()
-        return row[np.isfinite(row)]
 
     def clean_up(self, doublets) -> None:
         """Drop the support point nearest each Froissart doublet pole and re-solve."""

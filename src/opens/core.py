@@ -69,9 +69,6 @@ class Geometry:
         """Gap between A and B."""
         return self.a - self.L
 
-    def with_n(self, n: int) -> "Geometry":
-        return Geometry(self.L, self.a, self.b, self.eps, n)
-
 
 @dataclass(frozen=True)
 class SymmetricCirculant:

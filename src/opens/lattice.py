@@ -115,8 +115,8 @@ class CorrelationMatrix:
     """Validated two-point matrix Gamma of a Gaussian fermion state.
 
     Each mode of the m-site window holds ``blocks`` rows of Gamma. One
-    eigensolve of D = Gamma^T serves the range check, the clip in
-    ``dmatrix`` and the occupations in ``renyi_entropy``.
+    eigensolve of D = Gamma^T serves the range check and the clip in
+    ``dmatrix``.
     """
 
     blocks = 1
@@ -161,17 +161,6 @@ class CorrelationMatrix:
         w = np.clip(w, -1.0 + CLIP, 1.0 - CLIP)
         return (v * w) @ v.conj().T
 
-    def renyi_entropy(self, n: float) -> float:
-        """Renyi entropy of the Gaussian state from the mode occupations."""
-        nu = self.spectrum
-        p = np.clip((1.0 + nu) / 2.0, 1e-300, 1.0)
-        q = np.clip((1.0 - nu) / 2.0, 1e-300, 1.0)
-        if n == 1:
-            s = -(p * np.log(p) + q * np.log(q))
-        else:
-            s = np.log(p**n + q**n) / (1.0 - n)
-        return self.modes_per_eigenvalue * float(np.sum(s))
-
 
 class NambuCorrelationMatrix(CorrelationMatrix):
     """2m x 2m Gamma over the doubled indices (c, c+), pairing allowed.
@@ -182,14 +171,6 @@ class NambuCorrelationMatrix(CorrelationMatrix):
     """
 
     blocks = 2
-
-    def nambu_swap(self) -> np.ndarray:
-        """Particle-hole conjugate Sx Gamma^T Sx; equals -Gamma."""
-        m = self.m
-        sw = np.block(
-            [[np.zeros((m, m)), np.eye(m)], [np.eye(m), np.zeros((m, m))]]
-        )
-        return sw @ self.gamma.T @ sw
 
 
 class ParticleCorrelationMatrix(CorrelationMatrix):
@@ -677,8 +658,8 @@ class EDOracle:
     """Brute-force many-body reference on chains of up to 12 sites.
 
     Finds the ground state block by block, and evaluates charged moments,
-    outcome probabilities, sector overlaps and entropies directly from
-    projectors, with no Gaussian machinery anywhere.
+    outcome probabilities, sector overlaps and post-measurement states
+    directly from projectors, with no Gaussian machinery anywhere.
 
     Basis state s holds site j in bit j, and every table is numpy bit
     arithmetic on s = 0 .. 2^N - 1: occupations (s >> j) & 1, hopping and
@@ -701,7 +682,6 @@ class EDOracle:
         self.model = model
         self.n = n_sites
         self.psi, self.gap, self.residual = self._ground_state()
-        self._reshaped = {}
         self._labels = {}
 
     def _parity_blocks(self):
@@ -767,14 +747,8 @@ class EDOracle:
         psi[states] = v
         return psi, float(gap), float(np.linalg.norm(H @ v - e0 * v))
 
-    def _reshape(self, a_sites):
-        """State as a matrix V[a, rest] with fermionic reorder signs, memoized per A."""
-        key = tuple(a_sites)
-        if key not in self._reshaped:
-            self._reshaped[key] = self._build_reshape(list(key))
-        return self._reshaped[key]
-
     def _build_reshape(self, a_sites):
+        """(V, rest): the state as a matrix V[a, rest] with fermionic reorder signs."""
         N, n_a = self.n, len(a_sites)
         rest = [j for j in range(N) if j not in a_sites]
         sites = np.array(a_sites + rest, dtype=int)  # new position -> site
@@ -792,10 +766,10 @@ class EDOracle:
         return V, rest
 
     def _sector_labels(self, a_sites, b_sites):
-        """(V, q): V from `_reshape` and Q_B of each rest index, memoized per (A, B)."""
+        """(V, q): V from `_build_reshape` and Q_B of each rest index, memoized per (A, B)."""
         key = (tuple(a_sites), tuple(b_sites))
         if key not in self._labels:
-            V, rest = self._reshape(a_sites)
+            V, rest = self._build_reshape(list(key[0]))
             pos = np.array([rest.index(j) for j in b_sites], dtype=int)
             self._labels[key] = V, ((np.arange(V.shape[1])[:, None] >> pos) & 1).sum(1)
         return self._labels[key]
@@ -831,28 +805,3 @@ class EDOracle:
         with np.errstate(divide="ignore", invalid="ignore"):
             R = raw / np.outer(p, p)
         return p, R, raw
-
-    def mie(self, a_sites, b_sites, n: int = 1) -> float:
-        """Outcome-probability-weighted Renyi entropy sum_q p_q S_A^(n)(q)."""
-        rhos = self.sector_states(a_sites, b_sites)
-        total = 0.0
-        for q, rho in rhos.items():
-            p = np.trace(rho).real
-            if p < 1e-14:
-                continue
-            lam = np.linalg.eigvalsh(rho / p)
-            lam = lam[lam > 1e-14]
-            if n == 1:
-                s = -np.sum(lam * np.log(lam))
-            else:
-                s = np.log(np.sum(lam**n)) / (1.0 - n)
-            total += p * s
-        return float(total)
-
-    def renyi_entropy(self, a_sites, n: int = 1) -> float:
-        V, _ = self._reshape(a_sites)
-        lam = np.linalg.eigvalsh(V @ V.conj().T)
-        lam = lam[lam > 1e-14]
-        if n == 1:
-            return float(-np.sum(lam * np.log(lam)))
-        return float(np.log(np.sum(lam**n)) / (1.0 - n))

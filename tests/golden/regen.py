@@ -5,11 +5,12 @@
 Each file in ``FILES`` holds the CSV of every command listed for it, each
 block opened by a ``## opens <argv>`` line: ``boson_sweeps.csv`` the
 continuation sweeps, ``lattice_sweeps.csv`` the free-fermion sweeps,
-``operator_sweeps.csv`` the operator-quadrature sweeps.
-``tests/test_golden.py`` reruns them in-process and compares each with
-``compare``; ``replay`` does the same for every command at once, which
-needs nothing beyond the runtime dependencies. A change that rewrites a
-file lists in its change notes every row that moved and by how much.
+``operator_sweeps.csv`` the operator-quadrature sweeps, ``ed_verify.csv``
+the determinant-vs-ED spot checks. ``tests/test_golden.py`` reruns them
+in-process and compares each with ``compare``; ``replay`` does the same
+for every command at once, which needs nothing beyond the runtime
+dependencies. A change that rewrites a file lists in its change notes
+every row that moved and by how much.
 """
 
 from __future__ import annotations
@@ -67,12 +68,44 @@ OPERATOR = (
     ("overlap", "--gamma1", "0.1,0.5", "--gamma2", "0.2,0.4"),
 )
 
+
+def _ed(model, sites, l1, d, l2):
+    return ("ed-verify", "--model", model, "--sites", sites, "--l1", l1, "--d-sites", d,
+            "--l2-sites", l2, "--n", "4")
+
+
+# the benchmark's ED spot checks, the criterion-8 layouts (sites, l1, d, l2)
+# on both presets, and the generic chain that CI runs; all at the default seed
+ED = tuple(_ed(model, *layout) for model in ("xx", "ising")
+           for layout in (("10", "3", "2", "4"), ("12", "3", "3", "5"), ("12", "4", "0", "7"),
+                          ("12", "2", "6", "3"))) + (_ed("0.7:0.3", "12", "3", "3", "5"),)
+
 FILES = {
     Path(__file__).with_name("boson_sweeps.csv"): BOSON,
     Path(__file__).with_name("lattice_sweeps.csv"): LATTICE,
     Path(__file__).with_name("operator_sweeps.csv"): OPERATOR,
+    Path(__file__).with_name("ed_verify.csv"): ED,
 }
-COMMANDS = BOSON + LATTICE + OPERATOR
+COMMANDS = BOSON + LATTICE + OPERATOR + ED
+
+# ed-verify's ED side comes from ARPACK, whose last bits can move on another
+# BLAS; its determinant side and its verdict cannot. So these fields agree by
+# a rule, given (golden, rerun, largest |ED column| of the row, the output's
+# `tolerance`): the ED columns to ED_RTOL of that magnitude, the gap (an
+# energy difference) to ED_RTOL absolute, the differences and the oracle's
+# residual only by lying below their bounds
+ED_RTOL = 1e-11
+RESIDUAL_BOUND = 1e-10
+_ED_COLUMN = lambda w, g, scale, tol: abs(g - w) <= ED_RTOL * scale
+_BELOW_TOLERANCE = lambda w, g, scale, tol: g < tol
+RULES = {
+    "ed_re": _ED_COLUMN,
+    "ed_im": _ED_COLUMN,
+    "abs_diff": _BELOW_TOLERANCE,
+    "max_abs_diff": _BELOW_TOLERANCE,
+    "ed_gap": lambda w, g, scale, tol: abs(g - w) <= ED_RTOL,
+    "ed_residual": lambda w, g, scale, tol: g <= RESIDUAL_BOUND,
+}
 
 
 def run(argv) -> str:
@@ -123,15 +156,46 @@ def _moved(want, got, rtol=1e-11):
     return out
 
 
+def _agreeing(want_header, want_rows, got_header, got_rows):
+    """``got``'s header and data lines, with each field that agrees with
+    ``want``'s by its rule in ``RULES`` set to ``want``'s text."""
+    want_fields = dict(ln[2:].split(" = ", 1) for ln in want_header)
+    tol = float(want_fields.get("tolerance", "nan"))
+
+    def agrees(name, w, g, scale=0.0):
+        try:
+            return RULES[name](float(w), float(g), scale, tol)
+        except ValueError:
+            return False
+
+    header = []
+    for ln in got_header:
+        key, _, val = ln[2:].partition(" = ")
+        agreed = key in RULES and key in want_fields and agrees(key, want_fields[key], val)
+        header.append(f"# {key} = {want_fields[key]}" if agreed else ln)
+    cols = want_rows[0].split(",") if want_rows else []
+    ed = [k for k, c in enumerate(cols) if c in ("ed_re", "ed_im")]
+    rows = got_rows[:1]
+    for w, g in zip(want_rows[1:], got_rows[1:]):
+        ws, gs = w.split(","), g.split(",")
+        if ed and len(ws) == len(gs) == len(cols):
+            scale = max(abs(float(ws[k])) for k in ed)
+            g = ",".join(a if c in RULES and agrees(c, a, b, scale) else b
+                         for c, a, b in zip(cols, ws, gs))
+        rows.append(g)
+    return header, rows + got_rows[len(rows):]
+
+
 def compare(want: str, got: str) -> list[str]:
     """What differs between a golden output ``want`` and a rerun ``got``: no lines if nothing.
 
     Headers are compared without the version line, and data rows, the
-    column names being row 0, as exact strings. A differing row lists every
+    column names being row 0, as exact strings, but for the fields in
+    ``RULES``, which compare by their rule. A differing row lists every
     number that moved past 1e-11 relative (the 12 printed digits).
     """
     want_header, want_rows = _split(want)
-    got_header, got_rows = _split(got)
+    got_header, got_rows = _agreeing(want_header, want_rows, *_split(got))
     report = [f"header: {ln}" for ln in difflib.ndiff(want_header, got_header) if ln[0] in "-+"]
     if len(got_rows) != len(want_rows):
         report.append(f"{len(want_rows)} data rows -> {len(got_rows)}")

@@ -17,12 +17,15 @@ own reference with it:
   quadrature, the q-resolved purity ratio and the interaction bound on
   UV-finiteness;
 - lattice: momentum sums on an antiperiodic ring, dense Fock-space
-  operators and the two-point matrix measured on an ED ground state.
+  operators and the two-point matrix measured on an ED ground state; the
+  Renyi entropy of a Gaussian state from its occupations, and on the ED
+  oracle's post-measurement states the Renyi entropy of A and the
+  outcome-averaged one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -31,7 +34,7 @@ from opens.cft_boson import BosonParams, build_M_boson
 from opens.cft_operator import OperatorMatrix, OperatorSpec
 from opens.core import Geometry, SymmetricCirculant, log_ratio
 from opens.errors import DomainError, SingularMatrixError
-from opens.lattice import EDOracle, LatticeModel, NambuCorrelationMatrix
+from opens.lattice import CorrelationMatrix, EDOracle, LatticeModel, NambuCorrelationMatrix
 
 # ---------------------------------------------------------------------------
 # circulant algebra
@@ -87,7 +90,7 @@ def charge_variances(g: Geometry, p: BosonParams) -> dict:
     the saddle-point prefactor bookkeeping of the replica computation and
     is smaller by sqrt(2 pi).
     """
-    m11 = build_M_boson(g.with_n(1)).row[0]
+    m11 = build_M_boson(replace(g, n=1)).row[0]
     gaussian = p.K * m11 / (4.0 * np.pi**2)
     return {"gaussian": gaussian, "saddle": gaussian / np.sqrt(2.0 * np.pi)}
 
@@ -306,3 +309,51 @@ def correlation_matrix(oracle: EDOracle) -> NambuCorrelationMatrix:
         for b in range(m2):
             P[a, b] = np.vdot(va, ops[b] @ oracle.psi)
     return NambuCorrelationMatrix(2 * P - np.eye(m2))
+
+
+# ---------------------------------------------------------------------------
+# lattice entropies
+
+
+def gaussian_renyi_entropy(corr: CorrelationMatrix, n: float) -> float:
+    """Renyi entropy of a Gaussian state from its mode occupations (1 +- nu) / 2.
+
+    nu runs over ``corr.spectrum``, each eigenvalue standing for
+    ``corr.modes_per_eigenvalue`` modes.
+    """
+    nu = corr.spectrum
+    p = np.clip((1.0 + nu) / 2.0, 1e-300, 1.0)
+    q = np.clip((1.0 - nu) / 2.0, 1e-300, 1.0)
+    if n == 1:
+        s = -(p * np.log(p) + q * np.log(q))
+    else:
+        s = np.log(p**n + q**n) / (1.0 - n)
+    return corr.modes_per_eigenvalue * float(np.sum(s))
+
+
+def _spectral_renyi(rho: np.ndarray, n: float) -> float:
+    """Renyi entropy of a normalized density matrix from its eigenvalues above 1e-14."""
+    lam = np.linalg.eigvalsh(rho)
+    lam = lam[lam > 1e-14]
+    if n == 1:
+        return float(-np.sum(lam * np.log(lam)))
+    return float(np.log(np.sum(lam**n)) / (1.0 - n))
+
+
+def ed_renyi_entropy(oracle: EDOracle, a_sites, b_sites, n: float = 1) -> float:
+    """Renyi entropy of rho_A = sum_q rho~_{A,q}: the post-measurement states
+    of any measured B sum back to the reduced state of A."""
+    return _spectral_renyi(sum(oracle.sector_states(a_sites, b_sites).values()), n)
+
+
+def ed_mie(oracle: EDOracle, a_sites, b_sites, n: float = 1) -> float:
+    """Outcome-probability-weighted Renyi entropy sum_q p_q S_A^(n)(q).
+
+    Sectors with p_q below 1e-14 carry no state and are skipped.
+    """
+    total = 0.0
+    for rho in oracle.sector_states(a_sites, b_sites).values():
+        p = np.trace(rho).real
+        if p >= 1e-14:
+            total += p * _spectral_renyi(rho / p, n)
+    return float(total)

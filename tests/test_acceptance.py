@@ -5,6 +5,7 @@ the asserts carry the same bounds, so the suite is the machine-checked
 version of the acceptance table.
 """
 
+import dataclasses
 import math
 import time
 
@@ -447,14 +448,14 @@ def test_criterion_11_uv_finiteness():
         misfits, wrong = [], []
         for eps in (1e-3, 5e-4):
             cfg = QuadratureConfig(eps_reg=eps, tol=1e-9)
-            om = build_M_operator(g.with_n(2), spec, cfg)
+            om = build_M_operator(dataclasses.replace(g, n=2), spec, cfg)
             M = om.dense()
             ap = averaged_purity(om, gam)
             ratios.append(uv_finite_overlap_ratio(om, gam, gam))
             purs.append(ap["uv_finite"])
             logs_raw_gen.append(-0.5 * np.array([gam, gam]) @ M @ np.array([gam, gam]))
-            logs_raw_pur.append(-0.25 * gam**2 * ap["m_gap"])
-            misfit = _point_split_misfit(g.with_n(2), hs, eps)
+            logs_raw_pur.append(-0.25 * gam**2 * (M[0, 0] - M[0, 1]))
+            misfit = _point_split_misfit(dataclasses.replace(g, n=2), hs, eps)
             misfits.append(misfit(om.diag_remainder))
             wrong.append(misfit(1.01 * om.diag_remainder))
         independent = max(misfits) < 0.10

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -219,7 +221,7 @@ class TestRenyiRatio:
     def test_against_direct_algebra(self):
         g = Geometry(100.0, 600.0, 1600.0, 0.5, 1)
         ratio, corr = renyi_ratio_and_mie(g, 2)
-        M = build_M_boson(g.with_n(2)).dense()
+        M = build_M_boson(dataclasses.replace(g, n=2)).dense()
         m1 = build_M_boson(g).row[0]
         direct = 0.5 * np.log(np.linalg.det(M) / m1**2)
         assert corr == pytest.approx(direct, rel=1e-10)

@@ -237,6 +237,31 @@ class TestCommands:
         error = out.read_text().splitlines()[-1]
         assert named in error, error
 
+    @pytest.mark.parametrize("args, named", [
+        (["boson-moments", "--gamma", "nan,0.3", "--l2", "100"], "--gamma 'nan,0.3'"),
+        (["overlap", "--gamma1", "nan", "--l2", "10"], "--gamma1 'nan'"),
+        (["overlap", "--gamma2", "0.1,-inf", "--l2", "10"], "--gamma2 '0.1,-inf'"),
+        (["lattice-moments", "--gamma", "nan,0.3", "--l2", "10"], "--gamma 'nan,0.3'"),
+        (["uv-check", "--gamma", "nan", "--l2", "5"], "--gamma 'nan'"),
+        (["averaged-purity", "--gamma", "inf", "--l2", "5"], "--gamma 'inf'"),
+        (["boson-holevo", "--l2", "10:1"], "--l2 '10:1' gives no point"),
+        (["boson-time", "--t", "1:10:0"], "--t '1:10:0' gives no point"),
+        (["operator-mie", "--l2", "2:20:0"], "--l2 '2:20:0' gives no point"),
+        (["overlap", "--gamma1", "1:0"], "--gamma1 '1:0' gives no point"),
+        (["lattice-moments", "--l2", "20:10", "--compare", "cft"], "--l2 '20:10' gives no point"),
+        (["boson-moments", "--gamma", ","], "--gamma ',' gives no point"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_non_finite_fluxes_and_empty_grids_are_rejected(self, tmp_path, args, named):
+        # an error record naming the flag, raised before any point is
+        # evaluated, so no numpy warning and no header-only table
+        out = tmp_path / "bad.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--output", str(out)] + args) == 1
+        lines = out.read_text().splitlines()
+        assert "# status = error" in lines
+        assert lines[-1].startswith("ValueError: ") and named in lines[-1], lines[-1]
+
     def test_boson_time_has_no_precision_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["boson-time", "--dps", "50"])

@@ -1,8 +1,9 @@
-"""Golden rows: the boson, lattice and operator sweeps rerun in-process.
+"""Golden rows: the boson, lattice and operator sweeps and the ED spot checks rerun in-process.
 
 ``regen.compare`` holds the comparison: data rows as exact strings,
-headers without the version line. ``tests/golden/regen.py`` rewrites the
-files after an intended change.
+headers without the version line, and the ARPACK-derived fields of
+``ed-verify`` by the rules in ``regen.RULES``. ``tests/golden/regen.py``
+rewrites the files after an intended change.
 """
 
 import importlib.util
@@ -48,3 +49,44 @@ def test_replay_reports_a_changed_digit(tmp_path):
     assert list(moved) == [argv]
     (line,) = moved[argv]
     assert line.startswith(f"row 1: column 8: {fields[8]} -> "), line
+
+
+def _with_field(text, row, column, value):
+    """``text`` with field ``column`` of data row ``row`` (the column names being row 0) set."""
+    lines = text.splitlines(keepends=True)
+    k = [i for i, ln in enumerate(lines) if not ln.startswith("#")][row]
+    fields = lines[k].rstrip("\n").split(",")
+    fields[column] = value
+    lines[k] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+def test_replay_holds_ed_verify_fields_to_their_rules(tmp_path):
+    # a copy of an ed-verify block with one field changed: a 1e-10 relative
+    # move of an ED column, or any change to a determinant column, is
+    # reported, a 5e-12 move of an ED column is not; and a rerun's abs_diff
+    # counts only as below the tolerance or not
+    path, argv = next((p, a) for p, cmds in regen.FILES.items() for a in cmds
+                      if a[0] == "ed-verify")
+    golden = regen.read(path)[argv]
+    cols, row = [ln.split(",") for ln in golden.splitlines() if not ln.startswith("#")][:2]
+    ed = max((cols.index("ed_re"), cols.index("ed_im")), key=lambda k: abs(float(row[k])))
+    det = cols.index("det_re")
+
+    def replayed(column, value):
+        assert value != row[column]
+        copy = tmp_path / path.name
+        copy.write_text(f"## opens {' '.join(argv)}\n" + _with_field(golden, 1, column, value))
+        return regen.replay({copy: (argv,)})
+
+    x = float(row[ed])
+    value = format(x * (1 + 1e-10), ".12g")
+    (line,) = replayed(ed, value)[argv]
+    assert line.startswith(f"row 1: column {ed}: {value} -> "), line
+    moved = replayed(det, format(float(row[det]) * (1 + 1e-15), ".17g"))
+    assert moved == {argv: ["row 1: below 1e-11 relative"]}
+    assert replayed(ed, format(x * (1 + 5e-12), ".12g")) == {}
+    diff, rerun = cols.index("abs_diff"), regen.run(argv)
+    assert regen.compare(golden, _with_field(rerun, 1, diff, "9e-09")) == []
+    (line,) = regen.compare(golden, _with_field(rerun, 1, diff, "2e-08"))
+    assert line.startswith(f"row 1: column {diff}: {row[diff]} -> 2e-08"), line

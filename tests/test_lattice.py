@@ -32,7 +32,15 @@ from opens.lattice import (
     pfaffian,
     tight_binding_c,
 )
-from oracles import correlation_matrix, fock_operators, quadratic_fock_operator, ring_correlations
+from oracles import (
+    correlation_matrix,
+    ed_mie,
+    ed_renyi_entropy,
+    fock_operators,
+    gaussian_renyi_entropy,
+    quadratic_fock_operator,
+    ring_correlations,
+)
 
 
 def window_corr(model, n_sites, layout):
@@ -114,7 +122,10 @@ class TestKernels:
             ev = np.linalg.eigvalsh(corr.gamma)
             assert ev.min() > -1.0 - 1e-10 and ev.max() < 1.0 + 1e-10
             assert np.abs(corr.gamma - corr.gamma.conj().T).max() < 1e-12
-            assert np.abs(corr.nambu_swap() + corr.gamma).max() < 1e-12
+            m = corr.m
+            sx = np.block([[np.zeros((m, m)), np.eye(m)], [np.eye(m), np.zeros((m, m))]])
+            # the particle-hole conjugate Sx Gamma^T Sx is -Gamma
+            assert np.abs(sx @ corr.gamma.T @ sx + corr.gamma).max() < 1e-12
 
     def test_ising_kernels_against_momentum_sum(self):
         # antiperiodic ring: discretization error is O(1/N^2), so the
@@ -535,7 +546,7 @@ class TestChargedMoments:
         corr_a = corr.restrict(range(lay.ell1))
         for n in (2, 3):
             assert win.log_renyi_norm(n) == pytest.approx(
-                (1 - n) * corr_a.renyi_entropy(n), rel=1e-10
+                (1 - n) * gaussian_renyi_entropy(corr_a, n), rel=1e-10
             )
 
 
@@ -742,7 +753,7 @@ class TestEDOracle:
         gammas = [0.5, 1.3]
         direct = oracle.charged_moment(lay.sites_A, lay.sites_B, gammas)
 
-        V, rest = oracle._reshape(lay.sites_A + lay.sites_B)
+        V, rest = oracle._build_reshape(lay.sites_A + lay.sites_B)
         rho_ab = V @ V.conj().T  # dim 2^(l1+l2): A on the low bits, B high
         nA, nB = lay.ell1, lay.ell2
         qb = np.zeros(1 << (nA + nB))
@@ -769,13 +780,13 @@ class TestEDOracle:
             for q in range(lay.ell2 + 1)
             if p[q] > 1e-12
         )
-        assert oracle.mie(lay.sites_A, lay.sites_B, n=2) == pytest.approx(mie2, rel=1e-10)
+        assert ed_mie(oracle, lay.sites_A, lay.sites_B, n=2) == pytest.approx(mie2, rel=1e-10)
 
     def test_reproduces_gaussian_trace_examples(self):
         # the Pfaffian traces from correlations vs the many-body ground state
         oracle = EDOracle(ISING, 8)
         corr = finite_chain_correlations(ISING, 8)
-        V, _ = oracle._reshape(range(3))
+        V, _ = oracle._build_reshape([0, 1, 2])
         rho_a = V @ V.conj().T
         maj_a = majorana_matrix(corr.restrict(range(3)).gamma)
         assert pair_trace(maj_a, maj_a) == pytest.approx(np.trace(rho_a @ rho_a), rel=1e-10)
@@ -787,8 +798,9 @@ class TestEDOracle:
     def test_renyi_against_correlations(self):
         oracle = EDOracle(ISING, 8)
         corr = finite_chain_correlations(ISING, 8).restrict(range(3))
-        assert oracle.renyi_entropy(range(3), 2) == pytest.approx(
-            corr.renyi_entropy(2), rel=1e-10
+        # rho_A summed back from the states after measuring sites 4..7
+        assert ed_renyi_entropy(oracle, range(3), range(4, 8), 2) == pytest.approx(
+            gaussian_renyi_entropy(corr, 2), rel=1e-10
         )
 
 
@@ -933,7 +945,7 @@ def unsolved_oracle(model, n_sites, psi=None):
     """An EDOracle holding a given state, without the ground-state solve."""
     oracle = object.__new__(EDOracle)
     oracle.model, oracle.n, oracle.psi = model, n_sites, psi
-    oracle._reshaped, oracle._labels = {}, {}
+    oracle._labels = {}
     return oracle
 
 
@@ -976,7 +988,7 @@ class TestEDBitIdentity:
         for a_sites in ED_SUBSETS[n_sites]:
             oracle = unsolved_oracle(ISING, n_sites, psi)
             V_ref, rest_ref = loop_reshape(psi, a_sites, n_sites)
-            V, rest = oracle._reshape(a_sites)
+            V, rest = oracle._build_reshape(a_sites)
             assert same_bits(V, V_ref) and rest == rest_ref
             b_sites = rest[len(rest) // 2:]
             assert same_bits(oracle._sector_labels(a_sites, b_sites)[1],
@@ -987,7 +999,7 @@ class TestEDBitIdentity:
         # on the 12-site ground state (ARPACK route) as used by ed-verify
         oracle = EDOracle(model, 12)
         for a_sites in ED_SUBSETS[12]:
-            assert same_bits(oracle._reshape(a_sites)[0],
+            assert same_bits(oracle._build_reshape(a_sites)[0],
                              loop_reshape(oracle.psi, a_sites, 12)[0])
 
     @pytest.mark.parametrize("n_sites", [8, 12])

@@ -2,7 +2,8 @@
 
 A module-level public name of ``src/opens`` must be used by code elsewhere
 in the package, or be named by the README or a file of the benchmark
-harness in ``perfbench/``. An independent check that only tests use belongs
+harness in ``perfbench/``; so must a public method or property of one of
+its classes. An independent check that only tests use belongs
 in ``tests/oracles.py``. The benchmark's traced run looks functions up by
 name, so a name it resolves that goes missing would break a traced run
 without failing any other test.
@@ -11,6 +12,7 @@ without failing any other test.
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,27 @@ def test_every_public_name_serves_the_pipeline():
             if not name.startswith("_")
             and not any(name in r for j, r in enumerate(refs) if j != k)
             and not re.search(rf"\b{re.escape(name)}\b", named)]
+    assert not idle, f"used by no command, module, README or perfbench (tests/oracles.py?): {idle}"
+
+
+def _attribute_loads(node):
+    """How often ``node``'s code loads each attribute name."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_public_member_serves_the_pipeline():
+    # a method or property counts as used where the package loads it as an
+    # attribute outside its own body, or where the README or perfbench
+    # writes it as `.name`; a bare word would let "boson-mie" excuse `.mie`
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    loads = sum(map(_attribute_loads, trees), Counter())
+    named = "".join(p.read_text() for p in [ROOT / "README.md", *sorted(PERFBENCH.glob("*.py"))])
+    idle = [f"{cls.name}.{fn.name}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and loads[fn.name] == _attribute_loads(fn)[fn.name]
+            and not re.search(rf"\.{re.escape(fn.name)}\b", named)]
     assert not idle, f"used by no command, module, README or perfbench (tests/oracles.py?): {idle}"
 
 
