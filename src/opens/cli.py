@@ -63,25 +63,38 @@ ROUTE_BOSON = "boson-closed-form"
 ROUTE_OPERATOR = "operator-quadrature"
 ROUTE_LATTICE = "lattice"
 ROUTE_ED = "ed-oracle"
+GRID_POINTS = 100_000  # the most points one sweep grid may ask for
 
 
 def parse_grid(text: str, flag: str = "grid"):
-    """Parse a sweep specification into a list of floats, naming ``flag`` if it gives none."""
+    """Parse a sweep specification into a list of floats, naming ``flag`` if it
+    gives no point, more than GRID_POINTS, or a range with a non-finite bound."""
     text = str(text)
     parts = text.split(":")
+
+    def count(n: int) -> int:  # checked before anything of that size is built
+        if n > GRID_POINTS:
+            raise ValueError(f"{flag} {text!r} asks for {n} points; a grid holds at most "
+                             f"{GRID_POINTS}")
+        return n
+
     if "," in text:
         values = [float(x) for x in text.split(",") if x]
     elif len(parts) == 1:
         values = [float(parts[0])]
     elif len(parts) == 2:
-        lo, hi = int(float(parts[0])), int(float(parts[1]))
+        lo, hi = float(parts[0]), float(parts[1])
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError(f"{flag} {text!r} has a non-finite bound")
+        lo, hi = int(lo), int(hi)
+        count(hi - lo + 1)
         values = [float(v) for v in range(lo, hi + 1)]
     elif len(parts) == 3 and parts[2] == "log":
         values = list(np.geomspace(float(parts[0]), float(parts[1]), 25))
     elif len(parts) == 3:
-        values = list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
+        values = list(np.linspace(float(parts[0]), float(parts[1]), count(int(parts[2]))))
     elif len(parts) == 4 and parts[3] == "log":
-        values = list(np.geomspace(float(parts[0]), float(parts[1]), int(parts[2])))
+        values = list(np.geomspace(float(parts[0]), float(parts[1]), count(int(parts[2]))))
     else:
         raise ValueError(f"cannot parse grid {text!r}; use lo:hi:count[:log]")
     if not values:

@@ -17,6 +17,10 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative eigensolver used up its step budget before converging."""
+
+
 class ContinuationError(RuntimeError):
     """Rational continuation in the replica index is unstable."""
 

@@ -34,8 +34,9 @@ Gamma passed in doubled form, which agrees with the charge-block route to
 
 Costs per window. Pfaffian route: one eigensolve of Gamma, which
 validates it and clips it; M in O(m^2) from sums and differences of the
-Gamma blocks; one Pfaffian and one LU of the 2 ell2 x 2 ell2 B block of
-the dressing denominator per distinct flux. The Pfaffian kernel
+Gamma blocks; one Pfaffian and one ``np.linalg.solve`` with the 2 ell2 x
+2 ell2 B block of the dressing denominator per distinct flux, whose
+solved columns also bound its condition number. The Pfaffian kernel
 eliminates a whole stack of matrices at once, each with its own pivots,
 so a charge-sector table evaluates all its pair traces in a few stacked
 calls. Charge-block route:
@@ -51,15 +52,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opens.errors import DomainError, SingularMatrixError
+from opens.errors import ConvergenceError, DomainError, SingularMatrixError
 
 CLIP = 1e-12
 # reciprocal condition number below which the dressing denominator S counts
 # as singular, i.e. the flux trace vanishes and no normalized dressed state
-# exists; |trace| itself is no test, exact Ising traces fall below 1e-13
+# exists; |trace| itself is no test, exact Ising traces fall below 1e-13.
+# The Pfaffian route reads an upper bound on it off its solve (within 10x)
 SINGULAR_RCOND = 1e-13
 PANEL = 32  # Pfaffian elimination steps per deferred trailing update
 STACK = 128  # pair traces per stacked call in a sector table
+LANCZOS_STEPS = 400  # steps per parity before the ED oracle gives up
 
 
 @dataclass(frozen=True)
@@ -407,10 +410,14 @@ class GaussianWindow:
         D_AA - D_AB S^{-1} (U_B - 1) D_BA,  S = U_B (1 + D_BB) + (1 - D_BB),
 
     with U_B = diag(e^{i gamma}, e^{-i gamma}) on the particle and hole
-    rows of B: one LU of the 2 ell2 x 2 ell2 block S per flux. S stays well
-    conditioned even at exactly pure modes, and is singular where the flux
-    trace vanishes; there the dressed state cannot be normalized and
-    ``SingularMatrixError`` names the flux.
+    rows of B: one solve with the 2 ell2 x 2 ell2 block S per flux. S stays
+    well conditioned even at exactly pure modes, and is singular where the
+    flux trace vanishes; there the dressed state cannot be normalized and
+    ``SingularMatrixError`` names the flux. The same solve takes Higham's
+    alternating probe as one more column, and each solved column x = S^-1 b
+    gives ||S^-1||_1 >= ||x||_1 / ||b||_1, so the rcond check needs no
+    factorization of its own; on Ising windows the bound it gives is
+    within a factor 8 below the exact kappa_1(S).
 
     The public methods memoize and compose; ``_prepare``, ``_flux_trace``,
     ``_dress_a``, ``pair_operand`` and ``pair_traces`` carry the algebra,
@@ -438,6 +445,8 @@ class GaussianWindow:
         self.d_a, self._d_ab, self._d_ba, d_bb = D[:k, :k], D[:k, k:], D[k:, :k], D[k:, k:]
         eye = np.eye(len(d_bb))
         self._ip_b, self._im_b = eye + d_bb, eye - d_bb
+        i = np.arange(len(d_bb))
+        self._probe = (-1.0) ** i * (1.0 + i / (len(d_bb) - 1))  # Higham's test vector
         self.maj_b = majorana_matrix(self.corr.gamma[ab[k:]][:, ab[k:]])
 
     def log_flux_trace(self, gamma: float) -> complex:
@@ -457,15 +466,22 @@ class GaussianWindow:
         return self._dressed_a[gamma]
 
     def _dress_a(self, gamma: float) -> np.ndarray:
-        from scipy.linalg import lapack, lu_factor, lu_solve  # on first use: xx never loads it
-
         u_b = np.repeat([np.exp(1j * gamma), np.exp(-1j * gamma)], self.n_b)
         den = self._ip_b * u_b[:, None] + self._im_b  # S = U_B (1 + D_BB) + (1 - D_BB)
-        lu = lu_factor(den, check_finite=False)
-        rcond, _ = lapack.zgecon(lu[0], np.linalg.norm(den, 1))
+        rhs = np.column_stack([(u_b - 1.0)[:, None] * self._d_ba, self._probe])
+        try:
+            sol = np.linalg.solve(den, rhs)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            rcond = 0.0
+        else:
+            # ||S^-1||_1 >= ||S^-1 b||_1 / ||b||_1 for every column b; zero columns
+            # (all of (U_B - 1) D_BA at gamma = 0) say nothing, the probe is never one
+            size = np.abs(rhs).sum(0)
+            cols = size > 0
+            inv_norm = (np.abs(sol[:, cols]).sum(0) / size[cols]).max()
+            rcond = 1.0 / (np.linalg.norm(den, 1) * inv_norm)
         _check_dressing(gamma, rcond)
-        return self.d_a - self._d_ab @ lu_solve(lu, (u_b - 1.0)[:, None] * self._d_ba,
-                                                check_finite=False)
+        return self.d_a - self._d_ab @ sol[:, :-1]
 
     def pair_operand(self, d: np.ndarray) -> np.ndarray:
         """What ``pair_traces`` takes for the state of A with D-matrix d."""
@@ -514,7 +530,7 @@ class ChargeBlockWindow(GaussianWindow):
     - the dressed state of A is the Schur identity of ``GaussianWindow``
       with U_B = e^{i gamma}, written in the eigenbasis (d, V) of the
       clipped D_BB, where S is diagonal: D_AA - D_AB V diag(f) V+ D_BA with
-      f = (e^{i gamma} - 1) / (e^{i gamma} (1 + d) + (1 - d)), and no LU;
+      f = (e^{i gamma} - 1) / (e^{i gamma} (1 + d) + (1 - d)), and no solve;
     - the pair trace of two states is det((1 + D1 D2) / 2), sign included.
 
     One eigensolve of D_BB and one of C_B per window serve every flux.
@@ -547,9 +563,43 @@ class ChargeBlockWindow(GaussianWindow):
         return np.linalg.det((np.eye(x1.shape[-1]) + x1 @ x2) / 2.0)
 
 
+def _lowest_pair(T, beta, last, tol):
+    """(level, x, bound): the lowest level of a Lanczos matrix T and its unit vector x.
+
+    bound bounds the residual of the Krylov vector Q x, with beta the next
+    Lanczos coefficient. While ``last``, the pair of a leading block of T,
+    has a bound above 1e11 tol, ``eigh`` gives the lowest Ritz pair and its
+    bound |beta s_k|. Closer in, one inverse-iteration step from ``last``
+    gives x, its Rayleigh quotient rho and the bound
+    ||T x - rho x|| + |beta x_k|, which is at least the Ritz bound of the
+    level x approaches; once that bound passes tol, a Cholesky factor of
+    T - (rho - 1e6 tol) shows that no level of T lies below rho. Where that
+    fails, or the solve meets an exact zero pivot, ``eigh`` decides.
+    """
+    if last is not None and last[2] < 1e11 * tol:
+        level, y, _ = last
+        x = np.zeros(len(T))
+        x[:len(y)] = y
+        eye = np.eye(len(T))
+        try:
+            x = np.linalg.solve(T - level * eye, x)
+            x /= np.linalg.norm(x)
+            tx = T @ x
+            level = x @ tx
+            bound = np.linalg.norm(tx - level * x) + abs(beta * x[-1])
+            if bound > tol:
+                return level, x, bound
+            np.linalg.cholesky(T - (level - 1e6 * tol) * eye)
+            return level, x, bound
+        except np.linalg.LinAlgError:
+            pass
+    levels, vectors = np.linalg.eigh(T)
+    return levels[0], vectors[:, 0], abs(beta * vectors[-1, 0])
+
+
 def _check_dressing(gamma: float, rcond: float):
     """Raise where the dressing denominator is singular, i.e. the flux trace vanishes."""
-    if rcond <= SINGULAR_RCOND:
+    if not rcond > SINGULAR_RCOND:  # nan too: a solve that overflowed
         raise SingularMatrixError(
             f"flux trace vanishes at gamma = {gamma!r} (rcond {rcond:.1e}); "
             "the normalized dressed state does not exist"
@@ -657,7 +707,7 @@ def charge_sector_table(model_or_corr, layout: SubsystemLayout):
 class EDOracle:
     """Brute-force many-body reference on chains of up to 12 sites.
 
-    Finds the ground state block by block, and evaluates charged moments,
+    Finds the ground state by Lanczos, and evaluates charged moments,
     outcome probabilities, sector overlaps and post-measurement states
     directly from projectors, with no Gaussian machinery anywhere.
 
@@ -665,16 +715,14 @@ class EDOracle:
     arithmetic on s = 0 .. 2^N - 1: occupations (s >> j) & 1, hopping and
     pairing on bond (j, j+1) the flip s ^ (3 << j), which carries no
     Jordan-Wigner string. Both flips keep the fermion parity
-    popcount(s) & 1, so H splits into an even and an odd block of 2^(N-1)
-    states each; ``psi`` lives on the 2^N basis with exact zeros on the
-    other parity. Reordering the modes to A first, then the rest in site
-    order, signs each amplitude by the parity of its inversion count:
-    occupied pairs j < j' that the new order puts the other way round.
+    popcount(s) & 1, so H never mixes the even and the odd states; ``psi``
+    lives on the 2^N basis with exact zeros on the other parity. Reordering
+    the modes to A first, then the rest in site order, signs each amplitude
+    by the parity of its inversion count: occupied pairs j < j' that the
+    new order puts the other way round.
     """
 
     MAX_DIM = 4096
-    # blocks up to this size are diagonalized densely (chains of <= 9 sites)
-    DENSE_DIM = 256
 
     def __init__(self, model: LatticeModel, n_sites: int):
         if (1 << n_sites) > self.MAX_DIM:
@@ -684,68 +732,130 @@ class EDOracle:
         self.psi, self.gap, self.residual = self._ground_state()
         self._labels = {}
 
-    def _parity_blocks(self):
-        """[(H, states)] for the even and the odd parity: CSR blocks and their Fock states.
+    def _hamiltonian(self):
+        """H as a function on stacks of Fock vectors (..., 2^N), never formed.
 
-        Row r of a block is Fock state states[r], ascending. From one
-        occupation table over the basis sorted by parity: per state the
-        diagonal, then bond by bond a hop where the two bits differ and a
-        pair (both directions carry the bare element) where they agree,
-        each at the rank of the flipped state within the block.
+        The state is viewed as a matrix X[hi, lo] over the high sites L..N-1
+        and the low sites 0..L-1, L = N // 2. The bonds inside each half are
+        one dense matrix over that half's bits, applied to its axis of X; the
+        middle bond (L-1, L) flips the top low bit and the bottom high bit,
+        a view of X reversed along both. The field is a diagonal, summed site
+        by site. Each entry of H is then a single product, so H applied to a
+        unit vector gives its column of H exactly.
         """
-        from scipy import sparse  # loads with the first oracle: only ed-verify runs one
-
         N, kappa, h = self.n, self.model.kappa, self.model.h_field
-        s = np.arange(1 << N)
-        half = s.size // 2
-        occ = (s[:, None] >> np.arange(N)) & 1
-        states = np.argsort(occ.sum(1) & 1, kind="stable")  # even ones, then odd ones
-        occ = occ[states]
-        rank = np.empty_like(s)
-        rank[states] = s % half
-        diag = np.zeros(s.size)
+        L = N // 2
+
+        def bonds(n):  # hop where the two bits differ, pair where they agree
+            s = np.arange(1 << n)
+            M = np.zeros((s.size, s.size))
+            for j in range(n - 1):
+                hop = ((s >> j) & 1) != ((s >> (j + 1)) & 1)
+                M[s ^ (3 << j), s] = np.where(hop, -0.5, -0.5 * kappa)
+            return M
+
+        lo, hi = bonds(L), bonds(N - L)
+        occ = (np.arange(1 << N)[:, None] >> np.arange(N)) & 1
+        diag = np.zeros(1 << N)
         for j in range(N):  # site by site: -h * occ.sum(1) rounds differently
             diag -= h * occ[:, j]
-        hop = occ[:, :-1] != occ[:, 1:]
-        cols = np.column_stack([s % half, rank[states[:, None] ^ (3 << np.arange(N - 1))]])
-        vals = np.column_stack([diag, np.where(hop, -0.5, -0.5 * kappa)])
-        keep = np.column_stack([diag != 0, hop | bool(kappa)])
-        blocks = []
-        for rows in (slice(0, half), slice(half, None)):
-            k = keep[rows]
-            indptr = np.r_[0, np.cumsum(k.sum(1))]
-            H = sparse.csr_matrix((vals[rows][k], cols[rows][k], indptr), shape=(half, half))
-            blocks.append((H, states[rows]))
-        return blocks
+        diag = diag.reshape(1 << (N - L), 1 << L)
+        # the middle bond's element by (bit L, bit L-1) of the state it lands on
+        mid = -0.5 * np.array([[kappa, 1.0], [1.0, kappa]])[:, :, None]
+
+        def apply(x):
+            X = x.reshape(x.shape[:-1] + diag.shape)
+            out = hi @ X
+            out += X @ lo
+            out += diag * X
+            if L:
+                split = x.shape[:-1] + (1 << (N - L - 1), 2, 2, 1 << (L - 1))
+                out.reshape(split)[...] += mid * X.reshape(split)[..., ::-1, ::-1, :]
+            return out.reshape(x.shape)
+
+        return apply
 
     def _ground_state(self):
-        """(psi, gap, residual |H psi - E0 psi|) from the lowest level of each parity block.
+        """(psi, gap, residual |H psi - E0 psi|) from the lowest level of each parity.
 
-        The lower block gives E0 and psi; gap is the other block's lowest
-        level minus E0. For a quadratic chain that is the spectral gap: one
-        quasiparticle flips the parity, and a same-parity excitation costs
-        at least two. Only each block's lowest level is kept: blocks of up
-        to ``DENSE_DIM`` states are diagonalized densely, larger ones take
-        ARPACK for that level alone, from a fixed start vector that keeps
-        the result reproducible to the bit.
+        Two three-term Lanczos recurrences without reorthogonalization, one
+        per parity, advance side by side: their vectors are the two rows of
+        one (2, 2^(N-1)) array over each parity's states in ascending order,
+        and one application of H serves both. Each starts from the same
+        seeded Gaussian vector, which keeps the result reproducible to the
+        bit, and ends once the Ritz residual bound |beta_k s_k| of its lowest
+        level falls to 16 ulps of ||T||, or beta_k itself does (the Krylov
+        space is invariant). A converged Ritz vector is as accurate as that
+        bound (Paige, Linear Algebra Appl. 34, 235 (1980)); ``residual`` is
+        recomputed from psi all the same. The lower level gives E0 and psi;
+        gap is the other parity's level minus E0. For a quadratic chain that
+        is the spectral gap: one quasiparticle flips the parity, and a
+        same-parity excitation costs at least two.
+
+        The basis grows in chunks of 32 steps. Every 8th step each recurrence
+        checks its bound (``_lowest_pair``): a recurrence holds it at or below
+        tolerance for about 10 steps, after which a copy of the converged
+        level forms and the bound rises again. Only the first few checks
+        diagonalize T; the later ones take one inverse-iteration step from
+        the last check's pair, a k x k solve.
         """
-        from scipy.sparse.linalg import eigsh
-
-        lowest = []
-        for H, states in self._parity_blocks():
-            if H.shape[0] <= self.DENSE_DIM:
-                w, v = np.linalg.eigh(H.toarray())
-            else:
-                v0 = np.random.default_rng(0).standard_normal(H.shape[0])
-                w, v = eigsh(H, k=1, which="SA", v0=v0)
-            lowest.append((w[0], v[:, 0], H, states))
-        (e0, v, H, states), (e1, *_) = sorted(lowest, key=lambda b: b[0])
-        gap = e1 - e0
+        N = self.n
+        apply = self._hamiltonian()
+        s = np.arange(1 << N)
+        half = s.size // 2
+        odd = (((s[:, None] >> np.arange(N)) & 1).sum(1) & 1).astype(bool)
+        states = np.concatenate([s[~odd], s[odd]])
+        where = np.empty_like(s)
+        where[states] = s  # Fock state -> its place in (even states, odd states)
+        q = np.random.default_rng(0).standard_normal(half) * np.ones((2, 1))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        prev, beta = np.zeros_like(q), np.zeros((2, 1))
+        alphas, betas, chunks = ([], []), ([], []), []  # per parity, while it runs
+        pairs = [None, None]  # each parity's latest (level, vector of T, residual bound)
+        live, norm, ulps = [0, 1], [0.0, 0.0], 16 * np.finfo(float).eps
+        k = 0
+        while live:
+            if k == LANCZOS_STEPS:
+                raise ConvergenceError(f"Lanczos used its {LANCZOS_STEPS} steps on the {N}-site "
+                                       "chain without converging")
+            if k % 32 == 0:
+                chunks.append(np.empty((32, 2, half)))
+            chunks[-1][k % 32] = q
+            w = apply(q.reshape(-1)[where])[states].reshape(2, half)
+            a = np.einsum("ij,ij->i", q, w)
+            w -= a[:, None] * q + beta * prev
+            b = np.sqrt(np.einsum("ij,ij->i", w, w))
+            k += 1
+            step = np.zeros((2, 1))
+            for p in list(live):
+                ap, bp = float(a[p]), float(b[p])
+                alphas[p].append(ap)
+                betas[p].append(bp)
+                norm[p] = max(norm[p], abs(ap) + bp + float(beta[p, 0]))
+                tol = ulps * norm[p]
+                if k % 8 == 0 or bp <= tol:
+                    T = np.diag(alphas[p])
+                    T.flat[1::k + 1] = T.flat[k::k + 1] = betas[p][:-1]
+                    pairs[p] = _lowest_pair(T, bp, pairs[p] if bp > tol else None, tol)
+                    if pairs[p][2] <= tol:
+                        live.remove(p)
+                        continue
+                step[p] = 1.0 / bp
+            prev, beta = q, b[:, None]
+            q = w * step
+        x = np.zeros((2, half))
+        for p, (_, y, _) in enumerate(pairs):
+            for c, chunk in enumerate(chunks):
+                part = y[32 * c:32 * c + 32]
+                x[p] += part @ chunk[:part.size, p]
+        (e0, *_), (e1, *_) = pairs
+        low = int(e1 < e0)
+        gap = abs(e1 - e0)
         if gap < 1e-10:
             raise SingularMatrixError(f"ground state degenerate, gap = {gap:.2e}")
-        psi = np.zeros(1 << self.n)
-        psi[states] = v
-        return psi, float(gap), float(np.linalg.norm(H @ v - e0 * v))
+        psi = np.zeros(s.size)
+        psi[states[low * half:(low + 1) * half]] = x[low] / np.linalg.norm(x[low])
+        return psi, float(gap), float(np.linalg.norm(apply(psi) - min(e0, e1) * psi))
 
     def _build_reshape(self, a_sites):
         """(V, rest): the state as a matrix V[a, rest] with fermionic reorder signs."""

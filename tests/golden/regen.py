@@ -88,7 +88,7 @@ FILES = {
 }
 COMMANDS = BOSON + LATTICE + OPERATOR + ED
 
-# ed-verify's ED side comes from ARPACK, whose last bits can move on another
+# ed-verify's ED side comes from Lanczos, whose last bits can move on another
 # BLAS; its determinant side and its verdict cannot. So these fields agree by
 # a rule, given (golden, rerun, largest |ED column| of the row, the output's
 # `tolerance`): the ED columns to ED_RTOL of that magnitude, the gap (an

@@ -10,7 +10,7 @@ import pytest
 
 from opens.cft_boson import TimeParams, holevo_chi_sweep, holevo_chi_time_sweep
 from opens import cft_operator, cli
-from opens.cli import _fmt, _model_from_name, main, parse_grid, parse_spec
+from opens.cli import GRID_POINTS, _fmt, _model_from_name, main, parse_grid, parse_spec
 from opens.core import Geometry
 from opens.errors import RegimeWarning
 from opens.lattice import EDOracle
@@ -41,6 +41,9 @@ class TestGridParsing:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             parse_grid("1:2:3:4:5")
+
+    def test_the_bound_itself_is_a_grid(self):
+        assert len(parse_grid(f"1:{GRID_POINTS}")) == GRID_POINTS
 
     def test_spec(self):
         s = parse_spec("scalar:0.25")
@@ -250,6 +253,15 @@ class TestCommands:
         (["overlap", "--gamma1", "1:0"], "--gamma1 '1:0' gives no point"),
         (["lattice-moments", "--l2", "20:10", "--compare", "cft"], "--l2 '20:10' gives no point"),
         (["boson-moments", "--gamma", ","], "--gamma ',' gives no point"),
+        (["boson-holevo", "--l2", "nan:5"], "--l2 'nan:5' has a non-finite bound"),
+        (["lattice-moments", "--l2", "inf:5"], "--l2 'inf:5' has a non-finite bound"),
+        # one point past the bound: refused before any point is built
+        (["cn-table", "--n", f"1:{GRID_POINTS + 1}"],
+         f"--n '1:{GRID_POINTS + 1}' asks for {GRID_POINTS + 1} points"),
+        (["boson-time", "--t", f"1:10:{GRID_POINTS + 1}"],
+         f"--t '1:10:{GRID_POINTS + 1}' asks for {GRID_POINTS + 1} points"),
+        (["boson-holevo", "--l2", f"1:100:{GRID_POINTS + 1}:log"],
+         f"--l2 '1:100:{GRID_POINTS + 1}:log' asks for {GRID_POINTS + 1} points"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_non_finite_fluxes_and_empty_grids_are_rejected(self, tmp_path, args, named):
         # an error record naming the flag, raised before any point is
@@ -614,11 +626,12 @@ class TestCommands:
 
 def test_commands_import_only_the_scipy_they_run():
     # a fresh interpreter with nothing of scipy imported beforehand. Importing
-    # the CLI loads no scipy. The operator commands and the xx lattice (the
-    # charge block) load no scipy.linalg; the boson continuation's dggev and
-    # the Ising dressing LU do. Only ed-verify loads the sparse eigensolver,
-    # no command calls quadrature, special functions, the AAA oracle or
-    # mpmath, and the tests' oracles still reach quad on first use.
+    # the CLI loads no scipy, and neither do the operator commands, every
+    # lattice command and ed-verify: the dressing solve and the ED oracle's
+    # Lanczos run on numpy. Only the boson continuation's dggev loads
+    # scipy.linalg; no command loads scipy.sparse, quadrature, special
+    # functions, the AAA oracle or mpmath, and the tests' oracles still reach
+    # quad on first use.
     code = """
 import io, sys
 from contextlib import redirect_stdout
@@ -626,22 +639,23 @@ UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.interpola
           "scipy.stats", "scipy.sparse", "mpmath")
 loaded = lambda: sorted(m for m in sys.modules
                         if any(m == u or m.startswith(u + ".") for u in UNUSED))
+scipy_loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 import opens.cli
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert "scipy" not in sys.modules, scipy_loaded()
 with redirect_stdout(io.StringIO()):
     for argv in (["cn-table", "--L", "1", "--d", "1", "--l2", "2", "--n", "1:4"],
                  ["operator-m"], ["operator-mie", "--l2", "2,4"], ["overlap"],
-                 ["averaged-purity"], ["uv-check"], ["lattice-moments", "--l2", "10"]):
+                 ["averaged-purity"], ["uv-check"], ["lattice-moments", "--l2", "10"],
+                 ["lattice-moments", "--model", "ising", "--l2", "10"],
+                 ["lattice-overlap", "--model", "ising", "--l2-sites", "4"],
+                 ["ed-verify", "--l1", "2", "--d-sites", "2", "--l2-sites", "2"],
+                 ["ed-verify", "--model", "0.7:0.3", "--sites", "12", "--l1", "2",
+                  "--d-sites", "2", "--l2-sites", "2"]):
         assert opens.cli.main(argv) == 0, argv
-assert "scipy.linalg" not in sys.modules and not loaded(), loaded()
+assert "scipy" not in sys.modules, scipy_loaded()
 with redirect_stdout(io.StringIO()):
     assert opens.cli.main(["boson-holevo", "--l2", "100"]) == 0
-    assert opens.cli.main(["lattice-moments", "--model", "ising", "--l2", "10"]) == 0
-assert not loaded(), loaded()
-with redirect_stdout(io.StringIO()):
-    assert opens.cli.main(["ed-verify", "--l1", "2", "--d-sites", "2", "--l2-sites", "2"]) == 0
-assert "scipy.sparse" in sys.modules
-assert {m.split(".")[1] for m in loaded()} == {"sparse"}, loaded()
+assert "scipy.linalg" in sys.modules and not loaded(), loaded()
 from opens import cft_operator
 from opens.core import Geometry
 integrate = cft_operator.integrate

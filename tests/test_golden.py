@@ -1,7 +1,7 @@
 """Golden rows: the boson, lattice and operator sweeps and the ED spot checks rerun in-process.
 
 ``regen.compare`` holds the comparison: data rows as exact strings,
-headers without the version line, and the ARPACK-derived fields of
+headers without the version line, and the Lanczos-derived fields of
 ``ed-verify`` by the rules in ``regen.RULES``. ``tests/golden/regen.py``
 rewrites the files after an intended change.
 """

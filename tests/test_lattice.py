@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import eigsh
 
 from opens import lattice
-from opens.errors import DomainError, SingularMatrixError
+from opens.errors import ConvergenceError, DomainError, SingularMatrixError
 from opens.lattice import (
     CLIP,
     ISING,
@@ -502,6 +502,53 @@ class TestVanishingTrace:
         assert np.isfinite(val) and 0.0 < abs(val) < 1.0
 
 
+class TestDressingEstimate:
+    # the Pfaffian route solves S X = [(U_B - 1) D_BA | probe] in one call and
+    # reads a lower bound on ||S^-1||_1 off the solved columns
+
+    @staticmethod
+    def estimates(monkeypatch, win, gammas):
+        seen = []
+        monkeypatch.setattr(lattice, "_check_dressing", lambda gamma, rcond: seen.append(rcond))
+        for g in gammas:
+            win.dressed_d_a(g)
+        return np.array(seen)
+
+    @staticmethod
+    def ising_window(l2):
+        return GaussianWindow(ground_state_correlations(ISING, SubsystemLayout(10, 10, l2)), 10, l2)
+
+    def test_within_ten_of_the_exact_condition_number(self, monkeypatch):
+        # 287 Ising windows; zgecon read 1.00-1.83 times kappa_1 on them
+        ratios = []
+        gammas = 2 * np.pi * np.arange(41) / 40
+        for l2 in (3, 5, 10, 20, 40, 80, 140):
+            win = self.ising_window(l2)
+            for g, rcond in zip(gammas, self.estimates(monkeypatch, win, gammas), strict=True):
+                u_b = np.repeat([np.exp(1j * g), np.exp(-1j * g)], l2)
+                den = win._ip_b * u_b[:, None] + win._im_b
+                kappa = np.linalg.norm(den, 1) * np.linalg.norm(np.linalg.inv(den), 1)
+                ratios.append(kappa * rcond)
+        assert len(ratios) == 287
+        assert 1 - 1e-9 <= min(ratios) and max(ratios) <= 10, (min(ratios), max(ratios))
+
+    def test_zero_flux_is_not_singular(self, monkeypatch):
+        # every column of (U_B - 1) D_BA vanishes; the probe alone sees S = 2
+        win = self.ising_window(20)
+        assert np.array_equal(win.dressed_d_a(0.0), win.d_a)
+        assert self.estimates(monkeypatch, self.ising_window(20), [0.0]).tolist() == [1.0]
+
+    def test_exactly_singular_pivot_raises(self, monkeypatch):
+        win = self.ising_window(5)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(lattice.np.linalg, "solve", singular)
+        with pytest.raises(SingularMatrixError, match=r"gamma = 0\.5 \(rcond 0\.0e\+00\)"):
+            win.dressed_d_a(0.5)
+
+
 class TestChargedMoments:
     def test_flux_trace_memoized(self, monkeypatch):
         win = GaussianWindow(ground_state_correlations(ISING, SubsystemLayout(3, 2, 4)), 3, 4)
@@ -819,7 +866,7 @@ class TestEDOracle:
     @pytest.mark.parametrize("n_sites", [8, 12])
     def test_degenerate_ground_state_raises(self, n_sites):
         # the Kitaev chain at h = 0: its edge zero mode pairs the two
-        # parities' ground states, dense at 8 sites and ARPACK at 12
+        # parities' ground states
         with pytest.raises(SingularMatrixError, match="ground state degenerate"):
             EDOracle(LatticeModel(1.0, 0.0), n_sites)
 
@@ -965,17 +1012,18 @@ class TestEDBitIdentity:
     @pytest.mark.parametrize("n_sites", sorted(ED_SUBSETS))
     @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
     def test_hamiltonian(self, model, n_sites):
-        # each parity block is the loop reference restricted to that parity,
+        # H applied to each unit vector is its column of the loop reference,
         # entry for entry, and the reference links no two parities
         ref = loop_hamiltonian(model, n_sites)
-        s = np.arange(1 << n_sites)
+        apply = unsolved_oracle(model, n_sites)._hamiltonian()
+        dim = 1 << n_sites
+        for start in range(0, dim, 512):  # 512 unit vectors at a time
+            cols = np.arange(start, min(start + 512, dim))
+            units = np.zeros((cols.size, dim))
+            units[np.arange(cols.size), cols] = 1.0
+            assert np.array_equal(apply(units), ref[:, cols].toarray().T)
+        s = np.arange(dim)
         odd = loop_odd_parity(n_sites)
-        blocks = unsolved_oracle(model, n_sites)._parity_blocks()
-        for (H, states), parity in zip(blocks, (~odd, odd), strict=True):
-            assert same_bits(states, s[parity])
-            H, want = H.sorted_indices(), ref[states][:, states].sorted_indices()
-            for attr in ("indptr", "indices", "data"):
-                assert same_bits(getattr(H, attr), getattr(want, attr)), attr
         assert ref[s[odd]][:, s[~odd]].nnz == 0 and ref[s[~odd]][:, s[odd]].nnz == 0
 
     @pytest.mark.parametrize("n_sites", sorted(ED_SUBSETS))
@@ -996,7 +1044,7 @@ class TestEDBitIdentity:
 
     @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
     def test_ground_state_reshape(self, model):
-        # on the 12-site ground state (ARPACK route) as used by ed-verify
+        # on the 12-site ground state as used by ed-verify
         oracle = EDOracle(model, 12)
         for a_sites in ED_SUBSETS[12]:
             assert same_bits(oracle._build_reshape(a_sites)[0],
@@ -1005,7 +1053,7 @@ class TestEDBitIdentity:
     @pytest.mark.parametrize("n_sites", [8, 12])
     @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
     def test_ground_state_vanishes_off_its_parity(self, model, n_sites):
-        # dense blocks at 8 sites, ARPACK at 12
+        # +0.0 off the ground state's parity, as scattered into zeros
         psi = EDOracle(model, n_sites).psi
         odd = loop_odd_parity(n_sites)
         off = odd if np.any(psi[~odd]) else ~odd
@@ -1021,3 +1069,52 @@ class TestEDBitIdentity:
         # the oracle's limit, checked before any dense matrix is allocated
         with pytest.raises(ValueError):
             fock_operators(EDOracle.MAX_DIM.bit_length())
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("n_sites", range(1, 9))
+    @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
+    def test_matches_dense_eigh(self, model, n_sites):
+        # parity blocks of 1-8 states (1-4 sites) close their Krylov space,
+        # beta_k = 0, before the first scheduled check
+        w, v = np.linalg.eigh(loop_hamiltonian(model, n_sites).toarray())
+        if w[1] - w[0] < 1e-10:  # xx on an odd chain has a zero mode
+            with pytest.raises(SingularMatrixError, match="ground state degenerate"):
+                EDOracle(model, n_sites)
+            return
+        oracle = EDOracle(model, n_sites)
+        assert abs(oracle.gap - (w[1] - w[0])) <= 1e-12
+        assert min(np.abs(oracle.psi - v[:, 0]).max(), np.abs(oracle.psi + v[:, 0]).max()) <= 1e-12
+        assert oracle.residual <= 1e-12
+
+    @pytest.mark.parametrize("n_sites", [10, 12])
+    @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
+    def test_matches_arpack(self, model, n_sites):
+        # the solve Lanczos replaced: ARPACK on each parity block from the
+        # same seeded start vector
+        H = loop_hamiltonian(model, n_sites)
+        odd = loop_odd_parity(n_sites)
+        lowest = []
+        for states in (np.flatnonzero(~odd), np.flatnonzero(odd)):
+            v0 = np.random.default_rng(0).standard_normal(states.size)
+            w, v = eigsh(H[states][:, states], k=1, which="SA", v0=v0)
+            psi = np.zeros(H.shape[0])
+            psi[states] = v[:, 0]
+            lowest.append((w[0], psi))
+        (e0, psi), (e1, _) = sorted(lowest, key=lambda level: level[0])
+        oracle = EDOracle(model, n_sites)
+        assert abs(oracle.gap - (e1 - e0)) <= 1e-12
+        assert min(np.abs(oracle.psi - psi).max(), np.abs(oracle.psi + psi).max()) <= 1e-12
+        assert oracle.residual <= 1e-12
+
+    def test_two_oracles_agree_to_the_bit(self):
+        for model, n_sites in ((ISING, 12), (LatticeModel(0.7, 0.3), 10)):
+            first, second = EDOracle(model, n_sites), EDOracle(model, n_sites)
+            assert same_bits(first.psi, second.psi)
+            assert (first.gap, first.residual) == (second.gap, second.residual)
+
+    def test_spent_budget_raises(self, monkeypatch):
+        # the 12-site Ising chain needs about 72 steps
+        monkeypatch.setattr(lattice, "LANCZOS_STEPS", 40)
+        with pytest.raises(ConvergenceError, match="Lanczos used its 40 steps on the 12-site chain"):
+            EDOracle(ISING, 12)
