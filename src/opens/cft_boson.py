@@ -55,16 +55,21 @@ class BosonParams:
             raise ValueError(f"Luttinger parameter must be positive and finite, got K={self.K}")
 
 
+# the samples decay like t^-4, which leaves the normal float range past this t
+_T_MAX = np.finfo(float).tiny ** -0.25
+
+
 @dataclass(frozen=True)
 class TimeParams:
-    """Real measurement time t >= 0 with regulator eps_prime > 0."""
+    """Real measurement time 0 <= t <= ``_T_MAX`` with regulator eps_prime > 0."""
 
     t: float
     eps_prime: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 <= self.t < math.inf:
-            raise ValueError(f"time must be non-negative and finite, got t={self.t}")
+        if not 0.0 <= self.t <= _T_MAX:
+            raise ValueError(f"time must lie in [0, {_T_MAX:.6g}], where t^-4 is a normal float, "
+                             f"got t={self.t}")
         if not 0.0 < self.eps_prime < math.inf:
             raise ValueError(
                 f"eps_prime must be positive and finite, got eps_prime={self.eps_prime}")
@@ -375,4 +380,4 @@ def chi_time_asymptote(g: Geometry, t: float) -> float:
     lg = np.log(g.ell2 / (2.0 * g.eps))
     if lg <= 0.0:
         raise DomainError("(b-a)/(2 eps) <= 1")
-    return g.ell2**2 * g.L**2 / (24.0 * lg * t**4)
+    return g.ell2**2 * g.L**2 / (24.0 * lg) / t**4  # t**4 stays finite up to _T_MAX

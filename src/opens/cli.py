@@ -621,7 +621,8 @@ def build_parser():
     p.add_argument("--l2-sites", dest="l2_sites", type=int, default=2)
     p.add_argument("--sites", type=int, default=8, help="total chain sites (<= 12)")
     p.add_argument("--n", type=int, default=3, help="largest replica number")
-    p.set_defaults(func=cmd_ed_verify)
+    # a layout of 3 + 3 + 2 sites that fills the default chain
+    p.set_defaults(func=cmd_ed_verify, l1=3, d_sites=3)
     return ap, subparsers
 
 

@@ -20,21 +20,20 @@ slot, and the other sets go on.
 
 Everything after the greedy steps also runs once per stack. The members
 that finish at a step form a batch per support size. For each batch, one
-tight loop runs one ``dggev`` per member over a preallocated arrowhead
-pencil, and the residues, the geometric-mean threshold and the Froissart
-test are stacked arrays. The continuation then screens the poles and
-evaluates r(1) of every fit, and of every leave-one-out fit, in one
-stacked product per support size. Only two steps stay per fit: the SVD
-re-solve of a fit that has a Froissart doublet, and the pole computation
-of that re-solved fit when it is screened. Each member's poles and values
-are bit-identical to fitting it alone, so a point's result does not
-depend on which points share its stacks.
+``np.linalg.eigvals`` over a stack of (m - 1)-square matrices gives the
+poles, so no command loads scipy, and the residues, the geometric-mean
+threshold and the Froissart test are stacked arrays. The continuation then
+screens the poles and evaluates r(1) of every fit, and of every
+leave-one-out fit, in one stacked product per support size. Only two steps
+stay per fit: the SVD re-solve of a fit that has a Froissart doublet, and
+the pole computation of that re-solved fit when it is screened. Each
+member's poles and values are bit-identical to fitting it alone, so a
+point's result does not depend on which points share its stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,16 +69,6 @@ class ContinuationProblem:
             raise ValueError("samples must be finite")
 
 
-@lru_cache(maxsize=None)
-def _dggev_lwork(size: int) -> int:
-    """dggev's optimal workspace for a size x size pencil. LAPACK's query
-    reads only the size, so it runs once per size."""
-    from scipy.linalg.lapack import dggev  # scipy.linalg loads with the first fit
-
-    a = np.eye(size)
-    return int(dggev(a, a, lwork=-1)[-2][0])
-
-
 @dataclass
 class ContinuationResult:
     value: float
@@ -99,7 +88,7 @@ class BarycentricFit:
         self._pole_row = pole_row
 
     def pole_row(self) -> np.ndarray:
-        """The m + 1 eigenvalues of the arrowhead pencil; the infinite ones are not finite."""
+        """The fit's m - 1 poles, inf for a pole at infinity."""
         if self._pole_row is None:
             self._pole_row = _pole_rows(self.support[None], self.weights[None])[0]
         return self._pole_row
@@ -131,35 +120,30 @@ def _rational(x, support, support_values, weights):
 
 
 def _pole_rows(support, weights):
-    """Eigenvalues of the arrowhead pencils (E, diag(0, 1, ..., 1)) of a stack (B, m).
+    """The m - 1 poles of each fit of a stack (B, m), inf for a pole at infinity.
 
-    Row b holds the m + 1 eigenvalues of member b, the infinite ones as
-    non-finite entries. Each member takes its own ``dggev`` call with the
-    workspace that scipy.linalg.eigvals asks for, so that the blocking and
-    hence every pole are the same as for that member alone. A member with
-    non-finite weights or an eigensolve that fails makes the stack raise.
+    The poles are the zeros of sum_j w_j / (x - z_j), taken about the support
+    point z_k of largest |w_k|: with mu = 1 / (x - z_k) and
+    nu_j = 1 / (z_j - z_k), they solve w_k + sum_{j != k} w_j nu_j / (nu_j - mu)
+    = 0, whose roots are the eigenvalues of diag(nu) + (w / w_k) nu^T over
+    j != k. The expansion point is a support point, never a pole, so the
+    matrix is finite for any finite weights that are not all zero (AAA's
+    are unit vectors): a weight sum of zero is the root mu = 0, and a pole
+    at n = 1 an ordinary eigenvalue. One ``np.linalg.eigvals`` takes the whole stack, one LAPACK
+    call per member, so every pole is the same as for that member alone.
     """
-    from scipy.linalg.lapack import dggev
-
     nfit, m = weights.shape
-    if not np.isfinite(weights).all():  # scipy.linalg.eigvals's check
+    if not np.isfinite(weights).all():
         raise ValueError("barycentric weights must be finite")
-    b = np.eye(m + 1)
-    b[0, 0] = 0.0
-    e = np.zeros((nfit, m + 1, m + 1))
-    e[:, 0, 1:] = weights
-    e[:, 1:, 0] = 1.0
-    diag = np.arange(1, m + 1)
-    e[:, diag, diag] = support
-    lwork = _dggev_lwork(m + 1)
-    eig = np.empty((3, nfit, m + 1))
-    for i in range(nfit):
-        alphar, alphai, beta, *_, info = dggev(e[i], b, 0, 0, lwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"generalized eigenvalues did not converge (info={info})")
-        eig[0, i], eig[1, i], eig[2, i] = alphar, alphai, beta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (eig[0] + 1j * eig[1]) / eig[2]
+    k = np.abs(weights).argmax(axis=1)[:, None]
+    zk, wk = np.take_along_axis(support, k, 1), np.take_along_axis(weights, k, 1)
+    rest = np.arange(m) != k
+    nu = 1.0 / (support[rest].reshape(nfit, m - 1) - zk)
+    a = (weights[rest].reshape(nfit, m - 1) / wk)[:, :, None] * nu[:, None, :]
+    diag = np.arange(m - 1)
+    a[:, diag, diag] += nu
+    mu = np.linalg.eigvals(a).astype(complex)
+    return zk + np.reciprocal(mu, out=np.full_like(mu, np.inf), where=mu != 0)
 
 
 def _residues(poles, support, support_values, weights):

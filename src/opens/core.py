@@ -56,7 +56,7 @@ class Geometry:
                 f"(b-a)/(2 eps) = {self.ell2 / (2 * self.eps):.3g} <= 1: "
                 "logarithms change sign, cutoff-dominated regime",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__
             )
 
     @property

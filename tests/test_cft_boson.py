@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,12 +11,14 @@ from scipy import integrate
 from opens.cft_boson import (
     BosonParams,
     TimeParams,
+    _T_MAX,
     build_M_boson,
     charged_moments_ratio,
     chi_samples,
     chi_time_asymptote,
     holevo_chi,
     holevo_chi_approx,
+    holevo_chi_time,
     _chi,
     _chi_approx_raw,
     _row,
@@ -316,6 +319,21 @@ class TestChargeDistribution:
 
 
 class TestTimeDependence:
+    def test_time_past_the_float_range_is_rejected_by_name(self):
+        # the boson-time defaults at --l2 10. Past _T_MAX t^-4 is subnormal,
+        # the samples lose digits and t**4 overflows; the error names t and
+        # the bound
+        g = Geometry(10.0, 20.0, 30.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi = holevo_chi_time(g, TimeParams(_T_MAX, 1e-3))
+            assert chi == pytest.approx(chi_time_asymptote(g, _T_MAX), rel=1e-9)
+            assert 0.0 < chi < 1e-305
+        past = float(np.nextafter(_T_MAX, np.inf))
+        with pytest.raises(ValueError) as err:
+            TimeParams(past, 1e-3)
+        assert f"[0, {_T_MAX:.6g}]" in str(err.value) and f"got t={past}" in str(err.value)
+
     def test_zero_time_limit(self):
         g = geo(n=1)
         tp = TimeParams(0.0, 1e-8)

@@ -349,6 +349,15 @@ class TestCommands:
         assert code == 0
         assert "# verdict = pass" in out.read_text()
 
+    def test_bare_ed_verify_passes(self, tmp_path):
+        # its layout defaults must fit its 8-site default chain, which the
+        # other lattice commands' l1 = d = 10 do not
+        out = tmp_path / "ed.csv"
+        assert main(["--output", str(out), "ed-verify"]) == 0
+        header = out.read_text().splitlines()
+        assert {"# sites = 8", "# l1 = 3", "# d_sites = 3", "# l2_sites = 2",
+                "# verdict = pass"} <= set(header)
+
     def test_ed_verify_reproducible_on_twelve_sites(self, tmp_path):
         # 12 sites take the sparse eigensolver route
         args = ["ed-verify", "--model", "ising", "--sites", "12", "--l1", "3",
@@ -626,36 +635,29 @@ class TestCommands:
 
 def test_commands_import_only_the_scipy_they_run():
     # a fresh interpreter with nothing of scipy imported beforehand. Importing
-    # the CLI loads no scipy, and neither do the operator commands, every
-    # lattice command and ed-verify: the dressing solve and the ED oracle's
-    # Lanczos run on numpy. Only the boson continuation's dggev loads
-    # scipy.linalg; no command loads scipy.sparse, quadrature, special
-    # functions, the AAA oracle or mpmath, and the tests' oracles still reach
-    # quad on first use.
+    # the CLI loads no scipy, and no command does: the operator quadrature,
+    # the lattice dressing solve, the ED oracle's Lanczos and the AAA poles
+    # all run on numpy. No command loads mpmath either, and the tests'
+    # oracles still reach quad on first use.
     code = """
 import io, sys
 from contextlib import redirect_stdout
-UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.interpolate",
-          "scipy.stats", "scipy.sparse", "mpmath")
-loaded = lambda: sorted(m for m in sys.modules
-                        if any(m == u or m.startswith(u + ".") for u in UNUSED))
 scipy_loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 import opens.cli
 assert "scipy" not in sys.modules, scipy_loaded()
 with redirect_stdout(io.StringIO()):
-    for argv in (["cn-table", "--L", "1", "--d", "1", "--l2", "2", "--n", "1:4"],
+    for argv in (["boson-moments", "--l2", "100"], ["boson-mie", "--l2", "50"],
+                 ["boson-holevo", "--l2", "100"], ["boson-time", "--t", "1000"],
+                 ["cn-table", "--L", "1", "--d", "1", "--l2", "2", "--n", "1:4"],
                  ["operator-m"], ["operator-mie", "--l2", "2,4"], ["overlap"],
                  ["averaged-purity"], ["uv-check"], ["lattice-moments", "--l2", "10"],
                  ["lattice-moments", "--model", "ising", "--l2", "10"],
-                 ["lattice-overlap", "--model", "ising", "--l2-sites", "4"],
-                 ["ed-verify", "--l1", "2", "--d-sites", "2", "--l2-sites", "2"],
+                 ["lattice-overlap", "--model", "ising", "--l2-sites", "4"], ["ed-verify"],
                  ["ed-verify", "--model", "0.7:0.3", "--sites", "12", "--l1", "2",
                   "--d-sites", "2", "--l2-sites", "2"]):
         assert opens.cli.main(argv) == 0, argv
-assert "scipy" not in sys.modules, scipy_loaded()
-with redirect_stdout(io.StringIO()):
-    assert opens.cli.main(["boson-holevo", "--l2", "100"]) == 0
-assert "scipy.linalg" in sys.modules and not loaded(), loaded()
+        assert "scipy" not in sys.modules, (argv, scipy_loaded())
+assert "mpmath" not in sys.modules
 from opens import cft_operator
 from opens.core import Geometry
 integrate = cft_operator.integrate

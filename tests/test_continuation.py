@@ -111,8 +111,8 @@ def _scipy_fits(z, f, max_terms):
         except ValueError as exc:
             fits.append(exc)
             continue
-        poles = ref.poles()
-        row = np.full(ref.weights.size + 1, np.nan, dtype=complex)  # the infinite ones
+        poles = ref.poles()  # the finite ones
+        row = np.full(ref.weights.size - 1, np.inf, dtype=complex)
         row[:poles.size] = poles
         fits.append(continuation.BarycentricFit(zi, fi, ref.support_points, ref.support_values,
                                                 ref.weights, row))
@@ -120,7 +120,7 @@ def _scipy_fits(z, f, max_terms):
 
 
 def finite_poles(fit):
-    """The finite eigenvalues of a fit's arrowhead pencil."""
+    """A fit's finite poles."""
     row = fit.pole_row()
     return row[np.isfinite(row)]
 
@@ -254,21 +254,70 @@ def test_stacked_fit_matches_fits_one_by_one():
                                    rtol=1e-12)
 
 
+def _mp_poles(z, w):
+    """Zeros of sum_j w_j prod_{k != j} (x - z_k), to 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(0)] * len(z)  # highest degree first
+        for j, wj in enumerate(w):
+            p = [mpmath.mpf(1)]
+            for zk in np.delete(z, j):
+                p = [a - mpmath.mpf(zk) * b for a, b in zip(p + [0], [0] + p)]
+            coeffs = [c + mpmath.mpf(wj) * q for c, q in zip(coeffs, p)]
+        return [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)]
+
+
+def test_poles_match_60_digit_roots():
+    # random weights on 2 to 6 replica indices in 2..13. A pole near 0 is
+    # fixed only to the absolute precision of the support's scale, by
+    # dggev as well, so the error is taken relative to max(|x|, 1): the
+    # unit spacing of the replica axis
+    rng = np.random.default_rng(2718)
+    worst = {True: 0.0, False: 0.0}  # keyed by |x| <= 2 max z
+    for _ in range(400):
+        m = int(rng.integers(2, 7))
+        z = np.sort(rng.choice(np.arange(2.0, 14.0), m, replace=False))
+        w = rng.standard_normal(m)
+        got = list(continuation._pole_rows(z[None], w[None])[0])
+        assert len(got) == m - 1 and np.isfinite(got).all()
+        for root in _mp_poles(z, w):
+            pole = got.pop(int(np.argmin(np.abs(np.subtract(got, root)))))
+            near = abs(root) <= 2 * z.max()
+            worst[near] = max(worst[near], abs(pole - root) / max(abs(root), 1.0))
+    assert worst[True] <= 1e-13 and worst[False] <= 1e-11, worst
+
+
+def test_a_pole_at_one_is_screened_inside_its_stack():
+    # D(1) = 0 exactly for weights (1, -4, 3) on (2, 3, 4), whose weight sum
+    # of zero is a second pole at infinity. A pole problem shifted to n = 1
+    # would divide by D(1); the member must not fail the other members
+    rng = np.random.default_rng(11)
+    z = np.broadcast_to(np.arange(2.0, 9.0), (6, 7))
+    f = 1.0 / (z + rng.uniform(0.5, 2.0, (6, 1)))
+    cols = np.array([np.sort(rng.choice(7, 3, replace=False)) for _ in range(6)])
+    cols[3] = 0, 1, 2
+    weights = rng.standard_normal((6, 3))
+    weights[3] = 1.0, -4.0, 3.0
+    support, svals = np.take_along_axis(z, cols, 1), np.take_along_axis(f, cols, 1)
+    fits = continuation._finish(z, f, support, svals, weights)
+    why = continuation._pole_screen(fits, z[:, -1] + 1e-9)
+    assert list(fits[3].pole_row()) == [1.0, np.inf]
+    assert isinstance(why[3], ContinuationError) and "[1.]" in str(why[3])
+    for i in (0, 1, 2, 4, 5):
+        alone = continuation._finish(z[i:i + 1], f[i:i + 1], support[i:i + 1], svals[i:i + 1],
+                                     weights[i:i + 1])
+        assert fits[i].pole_row().tobytes() == alone[0].pole_row().tobytes()
+        (want,) = continuation._pole_screen(alone, z[i:i + 1, -1] + 1e-9)
+        assert type(why[i]) is type(want) and str(why[i]) == str(want)
+
+
 def test_capped_fit_is_silent():
     f = lambda n: np.log(n + 1.0) / n  # not rational: every fit reaches its cap
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = continue_to_one(ContinuationProblem(samples_of(f), max_degree=2))
     assert np.isfinite(res.value)
-
-
-def test_memoized_dggev_workspace_is_a_fresh_query():
-    from scipy.linalg.lapack import dggev
-
-    rng = np.random.default_rng(7)
-    for size in range(2, 14):
-        e, b = rng.normal(size=(2, size, size))
-        assert continuation._dggev_lwork(size) == int(dggev(e, b, lwork=-1)[-2][0])
 
 
 def test_import_and_holevo_point_touch_no_global_state():

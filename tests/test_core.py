@@ -34,8 +34,11 @@ class TestGeometry:
             Geometry(10.0, 20.0, 30.0, 0.5, 0)
 
     def test_cutoff_regime_warning(self):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as caught:
             Geometry(10.0, 20.0, 21.0, 0.6)
+        # the warning names the line that built the geometry, not the
+        # dataclass's generated __init__
+        assert caught[0].filename == __file__
 
 
 def dense_det(row):
