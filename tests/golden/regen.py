@@ -4,9 +4,11 @@
 
 Each file in ``FILES`` holds the CSV of every command listed for it, each
 block opened by a ``## opens <argv>`` line: ``boson_sweeps.csv`` the
-continuation sweeps, ``lattice_sweeps.csv`` the free-fermion sweeps,
-``operator_sweeps.csv`` the operator-quadrature sweeps, ``ed_verify.csv``
-the determinant-vs-ED spot checks. ``tests/test_golden.py`` reruns them
+closed-form and continuation sweeps, ``lattice_sweeps.csv`` the
+free-fermion sweeps, ``operator_sweeps.csv`` the operator-quadrature
+commands, ``ed_verify.csv`` the determinant-vs-ED spot checks. Every
+command has a block but ``lattice-overlap``, whose noise sectors print
+digits that are not stable. ``tests/test_golden.py`` reruns them
 in-process and compares each with ``compare``; ``replay`` does the same
 for every command at once, which needs nothing beyond the runtime
 dependencies. A change that rewrites a file lists in its change notes
@@ -30,8 +32,8 @@ def _time(L, d, l2):
     return ("boson-time", "--L", L, "--d", d, "--l2", l2, "--t", "1000.0:1000000.0:20:log")
 
 
-# the README boson-holevo sweep, then the benchmark's continuum panels on
-# their unjittered grids
+# the README boson-holevo sweep, the benchmark's continuum panels on their
+# unjittered grids, and one closed-form moment and entropy-correction sweep
 BOSON = (
     _holevo("10", "10", "10:100000:25:log"),
     _holevo("10.0", "10.0"),
@@ -40,6 +42,9 @@ BOSON = (
     _time("10.0", "5.0", "10.0"),
     _time("10.0", "10.0", "100.0"),
     _time("1.0", "1.0", "2.0"),
+    ("boson-moments", "--L", "10", "--d", "10", "--eps", "0.5", "--l2", "10:1000:4:log",
+     "--K", "1.5", "--gamma", "0.3,0.7"),
+    ("boson-mie", "--L", "5", "--d", "7", "--eps", "0.3", "--l2", "10:1000:4:log", "--n", "3"),
 )
 
 # the benchmark's two lattice-moments sweeps, the xx one as in the README;
@@ -54,8 +59,8 @@ LATTICE = (
 
 _CN = ("cn-table", "--L", "1", "--d", "1", "--l2", "2")
 
-# the benchmark's operator commands, which it runs unjittered, and one
-# overlap grid
+# the benchmark's operator commands, which it runs unjittered, one overlap
+# grid, one replica matrix and one averaged-purity flux grid
 OPERATOR = (
     _CN + ("--spec", "scalar:0.25", "--n", "1:10"),
     _CN + ("--spec", "scalar:0.75", "--n", "1:10"),
@@ -66,6 +71,9 @@ OPERATOR = (
     ("uv-check", "--L", "2", "--d", "2", "--l2", "5", "--spec", "scalar:0.75", "--gamma", "0.3",
      "--eps-reg", "1e-3"),
     ("overlap", "--gamma1", "0.1,0.5", "--gamma2", "0.2,0.4"),
+    ("operator-m", "--L", "1", "--d", "1", "--l2", "2", "--spec", "scalar:0.25", "--n", "4"),
+    ("averaged-purity", "--L", "1", "--d", "1", "--l2", "2", "--spec", "scalar:0.75",
+     "--gamma", "0.1,0.5,1.5"),
 )
 
 

@@ -24,6 +24,14 @@ def test_golden_file_covers_every_command():
         assert tuple(regen.read(path)) == commands, path.name
 
 
+def test_every_command_has_a_golden_block():
+    # but lattice-overlap, whose noise sectors print digits that are not stable
+    from opens.cli import build_parser
+
+    commands = set(build_parser()[1])
+    assert {argv[0] for argv in regen.COMMANDS} == commands - {"lattice-overlap"}
+
+
 @pytest.mark.parametrize("argv", regen.COMMANDS, ids=lambda argv: " ".join(argv[:5]))
 def test_golden_rows_are_unchanged(argv):
     path, text = GOLDEN[argv]
