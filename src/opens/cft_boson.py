@@ -55,8 +55,10 @@ class BosonParams:
             raise ValueError(f"Luttinger parameter must be positive and finite, got K={self.K}")
 
 
-# the samples decay like t^-4, which leaves the normal float range past this t
-_T_MAX = np.finfo(float).tiny ** -0.25
+# the samples decay like t^-4, which leaves the normal float range past this t;
+# ``_time_samples`` also refuses a layout whose samples get there first
+_TINY = np.finfo(float).tiny
+_T_MAX = _TINY ** -0.25
 
 
 @dataclass(frozen=True)
@@ -329,7 +331,10 @@ def holevo_chi_approx(g: Geometry) -> float:
 def _time_samples(points, n_max):
     """``_samples`` at the time-shifted endpoints of every (g, tp) point.
 
-    A point whose t lies in the light-cone window gets its DomainError.
+    A point whose t lies in the light-cone window gets its DomainError. So
+    does a point whose samples leave the normal floats: they scale like
+    ell2^2 L^2 / t^4, so a small layout gets there below ``_T_MAX``, and a
+    subnormal sample has lost digits that the continuation needs.
     """
     def shifted(g, tp):
         if g.a - g.L <= tp.t <= g.b:
@@ -339,7 +344,18 @@ def _time_samples(points, n_max):
             )
         return g, complex(tp.t, tp.eps_prime)
 
-    return _where_ok([shifted(g, tp) for g, tp in points], lambda pts: _samples(pts, n_max))
+    def normal(samples, t):
+        low = min(abs(chi) for _, chi in samples)
+        if low < _TINY:
+            return DomainError(
+                f"t = {t:g} is too late for this layout: its chi_n(t) samples fall to "
+                f"{low:.3g}, below the normal floats; they decay like t^-4, so t must stay "
+                f"below about {t * (low / _TINY) ** 0.25:.3g}")
+        return samples
+
+    samples = _where_ok([shifted(g, tp) for g, tp in points], lambda pts: _samples(pts, n_max))
+    return [s if isinstance(s, Exception) else normal(s, tp.t)
+            for s, (_, tp) in zip(samples, points)]
 
 
 def time_correction_samples(g: Geometry, tp: TimeParams, n_max: int = 8):

@@ -6,6 +6,12 @@ parameter provenance and the formula route that produced each number
 ``ed-oracle``). Outputs are deterministic: re-running a command with the
 same configuration reproduces the files byte for byte.
 
+The commands form one table, ``COMMANDS``: ``@_command`` registers each
+function with its name, help, flags (from shared groups: geometry with a
+fixed or swept ``--l2``, quadrature, the chain) and parser defaults, and
+``build_parser`` adds one subparser per entry. A warning a command shows
+is also recorded in its provenance.
+
 Sweep grids use ``lo:hi:count`` (linear), ``lo:hi:count:log`` or
 ``lo:hi:log`` (25-point default), ``lo:hi`` (inclusive integer range), a
 comma list, or a single value.
@@ -18,6 +24,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -67,10 +74,18 @@ GRID_POINTS = 100_000  # the most points one sweep grid may ask for
 
 
 def parse_grid(text: str, flag: str = "grid"):
-    """Parse a sweep specification into a list of floats, naming ``flag`` if it
-    gives no point, more than GRID_POINTS, or a range with a non-finite bound."""
+    """Parse a sweep specification into a list of floats, naming ``flag`` if the
+    text is malformed, gives no point or more than GRID_POINTS, or is a range
+    with a non-finite bound."""
     text = str(text)
     parts = text.split(":")
+
+    def number(field: str, kind=float):
+        try:
+            return kind(field)
+        except ValueError:
+            raise ValueError(f"{flag} {text!r}: {field!r} is not "
+                             f"{'an integer count' if kind is int else 'a number'}") from None
 
     def count(n: int) -> int:  # checked before anything of that size is built
         if n > GRID_POINTS:
@@ -79,24 +94,23 @@ def parse_grid(text: str, flag: str = "grid"):
         return n
 
     if "," in text:
-        values = [float(x) for x in text.split(",") if x]
+        values = [number(x) for x in text.split(",") if x]
     elif len(parts) == 1:
-        values = [float(parts[0])]
+        values = [number(text)]
     elif len(parts) == 2:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = number(parts[0]), number(parts[1])
         if not np.isfinite([lo, hi]).all():
             raise ValueError(f"{flag} {text!r} has a non-finite bound")
         lo, hi = int(lo), int(hi)
         count(hi - lo + 1)
         values = [float(v) for v in range(lo, hi + 1)]
     elif len(parts) == 3 and parts[2] == "log":
-        values = list(np.geomspace(float(parts[0]), float(parts[1]), 25))
-    elif len(parts) == 3:
-        values = list(np.linspace(float(parts[0]), float(parts[1]), count(int(parts[2]))))
-    elif len(parts) == 4 and parts[3] == "log":
-        values = list(np.geomspace(float(parts[0]), float(parts[1]), count(int(parts[2]))))
+        values = list(np.geomspace(number(parts[0]), number(parts[1]), 25))
+    elif len(parts) == 3 or len(parts) == 4 and parts[3] == "log":
+        space = np.linspace if len(parts) == 3 else np.geomspace
+        values = list(space(number(parts[0]), number(parts[1]), count(number(parts[2], int))))
     else:
-        raise ValueError(f"cannot parse grid {text!r}; use lo:hi:count[:log]")
+        raise ValueError(f"cannot parse {flag} {text!r}; use lo:hi:count[:log]")
     if not values:
         raise ValueError(f"{flag} {text!r} gives no point")
     return values
@@ -118,9 +132,7 @@ def parse_spec(text: str) -> OperatorSpec:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _json(v):
@@ -130,23 +142,15 @@ def _json(v):
 
 
 def write_output(path, columns, rows, provenance, fmt="csv"):
-    lines = []
     if fmt == "csv":
-        lines.append(f"# opens {__version__}")
-        for key in sorted(provenance):
-            lines.append(f"# {key} = {provenance[key]}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines = [f"# opens {__version__}", *(f"# {k} = {provenance[k]}" for k in sorted(provenance)),
+                 ",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "version": __version__,
-            "provenance": {k: _json(provenance[k]) for k in sorted(provenance)},
-            "columns": list(columns),
-            "rows": [[_json(float(_fmt(v))) if isinstance(v, float) else v for v in row]
-                     for row in rows],
-        }
+        payload = {"version": __version__, "columns": list(columns),
+                   "provenance": {k: _json(provenance[k]) for k in sorted(provenance)},
+                   "rows": [[_json(float(_fmt(v))) if isinstance(v, float) else v for v in row]
+                            for row in rows]}
         text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -201,163 +205,9 @@ def _geometry(args, l2: float, n: int = 1) -> Geometry:
     return Geometry(args.L, a, a + l2, args.eps, n)
 
 
-# ---------------------------------------------------------------------------
-# command implementations: each returns (columns, rows, provenance entries)
-
-
-def cmd_boson_moments(args):
-    gammas = _fluxes(args.gamma, "--gamma")
-    params = BosonParams(args.K)
-    rows = []
-    for l2 in parse_grid(args.l2, "--l2"):
-        g = _geometry(args, l2, len(gammas))
-        val = charged_moments_ratio(g, params, gammas)
-        rows.append([ROUTE_BOSON, args.L, args.d, l2, args.eps, args.K,
-                     ";".join(_fmt(x) for x in gammas), val])
-    return ["route", "L", "d", "l2", "eps", "K", "gammas", "ratio"], rows, {}
-
-
-def cmd_boson_mie(args):
-    rows = []
-    for l2 in parse_grid(args.l2, "--l2"):
-        g = _geometry(args, l2)
-        ratio, corr = renyi_ratio_and_mie(g, args.n)
-        base = renyi_entropy_base(g, args.n)
-        rows.append([ROUTE_BOSON, args.L, args.d, l2, args.eps, args.n,
-                     ratio, corr, base, base + corr])
-    return ["route", "L", "d", "l2", "eps", "n", "ratio", "correction",
-            "base_entropy", "mie"], rows, {}
-
-
-def cmd_boson_holevo(args):
-    def row(l2, g, res):
-        return [ROUTE_BOSON, args.L, args.d, l2, args.eps, res.value, holevo_chi_approx(g)]
-
-    cols = ["route", "L", "d", "l2", "eps", "chi_numeric", "chi_approx"]
-    return cols, *_batched_rows(parse_grid(args.l2, "--l2"), lambda l2: _geometry(args, l2),
-                                lambda gs: holevo_chi_sweep(gs, args.nmax), row)
-
-
-def cmd_boson_time(args):
-    def row(t, point, res):
-        return [ROUTE_BOSON, args.L, args.d, args.l2, args.eps, t,
-                res.value, chi_time_asymptote(point[0], t)]
-
-    cols = ["route", "L", "d", "l2", "eps", "t", "chi_time", "asymptote"]
-    return cols, *_batched_rows(parse_grid(args.t, "--t"),
-                                lambda t: (_geometry(args, args.l2), TimeParams(t, args.epsp)),
-                                lambda pts: holevo_chi_time_sweep(pts, args.nmax), row)
-
-
-def cmd_cn_table(args):
-    spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
-    ns = _integer_grid(args.n, "n")
-    if len(ns) < 2:
-        raise ValueError(f"grid {args.n!r} gives fewer than two n; the linear fit needs "
-                         "at least two distinct integer points")
-    cns, errs = [], []
-    for n in ns:
-        g = _geometry(args, args.l2, n)
-        if n == 1:
-            cns.append(1.0 / single_copy_m11_operator(g, spec, cfg))
-            errs.append(0.0)
-        else:
-            om = build_M_operator(g, spec, cfg)
-            cns.append(om.cn())
-            errs.append(om.error_estimate)
-    coef = np.polyfit(ns, cns, 1)
-    resid = np.asarray(cns) - np.polyval(coef, ns)
-    rows = [
-        [ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight, n, c, r]
-        for n, c, r in zip(ns, cns, resid)
-    ]
-    prov = {"linear_fit_slope": _fmt(float(coef[0])),
-            "linear_fit_intercept": _fmt(float(coef[1])),
-            "max_abs_residual": _fmt(float(np.abs(resid).max())),
-            "max_error_estimate": _fmt(max(errs))}
-    return ["route", "L", "d", "l2", "kind", "weight", "n", "cn", "lin_residual"], rows, prov
-
-
-def cmd_operator_m(args):
-    spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
-    g = _geometry(args, args.l2, args.n)
-    om = build_M_operator(g, spec, cfg)
-    M = om.dense()
-    rows = [[ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
-             args.n, m, M[0, m]] for m in range(args.n)]
-    prov = {"max_error_estimate": _fmt(om.error_estimate)}
-    return ["route", "L", "d", "l2", "kind", "weight", "n", "offset", "entry"], rows, prov
-
-
-def cmd_operator_mie(args):
-    spec = parse_spec(args.spec)
-    cfg = QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
-    rows, err = [], 0.0
-    for l2 in parse_grid(args.l2, "--l2"):
-        out = mie_general(build_M_operator(_geometry(args, l2, args.n), spec, cfg))
-        err = max(err, out["error_estimate"])
-        rows.append([ROUTE_OPERATOR, args.L, args.d, l2, spec.kind, spec.weight, args.n,
-                     out["base_entropy"], out["det_correction"],
-                     out["q_correction_gaussian"], out["q_correction_saddle"],
-                     out["total"]])
-    cols = ["route", "L", "d", "l2", "kind", "weight", "n", "base_entropy",
-            "det_correction", "q_corr_gaussian", "q_corr_saddle", "mie"]
-    return cols, rows, {"max_error_estimate": _fmt(err)}
-
-
-def _two_replica_matrix(args):
-    """The n = 2 operator matrix of a fixed-l2 command and its
-    ``max_error_estimate`` provenance."""
-    om = build_M_operator(_geometry(args, args.l2, 2), parse_spec(args.spec),
-                          QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol))
-    return om, {"max_error_estimate": _fmt(om.error_estimate)}
-
-
-def cmd_overlap(args):
-    om, prov = _two_replica_matrix(args)
-    spec = om.spec
-    gammas1, gammas2 = _fluxes(args.gamma1, "--gamma1"), _fluxes(args.gamma2, "--gamma2")
-    rows = []
-    for g1 in gammas1:
-        for g2 in gammas2:
-            rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind,
-                         spec.weight, g1, g2,
-                         overlap_generating(om, g1, g2),
-                         uv_finite_overlap_ratio(om, g1, g2)])
-    return ["route", "L", "d", "l2", "kind", "weight", "gamma1", "gamma2",
-            "generating", "uv_ratio"], rows, prov
-
-
-def cmd_averaged_purity(args):
-    om, prov = _two_replica_matrix(args)
-    spec = om.spec
-    rows = []
-    for gam in _fluxes(args.gamma, "--gamma"):
-        out = averaged_purity(om, gam)
-        rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
-                     gam, out["value"], out["normalized"], out["uv_finite"],
-                     out["log_value"], out["log_uv_finite"]])
-    return ["route", "L", "d", "l2", "kind", "weight", "gamma", "value",
-            "normalized", "uv_finite", "log_value", "log_uv_finite"], rows, prov
-
-
-def cmd_uv_check(args):
-    (gamma,) = _fluxes(args.gamma, "--gamma")
-    # one build serves both cutoffs: only the add-back m11 reads eps_reg
-    om, prov = _two_replica_matrix(args)
-    spec = om.spec
-    rows = []
-    for eps in (args.eps_reg, args.eps_reg / 2.0):
-        om_eps = dataclasses.replace(om, eps_reg=eps)
-        ap = averaged_purity(om_eps, gamma)
-        rows.append([ROUTE_OPERATOR, args.L, args.d, args.l2, spec.kind, spec.weight,
-                     gamma, eps, uv_finite_overlap_ratio(om_eps, gamma, gamma),
-                     overlap_generating(om_eps, gamma, gamma),
-                     ap["uv_finite"], ap["value"]])
-    return ["route", "L", "d", "l2", "kind", "weight", "gamma", "eps_reg",
-            "uv_ratio", "raw_generating", "purity_uv_finite", "purity_raw"], rows, prov
+def _quadrature(args):
+    """The observable and quadrature settings of an operator command."""
+    return parse_spec(args.spec), QuadratureConfig(eps_reg=args.eps_reg, tol=args.tol)
 
 
 def _model_from_name(name: str) -> LatticeModel:
@@ -373,106 +223,6 @@ def _model_from_name(name: str) -> LatticeModel:
         pass
     raise ValueError(f"unknown model {name!r}: use xx (or tb, tight-binding), ising, "
                      "or kappa:h with two numbers, e.g. 0.7:0.3")
-
-
-def cmd_lattice_moments(args):
-    model = _model_from_name(args.model)
-    gammas = _fluxes(args.gamma, "--gamma")
-    data = []
-    for l2 in _integer_grid(args.l2, "l2"):
-        lay = SubsystemLayout(args.l1, args.d_sites, l2)
-        data.append((l2, np.log(charged_moments_lattice(model, lay, gammas))))
-    rows = []
-    cft_vals = {}
-    const = 0.0
-    if args.compare == "cft":
-        gam = np.asarray(gammas)
-        for l2, _ in data:
-            g = Geometry(float(args.l1), float(args.l1 + args.d_sites),
-                         float(args.l1 + args.d_sites + l2), 1.0, len(gammas))
-            M = build_M_boson(g).dense()
-            cft_vals[l2] = -(1.0 / (8.0 * np.pi**2)) * gam @ M @ gam
-        const = float(np.mean([lv.real - cft_vals[l2] for l2, lv in data]))
-    for l2, lv in data:
-        row = [ROUTE_LATTICE, args.model, args.l1, args.d_sites, l2,
-               ";".join(_fmt(x) for x in gammas), lv.real, lv.imag]
-        if args.compare == "cft":
-            row += [cft_vals[l2] + const, const]
-        rows.append(row)
-    cols = ["route", "model", "l1", "d", "l2", "gammas", "re_log", "im_log"]
-    if args.compare == "cft":
-        cols += ["cft_prediction", "fitted_constant"]
-    return cols, rows, {}
-
-
-def cmd_lattice_overlap(args):
-    model = _model_from_name(args.model)
-    lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
-    p, R, raw = charge_sector_table(model, lay)
-    rows = []
-    for q1 in range(lay.ell2 + 1):
-        for q2 in range(q1, lay.ell2 + 1):
-            rows.append([ROUTE_LATTICE, args.model, args.l1, args.d_sites,
-                         args.l2_sites, q1, q2, p[q1], p[q2], R[q1, q2]])
-    return ["route", "model", "l1", "d", "l2", "q1", "q2", "p_q1", "p_q2", "overlap"], rows, {}
-
-
-def cmd_ed_verify(args):
-    model = _model_from_name(args.model)
-    lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
-    n_sites = args.sites
-    if n_sites < lay.window:
-        raise ValueError(f"chain of {n_sites} sites cannot hold the layout ({lay.window})")
-    rng = np.random.default_rng(args.seed)
-    oracle = EDOracle(model, n_sites)
-    corr = finite_chain_correlations(model, n_sites).restrict(lay.sites_A + lay.sites_B)
-    rows = []
-    worst = 0.0
-    for n in range(1, args.n + 1):
-        gammas = sorted(rng.uniform(0.1, 3.0, size=n))
-        det_v = charged_moments_lattice(corr, lay, gammas)
-        ed_v = oracle.charged_moment(lay.sites_A, lay.sites_B, gammas)
-        diff = abs(det_v - ed_v)
-        worst = max(worst, diff)
-        rows.append([ROUTE_ED, args.model, n_sites, args.l1, args.d_sites, args.l2_sites,
-                     "moment", ";".join(_fmt(g) for g in gammas),
-                     det_v.real, det_v.imag, ed_v.real, ed_v.imag, diff])
-    p, Rm, raw = charge_sector_table(corr, lay)
-    pe, Rme, rawe = oracle.sector_overlaps(lay.sites_A, lay.sites_B)
-    pdiff = float(np.abs(p - pe).max())
-    rdiff = float(np.abs(raw - rawe).max())
-    worst = max(worst, pdiff, rdiff)
-    rows.append([ROUTE_ED, args.model, n_sites, args.l1, args.d_sites, args.l2_sites,
-                 "charge_probabilities", "", float(p.sum()), 0.0, float(pe.sum()), 0.0, pdiff])
-    rows.append([ROUTE_ED, args.model, n_sites, args.l1, args.d_sites, args.l2_sites,
-                 "sector_overlaps", "", float(raw.max()), 0.0, float(rawe.max()), 0.0, rdiff])
-    cols = ["route", "model", "sites", "l1", "d", "l2", "quantity", "gammas",
-            "det_re", "det_im", "ed_re", "ed_im", "abs_diff"]
-    prov = {"max_abs_diff": _fmt(worst), "tolerance": "1e-08",
-            "verdict": "pass" if worst < 1e-8 else "FAIL",
-            "ed_gap": _fmt(oracle.gap), "ed_residual": _fmt(oracle.residual)}
-    return cols, rows, prov
-
-
-# ---------------------------------------------------------------------------
-# argument plumbing
-
-
-def _add_geometry(p, l2_sweep=True):
-    p.add_argument("--L", type=float, default=10.0, help="length of the probed interval A")
-    p.add_argument("--d", type=float, default=10.0, help="gap between A and B")
-    p.add_argument("--eps", type=float, default=0.5, help="UV cutoff")
-    if l2_sweep:
-        p.add_argument("--l2", default="100", help="measured-interval length or sweep grid")
-    else:
-        p.add_argument("--l2", type=float, default=100.0, help="measured-interval length")
-
-
-def _add_quadrature(p):
-    p.add_argument("--spec", default="scalar:0.25", help="observable, kind:weight")
-    p.add_argument("--eps-reg", dest="eps_reg", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="acceptance bound on the tensor rule's 32-vs-64-node difference")
 
 
 def _model_arg(presets_only: bool):
@@ -503,20 +253,286 @@ def _jobs_arg(text: str) -> int:
         f"{text!r} is not a worker count; --jobs takes an integer >= 1")
 
 
-def _add_lattice(p, presets_only=True):
-    p.add_argument("--model", default="xx", type=_model_arg(presets_only),
-                   help=("xx | ising (infinite-chain presets; ed-verify takes kappa:h)"
-                         if presets_only else "xx | ising | kappa:h"))
-    p.add_argument("--l1", type=int, default=10, help="probed sites")
-    p.add_argument("--d-sites", "--gap", dest="d_sites", type=int, default=10,
-                   help="gap sites between A and B")
+# ---------------------------------------------------------------------------
+# the command table: flag groups, the registering decorator, row heads
 
 
+def _flag(*names, **kw):
+    """One ``add_argument`` call: its option strings and keywords."""
+    return names, kw
 
-def _register(registry, sub, name, **kw):
-    p = sub.add_parser(name, **kw)
-    registry[name] = p
-    return p
+
+_GEOMETRY = (_flag("--L", type=float, default=10.0, help="length of the probed interval A"),
+             _flag("--d", type=float, default=10.0, help="gap between A and B"),
+             _flag("--eps", type=float, default=0.5, help="UV cutoff"))
+_SWEPT = _GEOMETRY + (_flag("--l2", default="100", help="measured-interval length or sweep grid"),)
+_FIXED = _GEOMETRY + (_flag("--l2", type=float, default=100.0, help="measured-interval length"),)
+_QUADRATURE = (_flag("--spec", default="scalar:0.25", help="observable, kind:weight"),
+               _flag("--eps-reg", dest="eps_reg", type=float, default=1e-4),
+               _flag("--tol", type=float, default=1e-9,
+                     help="acceptance bound on the tensor rule's 32-vs-64-node difference"))
+_N = _flag("--n", type=int, default=2)
+_NMAX = _flag("--nmax", type=int, default=8)
+_SITES = (_flag("--l1", type=int, default=10, help="probed sites"),
+          _flag("--d-sites", "--gap", dest="d_sites", type=int, default=10,
+                help="gap sites between A and B"))
+_PRESET_CHAIN = (_flag("--model", default="xx", type=_model_arg(presets_only=True),
+                       help="xx | ising (infinite-chain presets; ed-verify takes kappa:h)"),
+                 *_SITES)
+
+COMMANDS = {}  # name: (help, flags, parser defaults), in the order the parser lists them
+
+
+def _command(name, summary, *flags, **defaults):
+    """Register the decorated function as command ``name`` of ``COMMANDS``."""
+    def register(func):
+        COMMANDS[name] = summary, flags, dict(defaults, func=func)
+        return func
+    return register
+
+
+# the leading columns of each route family's rows, and their values
+_BOSON = ["route", "L", "d", "l2", "eps"]
+_OPERATOR = ["route", "L", "d", "l2", "kind", "weight"]
+_LATTICE = ["route", "model", "l1", "d", "l2"]
+
+
+def _boson_row(args, l2, *values):
+    return [ROUTE_BOSON, args.L, args.d, l2, args.eps, *values]
+
+
+def _operator_row(args, l2, spec, *values):
+    return [ROUTE_OPERATOR, args.L, args.d, l2, spec.kind, spec.weight, *values]
+
+
+def _lattice_row(args, l2, *values):
+    return [ROUTE_LATTICE, args.model, args.l1, args.d_sites, l2, *values]
+
+
+# ---------------------------------------------------------------------------
+# the commands: each returns (columns, rows, provenance entries)
+
+
+@_command("boson-moments", "charged-moment ratio, closed form", *_SWEPT,
+          _flag("--K", type=float, default=1.0),
+          _flag("--gamma", default="0.3,0.7", help="one flux per replica"))
+def _boson_moments(args):
+    gammas = _fluxes(args.gamma, "--gamma")
+    params = BosonParams(args.K)
+    rows = []
+    for l2 in parse_grid(args.l2, "--l2"):
+        val = charged_moments_ratio(_geometry(args, l2, len(gammas)), params, gammas)
+        rows.append(_boson_row(args, l2, args.K, ";".join(_fmt(x) for x in gammas), val))
+    return [*_BOSON, "K", "gammas", "ratio"], rows, {}
+
+
+@_command("boson-mie", "Renyi ratio and entropy correction", *_SWEPT, _N)
+def _boson_mie(args):
+    rows = []
+    for l2 in parse_grid(args.l2, "--l2"):
+        g = _geometry(args, l2)
+        ratio, corr = renyi_ratio_and_mie(g, args.n)
+        base = renyi_entropy_base(g, args.n)
+        rows.append(_boson_row(args, l2, args.n, ratio, corr, base, base + corr))
+    return [*_BOSON, "n", "ratio", "correction", "base_entropy", "mie"], rows, {}
+
+
+@_command("boson-holevo", "Holevo bound, continuation vs closed form", *_SWEPT, _NMAX)
+def _boson_holevo(args):
+    return [*_BOSON, "chi_numeric", "chi_approx"], *_batched_rows(
+        parse_grid(args.l2, "--l2"), lambda l2: _geometry(args, l2),
+        lambda gs: holevo_chi_sweep(gs, args.nmax),
+        lambda l2, g, res: _boson_row(args, l2, res.value, holevo_chi_approx(g)))
+
+
+@_command("boson-time", "time decay of the Holevo bound", *_FIXED,
+          _flag("--t", default="1000:100000:9:log", help="time sweep"),
+          _flag("--epsp", type=float, default=1e-3), _NMAX)
+def _boson_time(args):
+    return [*_BOSON, "t", "chi_time", "asymptote"], *_batched_rows(
+        parse_grid(args.t, "--t"), lambda t: (_geometry(args, args.l2), TimeParams(t, args.epsp)),
+        lambda pts: holevo_chi_time_sweep(pts, args.nmax),
+        lambda t, pt, res: _boson_row(args, args.l2, t, res.value, chi_time_asymptote(pt[0], t)))
+
+
+@_command("cn-table", "charge-width coefficient C_n vs n", *_FIXED, *_QUADRATURE,
+          _flag("--n", default="1:10", help="replica range"))
+def _cn_table(args):
+    spec, cfg = _quadrature(args)
+    ns = _integer_grid(args.n, "n")
+    if len(ns) < 2:
+        raise ValueError(f"grid {args.n!r} gives fewer than two n; the linear fit needs "
+                         "at least two distinct integer points")
+    cns, errs = [], []
+    for n in ns:
+        g = _geometry(args, args.l2, n)
+        if n == 1:
+            cns.append(1.0 / single_copy_m11_operator(g, spec, cfg))
+            errs.append(0.0)
+        else:
+            om = build_M_operator(g, spec, cfg)
+            cns.append(om.cn())
+            errs.append(om.error_estimate)
+    coef = np.polyfit(ns, cns, 1)
+    resid = np.asarray(cns) - np.polyval(coef, ns)
+    rows = [_operator_row(args, args.l2, spec, n, c, r) for n, c, r in zip(ns, cns, resid)]
+    prov = {"linear_fit_slope": _fmt(float(coef[0])),
+            "linear_fit_intercept": _fmt(float(coef[1])),
+            "max_abs_residual": _fmt(float(np.abs(resid).max())),
+            "max_error_estimate": _fmt(max(errs))}
+    return [*_OPERATOR, "n", "cn", "lin_residual"], rows, prov
+
+
+@_command("operator-m", "replica-matrix entries by quadrature", *_FIXED, *_QUADRATURE, _N)
+def _operator_m(args):
+    spec, cfg = _quadrature(args)
+    om = build_M_operator(_geometry(args, args.l2, args.n), spec, cfg)
+    M = om.dense()
+    rows = [_operator_row(args, args.l2, spec, args.n, m, M[0, m]) for m in range(args.n)]
+    prov = {"max_error_estimate": _fmt(om.error_estimate)}
+    return [*_OPERATOR, "n", "offset", "entry"], rows, prov
+
+
+@_command("operator-mie", "entropy correction for a generic observable", *_SWEPT, *_QUADRATURE, _N)
+def _operator_mie(args):
+    spec, cfg = _quadrature(args)
+    rows, err = [], 0.0
+    for l2 in parse_grid(args.l2, "--l2"):
+        out = mie_general(build_M_operator(_geometry(args, l2, args.n), spec, cfg))
+        err = max(err, out["error_estimate"])
+        rows.append(_operator_row(args, l2, spec, args.n, out["base_entropy"],
+                                  out["det_correction"], out["q_correction_gaussian"],
+                                  out["q_correction_saddle"], out["total"]))
+    cols = [*_OPERATOR, "n", "base_entropy", "det_correction", "q_corr_gaussian",
+            "q_corr_saddle", "mie"]
+    return cols, rows, {"max_error_estimate": _fmt(err)}
+
+
+def _two_replica_matrix(args):
+    """The n = 2 operator matrix of a fixed-l2 command, and its provenance."""
+    om = build_M_operator(_geometry(args, args.l2, 2), *_quadrature(args))
+    return om, {"max_error_estimate": _fmt(om.error_estimate)}
+
+
+@_command("overlap", "two-flux overlap generating function", *_FIXED, *_QUADRATURE,
+          _flag("--gamma1", default="0.5"), _flag("--gamma2", default="0.5"))
+def _overlap(args):
+    om, prov = _two_replica_matrix(args)
+    gammas1, gammas2 = _fluxes(args.gamma1, "--gamma1"), _fluxes(args.gamma2, "--gamma2")
+    rows = [_operator_row(args, args.l2, om.spec, g1, g2, overlap_generating(om, g1, g2),
+                          uv_finite_overlap_ratio(om, g1, g2))
+            for g1 in gammas1 for g2 in gammas2]
+    return [*_OPERATOR, "gamma1", "gamma2", "generating", "uv_ratio"], rows, prov
+
+
+@_command("averaged-purity", "flux-weighted averaged purity", *_FIXED, *_QUADRATURE,
+          _flag("--gamma", default="0.5"))
+def _averaged_purity(args):
+    om, prov = _two_replica_matrix(args)
+    rows = []
+    for gam in _fluxes(args.gamma, "--gamma"):
+        out = averaged_purity(om, gam)
+        rows.append(_operator_row(args, args.l2, om.spec, gam, out["value"], out["normalized"],
+                                  out["uv_finite"], out["log_value"], out["log_uv_finite"]))
+    return [*_OPERATOR, "gamma", "value", "normalized", "uv_finite", "log_value",
+            "log_uv_finite"], rows, prov
+
+
+@_command("uv-check", "cutoff-halving stability of UV-finite ratios", *_FIXED, *_QUADRATURE,
+          _flag("--gamma", type=float, default=0.5))
+def _uv_check(args):
+    (gamma,) = _fluxes(args.gamma, "--gamma")
+    # one build serves both cutoffs: only the add-back m11 reads eps_reg
+    om, prov = _two_replica_matrix(args)
+    rows = []
+    for eps in (args.eps_reg, args.eps_reg / 2.0):
+        om_eps = dataclasses.replace(om, eps_reg=eps)
+        ap = averaged_purity(om_eps, gamma)
+        rows.append(_operator_row(args, args.l2, om.spec, gamma, eps,
+                                  uv_finite_overlap_ratio(om_eps, gamma, gamma),
+                                  overlap_generating(om_eps, gamma, gamma),
+                                  ap["uv_finite"], ap["value"]))
+    return [*_OPERATOR, "gamma", "eps_reg", "uv_ratio", "raw_generating", "purity_uv_finite",
+            "purity_raw"], rows, prov
+
+
+@_command("lattice-moments", "flux-dressed replica traces on the chain", *_PRESET_CHAIN,
+          _flag("--gamma", default="0.3,0.7"),
+          _flag("--l2", default="10:200:10:log", help="measured-sites sweep"),
+          _flag("--compare", choices=("none", "cft"), default="none"))
+def _lattice_moments(args):
+    model = _model_from_name(args.model)
+    gammas = _fluxes(args.gamma, "--gamma")
+    l2s = _integer_grid(args.l2, "l2")
+    logs = [np.log(charged_moments_lattice(model, SubsystemLayout(args.l1, args.d_sites, l2),
+                                           gammas)) for l2 in l2s]
+    label = ";".join(_fmt(x) for x in gammas)
+    rows = [_lattice_row(args, l2, label, lv.real, lv.imag) for l2, lv in zip(l2s, logs)]
+    cols = [*_LATTICE, "gammas", "re_log", "im_log"]
+    if args.compare == "cft":
+        gam, a = np.asarray(gammas), float(args.l1 + args.d_sites)
+        cft = [-(1.0 / (8.0 * np.pi**2)) * gam @ build_M_boson(
+            Geometry(float(args.l1), a, a + l2, 1.0, len(gammas))).dense() @ gam for l2 in l2s]
+        const = float(np.mean([lv.real - c for lv, c in zip(logs, cft)]))
+        rows = [row + [c + const, const] for row, c in zip(rows, cft)]
+        cols += ["cft_prediction", "fitted_constant"]
+    return cols, rows, {}
+
+
+@_command("lattice-overlap", "post-measurement overlap table", *_PRESET_CHAIN,
+          _flag("--l2-sites", dest="l2_sites", type=int, default=6))
+def _lattice_overlap(args):
+    model = _model_from_name(args.model)
+    lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
+    p, R, raw = charge_sector_table(model, lay)
+    rows = [_lattice_row(args, args.l2_sites, q1, q2, p[q1], p[q2], R[q1, q2])
+            for q1 in range(lay.ell2 + 1) for q2 in range(q1, lay.ell2 + 1)]
+    return [*_LATTICE, "q1", "q2", "p_q1", "p_q2", "overlap"], rows, {}
+
+
+# l1 = d_sites = 3: with the default --l2-sites, a layout that fills the default chain
+@_command("ed-verify", "determinant route vs exact diagonalization",
+          _flag("--model", default="xx", type=_model_arg(presets_only=False),
+                help="xx | ising | kappa:h"), *_SITES,
+          _flag("--l2-sites", dest="l2_sites", type=int, default=2),
+          _flag("--sites", type=int, default=8, help="total chain sites (<= 12)"),
+          _flag("--n", type=int, default=3, help="largest replica number"), l1=3, d_sites=3)
+def _ed_verify(args):
+    model = _model_from_name(args.model)
+    lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
+    if args.sites < lay.window:
+        raise ValueError(f"chain of {args.sites} sites cannot hold the layout ({lay.window})")
+    rng = np.random.default_rng(args.seed)
+    oracle = EDOracle(model, args.sites)
+    corr = finite_chain_correlations(model, args.sites).restrict(lay.sites_A + lay.sites_B)
+    head = [ROUTE_ED, args.model, args.sites, args.l1, args.d_sites, args.l2_sites]
+    rows = []
+    worst = 0.0
+    for n in range(1, args.n + 1):
+        gammas = sorted(rng.uniform(0.1, 3.0, size=n))
+        det_v = charged_moments_lattice(corr, lay, gammas)
+        ed_v = oracle.charged_moment(lay.sites_A, lay.sites_B, gammas)
+        diff = abs(det_v - ed_v)
+        worst = max(worst, diff)
+        rows.append([*head, "moment", ";".join(_fmt(g) for g in gammas),
+                     det_v.real, det_v.imag, ed_v.real, ed_v.imag, diff])
+    p, Rm, raw = charge_sector_table(corr, lay)
+    pe, Rme, rawe = oracle.sector_overlaps(lay.sites_A, lay.sites_B)
+    pdiff = float(np.abs(p - pe).max())
+    rdiff = float(np.abs(raw - rawe).max())
+    worst = max(worst, pdiff, rdiff)
+    rows += [[*head, "charge_probabilities", "", float(p.sum()), 0.0, float(pe.sum()), 0.0, pdiff],
+             [*head, "sector_overlaps", "", float(raw.max()), 0.0, float(rawe.max()), 0.0, rdiff]]
+    cols = ["route", "model", "sites", "l1", "d", "l2", "quantity", "gammas",
+            "det_re", "det_im", "ed_re", "ed_im", "abs_diff"]
+    prov = {"max_abs_diff": _fmt(worst), "tolerance": "1e-08",
+            "verdict": "pass" if worst < 1e-8 else "FAIL",
+            "ed_gap": _fmt(oracle.gap), "ed_residual": _fmt(oracle.residual)}
+    return cols, rows, prov
+
+
+# ---------------------------------------------------------------------------
+# argument plumbing
 
 
 @functools.cache
@@ -535,94 +551,20 @@ def _top_level_parser():
 
 
 def build_parser():
-    """A new ``(parser, subparsers)`` pair; ``subparsers`` maps command names to parsers."""
-    subparsers = {}
+    """A new ``(parser, subparsers)`` pair, one subparser per ``COMMANDS`` entry;
+    ``subparsers`` maps command names to parsers."""
     ap = argparse.ArgumentParser(
         prog="opens",
         description="entanglement diagnostics of observable-projected ensembles",
         parents=[_top_level_parser()],
     )
     sub = ap.add_subparsers(dest="command")
-
-    p = _register(subparsers, sub, "boson-moments", help="charged-moment ratio, closed form")
-    _add_geometry(p)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--gamma", default="0.3,0.7", help="one flux per replica")
-    p.set_defaults(func=cmd_boson_moments)
-
-    p = _register(subparsers, sub, "boson-mie", help="Renyi ratio and entropy correction")
-    _add_geometry(p)
-    p.add_argument("--n", type=int, default=2)
-    p.set_defaults(func=cmd_boson_mie)
-
-    p = _register(subparsers, sub, "boson-holevo", help="Holevo bound, continuation vs closed form")
-    _add_geometry(p)
-    p.add_argument("--nmax", type=int, default=8)
-    p.set_defaults(func=cmd_boson_holevo)
-
-    p = _register(subparsers, sub, "boson-time", help="time decay of the Holevo bound")
-    _add_geometry(p, l2_sweep=False)
-    p.add_argument("--t", default="1000:100000:9:log", help="time sweep")
-    p.add_argument("--epsp", type=float, default=1e-3)
-    p.add_argument("--nmax", type=int, default=8)
-    p.set_defaults(func=cmd_boson_time)
-
-    p = _register(subparsers, sub, "cn-table", help="charge-width coefficient C_n vs n")
-    _add_geometry(p, l2_sweep=False)
-    _add_quadrature(p)
-    p.add_argument("--n", default="1:10", help="replica range")
-    p.set_defaults(func=cmd_cn_table)
-
-    p = _register(subparsers, sub, "operator-m", help="replica-matrix entries by quadrature")
-    _add_geometry(p, l2_sweep=False)
-    _add_quadrature(p)
-    p.add_argument("--n", type=int, default=2)
-    p.set_defaults(func=cmd_operator_m)
-
-    p = _register(subparsers, sub, "operator-mie", help="entropy correction for a generic observable")
-    _add_geometry(p)
-    _add_quadrature(p)
-    p.add_argument("--n", type=int, default=2)
-    p.set_defaults(func=cmd_operator_mie)
-
-    p = _register(subparsers, sub, "overlap", help="two-flux overlap generating function")
-    _add_geometry(p, l2_sweep=False)
-    _add_quadrature(p)
-    p.add_argument("--gamma1", default="0.5")
-    p.add_argument("--gamma2", default="0.5")
-    p.set_defaults(func=cmd_overlap)
-
-    p = _register(subparsers, sub, "averaged-purity", help="flux-weighted averaged purity")
-    _add_geometry(p, l2_sweep=False)
-    _add_quadrature(p)
-    p.add_argument("--gamma", default="0.5")
-    p.set_defaults(func=cmd_averaged_purity)
-
-    p = _register(subparsers, sub, "uv-check", help="cutoff-halving stability of UV-finite ratios")
-    _add_geometry(p, l2_sweep=False)
-    _add_quadrature(p)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.set_defaults(func=cmd_uv_check)
-
-    p = _register(subparsers, sub, "lattice-moments", help="flux-dressed replica traces on the chain")
-    _add_lattice(p)
-    p.add_argument("--gamma", default="0.3,0.7")
-    p.add_argument("--l2", default="10:200:10:log", help="measured-sites sweep")
-    p.add_argument("--compare", choices=("none", "cft"), default="none")
-    p.set_defaults(func=cmd_lattice_moments)
-
-    p = _register(subparsers, sub, "lattice-overlap", help="post-measurement overlap table")
-    _add_lattice(p)
-    p.add_argument("--l2-sites", dest="l2_sites", type=int, default=6)
-    p.set_defaults(func=cmd_lattice_overlap)
-
-    p = _register(subparsers, sub, "ed-verify", help="determinant route vs exact diagonalization")
-    _add_lattice(p, presets_only=False)
-    p.add_argument("--l2-sites", dest="l2_sites", type=int, default=2)
-    p.add_argument("--sites", type=int, default=8, help="total chain sites (<= 12)")
-    p.add_argument("--n", type=int, default=3, help="largest replica number")
-    # a layout of 3 + 3 + 2 sites that fills the default chain
-    p.set_defaults(func=cmd_ed_verify, l1=3, d_sites=3)
+    subparsers = {}
+    for name, (summary, flags, defaults) in COMMANDS.items():
+        p = subparsers[name] = sub.add_parser(name, help=summary)
+        for names, kw in flags:
+            p.add_argument(*names, **kw)
+        p.set_defaults(**defaults)
     return ap, subparsers
 
 
@@ -695,19 +637,26 @@ def main(argv=None) -> int:
     if not args.command:
         ap.print_usage(sys.stderr)
         return 2
-    provenance = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("func", "config", "output", "format") and not callable(v)
-    }
-    try:
-        cols, rows, prov_extra = args.func(args)
-    except Exception as exc:  # numerical failure: diagnostic record, nonzero exit
-        write_output(args.output, ["error"], [[f"{type(exc).__name__}: {exc}"]],
-                     dict(provenance, status="error"), args.format)
-        return 1
+    provenance = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("func", "config", "output", "format") and not callable(v)}
+    shown = {}  # each distinct warning the command showed, passed on to the handler that shows it
+
+    def record(message, category, *rest, show=warnings.showwarning):
+        shown[f"{category.__name__}: {message}"] = None
+        show(message, category, *rest)
+
+    with warnings.catch_warnings():  # the filters and handler are restored on exit
+        warnings.showwarning = record
+        try:
+            cols, rows, prov_extra = args.func(args)
+        except Exception as exc:  # numerical failure: diagnostic record, nonzero exit
+            cols, rows = ["error"], [[f"{type(exc).__name__}: {exc}"]]
+            prov_extra = {"status": "error"}
+    if shown:
+        provenance["warnings"] = " | ".join(shown)
     provenance.update(prov_extra)
     write_output(args.output, cols, rows, provenance, args.format)
-    return 1 if prov_extra.get("verdict") == "FAIL" else 0
+    return 1 if "status" in prov_extra or prov_extra.get("verdict") == "FAIL" else 0
 
 
 if __name__ == "__main__":

@@ -334,6 +334,22 @@ class TestTimeDependence:
             TimeParams(past, 1e-3)
         assert f"[0, {_T_MAX:.6g}]" in str(err.value) and f"got t={past}" in str(err.value)
 
+    @pytest.mark.parametrize("L, d, l2, eps, bound", [(1e-3, 1e-3, 1e-2, 1e-4, "7.2e+73"),
+                                                      (0.01, 1.0, 2.0, 1e-3, "2.79e+75")])
+    def test_time_past_the_layouts_float_range_is_rejected_by_name(self, L, d, l2, eps, bound):
+        # below _T_MAX, but the samples of these small layouts, about 0.56 of
+        # the asymptote ell2^2 L^2 / (24 log(ell2 / 2 eps) t^4), are subnormal
+        # at t = 8e76, where the first gave a spurious ContinuationError and
+        # the second a subnormal chi. The point is refused by name; 1e70
+        # keeps every sample normal and runs to full accuracy
+        g = Geometry(L, L + d, L + d + l2, eps)
+        late, ok = holevo_chi_time_sweep([(g, TimeParams(t, 1e-3)) for t in (8e76, 1e70)])
+        assert isinstance(late, DomainError)
+        assert str(late).startswith("t = 8e+76 is too late for this layout: its chi_n(t) samples "
+                                    "fall to "), str(late)
+        assert str(late).endswith(f"so t must stay below about {bound}"), str(late)
+        assert ok.value == pytest.approx(chi_time_asymptote(g, 1e70), rel=1e-12)
+
     def test_zero_time_limit(self):
         g = geo(n=1)
         tp = TimeParams(0.0, 1e-8)

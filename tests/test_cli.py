@@ -262,6 +262,12 @@ class TestCommands:
          f"--t '1:10:{GRID_POINTS + 1}' asks for {GRID_POINTS + 1} points"),
         (["boson-holevo", "--l2", f"1:100:{GRID_POINTS + 1}:log"],
          f"--l2 '1:100:{GRID_POINTS + 1}:log' asks for {GRID_POINTS + 1} points"),
+        # malformed text
+        (["boson-holevo", "--l2", "1:5:2.5"], "--l2 '1:5:2.5': '2.5' is not an integer count"),
+        (["boson-holevo", "--l2", "a,b"], "--l2 'a,b': 'a' is not a number"),
+        (["boson-holevo", "--l2", "1:10:3:lin"],
+         "cannot parse --l2 '1:10:3:lin'; use lo:hi:count[:log]"),
+        (["cn-table", "--n", "1:3:1e9"], "--n '1:3:1e9': '1e9' is not an integer count"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_non_finite_fluxes_and_empty_grids_are_rejected(self, tmp_path, args, named):
         # an error record naming the flag, raised before any point is
@@ -492,6 +498,33 @@ class TestCommands:
             for _ in range(3):
                 assert main(["--output", str(tmp_path / "j.csv"), "--jobs", "2"] + args) == 0
         assert warnings.filters == before
+
+    def test_warnings_are_recorded_in_the_provenance(self, tmp_path):
+        # each distinct warning once, in the order first shown, in one line
+        # that a command without warnings does not have; the warning still
+        # reaches the caller's handler, and an error record carries it too
+        out = tmp_path / "w.csv"
+        regime = "RegimeWarning: (b-a)/(2 eps) = {} <= 1: logarithms change sign, " \
+                 "cutoff-dominated regime"
+        recorded = lambda: [l for l in out.read_text().splitlines() if l.startswith("# warnings")]
+        with pytest.warns(RegimeWarning, match="cutoff-dominated regime"):
+            assert main(["--output", str(out), "uv-check", "--l2", "1e-3", "--gamma", "0.1"]) == 0
+        assert recorded() == ["# warnings = " + regime.format("0.001")]
+        with pytest.warns(RegimeWarning) as caught:
+            assert main(["--output", str(out), "boson-moments", "--l2", "0.5,0.5,0.8"]) == 0
+        assert len(caught) == 6
+        dominance = ("RegimeWarning: diagonal entry does not dominate the circulant row; the "
+                     "weak-coupling expansion of the determinant is unreliable here")
+        assert recorded() == ["# warnings = " + " | ".join(
+            [regime.format("0.5"), dominance, regime.format("0.8")])]
+        with pytest.warns(RegimeWarning):
+            assert main(["--output", str(out), "boson-mie", "--l2", "0.5"]) == 1
+        assert recorded() == ["# warnings = " + regime.format("0.5")]
+        assert "# status = error" in out.read_text().splitlines()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--output", str(out), "uv-check", "--l2", "5"]) == 0
+        assert recorded() == []
 
     def test_boson_commands_record_error_estimate(self, tmp_path):
         # the largest leave-one-out spread over the rows, the same at --jobs 2
