@@ -19,7 +19,7 @@ replica-index continuation to n -> 1 lives in ``continuation``; ``cli``
 drives all of it. The package holds only what a command, another module
 or the benchmark uses, down to the methods of its classes. The
 independent checks that the tests compare the routes against (circulant
-determinants, closed-form C_n, the regularized flat integrals, ring
+eigenvalues by one FFT of the row and determinants from them, closed-form C_n, the regularized flat integrals, ring
 momentum sums, dense Fock operators, the per-point boson rows, the
 Gaussian Renyi entropy from the occupations, and the ED Renyi entropy and
 outcome-averaged entropy from the post-measurement states) live in

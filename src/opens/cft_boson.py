@@ -14,8 +14,9 @@ precision, at real endpoints for the static quantities and at
 time-shifted complex endpoints for the real-time decay. The entries are
 logs of sinh^2(ell / 2n), ell = log(u(a) / u(b)) for the uniformizing map
 u(z) = z / (z - L), formed without cancellation; the entropy corrections
-chi_n come from one kernel that keeps their full relative accuracy down to
-the t^{-4} tail, far below double-precision rounding of M itself.
+chi_n come from ``core.replica_log_det``, the replica-determinant kernel
+that the operator route shares, which keeps their full relative accuracy
+down to the t^{-4} tail, far below double-precision rounding of M itself.
 
 A sweep is one batch: the samples of every point come from one vectorized
 pass, and their continuations share stacked fits across the sweep's
@@ -33,10 +34,10 @@ import numpy as np
 
 from opens.continuation import continue_stack
 from opens.continuation import continue_to_one  # noqa: F401 - perfbench's traced run looks it up here
-from opens.core import (IMAG_TOL, Geometry, SymmetricCirculant, _cmul, _complex, _one, _where_ok,
-                        log_ratio, log_sinhc)
+from opens.core import (Geometry, SymmetricCirculant, _cmul, _complex, _one, _where_ok, log_ratio,
+                        log_sinhc, replica_log_det)
 from opens.core import quadratic_form_cn  # noqa: F401 - perfbench's traced run looks it up here
-from opens.errors import DomainError, RegimeWarning, SingularMatrixError
+from opens.errors import DomainError, RegimeWarning
 
 
 @dataclass(frozen=True)
@@ -166,30 +167,18 @@ def charged_moments_ratio(g: Geometry, p: BosonParams, gammas) -> float:
     return float(np.exp(-p.K / (8.0 * np.pi**2) * gam @ M @ gam))
 
 
-def _circulant_failure(row, n):
-    """The exception a row that fails the checks of ``_chi`` raises."""
-    try:
-        SymmetricCirculant(row).eigenvalues()
-    except ValueError as exc:  # a nan entry, or complex eigenvalues
-        return exc
-    return SingularMatrixError(f"non-positive replica eigenvalue at n = {n}")
-
-
 def _chi(points, ns):
     """chi_n = (n log m1 - log det M(n)) / (2(n - 1)) at every (g, shift) point.
 
     m1 is the single-copy (n = 1) diagonal. The diagonal difference
     D = M_00(n) - m1 = -4 Re[F(ell / 2) - F(ell / 2n)], F = log sinhc, has no
-    cancellation, and the eigenvalues of M(n) are m1 (1 + delta_k), with
-    m1 delta_k those of the row whose diagonal is D. Since the delta_k sum
-    to n D / m1,
-    chi_n = -[n D / m1 + sum_k (log1p delta_k - delta_k)] / (2(n - 1)),
-    which keeps full relative accuracy however small chi_n is. Endpoints
-    sit at a - shift and b - shift.
+    cancellation, and ``replica_log_det`` takes log(det M(n) / m1^n) from
+    the row whose diagonal is D, with full relative accuracy however small
+    chi_n is. Endpoints sit at a - shift and b - shift.
 
-    All points are evaluated together, with one FFT per n over the
-    (points, n) rows. Returns per point its list of chi_n for n in ``ns``,
-    or the exception that point raises, from its first failing check.
+    All points are evaluated together, as one stack of rows per n. Returns
+    per point its list of chi_n for n in ``ns``, or the exception that
+    point raises, from its first failing check.
     """
     if not points:
         return []
@@ -204,19 +193,12 @@ def _chi(points, ns):
                 f"single-copy diagonal m1 = {m1[i]:.3g} <= 0: cutoff-dominated layout")
         f1 = log_sinhc(ell / 2.0).real
         for k, n in enumerate(ns):
-            live = np.array([f is None for f in failure])
             row = _rows(ell, pa, pb, n)
-            _warn_unless_dominant(row[live])
+            _warn_unless_dominant(row[[f is None for f in failure]])
             row[:, 0] = -4.0 * (f1 - log_sinhc(ell / (2.0 * n)).real)
-            lam = np.fft.fft(row)
-            delta = lam.real / m1[:, None]
-            top = np.abs(lam.real).max(axis=1)
-            bad = (np.isnan(row[:, 1:]).any(axis=1)
-                   | (np.abs(lam.imag).max(axis=1) > IMAG_TOL * np.where(top > 1.0, top, 1.0))
-                   | (delta <= -1.0).any(axis=1))
-            for i in np.flatnonzero(live & bad):
-                failure[i] = _circulant_failure(row[i], n)
-            chi[:, k] = -(n * row[:, 0] / m1 + np.sum(np.log1p(delta) - delta, axis=1)) / (2.0 * (n - 1))
+            log_det, _, fails = replica_log_det(row, m1)
+            failure = [f if f is not None else e for f, e in zip(failure, fails)]
+            chi[:, k] = -log_det / (2.0 * (n - 1))
     return [f if f is not None else c for f, c in zip(failure, chi.tolist())]
 
 
@@ -233,14 +215,6 @@ def renyi_ratio_and_mie(g: Geometry, n: int):
         raise ValueError("need n >= 2 replicas")
     chi, = _one(_chi([(g, 0.0)], [n]))
     return float(np.exp((n - 1) * chi)), -chi
-
-
-def renyi_entropy_base(g: Geometry, n: float) -> float:
-    """Renyi entropy of A before any measurement, (1/6)(n+1)/n log(L/eps).
-
-    The additive constant is non-universal and set to zero.
-    """
-    return (n + 1.0) / (6.0 * n) * np.log(g.L / g.eps)
 
 
 def _samples(points, n_max):

@@ -26,10 +26,11 @@ eigensolve (``_gauss_jacobi``) and exprel from ``math.expm1``
 special functions.
 
 One ``OperatorMatrix`` per (geometry, n) feeds every ensemble diagnostic:
-the generalized entropy correction, overlap generating functions, the
-averaged purity, and the UV-finite ratios that survive eps -> 0. Only its
-add-back ``m11`` reads the cutoff ``eps_reg``, so
-``dataclasses.replace(om, eps_reg=...)`` is the same matrix at another eps.
+the generalized entropy correction, from ``core.replica_log_det`` as the
+boson's, overlap generating functions, the averaged purity, and the
+UV-finite ratios that survive eps -> 0. Only its add-back ``m11`` reads
+the cutoff ``eps_reg``, so ``dataclasses.replace(om, eps_reg=...)`` is the
+same matrix at another eps.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc, quadratic_form_cn
+from opens.core import (Geometry, SymmetricCirculant, _one, log_ratio, log_sinhc,
+                        quadratic_form_cn, renyi_entropy_base, replica_log_det)
 from opens.errors import QuadratureError
 
 #: nodes per axis of the coarse tensor rule; the fine rule doubles it
@@ -442,20 +444,6 @@ def _exp(x) -> float:
         return float(np.exp(x))
 
 
-def _replica_log_terms(delta: np.ndarray, m11: float):
-    """log(det M / m11^n) and C_n - n C_1 for M = m11 + D.
-
-    delta are the eigenvalues of the subtracted circulant D, delta[0] its
-    row sum. Written as sum_k log1p(delta_k / m11) and
-    -n delta_0 / (m11 (m11 + delta_0)), both keep their digits when
-    m11 ~ 1e10, where the dense M would cancel them away.
-    """
-    if np.any(delta <= -m11):
-        raise ValueError("replica matrix must have positive determinant")
-    n = len(delta)
-    return np.sum(np.log1p(delta / m11)), -n * delta[0] / (m11 * (m11 + delta[0]))
-
-
 def _two_replica(om: OperatorMatrix) -> OperatorMatrix:
     if om.geometry.n != 2:
         raise ValueError(f"need the n = 2 replica matrix, got n = {om.geometry.n}")
@@ -474,21 +462,22 @@ def mie_general(om: OperatorMatrix) -> dict:
     bookkeeping). ``total`` uses the gaussian convention, which matches
     direct summation over outcomes. n is ``om.geometry.n``.
 
-    Both corrections come from m11 and the eigenvalues of the subtracted
-    circulant (`_replica_log_terms`), never from the dense M.
+    Both corrections come from m11 and the subtracted circulant by
+    ``replica_log_det``, as the boson's do, never from the dense M.
     """
     g, n = om.geometry, om.geometry.n
     if n < 2:
         raise ValueError("need n >= 2 replicas")
     m11 = om.m11
-    delta = om.subtracted().eigenvalues()
-    log_det_ratio, cn_excess = _replica_log_terms(delta, m11)
+    (log_det_ratio,), (cn_excess,), failure = replica_log_det(
+        np.array([om.subtracted().row]), np.array([m11]))
+    _one(failure)  # raises the exception of a failed row
     det_corr = -log_det_ratio / (2.0 * (1 - n))
     c1 = 1.0 / m11
     q2_saddle = 1.0 / np.sqrt(2.0 * np.pi * c1**3 * m11)
     qterm_gauss = -cn_excess * m11 / (2.0 * (1 - n))  # <q^2> = m11
     qterm_saddle = -cn_excess * q2_saddle / (2.0 * (1 - n))
-    base = (n + 1.0) / (6.0 * n) * np.log(g.L / g.eps)
+    base = renyi_entropy_base(g, n)
     return {
         "base_entropy": base,
         "det_correction": float(det_corr),

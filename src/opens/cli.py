@@ -41,7 +41,6 @@ from opens.cft_boson import (
     holevo_chi_sweep,
     holevo_chi_time,  # unused here, likewise
     holevo_chi_time_sweep,
-    renyi_entropy_base,
     renyi_ratio_and_mie,
 )
 from opens.cft_operator import (
@@ -54,7 +53,7 @@ from opens.cft_operator import (
     single_copy_m11_operator,
     uv_finite_overlap_ratio,
 )
-from opens.core import Geometry, _where_ok
+from opens.core import Geometry, _where_ok, renyi_entropy_base
 from opens.lattice import (
     ISING,
     TIGHT_BINDING,
@@ -76,7 +75,7 @@ GRID_POINTS = 100_000  # the most points one sweep grid may ask for
 def parse_grid(text: str, flag: str = "grid"):
     """Parse a sweep specification into a list of floats, naming ``flag`` if the
     text is malformed, gives no point or more than GRID_POINTS, or is a range
-    with a non-finite bound."""
+    with a non-finite bound, a log range with a bound <= 0 or a negative count."""
     text = str(text)
     parts = text.split(":")
 
@@ -97,20 +96,24 @@ def parse_grid(text: str, flag: str = "grid"):
         values = [number(x) for x in text.split(",") if x]
     elif len(parts) == 1:
         values = [number(text)]
-    elif len(parts) == 2:
+    elif len(parts) > 4 or len(parts) == 4 and parts[3] != "log":
+        raise ValueError(f"cannot parse {flag} {text!r}; use lo:hi:count[:log]")
+    else:
         lo, hi = number(parts[0]), number(parts[1])
+        log = parts[-1] == "log"
         if not np.isfinite([lo, hi]).all():
             raise ValueError(f"{flag} {text!r} has a non-finite bound")
-        lo, hi = int(lo), int(hi)
-        count(hi - lo + 1)
-        values = [float(v) for v in range(lo, hi + 1)]
-    elif len(parts) == 3 and parts[2] == "log":
-        values = list(np.geomspace(number(parts[0]), number(parts[1]), 25))
-    elif len(parts) == 3 or len(parts) == 4 and parts[3] == "log":
-        space = np.linspace if len(parts) == 3 else np.geomspace
-        values = list(space(number(parts[0]), number(parts[1]), count(number(parts[2], int))))
-    else:
-        raise ValueError(f"cannot parse {flag} {text!r}; use lo:hi:count[:log]")
+        if log and not (lo > 0.0 and hi > 0.0):
+            raise ValueError(f"{flag} {text!r} is a log range with a bound <= 0")
+        if len(parts) == 2:
+            lo, hi = int(lo), int(hi)
+            count(hi - lo + 1)
+            values = [float(v) for v in range(lo, hi + 1)]
+        else:
+            k = 25 if len(parts) == 3 and log else number(parts[2], int)
+            if k < 0:
+                raise ValueError(f"{flag} {text!r} has a negative count")
+            values = list((np.geomspace if log else np.linspace)(lo, hi, count(k)))
     if not values:
         raise ValueError(f"{flag} {text!r} gives no point")
     return values
@@ -127,8 +130,12 @@ def _fluxes(text, flag: str):
 def parse_spec(text: str) -> OperatorSpec:
     kind, _, weight = str(text).partition(":")
     if not weight:
-        raise ValueError(f"operator spec must look like scalar:0.25, got {text!r}")
-    return OperatorSpec(kind, float(weight))
+        raise ValueError(f"--spec must look like scalar:0.25, got {text!r}")
+    try:
+        value = float(weight)
+    except ValueError:
+        raise ValueError(f"--spec {text!r}: {weight!r} is not a number") from None
+    return OperatorSpec(kind, value)
 
 
 def _fmt(x) -> str:

@@ -2,9 +2,9 @@
 
 Everything downstream (the boson closed forms, the operator quadrature and
 the lattice determinants) goes through the small set of contracts defined
-here: a validated interval layout, a palindromic symmetric circulant with
-its real FFT eigenvalues, a solve-based quadratic form
-``v M^{-1} v^T``, the two cancellation-free logarithms that the
+here: a validated interval layout, a palindromic symmetric circulant, the
+replica-determinant kernel and base entropy of both entropy routes, the
+boson's and the operator's, a solve-based quadratic form ``v M^{-1} v^T``, the two cancellation-free logarithms that the
 uniformization map's cross ratios are built from, and the two helpers by
 which a batch of points carries a failed point as the exception in its
 slot.
@@ -102,13 +102,49 @@ class SymmetricCirculant:
         idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
         return r[idx]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Real circulant eigenvalues sum_j row[j] e^{2 pi i j k / n}."""
-        lam = np.fft.fft(np.asarray(self.row))
-        resid = np.abs(lam.imag).max()
-        if resid > IMAG_TOL * max(1.0, np.abs(lam.real).max()):
-            raise ValueError(f"circulant eigenvalues not real, residue {resid:.3e}")
-        return lam.real
+
+def replica_log_det(rows, m1):
+    """log(det M / m1^n) and C_n - n C_1 for M = m1 + the circulant of each row.
+
+    ``rows`` is a (B, n) stack of palindromic first rows with diagonal
+    D = M_00 - m1, and ``m1`` holds the B single-copy diagonals. One FFT
+    gives the row eigenvalues m1 delta_k, those of M being m1 (1 + delta_k).
+    As the delta_k sum to n D / m1, the form
+    n D / m1 + sum_k (log1p delta_k - delta_k) keeps full relative accuracy
+    however small the log is, and -n s / (m1 (m1 + s)), s the row sum, keeps
+    the digits of C_n - n C_1 at m1 ~ 1e10. A row's numbers do not depend on
+    its stack. Returns both arrays and, per row, None or its exception: the
+    palindrome error for a nan entry, complex eigenvalues, or an eigenvalue
+    of M <= 0.
+    """
+    n = rows.shape[1]
+    lam = np.fft.fft(rows)
+    # a failing row may overflow on the way; it gets its exception instead
+    with np.errstate(all="ignore"):
+        delta = lam.real / m1[:, None]
+        top, resid = np.abs(lam.real).max(axis=1), np.abs(lam.imag).max(axis=1)
+        not_real = resid > IMAG_TOL * np.where(top > 1.0, top, 1.0)
+        bad = np.isnan(rows[:, 1:]).any(axis=1) | not_real | (delta <= -1.0).any(axis=1)
+        log_det = n * rows[:, 0] / m1 + np.sum(np.log1p(delta) - delta, axis=1)
+        cn_excess = -n * lam[:, 0].real / (m1 * (m1 + lam[:, 0].real))
+    failures = [None] * len(rows)
+    for i in np.flatnonzero(bad):
+        try:
+            SymmetricCirculant(rows[i])  # a nan entry fails its palindrome check
+            failures[i] = (ValueError(f"circulant eigenvalues not real, residue {resid[i]:.3e}")
+                           if not_real[i] else
+                           SingularMatrixError(f"non-positive replica eigenvalue at n = {n}"))
+        except ValueError as exc:
+            failures[i] = exc
+    return log_det, cn_excess, failures
+
+
+def renyi_entropy_base(g: Geometry, n: float) -> float:
+    """Renyi entropy of A before any measurement, (1/6)(n+1)/n log(L/eps).
+
+    The additive constant is non-universal and set to zero.
+    """
+    return (n + 1.0) / (6.0 * n) * np.log(g.L / g.eps)
 
 
 def quadratic_form_cn(M: np.ndarray) -> float:

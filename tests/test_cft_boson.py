@@ -30,7 +30,8 @@ from opens.cft_boson import (
 from opens.continuation import ContinuationProblem, continue_to_one
 from opens.core import Geometry, SymmetricCirculant, log_sinhc, quadratic_form_cn
 from opens.errors import DomainError, RegimeWarning, SingularMatrixError
-from oracles import charge_distribution, charge_variances, cn_closed_form, loop_endpoints, loop_row
+from oracles import (charge_distribution, charge_variances, circulant_eigenvalues, cn_closed_form,
+                     loop_endpoints, loop_row)
 
 
 def geo(L=10.0, d=20.0, l2=100.0, eps=0.5, n=1):
@@ -464,7 +465,7 @@ def loop_chi(g, ns, shift=0.0):
         D = -4.0 * (log_sinhc(ell / 2.0) - log_sinhc(ell / (2.0 * n))).real
         ref = mp_diagonal_difference(ell, n)
         assert abs(D - ref) <= 1e-13 * abs(ref), (ell, n, D, ref)
-        delta = SymmetricCirculant((D, *row[1:])).eigenvalues() / m1
+        delta = circulant_eigenvalues(SymmetricCirculant((D, *row[1:]))) / m1
         if np.any(delta <= -1.0):
             raise SingularMatrixError(f"non-positive replica eigenvalue at n = {n}")
         out.append(-float(n * D / m1 + np.sum(np.log1p(delta) - delta)) / (2.0 * (n - 1)))

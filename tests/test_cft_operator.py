@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from opens.cft_boson import build_M_boson
+from opens.cft_boson import build_M_boson, renyi_ratio_and_mie
 from opens.cft_operator import (
     OperatorSpec,
     QuadratureConfig,
@@ -23,13 +23,14 @@ from opens.cft_operator import (
 )
 from opens import cft_operator
 from opens.cft_operator import _exprel, _gauss_jacobi, _log_r
-from opens.core import Geometry, SymmetricCirculant, quadratic_form_cn
-from opens.errors import DomainError, QuadratureError
+from opens.core import Geometry, SymmetricCirculant, log_sinhc, quadratic_form_cn
+from opens.errors import DomainError, QuadratureError, SingularMatrixError
 from oracles import (
     FlatIntegral,
     flat_interval_integral,
     interaction_convergence_check,
     log_purity_ratio_q,
+    loop_endpoints,
     replica_map,
 )
 
@@ -534,6 +535,33 @@ class TestMie:
         assert out["det_correction"] == pytest.approx(float(det_ref), rel=1e-10)
         assert out["q_correction_gaussian"] == pytest.approx(float(q_ref), rel=1e-10)
         assert out["total"] == out["base_entropy"] + out["det_correction"] + out["q_correction_gaussian"]
+
+    @pytest.mark.parametrize("L,d,l2", [(10.0, 10.0, 100.0), (10.0, 10.0, 1e4), (1.0, 1.0, 2.0),
+                                        (10.0, 100.0, 1e5), (5.0, 7.0, 10.0)])
+    def test_det_correction_is_the_boson_one_on_its_matrix(self, L, d, l2):
+        # the boson's m1 and its row with diagonal D = M_00(n) - m1, read
+        # through the fields mie_general uses, give the boson's correction
+        # bit for bit: both routes take the determinant from one kernel
+        g1 = Geometry(L, L + d, L + d + l2, 0.5)
+        m1, ell = build_M_boson(g1).row[0], loop_endpoints(g1.L, g1.a, g1.b)[2]
+        for n in (2, 3, 5, 8):
+            g = dataclasses.replace(g1, n=n)
+            row = np.array(build_M_boson(g).row)
+            row[0] = -4.0 * (log_sinhc(ell / 2.0) - log_sinhc(ell / (2.0 * n))).real
+            boson = types.SimpleNamespace(geometry=g, m11=m1, error_estimate=0.0,
+                                          subtracted=lambda: SymmetricCirculant(row))
+            assert mie_general(boson)["det_correction"] == renyi_ratio_and_mie(g, n)[1], n
+
+    def test_a_non_positive_replica_eigenvalue_is_singular(self):
+        # the subtracted row (0, 2) has eigenvalues 2 and -2, so M = 1 + it has -1
+        om = types.SimpleNamespace(geometry=geo(n=2), m11=1.0, error_estimate=0.0,
+                                   subtracted=lambda: SymmetricCirculant([0.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as exc:
+                mie_general(om)
+        assert type(exc.value) is SingularMatrixError
+        assert str(exc.value) == "non-positive replica eigenvalue at n = 2"
 
     def test_not_a_function_of_cross_ratio(self):
         # both layouts share the anharmonic ratio a (b - L) / (b (a - L))

@@ -268,6 +268,17 @@ class TestCommands:
         (["boson-holevo", "--l2", "1:10:3:lin"],
          "cannot parse --l2 '1:10:3:lin'; use lo:hi:count[:log]"),
         (["cn-table", "--n", "1:3:1e9"], "--n '1:3:1e9': '1e9' is not an integer count"),
+        (["operator-m", "--spec", "scalar:abc"], "--spec 'scalar:abc': 'abc' is not a number"),
+        # every range form: finite bounds, log bounds > 0, a count >= 0
+        (["boson-holevo", "--l2", "0:10:log"], "--l2 '0:10:log' is a log range with a bound <= 0"),
+        (["boson-holevo", "--l2=-1:10:5:log"],
+         "--l2 '-1:10:5:log' is a log range with a bound <= 0"),
+        (["boson-holevo", "--l2", "10:-100:log"],
+         "--l2 '10:-100:log' is a log range with a bound <= 0"),
+        (["boson-holevo", "--l2", "nan:100:3"], "--l2 'nan:100:3' has a non-finite bound"),
+        (["cn-table", "--n", "1:nan:3"], "--n '1:nan:3' has a non-finite bound"),
+        (["lattice-moments", "--l2", "10:inf:3"], "--l2 '10:inf:3' has a non-finite bound"),
+        (["boson-holevo", "--l2", "10:100:-3"], "--l2 '10:100:-3' has a negative count"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_non_finite_fluxes_and_empty_grids_are_rejected(self, tmp_path, args, named):
         # an error record naming the flag, raised before any point is

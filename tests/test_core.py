@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opens.core import _LOG_SINHC, Geometry, SymmetricCirculant, quadratic_form_cn
+from opens.core import _LOG_SINHC, Geometry, SymmetricCirculant, quadratic_form_cn, replica_log_det
 from opens.errors import GeometryError, RegimeWarning, SingularMatrixError
 from oracles import circulant_determinant, circulant_inverse_row_sum
 
@@ -128,6 +128,42 @@ class TestQuadraticForm:
         M = np.ones((3, 3))
         with pytest.raises(SingularMatrixError):
             quadratic_form_cn(M)
+
+
+def palindromes(rng, count, n):
+    """``count`` random palindromic rows of length n, row[j] == row[n - j]."""
+    half = rng.uniform(-1.0, 1.0, (count, n // 2 + 1))
+    return np.concatenate((half, half[:, 1:(n + 1) // 2][:, ::-1]), axis=1)
+
+
+class TestReplicaLogDet:
+    def test_matches_the_dense_determinant(self):
+        rows, m1 = palindromes(np.random.default_rng(5), 4, 5), np.array([3.0, 4.0, 5.0, 6.0])
+        log_det, cn_excess, failures = replica_log_det(rows, m1)
+        assert failures == [None] * 4
+        for row, m, ld, ce in zip(rows, m1, log_det, cn_excess):
+            M = SymmetricCirculant(row).dense() + m * np.eye(5)
+            assert ld == pytest.approx(np.log(np.linalg.det(M)) - 5 * np.log(m), rel=1e-12)
+            assert ce == pytest.approx(quadratic_form_cn(M) - 5 / m, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_a_row_gives_the_same_bits_alone_and_in_a_stack(self, n):
+        rng = np.random.default_rng([29, n])
+        rows = palindromes(rng, 12, n)
+        rows[3, n // 2] = np.nan  # a nan entry: the palindrome error
+        m1 = 10.0 ** rng.uniform(1.0, 10.0, 12)  # above every |eigenvalue| of a row
+        rows[5, 0], m1[5] = -n, 1e-3  # every eigenvalue of M below zero: singular
+        stack = replica_log_det(rows, m1)
+        for i in range(len(rows)):
+            alone = replica_log_det(rows[i:i + 1], m1[i:i + 1])
+            for got, want in zip(alone[:2], stack[:2]):
+                assert got.tobytes() == want[i:i + 1].tobytes(), (n, i)
+            (got,), want = alone[2], stack[2][i]
+            assert type(got) is type(want) and str(got) == str(want), (n, i)
+        assert str(stack[2][3]).startswith("first row is not palindromic at j=")
+        assert type(stack[2][5]) is SingularMatrixError
+        assert str(stack[2][5]) == f"non-positive replica eigenvalue at n = {n}"
+        assert sum(f is None for f in stack[2]) == 10
 
 
 def test_log_sinhc_series_constants_are_the_zeta_expression():
