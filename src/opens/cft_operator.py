@@ -20,17 +20,16 @@ rule runs at N and 2N nodes per axis and their difference is the error
 estimate. Nothing on this path calls adaptive quadrature: the nested
 ``quad`` entries ``matrix_entry_offdiag`` and ``matrix_entry_remainder``
 are kept only as the independent check that the tests compare against.
-The Gauss-Jacobi nodes and weights come from an in-repo Golub-Welsch
-eigensolve (``_gauss_jacobi``) and exprel from ``math.expm1``
-(``_exprel``), so the route runs on numpy and LAPACK and loads no scipy
-special functions.
+Gauss-Jacobi rules come from an in-repo Golub-Welsch eigensolve
+(``_gauss_jacobi``), so the route loads no scipy special functions.
 
 One ``OperatorMatrix`` per (geometry, n) feeds every ensemble diagnostic:
-the generalized entropy correction, from ``core.replica_log_det`` as the
-boson's, overlap generating functions, the averaged purity, and the
-UV-finite ratios that survive eps -> 0. Only its add-back ``m11`` reads
-the cutoff ``eps_reg``, so ``dataclasses.replace(om, eps_reg=...)`` is the
-same matrix at another eps.
+C_n as n over the row sum of M, the entropy correction by
+``core.replica_log_det`` as the boson's, overlap generating functions, the
+averaged purity and the UV-finite ratios, all read from M's first row,
+with no dense solve. Only its add-back ``m11`` reads the cutoff
+``eps_reg``, so ``dataclasses.replace(om, eps_reg=...)`` is the same
+matrix at another eps.
 """
 
 from __future__ import annotations
@@ -43,8 +42,9 @@ from functools import lru_cache
 import numpy as np
 
 from opens.core import (Geometry, SymmetricCirculant, _one, log_ratio, log_sinhc,
-                        quadratic_form_cn, renyi_entropy_base, replica_log_det)
-from opens.errors import QuadratureError
+                        renyi_entropy_base, replica_log_det)
+from opens.core import quadratic_form_cn  # noqa: F401 - perfbench's traced run looks it up here
+from opens.errors import QuadratureError, SingularMatrixError
 
 #: nodes per axis of the coarse tensor rule; the fine rule doubles it
 GAUSS_NODES = 32
@@ -388,7 +388,7 @@ class OperatorMatrix:
 
     @property
     def m11(self) -> float:
-        """One-replica diagonal and add-back of ``dense``: the flat integral at
+        """One-replica diagonal and add-back of ``row``: the flat integral at
         ``eps_reg`` exactly, since the n = 1 map is Mobius."""
         return flat_integral_exact(self.spec, self.geometry.ell2, self.eps_reg)
 
@@ -398,11 +398,16 @@ class OperatorMatrix:
         return SymmetricCirculant(
             [self.diag_remainder] + [self.off_row[min(m, n - m) - 1] for m in range(1, n)])
 
-    def dense(self) -> np.ndarray:
-        return self.subtracted().dense() + self.m11 * np.eye(self.geometry.n)
+    def row(self) -> tuple:
+        """First row of M: ``m11 + diag_remainder``, then the off-diagonal entries."""
+        return (self.m11 + self.diag_remainder,) + self.subtracted().row[1:]
 
     def cn(self) -> float:
-        return quadratic_form_cn(self.dense())
+        """v M^{-1} v^T, v = (1, ..., 1), as n over M's row sum; singular unless that is > 0."""
+        n, total = self.geometry.n, self.m11 + math.fsum(self.subtracted().row)
+        if not total > 0.0:
+            raise SingularMatrixError(f"replica row sum {total:.3e} <= 0 at n = {n}")
+        return n / total
 
 
 def build_M_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> OperatorMatrix:
@@ -461,9 +466,6 @@ def mie_general(om: OperatorMatrix) -> dict:
     ``saddle``: <q^2> = (2 pi C_1^3 m11)^{-1/2}, the saddle-normalized
     bookkeeping). ``total`` uses the gaussian convention, which matches
     direct summation over outcomes. n is ``om.geometry.n``.
-
-    Both corrections come from m11 and the subtracted circulant by
-    ``replica_log_det``, as the boson's do, never from the dense M.
     """
     g, n = om.geometry, om.geometry.n
     if n < 2:
@@ -488,35 +490,36 @@ def mie_general(om: OperatorMatrix) -> dict:
     }
 
 
-def overlap_generating(om: OperatorMatrix, gamma1: float, gamma2: float) -> float:
+def overlap_generating(om: OperatorMatrix, gamma1: float, gamma2: float) -> dict:
     """Two-flux overlap generating function, as a ratio to the purity.
 
     Weighted sum of pairwise post-measurement overlaps over both outcomes,
     equal to exp(-1/2 sum_{ij} gamma_i gamma_j M_ij) Tr rho_A^2 for the
     n = 2 matrix; the absolute purity is non-universal, so the exponential
-    ratio is returned.
+    ratio is returned, as ``value`` and as its ``log_value``.
     """
-    gam = np.array([gamma1, gamma2])
-    return float(np.exp(-0.5 * gam @ _two_replica(om).dense() @ gam))
+    M11, M12 = _two_replica(om).row()
+    log_value = -0.5 * (gamma1 * gamma1 + gamma2 * gamma2) * M11 - gamma1 * gamma2 * M12
+    return {"value": _exp(log_value), "log_value": float(log_value)}
 
 
-def uv_finite_overlap_ratio(om: OperatorMatrix, gamma1: float, gamma2: float) -> float:
+def uv_finite_overlap_ratio(om: OperatorMatrix, gamma1: float, gamma2: float) -> dict:
     """Overlap generating function over the single-flux generating functions.
 
     Dividing by <e^{i gamma_1 Q_B}> <e^{i gamma_2 Q_B}> cancels the
     replica-diagonal cutoff divergence: the log reduces to
     -gamma_1 gamma_2 M_12 - (gamma_i^2 / 2)(M_ii - m11), every piece
     finite as eps -> 0 and free of ``eps_reg``. Reported as a ratio to
-    Tr rho_A^2.
+    Tr rho_A^2, as ``value`` and ``log_value``.
 
     M_ii - m11 is the subtracted diagonal itself, taken as such: formed as
     a difference of the two cutoff-divergent numbers it loses every digit
     at heavy weights.
     """
     _two_replica(om)
-    log_ratio = (-gamma1 * gamma2 * om.off_row[0]
+    log_value = (-gamma1 * gamma2 * om.off_row[0]
                  - 0.5 * (gamma1**2 + gamma2**2) * om.diag_remainder)
-    return _exp(log_ratio)
+    return {"value": _exp(log_value), "log_value": float(log_value)}
 
 
 def averaged_purity(om: OperatorMatrix, gamma: float) -> dict:
@@ -533,8 +536,8 @@ def averaged_purity(om: OperatorMatrix, gamma: float) -> dict:
     ``uv_finite`` formed before exponentiating, finite where those leave
     the float range.
     """
-    M = _two_replica(om).dense()
-    gap = M[0, 0] - M[0, 1]
+    M11, M12 = _two_replica(om).row()
+    gap = M11 - M12
     if gap <= 0.0:
         raise ValueError(f"M11 - M12 = {gap:.3e} <= 0: not a valid covariance")
     root = np.sqrt(np.pi / gap)

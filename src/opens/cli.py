@@ -50,7 +50,7 @@ from opens.cft_operator import (
     build_M_operator,
     mie_general,
     overlap_generating,
-    single_copy_m11_operator,
+    single_copy_m11_operator,  # noqa: F401 - perfbench's traced run looks it up here
     uv_finite_overlap_ratio,
 )
 from opens.core import Geometry, _where_ok, renyi_entropy_base
@@ -370,33 +370,29 @@ def _cn_table(args):
     if len(ns) < 2:
         raise ValueError(f"grid {args.n!r} gives fewer than two n; the linear fit needs "
                          "at least two distinct integer points")
-    cns, errs = [], []
-    for n in ns:
-        g = _geometry(args, args.l2, n)
-        if n == 1:
-            cns.append(1.0 / single_copy_m11_operator(g, spec, cfg))
-            errs.append(0.0)
-        else:
-            om = build_M_operator(g, spec, cfg)
-            cns.append(om.cn())
-            errs.append(om.error_estimate)
+    oms = [build_M_operator(_geometry(args, args.l2, n), spec, cfg) for n in ns]
+    cns = [om.cn() for om in oms]
     coef = np.polyfit(ns, cns, 1)
     resid = np.asarray(cns) - np.polyval(coef, ns)
     rows = [_operator_row(args, args.l2, spec, n, c, r) for n, c, r in zip(ns, cns, resid)]
     prov = {"linear_fit_slope": _fmt(float(coef[0])),
             "linear_fit_intercept": _fmt(float(coef[1])),
             "max_abs_residual": _fmt(float(np.abs(resid).max())),
-            "max_error_estimate": _fmt(max(errs))}
+            "max_error_estimate": _fmt(max(om.error_estimate for om in oms))}
     return [*_OPERATOR, "n", "cn", "lin_residual"], rows, prov
+
+
+def _replica_matrix(args, n: int = 2):
+    """The operator matrix of a fixed-l2 command at n replicas, and its provenance."""
+    om = build_M_operator(_geometry(args, args.l2, n), *_quadrature(args))
+    return om, {"max_error_estimate": _fmt(om.error_estimate)}
 
 
 @_command("operator-m", "replica-matrix entries by quadrature", *_FIXED, *_QUADRATURE, _N)
 def _operator_m(args):
-    spec, cfg = _quadrature(args)
-    om = build_M_operator(_geometry(args, args.l2, args.n), spec, cfg)
-    M = om.dense()
-    rows = [_operator_row(args, args.l2, spec, args.n, m, M[0, m]) for m in range(args.n)]
-    prov = {"max_error_estimate": _fmt(om.error_estimate)}
+    om, prov = _replica_matrix(args, args.n)
+    rows = [_operator_row(args, args.l2, om.spec, args.n, m, entry)
+            for m, entry in enumerate(om.row())]
     return [*_OPERATOR, "n", "offset", "entry"], rows, prov
 
 
@@ -415,27 +411,23 @@ def _operator_mie(args):
     return cols, rows, {"max_error_estimate": _fmt(err)}
 
 
-def _two_replica_matrix(args):
-    """The n = 2 operator matrix of a fixed-l2 command, and its provenance."""
-    om = build_M_operator(_geometry(args, args.l2, 2), *_quadrature(args))
-    return om, {"max_error_estimate": _fmt(om.error_estimate)}
-
-
 @_command("overlap", "two-flux overlap generating function", *_FIXED, *_QUADRATURE,
           _flag("--gamma1", default="0.5"), _flag("--gamma2", default="0.5"))
 def _overlap(args):
-    om, prov = _two_replica_matrix(args)
+    om, prov = _replica_matrix(args)
     gammas1, gammas2 = _fluxes(args.gamma1, "--gamma1"), _fluxes(args.gamma2, "--gamma2")
-    rows = [_operator_row(args, args.l2, om.spec, g1, g2, overlap_generating(om, g1, g2),
-                          uv_finite_overlap_ratio(om, g1, g2))
+    outs = [(g1, g2, overlap_generating(om, g1, g2), uv_finite_overlap_ratio(om, g1, g2))
             for g1 in gammas1 for g2 in gammas2]
-    return [*_OPERATOR, "gamma1", "gamma2", "generating", "uv_ratio"], rows, prov
+    rows = [_operator_row(args, args.l2, om.spec, g1, g2, gen["value"], uv["value"],
+                          gen["log_value"], uv["log_value"]) for g1, g2, gen, uv in outs]
+    return [*_OPERATOR, "gamma1", "gamma2", "generating", "uv_ratio", "log_generating",
+            "log_uv_ratio"], rows, prov
 
 
 @_command("averaged-purity", "flux-weighted averaged purity", *_FIXED, *_QUADRATURE,
           _flag("--gamma", default="0.5"))
 def _averaged_purity(args):
-    om, prov = _two_replica_matrix(args)
+    om, prov = _replica_matrix(args)
     rows = []
     for gam in _fluxes(args.gamma, "--gamma"):
         out = averaged_purity(om, gam)
@@ -450,14 +442,14 @@ def _averaged_purity(args):
 def _uv_check(args):
     (gamma,) = _fluxes(args.gamma, "--gamma")
     # one build serves both cutoffs: only the add-back m11 reads eps_reg
-    om, prov = _two_replica_matrix(args)
+    om, prov = _replica_matrix(args)
     rows = []
     for eps in (args.eps_reg, args.eps_reg / 2.0):
         om_eps = dataclasses.replace(om, eps_reg=eps)
         ap = averaged_purity(om_eps, gamma)
         rows.append(_operator_row(args, args.l2, om.spec, gamma, eps,
-                                  uv_finite_overlap_ratio(om_eps, gamma, gamma),
-                                  overlap_generating(om_eps, gamma, gamma),
+                                  uv_finite_overlap_ratio(om_eps, gamma, gamma)["value"],
+                                  overlap_generating(om_eps, gamma, gamma)["value"],
                                   ap["uv_finite"], ap["value"]))
     return [*_OPERATOR, "gamma", "eps_reg", "uv_ratio", "raw_generating", "purity_uv_finite",
             "purity_raw"], rows, prov
@@ -505,6 +497,8 @@ def _lattice_overlap(args):
           _flag("--sites", type=int, default=8, help="total chain sites (<= 12)"),
           _flag("--n", type=int, default=3, help="largest replica number"), l1=3, d_sites=3)
 def _ed_verify(args):
+    if args.n < 1:
+        raise ValueError(f"--n {args.n} checks no moment; give a largest replica number >= 1")
     model = _model_from_name(args.model)
     lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
     if args.sites < lay.window:

@@ -4,10 +4,10 @@ Everything downstream (the boson closed forms, the operator quadrature and
 the lattice determinants) goes through the small set of contracts defined
 here: a validated interval layout, a palindromic symmetric circulant, the
 replica-determinant kernel and base entropy of both entropy routes, the
-boson's and the operator's, a solve-based quadratic form ``v M^{-1} v^T``, the two cancellation-free logarithms that the
+boson's and the operator's, the reference quadratic form ``v M^{-1} v^T``
+by a dense solve, the two cancellation-free logarithms that the
 uniformization map's cross ratios are built from, and the two helpers by
-which a batch of points carries a failed point as the exception in its
-slot.
+which a batch of points carries a failed point as the exception in its slot.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def quadratic_form_cn(M: np.ndarray) -> float:
     """v M^{-1} v^T with v = (1, ..., 1), via a linear solve.
 
     The quantity controls the width of the measured-charge distribution in
-    every replica computation. Complex input is accepted; the result must
-    be real up to ``IMAG_TOL``.
+    every replica computation, where it is n over a circulant's row sum; this
+    solve is the reference. Complex input must give a real result up to ``IMAG_TOL``.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -11,7 +11,7 @@ own reference with it:
   density and its variances, and the per-point first row of M in the
   arithmetic of numpy complex scalars, with the exact point-split
   diagonal as an option;
-- operator integrals: the branch images of the uniformization map, the
+- operator integrals: the replica matrix expanded densely, the branch images of the uniformization map, the
   eps -> 0 closed forms of the flat interval integral with their
   divergent and universal parts, its finite-width value by mpmath
   quadrature, the q-resolved purity ratio and the interaction bound on
@@ -151,6 +151,13 @@ def loop_row(L, a, b, eps, n, shift=0.0, exact_reg=False):
 
 # ---------------------------------------------------------------------------
 # operator integrals
+
+
+def operator_dense(om: OperatorMatrix) -> np.ndarray:
+    """The operator replica matrix M expanded densely: the subtracted
+    circulant plus the flat add-back m11 on the diagonal, for the checks
+    that solve, invert or contract it as a matrix."""
+    return om.subtracted().dense() + om.m11 * np.eye(om.geometry.n)
 
 
 def replica_map(x: float, k: int, g: Geometry):

@@ -111,7 +111,8 @@ class TestCommands:
             raise ValueError(f"{name} is not JSON")
 
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert "inf" in [row[-1] for row in payload["rows"]]
+        uv_ratio = payload["columns"].index("uv_ratio")
+        assert "inf" in [row[uv_ratio] for row in payload["rows"]]
         # each JSON row prints as its CSV row
         assert main(argv[2:]) == 0
         csv_rows = capsys.readouterr().out.splitlines()[-2:]
@@ -375,6 +376,16 @@ class TestCommands:
         assert {"# sites = 8", "# l1 = 3", "# d_sites = 3", "# l2_sites = 2",
                 "# verdict = pass"} <= set(header)
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_ed_verify_refuses_a_replica_range_with_no_moment(self, tmp_path, n):
+        # --n 0 once printed no moment row and still passed
+        out = tmp_path / "n.csv"
+        assert main(["--output", str(out), "ed-verify", "--n", n]) == 1
+        lines = out.read_text().splitlines()
+        assert "# status = error" in lines
+        assert lines[-1] == (f"ValueError: --n {n} checks no moment; give a largest replica "
+                             "number >= 1")
+
     def test_ed_verify_reproducible_on_twelve_sites(self, tmp_path):
         # 12 sites take the sparse eigensolver route
         args = ["ed-verify", "--model", "ising", "--sites", "12", "--l1", "3",
@@ -479,7 +490,6 @@ class TestCommands:
             raise AssertionError("operator matrix built for a one-point grid")
 
         monkeypatch.setattr(cli, "build_M_operator", no_build)
-        monkeypatch.setattr(cli, "single_copy_m11_operator", no_build)
         out = tmp_path / "one.csv"
         for grid in ("3", "1"):
             with warnings.catch_warnings(record=True) as caught:
@@ -632,9 +642,44 @@ class TestCommands:
             out = tmp_path / "q.csv"
             assert main(["--output", str(out)] + args) == 0, out.read_text()
 
+    def test_operator_commands_take_no_dense_solve(self, tmp_path, monkeypatch):
+        # every operator command reads M from its first row: C_n is n over the
+        # row sum, so no command solves, inverts or conditions a dense matrix
+        def refused(*args, **kwargs):
+            raise AssertionError("dense solve on the run-time path")
+
+        from opens import core
+
+        for owner, name in ((core, "quadratic_form_cn"), (cft_operator, "quadratic_form_cn"),
+                            (np.linalg, "solve"), (np.linalg, "cond")):
+            monkeypatch.setattr(owner, name, refused)
+        base = ["--L", "1", "--d", "1", "--l2", "2"]
+        for args in (CN_TABLE,
+                     ["operator-m", "--n", "3", "--spec", "vector:0.25"] + base,
+                     ["operator-mie", "--n", "3", "--spec", "scalar:1.45"] + base,
+                     ["overlap", "--gamma1", "0.3", "--gamma2", "0.5"] + base,
+                     ["averaged-purity", "--gamma", "0.3"] + base,
+                     ["uv-check", "--spec", "scalar:0.75", "--gamma", "0.3"] + base):
+            out = tmp_path / "s.csv"
+            assert main(["--output", str(out)] + args) == 0, out.read_text()
+
+    def test_overlap_prints_the_logs_it_exponentiates(self, tmp_path):
+        # the generating function underflows to 0 and the UV-finite ratio
+        # overflows to inf here; their logs stay finite
+        out = tmp_path / "o.csv"
+        assert main(["--output", str(out), "overlap", "--spec", "scalar:0.05", "--L", "10",
+                     "--d", "10", "--l2", "1000", "--gamma1", "0.1,1", "--gamma2=-1"]) == 0
+        lines = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        cols, rows = lines[0], lines[1:]
+        assert cols[-4:] == ["generating", "uv_ratio", "log_generating", "log_uv_ratio"]
+        assert len(rows) == 2
+        for row in rows:
+            assert row[-4:-2] == ["0", "inf"]
+            assert all(np.isfinite(float(x)) for x in row[-2:])
+
     def test_one_operator_build_per_matrix(self, tmp_path, monkeypatch):
         # overlap, averaged-purity and uv-check read one n = 2 matrix, whatever
-        # their grid; operator-mie builds one per l2 and cn-table one per n >= 2
+        # their grid; operator-mie builds one per l2 and cn-table one per n
         real, calls = cft_operator.build_M_operator, []
 
         def counting(*args):
@@ -647,7 +692,7 @@ class TestCommands:
                            (["averaged-purity", "--gamma", "0.1,0.5,2"], [2]),
                            (["uv-check", "--spec", "scalar:0.75", "--gamma", "0.3"], [2]),
                            (["operator-mie", "--n", "3", "--l2", "2,4,8"], [3, 3, 3]),
-                           (["cn-table", "--n", "1:4"], [2, 3, 4])):
+                           (["cn-table", "--n", "1:4"], [1, 2, 3, 4])):
             calls.clear()
             out = tmp_path / "b.csv"
             assert main(["--output", str(out)] + args + ["--L", "1", "--d", "1"]) == 0

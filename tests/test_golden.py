@@ -97,3 +97,23 @@ def test_replay_holds_ed_verify_fields_to_their_rules(tmp_path):
     assert regen.compare(golden, _with_field(rerun, 1, diff, "9e-09")) == []
     (line,) = regen.compare(golden, _with_field(rerun, 1, diff, "2e-08"))
     assert line.startswith(f"row 1: column {diff}: {row[diff]} -> 2e-08"), line
+
+
+def test_regen_rewrites_only_the_blocks_that_moved(tmp_path, monkeypatch):
+    # an ED column moved by 5e-12 agrees by its rule, so regen keeps that
+    # block's golden text; a changed determinant digit is a move, so regen
+    # writes the rerun in its place
+    path, argv = next((p, a) for p, cmds in regen.FILES.items() for a in cmds
+                      if a[0] == "ed-verify")
+    golden = regen.read(path)[argv]
+    cols, row = [ln.split(",") for ln in golden.splitlines() if not ln.startswith("#")][:2]
+    ed = max((cols.index("ed_re"), cols.index("ed_im")), key=lambda k: abs(float(row[k])))
+    det = cols.index("det_re")
+    kept = _with_field(golden, 1, ed, format(float(row[ed]) * (1 + 5e-12), ".12g"))
+    moved = _with_field(golden, 1, det, format(float(row[det]) * (1 + 1e-6), ".12g"))
+    copy = tmp_path / path.name
+    monkeypatch.setattr(regen, "FILES", {copy: (argv,)})
+    for text, want in ((kept, kept), (moved, regen.run(argv))):
+        copy.write_text(f"## opens {' '.join(argv)}\n{text}")
+        regen.main()
+        assert regen.read(copy) == {argv: want}
