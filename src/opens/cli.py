@@ -198,13 +198,22 @@ def _batched_rows(grid, make, sweep, row):
 
 
 def _integer_grid(text: str, name: str) -> list[int]:
-    """The sweep grid of ``--name``, in integers; truncation must not evaluate a point twice."""
+    """The sweep grid of ``--name``, in integers of at least 1; truncation must not
+    evaluate a point twice."""
     values = [int(v) for v in parse_grid(text, f"--{name}")]
+    if min(values) < 1:
+        raise ValueError(f"--{name} {text!r} holds {name} = {min(values)}; each must be >= 1")
     repeated = next((v for v, k in Counter(values).items() if k > 1), None)
     if repeated is not None:
         raise ValueError(f"grid {text!r} repeats {name} = {repeated} once truncated to "
                          "integers; give distinct integer points")
     return values
+
+
+def _at_least(flag: str, value: int, least: int, what: str):
+    """A ValueError naming ``flag`` if ``value`` is below ``least``, the bound ``what`` needs."""
+    if value < least:
+        raise ValueError(f"{flag} {value}: {what} needs {flag[2:]} >= {least}")
 
 
 def _geometry(args, l2: float, n: int = 1) -> Geometry:
@@ -335,6 +344,7 @@ def _boson_moments(args):
 
 @_command("boson-mie", "Renyi ratio and entropy correction", *_SWEPT, _N)
 def _boson_mie(args):
+    _at_least("--n", args.n, 2, "the entropy correction")
     rows = []
     for l2 in parse_grid(args.l2, "--l2"):
         g = _geometry(args, l2)
@@ -346,6 +356,7 @@ def _boson_mie(args):
 
 @_command("boson-holevo", "Holevo bound, continuation vs closed form", *_SWEPT, _NMAX)
 def _boson_holevo(args):
+    _at_least("--nmax", args.nmax, 6, "a degree-4 continuation with a leave-one-out error estimate")
     return [*_BOSON, "chi_numeric", "chi_approx"], *_batched_rows(
         parse_grid(args.l2, "--l2"), lambda l2: _geometry(args, l2),
         lambda gs: holevo_chi_sweep(gs, args.nmax),
@@ -356,6 +367,7 @@ def _boson_holevo(args):
           _flag("--t", default="1000:100000:9:log", help="time sweep"),
           _flag("--epsp", type=float, default=1e-3), _NMAX)
 def _boson_time(args):
+    _at_least("--nmax", args.nmax, 6, "a degree-4 continuation with a leave-one-out error estimate")
     return [*_BOSON, "t", "chi_time", "asymptote"], *_batched_rows(
         parse_grid(args.t, "--t"), lambda t: (_geometry(args, args.l2), TimeParams(t, args.epsp)),
         lambda pts: holevo_chi_time_sweep(pts, args.nmax),
@@ -390,6 +402,7 @@ def _replica_matrix(args, n: int = 2):
 
 @_command("operator-m", "replica-matrix entries by quadrature", *_FIXED, *_QUADRATURE, _N)
 def _operator_m(args):
+    _at_least("--n", args.n, 1, "a replica matrix")
     om, prov = _replica_matrix(args, args.n)
     rows = [_operator_row(args, args.l2, om.spec, args.n, m, entry)
             for m, entry in enumerate(om.row())]
@@ -398,6 +411,7 @@ def _operator_m(args):
 
 @_command("operator-mie", "entropy correction for a generic observable", *_SWEPT, *_QUADRATURE, _N)
 def _operator_mie(args):
+    _at_least("--n", args.n, 2, "the entropy correction")
     spec, cfg = _quadrature(args)
     rows, err = [], 0.0
     for l2 in parse_grid(args.l2, "--l2"):
@@ -497,12 +511,13 @@ def _lattice_overlap(args):
           _flag("--sites", type=int, default=8, help="total chain sites (<= 12)"),
           _flag("--n", type=int, default=3, help="largest replica number"), l1=3, d_sites=3)
 def _ed_verify(args):
-    if args.n < 1:
-        raise ValueError(f"--n {args.n} checks no moment; give a largest replica number >= 1")
+    _at_least("--n", args.n, 1, "a moment check")
     model = _model_from_name(args.model)
     lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
-    if args.sites < lay.window:
-        raise ValueError(f"chain of {args.sites} sites cannot hold the layout ({lay.window})")
+    most = EDOracle.MAX_DIM.bit_length() - 1
+    if not lay.window <= args.sites <= most:
+        raise ValueError(f"--sites {args.sites}: the layout needs at least {lay.window} sites, "
+                         f"the ED oracle holds at most {most}")
     rng = np.random.default_rng(args.seed)
     oracle = EDOracle(model, args.sites)
     corr = finite_chain_correlations(model, args.sites).restrict(lay.sites_A + lay.sites_B)

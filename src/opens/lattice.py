@@ -16,9 +16,10 @@ Conventions: doubled operators are stacked particle-first,
 psi = (c_0 .. c_{m-1}, c+_0 .. c+_{m-1}); the correlation matrix is
 Gamma[a, b] = 2 <psi+_a psi_b> - delta, and the dressed-state algebra is
 phrased in D = Gamma^T so that kernels multiply in operator order.
-Division-free Mobius forms are used throughout: exactly occupied or empty
-modes (present in the paired presets, where Majorana dimers decouple)
-never hit a singular inverse. Traces use Majoranas a_{2j} = c_j + c+_j,
+Division-free Mobius forms are used throughout, so Gamma is used as
+given: exactly occupied or empty modes (Majorana dimers of the paired
+presets, or modes the traced sites cannot purify) never hit a singular
+inverse. Traces use Majoranas a_{2j} = c_j + c+_j,
 a_{2j+1} = i (c+_j - c_j) and M_kl = (i/2) <[a_k, a_l]>: the flux trace
 over B and the pair trace of two states on A are each one Pfaffian
 (Fagotti & Calabrese, J. Stat. Mech. (2010) P04016).
@@ -29,21 +30,21 @@ alone (``ParticleCorrelationMatrix``) and take a charge-block route, where
 traces factorize over occupations and pair traces are determinants
 (``ChargeBlockWindow``). Paired states are built doubled
 (``NambuCorrelationMatrix``) and take the Pfaffians; so does a conserving
-Gamma passed in doubled form, which agrees with the charge-block route to
-<= 1e-12 relative away from zeros of the flux trace.
+Gamma passed in doubled form. Where |cos(gamma/2)| > 0.1, away from trace
+zeros, the two agree to 1e-13 relative (7.6e-14 at worst over the README
+xx grid, odd and pure windows and kappa = 0 chains).
 
-Costs per window. Pfaffian route: one eigensolve of Gamma, which
-validates it and clips it; M in O(m^2) from sums and differences of the
-Gamma blocks; one Pfaffian and one ``np.linalg.solve`` with the 2 ell2 x
-2 ell2 B block of the dressing denominator per distinct flux, whose
-solved columns also bound its condition number. The Pfaffian kernel
-eliminates a whole stack of matrices at once, each with its own pivots,
-so a charge-sector table evaluates all its pair traces in a few stacked
-calls. Charge-block route:
-one eigensolve of the m x m particle block (validation and clip), one of
-the ell2 x ell2 C_B (every flux trace) and one of the clipped D_BB (every
-dressing); per flux O(ell1^2 ell2) for the dressed state of A, and one
-ell1 x ell1 determinant per pair trace.
+Costs per window. Pfaffian route: one ``eigvalsh`` of Gamma to validate
+it; M in O(m^2) from sums and differences of the Gamma blocks;
+one Pfaffian and one ``np.linalg.solve`` with the 2 ell2 x 2 ell2 B block
+of the dressing denominator per distinct flux, whose solved columns also
+bound its condition number. The Pfaffian kernel eliminates a whole stack
+of matrices at once, each with its own pivots, so a charge-sector table
+evaluates all its pair traces in a few stacked calls. Charge-block route:
+one ``eigvalsh`` of the m x m particle block (validation) and one ``eigh``
+of the ell2 x ell2 D_BB, whose eigenvalues give every flux trace and whose
+eigenbasis every dressing; per flux O(ell1^2 ell2) for the dressed state
+of A, and one ell1 x ell1 determinant per pair trace.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import numpy as np
 
 from opens.errors import ConvergenceError, DomainError, SingularMatrixError
 
-CLIP = 1e-12
 # reciprocal condition number below which the dressing denominator S counts
 # as singular, i.e. the flux trace vanishes and no normalized dressed state
 # exists; |trace| itself is no test, exact Ising traces fall below 1e-13.
@@ -118,8 +118,8 @@ class CorrelationMatrix:
     """Validated two-point matrix Gamma of a Gaussian fermion state.
 
     Each mode of the m-site window holds ``blocks`` rows of Gamma. One
-    eigensolve of D = Gamma^T serves the range check and the clip in
-    ``dmatrix``.
+    ``eigvalsh`` checks the spectrum against [-1, 1] to 1e-10; the windows
+    read D = Gamma^T as given, exactly pure modes included.
     """
 
     blocks = 1
@@ -133,17 +133,11 @@ class CorrelationMatrix:
         herm = np.abs(gamma - gamma.conj().T).max()
         if herm > 1e-10:
             raise ValueError(f"correlation matrix not Hermitian, residue {herm:.2e}")
-        self._eig = np.linalg.eigh(gamma.T)
-        ev = self.spectrum
+        ev = self.spectrum = np.linalg.eigvalsh(gamma)  # ascending, those of Gamma^T too
         if ev[0] < -1.0 - 1e-10 or ev[-1] > 1.0 + 1e-10:
             raise ValueError(f"eigenvalues outside [-1, 1]: [{ev[0]}, {ev[-1]}]")
         self.gamma = gamma
         self.m = size // self.blocks
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues of D = Gamma^T in ascending order."""
-        return self._eig[0]
 
     @property
     def modes_per_eigenvalue(self) -> float:
@@ -156,21 +150,13 @@ class CorrelationMatrix:
         idx = np.concatenate([sites + k * self.m for k in range(self.blocks)])
         return type(self)(self.gamma[np.ix_(idx, idx)])
 
-    def dmatrix(self) -> np.ndarray:
-        """D = Gamma^T with its eigenvalues clipped into [-1 + CLIP, 1 - CLIP]."""
-        w, v = self._eig
-        if np.abs(w).max() <= 1.0 - CLIP:
-            return self.gamma.T.copy()
-        w = np.clip(w, -1.0 + CLIP, 1.0 - CLIP)
-        return (v * w) @ v.conj().T
-
 
 class NambuCorrelationMatrix(CorrelationMatrix):
     """2m x 2m Gamma over the doubled indices (c, c+), pairing allowed.
 
     Its windows take the Pfaffian route (``GaussianWindow``). That holds
-    for a number-conserving state given in this form too; the route agrees
-    with the charge-block one to <= 1e-12 relative away from trace zeros.
+    for a number-conserving state given in this form too; the module
+    docstring gives how closely it agrees with the charge-block route.
     """
 
     blocks = 2
@@ -430,7 +416,6 @@ class GaussianWindow:
         self.corr = corr
         self.n_a = n_a
         self.n_b = n_b
-        self.w = corr.m
         self._log_flux = {}
         self._dressed_a = {}
         self._prepare()
@@ -439,9 +424,9 @@ class GaussianWindow:
         if isinstance(self.corr, ParticleCorrelationMatrix):
             raise TypeError("the Pfaffian route needs the doubled NambuCorrelationMatrix; "
                             "a ParticleCorrelationMatrix takes ChargeBlockWindow")
-        n_a, w, k = self.n_a, self.w, 2 * self.n_a
+        n_a, w, k = self.n_a, self.corr.m, 2 * self.n_a
         ab = np.r_[0:n_a, w:w + n_a, n_a:w, w + n_a:2 * w]  # A's particle and hole rows, then B's
-        D = self.corr.dmatrix()[ab][:, ab]  # two takes: np.ix_ costs 5 times as much
+        D = self.corr.gamma.T[ab][:, ab]  # two takes: np.ix_ costs 5 times as much
         self.d_a, self._d_ab, self._d_ba, d_bb = D[:k, :k], D[:k, k:], D[k:, :k], D[k:, k:]
         eye = np.eye(len(d_bb))
         self._ip_b, self._im_b = eye + d_bb, eye - d_bb
@@ -525,24 +510,23 @@ class ChargeBlockWindow(GaussianWindow):
     With no pairing the particle block carries the whole state, and:
 
     - the flux trace is prod_k (1 - nu_k + nu_k e^{i gamma}) over the
-      occupations nu_k of the unclipped C_B (Klich & Levitov, PRL 102,
-      100502 (2009));
+      occupations nu_k = (1 + d_k) / 2 of C_B, d_k the eigenvalues of D_BB
+      (Klich & Levitov, PRL 102, 100502 (2009));
     - the dressed state of A is the Schur identity of ``GaussianWindow``
-      with U_B = e^{i gamma}, written in the eigenbasis (d, V) of the
-      clipped D_BB, where S is diagonal: D_AA - D_AB V diag(f) V+ D_BA with
+      with U_B = e^{i gamma}, written in the eigenbasis (d, V) of D_BB,
+      where S is diagonal: D_AA - D_AB V diag(f) V+ D_BA with
       f = (e^{i gamma} - 1) / (e^{i gamma} (1 + d) + (1 - d)), and no solve;
     - the pair trace of two states is det((1 + D1 D2) / 2), sign included.
 
-    One eigensolve of D_BB and one of C_B per window serve every flux.
+    One eigensolve of D_BB per window serves every flux.
     """
 
     def _prepare(self):
         n_a = self.n_a
-        D = self.corr.dmatrix()
+        D = self.corr.gamma.T
         self.d_a = D[:n_a, :n_a]
-        lam = np.linalg.eigvalsh(self.corr.gamma[n_a:, n_a:])  # 2 C_B - 1
-        self._empty, self._full = (1.0 - lam) / 2.0, (1.0 + lam) / 2.0
-        self._d_b, v = np.linalg.eigh(D[n_a:, n_a:])
+        self._d_b, v = np.linalg.eigh(D[n_a:, n_a:])  # D_BB = (2 C_B - 1)^T
+        self._empty, self._full = (1.0 - self._d_b) / 2.0, (1.0 + self._d_b) / 2.0
         self._left = D[:n_a, n_a:] @ v
         self._right = v.conj().T @ D[n_a:, :n_a]
 
@@ -625,8 +609,8 @@ def charged_moments_lattice(model_or_corr, layout: SubsystemLayout, gammas) -> c
     layout.sites_B)``. The route follows the state's type: a
     ``ParticleCorrelationMatrix`` (xx, every kappa = 0 chain) takes the
     charge block, a ``NambuCorrelationMatrix`` the Pfaffians, even when its
-    Gamma conserves charge; the two agree to <= 1e-12 relative away from
-    zeros of the flux trace. Exactly 1 at zero flux.
+    Gamma conserves charge; the module docstring gives how closely the two
+    agree. Exactly 1 at zero flux.
     """
     gammas = [float(g) for g in np.atleast_1d(gammas)]
     win = _window_for(model_or_corr, layout)

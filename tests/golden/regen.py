@@ -85,10 +85,13 @@ def _ed(model, sites, l1, d, l2):
 
 
 # the benchmark's ED spot checks, the criterion-8 layouts (sites, l1, d, l2)
-# on both presets, and the generic chain that CI runs; all at the default seed
+# on both presets, the generic chain that CI runs, and each preset at the
+# command's defaults, whose window holds exactly pure modes; all at the
+# default seed
 ED = tuple(_ed(model, *layout) for model in ("xx", "ising")
            for layout in (("10", "3", "2", "4"), ("12", "3", "3", "5"), ("12", "4", "0", "7"),
-                          ("12", "2", "6", "3"))) + (_ed("0.7:0.3", "12", "3", "3", "5"),)
+                          ("12", "2", "6", "3"))) + (_ed("0.7:0.3", "12", "3", "3", "5"),) + tuple(
+    ("ed-verify", "--model", model) for model in ("xx", "ising"))
 
 FILES = {
     Path(__file__).with_name("boson_sweeps.csv"): BOSON,

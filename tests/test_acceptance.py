@@ -311,7 +311,7 @@ def test_criterion_8_lattice_ed_equivalence():
         f"{count} (model, layout) cases up to 12 sites: worst deviation {worst:.2e} "
         f"(<1e-8), worst probability-sum defect {worst_norm:.2e} (<1e-10), {dt:.0f} s",
     )
-    # the routes reach about 1e-11 (7.95e-12 on one machine): a tight gate
+    # the routes reach rounding (5.7e-14 on one machine): a tight gate
     # beside the bound, with headroom for another BLAS
     assert worst < 1e-10, worst
 

@@ -328,8 +328,8 @@ class TestCommands:
                 assert out.read_text().splitlines()[-1] == error
 
     def test_continued_routes_need_n_max_six(self, tmp_path):
-        message = ("ValueError: need n_max >= 6 for a degree-4 continuation with a "
-                   "leave-one-out error estimate, got n_max = {}")
+        message = ("ValueError: --nmax {}: a degree-4 continuation with a leave-one-out error "
+                   "estimate needs nmax >= 6")
         for args in (["boson-holevo", "--l2", "10:1000:3:log"],
                      ["boson-time", "--t", "1000:100000:3:log"]):
             out = tmp_path / "n.csv"
@@ -383,8 +383,30 @@ class TestCommands:
         assert main(["--output", str(out), "ed-verify", "--n", n]) == 1
         lines = out.read_text().splitlines()
         assert "# status = error" in lines
-        assert lines[-1] == (f"ValueError: --n {n} checks no moment; give a largest replica "
-                             "number >= 1")
+        assert lines[-1] == f"ValueError: --n {n}: a moment check needs n >= 1"
+
+    @pytest.mark.parametrize("args, error", [
+        (["operator-m", "--n", "0"], "--n 0: a replica matrix needs n >= 1"),
+        (["cn-table", "--n", "0:3"], "--n '0:3' holds n = 0; each must be >= 1"),
+        (["operator-mie", "--n", "1"], "--n 1: the entropy correction needs n >= 2"),
+        (["boson-mie", "--n", "1"], "--n 1: the entropy correction needs n >= 2"),
+        (["boson-mie", "--n", "0"], "--n 0: the entropy correction needs n >= 2"),
+        (["boson-holevo", "--nmax", "5"], "--nmax 5: a degree-4 continuation with a "
+         "leave-one-out error estimate needs nmax >= 6"),
+        (["ed-verify", "--sites", "13"],
+         "--sites 13: the layout needs at least 8 sites, the ED oracle holds at most 12"),
+        (["ed-verify", "--sites", "7"],
+         "--sites 7: the layout needs at least 8 sites, the ED oracle holds at most 12"),
+        (["lattice-moments", "--l2", "0,5"], "--l2 '0,5' holds l2 = 0; each must be >= 1"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_out_of_range_counts_are_refused_by_flag(self, tmp_path, args, error):
+        # refused before any point runs, by the flag; the library calls behind
+        # them name their own parameters, or none
+        out = tmp_path / "n.csv"
+        assert main(["--output", str(out)] + args) == 1
+        lines = out.read_text().splitlines()
+        assert "# status = error" in lines
+        assert lines[-1] == f"ValueError: {error}"
 
     def test_ed_verify_reproducible_on_twelve_sites(self, tmp_path):
         # 12 sites take the sparse eigensolver route

@@ -9,7 +9,6 @@ from scipy.sparse.linalg import eigsh
 from opens import lattice
 from opens.errors import ConvergenceError, DomainError, SingularMatrixError
 from opens.lattice import (
-    CLIP,
     ISING,
     TIGHT_BINDING,
     EDOracle,
@@ -55,28 +54,10 @@ def doubled(g):
     return np.block([[g, z], [z, -g.T]])
 
 
-class DoubledParticle(NambuCorrelationMatrix):
-    """A ParticleCorrelationMatrix doubled, with D clipped block by block.
-
-    D is diag(D_p, -D_p^T) with D_p the charge route's own clipped D, so the
-    Pfaffian route runs on exactly the state the charge route holds. The
-    clip of the whole doubled matrix breaks charge conservation at the
-    rounding level: near a trace zero (fluxes pi - 1e-3, 0.5, 1.7, 2.6 at
-    (10, 10, 143)) that costs 2.6e-11 relative against a 40-digit reference,
-    where the charge route is off by 3e-13.
-    """
-
-    def __init__(self, particle: ParticleCorrelationMatrix):
-        super().__init__(doubled(particle.gamma))
-        self.particle = particle
-
-    def dmatrix(self):
-        return doubled(self.particle.dmatrix())
-
-
 def as_nambu(corr):
-    """A paired state as it is, a conserving one as a ``DoubledParticle``."""
-    return corr if isinstance(corr, NambuCorrelationMatrix) else DoubledParticle(corr)
+    """A paired state as it is, a conserving one doubled."""
+    return corr if isinstance(corr, NambuCorrelationMatrix) else NambuCorrelationMatrix(
+        doubled(corr.gamma))
 
 
 def fock_state(H, flux=0.0):
@@ -290,45 +271,36 @@ class TestMajoranaMatrix:
             assert np.array_equal(majorana_matrix(dressed), dense_majorana(dressed))
 
 
-def fresh_dmatrix(gamma, clip=CLIP):
-    d = gamma.T.copy()
-    w, v = np.linalg.eigh(d)
-    if np.abs(w).max() <= 1.0 - clip:
-        return d
-    return (v * np.clip(w, -1.0 + clip, 1.0 - clip)) @ v.conj().T
+CORRELATION_TYPES = {"nambu": (NambuCorrelationMatrix, ISING),
+                     "particle": (ParticleCorrelationMatrix, TIGHT_BINDING)}
 
 
-# per type: a window whose spectrum reaches within CLIP of +-1, and one clear of it
-CORRELATION_TYPES = {
-    "nambu": (NambuCorrelationMatrix, ISING, SubsystemLayout(10, 10, 20)),
-    "particle": (ParticleCorrelationMatrix, TIGHT_BINDING, SubsystemLayout(10, 10, 200)),
-}
-
-
-@pytest.mark.parametrize("kind, model, clipped_layout", CORRELATION_TYPES.values(),
-                         ids=CORRELATION_TYPES.keys())
+@pytest.mark.parametrize("kind, model", CORRELATION_TYPES.values(), ids=CORRELATION_TYPES.keys())
 class TestCorrelationValidation:
-    def test_non_hermitian_rejected(self, kind, model, clipped_layout):
+    def test_non_hermitian_rejected(self, kind, model):
         gamma = window_corr(model, 8, SubsystemLayout(2, 1, 3)).gamma.astype(complex)
         gamma[0, 1] += 1e-6j
         with pytest.raises(ValueError, match="not Hermitian"):
             kind(gamma)
 
-    def test_spectrum_outside_unit_interval_rejected(self, kind, model, clipped_layout):
+    def test_spectrum_outside_unit_interval_rejected(self, kind, model):
         corr = window_corr(model, 8, SubsystemLayout(2, 1, 3))
         assert type(corr) is kind
         with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
             kind(1.5 * corr.gamma)
         kind(corr.gamma)  # the valid state itself passes
 
-    def test_dmatrix_matches_a_fresh_clip(self, kind, model, clipped_layout):
-        clipped = ground_state_correlations(model, clipped_layout)
-        plain = ground_state_correlations(model, SubsystemLayout(3, 2, 4))
-        for corr, clips in ((clipped, True), (plain, False)):
-            assert type(corr) is kind
-            w = np.linalg.eigvalsh(corr.gamma)
-            assert (np.abs(w).max() > 1.0 - CLIP) == clips
-            assert same_bits(corr.dmatrix(), fresh_dmatrix(corr.gamma))
+    def test_spectrum_just_past_one_is_taken_as_given(self, kind, model):
+        # A u B fills the 8-site chain: a pure state, every eigenvalue at +-1;
+        # scaled past them inside the 1e-10 range tolerance, the Mobius forms
+        # and the traces meet modes a little more than full or empty
+        lay = SubsystemLayout(3, 0, 5)
+        corr = kind(window_corr(model, 8, lay).gamma * (1.0 + 5e-11))
+        assert np.abs(corr.spectrum).min() > 1.0
+        for gammas in ([0.4], [0.3, 0.7], [0.5, 1.1, 2.3]):
+            assert np.isfinite(charged_moments_lattice(corr, lay, gammas))
+        for table in charge_sector_table(corr, lay):
+            assert np.isfinite(table).all()
 
 
 class TestGaussianTrace:
@@ -429,7 +401,7 @@ class TestFluxMatrix:
         win = GaussianWindow(corr, lay.ell1, lay.ell2)
         a = doubled_a(lay)
         for gamma in (0.3, 1.1, 2.0, 2.9, 4.4, 5.9):
-            ref = mobius_dressed_window(corr.dmatrix(), lay.ell1, lay.ell2, gamma)[np.ix_(a, a)]
+            ref = mobius_dressed_window(corr.gamma.T, lay.ell1, lay.ell2, gamma)[np.ix_(a, a)]
             got = win.dressed_d_a(gamma)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), gamma
 
@@ -606,8 +578,10 @@ KAPPA_ZERO = {"xx": TIGHT_BINDING, "0:0.3": LatticeModel(0.0, 0.3)}
 
 
 def cross_route_windows():
-    """(id, corr, layout) on the README grid, short odd windows and kappa = 0 chains."""
-    for l2 in README_XX_L2:  # 200 is clipped, the odd ones hold a half-filled mode
+    """(id, corr, layout) on the README grid, short odd windows, kappa = 0 chains,
+    ed-verify's default window, which holds exactly pure modes, and a pure one,
+    where A u B fills the chain."""
+    for l2 in README_XX_L2:  # 200 holds modes within 1e-12 of +-1, the odd ones a half-filled one
         lay = SubsystemLayout(10, 10, l2)
         yield f"xx-{l2}", ground_state_correlations(TIGHT_BINDING, lay), lay
     lay = SubsystemLayout(3, 2, 7)
@@ -615,6 +589,9 @@ def cross_route_windows():
     lay = SubsystemLayout(3, 2, 5)
     for name, model in KAPPA_ZERO.items():
         yield f"chain-{name}", window_corr(model, 12, lay), lay
+    for name, lay in (("ed-default-xx", SubsystemLayout(3, 3, 2)),
+                      ("pure-xx", SubsystemLayout(3, 0, 5))):
+        yield name, window_corr(TIGHT_BINDING, 8, lay), lay
 
 
 def window_moment(win, gammas):
@@ -643,17 +620,6 @@ class TestChargeBlockRoute:
                 assert rel <= cross_bound([g]), (g, rel)
             rel = abs(window_moment(charge, gammas) / window_moment(nambu, gammas) - 1)
             assert rel <= cross_bound(gammas), (gammas, rel)
-
-    @pytest.mark.parametrize("case", list(cross_route_windows()), ids=lambda c: c[0])
-    def test_doubled_form_agrees_away_from_trace_zeros(self, case):
-        # a plain NambuCorrelationMatrix clips the whole doubled matrix
-        _, corr, lay = case
-        charge = lattice._window_for(corr, lay)
-        pfaffian_route = lattice._window_for(NambuCorrelationMatrix(doubled(corr.gamma)), lay)
-        for gammas in CROSS_FLUXES:
-            if all(abs(np.cos(g / 2)) > 0.1 for g in gammas):
-                rel = abs(window_moment(charge, gammas) / window_moment(pfaffian_route, gammas) - 1)
-                assert rel <= 1e-12, (gammas, rel)
 
     @pytest.mark.parametrize("case", [c for c in cross_route_windows()
                                       if c[2].ell2 <= 19], ids=lambda c: c[0])
@@ -788,6 +754,32 @@ class TestSectorOverlaps:
 
 GAP_MODELS = {"xx": TIGHT_BINDING, "ising": ISING, "0.7:0.3": LatticeModel(0.7, 0.3),
               "0:0.3": LatticeModel(0.0, 0.3)}
+
+
+# ed-verify's default chain and layout, whose window holds exactly pure
+# modes, on each kind of model, and the golden ed-verify layouts of both presets
+ED_CASES = [(name, 8, (3, 3, 2)) for name in ("xx", "ising", "0.7:0.3")] + [
+    (name, n_sites, lay) for name in ("xx", "ising")
+    for n_sites, lay in ((10, (3, 2, 4)), (12, (3, 3, 5)), (12, (4, 0, 7)), (12, (2, 6, 3)))]
+ED_LAYOUTS = {f"{name}-{n_sites}-{':'.join(map(str, lay))}":
+              (GAP_MODELS[name], n_sites, SubsystemLayout(*lay)) for name, n_sites, lay in ED_CASES}
+
+
+@pytest.mark.parametrize("model, n_sites, lay", ED_LAYOUTS.values(), ids=ED_LAYOUTS.keys())
+def test_determinant_matches_ed_to_1e13(model, n_sites, lay):
+    # the moments and sector table ed-verify prints, at its seed; both
+    # routes reach rounding, 2.8e-15 at worst
+    oracle = EDOracle(model, n_sites)
+    corr = window_corr(model, n_sites, lay)
+    rng = np.random.default_rng(1234)
+    for n in (1, 2, 3, 4):
+        gammas = sorted(rng.uniform(0.1, 3.0, size=n))
+        det_v = charged_moments_lattice(corr, lay, gammas)
+        assert abs(det_v - oracle.charged_moment(lay.sites_A, lay.sites_B, gammas)) < 1e-13
+    p, _, raw = charge_sector_table(corr, lay)
+    p_ed, _, raw_ed = oracle.sector_overlaps(lay.sites_A, lay.sites_B)
+    assert np.abs(p - p_ed).max() < 1e-13
+    assert np.abs(raw - raw_ed).max() < 1e-13
 
 
 class TestEDOracle:
