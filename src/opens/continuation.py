@@ -287,7 +287,7 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit | ValueError]:
         # the members that finish here, one batch per count of nonzero weights
         finished = np.flatnonzero(done & ~failed)
         sizes = nonzero[finished].sum(axis=1)
-        for size in np.unique(sizes):
+        for size in sorted(set(sizes.tolist())):
             sel = finished[sizes == size]
             nz = nonzero[sel]
             parts = (x[nz].reshape(sel.size, size) for x in (support[sel, : m + 1], fj[sel], w[sel]))

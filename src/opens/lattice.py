@@ -40,11 +40,16 @@ one Pfaffian and one ``np.linalg.solve`` with the 2 ell2 x 2 ell2 B block
 of the dressing denominator per distinct flux, whose solved columns also
 bound its condition number. The Pfaffian kernel eliminates a whole stack
 of matrices at once, each with its own pivots, so a charge-sector table
-evaluates all its pair traces in a few stacked calls. Charge-block route:
-one ``eigvalsh`` of the m x m particle block (validation) and one ``eigh``
-of the ell2 x ell2 D_BB, whose eigenvalues give every flux trace and whose
-eigenbasis every dressing; per flux O(ell1^2 ell2) for the dressed state
-of A, and one ell1 x ell1 determinant per pair trace.
+evaluates all its pair traces in a few stacked calls. A paired window
+holds each full-size array once: Gamma, the four blocks of D = Gamma^T
+and M_B, which is real on the preset windows, and per flux one complex
+2 ell2 x 2 ell2 array at a time, the Pfaffian operand it eliminates in
+place or the dressing denominator. An Ising flux pair at ell2 = 640 peaks
+at 77 MiB of numpy arrays. Charge-block route: one ``eigvalsh`` of the
+m x m particle block (validation) and one ``eigh`` of the ell2 x ell2
+D_BB, whose eigenvalues give every flux trace and whose eigenbasis every
+dressing; per flux O(ell1^2 ell2) for the dressed state of A, and one
+ell1 x ell1 determinant per pair trace.
 """
 
 from __future__ import annotations
@@ -277,11 +282,19 @@ def pfaffian(A: np.ndarray):
     call advances every member by a step, so a member's value does not
     depend on the stack around it. Up to PANEL rank-2 updates are held as
     A + U V^T - V U^T, applied to each pivot column as it is needed and to
-    the trailing block in one matrix product. A member that meets a zero
-    pivot runs on as inf/nan and gets exactly 0. Pf(A)^2 = det(A), with
-    the sign fixed exactly. A 2-D input gives a complex scalar.
+    the trailing block PANEL rows at a time, so no temporary grows with
+    the trailing block. A member that meets a zero pivot runs on as inf/nan
+    and gets exactly 0. Pf(A)^2 = det(A), with the sign fixed exactly. A
+    2-D input gives a complex scalar. The elimination runs on one complex
+    copy of A, which is left as it is; ``flux_trace`` and ``pair_trace``
+    eliminate in place the operand they build, so a Pfaffian holds its
+    matrix once.
     """
-    A = np.array(A, dtype=complex)
+    return _eliminate(np.array(A, dtype=complex))
+
+
+def _eliminate(A: np.ndarray):
+    """``pfaffian`` of a complex A, which the elimination overwrites."""
     n = A.shape[-1]
     if A.ndim < 2 or A.shape[-2] != n or n % 2:
         raise ValueError(f"need even square matrices, got shape {A.shape}")
@@ -317,10 +330,11 @@ def pfaffian(A: np.ndarray):
             v -= (V[..., s:, :j] @ U[..., k + 1, :j, None])[..., 0]
             j += 1
             if j == PANEL:
-                Us, Vs = U[..., s:, :], V[..., s:, :]
-                update = Us @ Vs.swapaxes(-1, -2)
-                update -= Vs @ Us.swapaxes(-1, -2)
-                A[..., s:, s:] += update
+                Ut, Vt = U[..., s:, :].swapaxes(-1, -2), V[..., s:, :].swapaxes(-1, -2)
+                for r in range(s, n, PANEL):
+                    update = U[..., r:r + PANEL, :] @ Vt
+                    update -= V[..., r:r + PANEL, :] @ Ut
+                    A[..., r:r + PANEL, s:] += update
                 j = 0
     # pivots holds -A[k, k+1]: one sign per pivot on top of the swaps
     pf = (-1.0) ** (n // 2) * np.where(flips, -1.0, 1.0) * np.prod(pivots, axis=-1)
@@ -335,16 +349,25 @@ def majorana_matrix(gamma: np.ndarray) -> np.ndarray:
     for Hermitian states and complex antisymmetric for flux-dressed ones.
     M = (i/2) W* Gamma W^T, where row 2j of W is e_j + e_{j+m} and row
     2j+1 is i (e_{j+m} - e_j): every entry is a sum or difference of one
-    entry from each Gamma block, formed here in O(m^2).
+    entry from each Gamma block, formed here in O(m^2). A real Gamma puts
+    all of M's imaginary parts on its even-even and odd-odd entries; where
+    every one of them is exactly zero, as on the preset windows, M comes
+    back as a real array with the complex one's values. Otherwise it is
+    complex: a finite chain's Gamma holds its particle-hole symmetry only
+    to rounding, which leaves imaginary parts near 1e-11.
     """
-    g = np.asarray(gamma, dtype=complex)
+    g = np.asarray(gamma)
     m = g.shape[0] // 2
     s, d = g[:m] + g[m:], g[:m] - g[m:]  # rows of W* Gamma, up to the factor i on d
-    maj = np.empty((2 * m, 2 * m), dtype=complex)
-    maj[0::2, 0::2] = 0.5j * (s[:, :m] + s[:, m:])
+    even, odd = s[:, :m] + s[:, m:], d[:, :m] - d[:, m:]  # M's even-even, odd-odd entries over i/2
+    real = np.isrealobj(g) and not even.any() and not odd.any()
+    maj = np.zeros((2 * m, 2 * m), dtype=float if real else complex)
+    if not real:
+        s, d = s.astype(complex, copy=False), d.astype(complex, copy=False)  # to the bit
+        maj[0::2, 0::2] = 0.5j * even
+        maj[1::2, 1::2] = 0.5j * odd
     maj[0::2, 1::2] = 0.5 * (s[:, :m] - s[:, m:])
     maj[1::2, 0::2] = -0.5 * (d[:, :m] + d[:, m:])
-    maj[1::2, 1::2] = 0.5j * (d[:, :m] - d[:, m:])
     return maj
 
 
@@ -359,7 +382,7 @@ def flux_trace(maj: np.ndarray, gamma: float) -> complex:
     k = np.arange(0, 2 * m, 2)
     A[k, k + 1] += np.cos(gamma / 2)  # cos(gamma/2) J, added on its 2m entries
     A[k + 1, k] -= np.cos(gamma / 2)
-    return np.exp(0.5j * gamma * m) * pfaffian(A)
+    return np.exp(0.5j * gamma * m) * _eliminate(A)
 
 
 def pair_trace(maj1: np.ndarray, maj2: np.ndarray):
@@ -377,7 +400,7 @@ def pair_trace(maj1: np.ndarray, maj2: np.ndarray):
     blk[..., :m2, m2:] = -one
     blk[..., m2:, :m2] = one
     blk[..., m2:, m2:] = -maj2
-    return (-0.5) ** (m2 // 2) * pfaffian(blk)
+    return (-0.5) ** (m2 // 2) * _eliminate(blk)
 
 
 class GaussianWindow:
@@ -405,6 +428,12 @@ class GaussianWindow:
     factorization of its own; on Ising windows the bound it gives is
     within a factor 8 below the exact kappa_1(S).
 
+    The window keeps the D_AA, D_AB, D_BA and D_BB blocks of D, with B's
+    Majorana matrix M_B = M(D_BB^T), real where its imaginary parts vanish
+    exactly (``majorana_matrix``). A flux trace builds its Pfaffian operand
+    from M_B and eliminates it in place; a dressing forms S from D_BB once,
+    through one real buffer, so neither 1 + D_BB nor 1 - D_BB is stored.
+
     The public methods memoize and compose; ``_prepare``, ``_flux_trace``,
     ``_dress_a``, ``pair_operand`` and ``pair_traces`` carry the algebra,
     which ``ChargeBlockWindow`` replaces for a ``ParticleCorrelationMatrix``.
@@ -424,15 +453,16 @@ class GaussianWindow:
         if isinstance(self.corr, ParticleCorrelationMatrix):
             raise TypeError("the Pfaffian route needs the doubled NambuCorrelationMatrix; "
                             "a ParticleCorrelationMatrix takes ChargeBlockWindow")
-        n_a, w, k = self.n_a, self.corr.m, 2 * self.n_a
-        ab = np.r_[0:n_a, w:w + n_a, n_a:w, w + n_a:2 * w]  # A's particle and hole rows, then B's
-        D = self.corr.gamma.T[ab][:, ab]  # two takes: np.ix_ costs 5 times as much
-        self.d_a, self._d_ab, self._d_ba, d_bb = D[:k, :k], D[:k, k:], D[k:, :k], D[k:, k:]
-        eye = np.eye(len(d_bb))
-        self._ip_b, self._im_b = eye + d_bb, eye - d_bb
-        i = np.arange(len(d_bb))
-        self._probe = (-1.0) ** i * (1.0 + i / (len(d_bb) - 1))  # Higham's test vector
-        self.maj_b = majorana_matrix(self.corr.gamma[ab[k:]][:, ab[k:]])
+        n_a, w = self.n_a, self.corr.m
+        a, b = np.r_[0:n_a, w:w + n_a], np.r_[n_a:w, w + n_a:2 * w]  # particle and hole rows
+        D = self.corr.gamma.T
+        rows_a, rows_b = D[a], D[b]  # two takes a block: np.ix_ costs 5 times as much
+        self.d_a, self._d_ab = rows_a[:, a], rows_a[:, b]
+        self._d_ba, self._d_bb = rows_b[:, a], rows_b[:, b]
+        del rows_a, rows_b  # gone before M_B's temporaries
+        i = np.arange(len(self._d_bb))
+        self._probe = (-1.0) ** i * (1.0 + i / (len(i) - 1))  # Higham's test vector
+        self.maj_b = majorana_matrix(self._d_bb.T)  # Gamma_BB
 
     def log_flux_trace(self, gamma: float) -> complex:
         """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch, computed once per flux."""
@@ -452,7 +482,15 @@ class GaussianWindow:
 
     def _dress_a(self, gamma: float) -> np.ndarray:
         u_b = np.repeat([np.exp(1j * gamma), np.exp(-1j * gamma)], self.n_b)
-        den = self._ip_b * u_b[:, None] + self._im_b  # S = U_B (1 + D_BB) + (1 - D_BB)
+        # S = U_B (1 + D_BB) + (1 - D_BB), entry for entry, through one real
+        # buffer: d + 0.0 and (0.0 - d) + 1.0 are 0.0 + d and 1.0 - d to the bit
+        buf = self._d_bb + 0.0
+        buf.flat[::len(buf) + 1] += 1.0
+        den = buf * u_b[:, None]
+        np.subtract(0.0, self._d_bb, out=buf)
+        buf.flat[::len(buf) + 1] += 1.0
+        den += buf
+        del buf
         rhs = np.column_stack([(u_b - 1.0)[:, None] * self._d_ba, self._probe])
         try:
             sol = np.linalg.solve(den, rhs)

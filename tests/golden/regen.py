@@ -12,9 +12,10 @@ digits that are not stable. ``tests/test_golden.py`` reruns them
 in-process and compares each with ``compare``; ``replay`` does the same
 for every command at once, which needs nothing beyond the runtime
 dependencies. Running this script rewrites only the blocks that
-``compare`` reports, so the Lanczos last bits that ``RULES`` forgives stay
-as they are. A change that rewrites a file lists in its change notes
-every row that moved and by how much.
+``compare`` reports, and in those keeps the golden text of every field
+that agrees by its rule in ``RULES`` but the differences, so the Lanczos
+last bits that ``RULES`` forgives stay as they are. A change that rewrites
+a file lists in its change notes every row that moved and by how much.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ RULES = {
     "ed_gap": lambda w, g, scale, tol: abs(g - w) <= ED_RTOL,
     "ed_residual": lambda w, g, scale, tol: g <= RESIDUAL_BOUND,
 }
+# a rewritten block takes these from its rerun: they measure the
+# determinant side, whose move is what makes a block rewritten
+RERUN_FIELDS = ("abs_diff", "max_abs_diff")
 
 
 def run(argv) -> str:
@@ -169,9 +173,9 @@ def _moved(want, got, rtol=1e-11):
     return out
 
 
-def _agreeing(want_header, want_rows, got_header, got_rows):
-    """``got``'s header and data lines, with each field that agrees with
-    ``want``'s by its rule in ``RULES`` set to ``want``'s text."""
+def _agreeing(want_header, want_rows, got_header, got_rows, fields=tuple(RULES)):
+    """``got``'s header and data lines, with each of ``fields`` that agrees
+    with ``want``'s by its rule in ``RULES`` set to ``want``'s text."""
     want_fields = dict(ln[2:].split(" = ", 1) for ln in want_header)
     tol = float(want_fields.get("tolerance", "nan"))
 
@@ -184,7 +188,7 @@ def _agreeing(want_header, want_rows, got_header, got_rows):
     header = []
     for ln in got_header:
         key, _, val = ln[2:].partition(" = ")
-        agreed = key in RULES and key in want_fields and agrees(key, want_fields[key], val)
+        agreed = key in fields and key in want_fields and agrees(key, want_fields[key], val)
         header.append(f"# {key} = {want_fields[key]}" if agreed else ln)
     cols = want_rows[0].split(",") if want_rows else []
     ed = [k for k, c in enumerate(cols) if c in ("ed_re", "ed_im")]
@@ -193,7 +197,7 @@ def _agreeing(want_header, want_rows, got_header, got_rows):
         ws, gs = w.split(","), g.split(",")
         if ed and len(ws) == len(gs) == len(cols):
             scale = max(abs(float(ws[k])) for k in ed)
-            g = ",".join(a if c in RULES and agrees(c, a, b, scale) else b
+            g = ",".join(a if c in fields and agrees(c, a, b, scale) else b
                          for c, a, b in zip(cols, ws, gs))
         rows.append(g)
     return header, rows + got_rows[len(rows):]
@@ -219,6 +223,16 @@ def compare(want: str, got: str) -> list[str]:
     return report
 
 
+def _rewritten(want: str, got: str) -> str:
+    """The block to write for a rerun ``got`` that moved from ``want``: ``got``,
+    with the golden text of each field that agrees by its rule but ``RERUN_FIELDS``."""
+    fields = [name for name in RULES if name not in RERUN_FIELDS]
+    header, rows = _agreeing(*_split(want), *_split(got), fields)
+    lines = iter(header + rows)  # _split keeps the order, the version line aside
+    return "".join(ln if ln.startswith("# opens ") else next(lines) + "\n"
+                   for ln in got.splitlines(keepends=True))
+
+
 def replay(files=FILES) -> dict:
     """{argv: ``compare`` report} of every command of ``files`` whose rerun differs."""
     moved = {}
@@ -233,15 +247,15 @@ def replay(files=FILES) -> dict:
 
 def main() -> None:
     """Rewrite each file, keeping the golden text of every block whose rerun
-    ``compare``s clean, so that a field agreeing by its rule in ``RULES``
-    keeps its bytes."""
+    ``compare``s clean, and in a block that moved, of every field that
+    agrees by its rule in ``RULES`` but ``RERUN_FIELDS``."""
     for path, commands in FILES.items():
         golden = read(path) if path.exists() else {}
         blocks, moved = [], 0
         for argv in commands:
             want, got = golden.get(argv), run(argv)
             if want is None or compare(want, got):
-                want, moved = got, moved + 1
+                want, moved = (got if want is None else _rewritten(want, got)), moved + 1
             blocks.append(f"## opens {' '.join(argv)}\n{want}")
         path.write_text("".join(blocks))
         print(f"wrote {len(commands)} commands to {path}, {moved} of them rerun",

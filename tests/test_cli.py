@@ -749,13 +749,15 @@ def test_commands_import_only_the_scipy_they_run():
     # the CLI loads no scipy, and no command does: the operator quadrature,
     # the lattice dressing solve, the ED oracle's Lanczos and the AAA poles
     # all run on numpy. No command loads mpmath either, and the tests'
-    # oracles still reach quad on first use.
+    # oracles still reach quad on first use. Nor does any load numpy.ma,
+    # which np.unique imports and which costs a first boson-holevo run
+    # more than 10 ms.
     code = """
 import io, sys
 from contextlib import redirect_stdout
 scipy_loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 import opens.cli
-assert "scipy" not in sys.modules, scipy_loaded()
+assert "scipy" not in sys.modules and "numpy.ma" not in sys.modules, scipy_loaded()
 with redirect_stdout(io.StringIO()):
     for argv in (["boson-moments", "--l2", "100"], ["boson-mie", "--l2", "50"],
                  ["boson-holevo", "--l2", "100"], ["boson-time", "--t", "1000"],
@@ -768,6 +770,7 @@ with redirect_stdout(io.StringIO()):
                   "--d-sites", "2", "--l2-sites", "2"]):
         assert opens.cli.main(argv) == 0, argv
         assert "scipy" not in sys.modules, (argv, scipy_loaded())
+        assert "numpy.ma" not in sys.modules, argv
 assert "mpmath" not in sys.modules
 from opens import cft_operator
 from opens.core import Geometry

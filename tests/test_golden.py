@@ -99,21 +99,49 @@ def test_replay_holds_ed_verify_fields_to_their_rules(tmp_path):
     assert line.startswith(f"row 1: column {diff}: {row[diff]} -> 2e-08"), line
 
 
+def _with_header(text, key, value):
+    """``text`` with its ``# key = ...`` line set to ``value``."""
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, ln in enumerate(lines) if ln.startswith(f"# {key} = "))
+    lines[k] = f"# {key} = {value}\n"
+    return "".join(lines)
+
+
+def _with_rerun_diffs(text, rerun):
+    """``text`` with ``rerun``'s abs_diff column and max_abs_diff line."""
+    header = dict(ln[2:].split(" = ", 1) for ln in rerun.splitlines() if " = " in ln)
+    text = _with_header(text, "max_abs_diff", header["max_abs_diff"])
+    rows = [ln.split(",") for ln in rerun.splitlines() if not ln.startswith("#")]
+    k = rows[0].index("abs_diff")
+    for i, fields in enumerate(rows[1:], start=1):
+        text = _with_field(text, i, k, fields[k])
+    return text
+
+
 def test_regen_rewrites_only_the_blocks_that_moved(tmp_path, monkeypatch):
     # an ED column moved by 5e-12 agrees by its rule, so regen keeps that
-    # block's golden text; a changed determinant digit is a move, so regen
-    # writes the rerun in its place
+    # block's golden text. A changed determinant digit is a move, so regen
+    # rewrites the block from its rerun: every field that agrees by its
+    # rule keeps its golden text (here an ED column and the oracle's
+    # residual), but the differences, which come from the rerun even where
+    # a changed abs_diff agreed by its rule
     path, argv = next((p, a) for p, cmds in regen.FILES.items() for a in cmds
                       if a[0] == "ed-verify")
-    golden = regen.read(path)[argv]
+    golden, rerun = regen.read(path)[argv], regen.run(argv)
     cols, row = [ln.split(",") for ln in golden.splitlines() if not ln.startswith("#")][:2]
     ed = max((cols.index("ed_re"), cols.index("ed_im")), key=lambda k: abs(float(row[k])))
-    det = cols.index("det_re")
+    det, diff = cols.index("det_re"), cols.index("abs_diff")
+    det_value = format(float(row[det]) * (1 + 1e-6), ".12g")
     kept = _with_field(golden, 1, ed, format(float(row[ed]) * (1 + 5e-12), ".12g"))
-    moved = _with_field(golden, 1, det, format(float(row[det]) * (1 + 1e-6), ".12g"))
+    moved = _with_field(golden, 1, det, det_value)
+    residual = "5e-15"
+    assert f"# ed_residual = {residual}\n" not in rerun
+    both = _with_header(_with_field(_with_field(kept, 1, diff, "9e-09"), 1, det, det_value),
+                        "ed_residual", residual)
     copy = tmp_path / path.name
     monkeypatch.setattr(regen, "FILES", {copy: (argv,)})
-    for text, want in ((kept, kept), (moved, regen.run(argv))):
+    for text, want in ((kept, kept), (moved, _with_rerun_diffs(golden, rerun)),
+                       (both, _with_rerun_diffs(_with_field(both, 1, det, row[det]), rerun))):
         copy.write_text(f"## opens {' '.join(argv)}\n{text}")
         regen.main()
         assert regen.read(copy) == {argv: want}
