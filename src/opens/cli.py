@@ -216,6 +216,17 @@ def _at_least(flag: str, value: int, least: int, what: str):
         raise ValueError(f"{flag} {value}: {what} needs {flag[2:]} >= {least}")
 
 
+def _layout(args, l2: int | None = None) -> SubsystemLayout:
+    """The layout of a lattice command, each site count refused by its flag;
+    a sweep passes its ``l2``, checked by ``_integer_grid``, for ``--l2-sites``."""
+    _at_least("--l1", args.l1, 1, "the probed subsystem")
+    _at_least("--d-sites", args.d_sites, 0, "the gap")
+    if l2 is None:
+        _at_least("--l2-sites", args.l2_sites, 1, "the measured subsystem")
+        l2 = args.l2_sites
+    return SubsystemLayout(args.l1, args.d_sites, l2)
+
+
 def _geometry(args, l2: float, n: int = 1) -> Geometry:
     a = args.L + args.d
     return Geometry(args.L, a, a + l2, args.eps, n)
@@ -233,12 +244,13 @@ def _model_from_name(name: str) -> LatticeModel:
         return ISING
     kappa, sep, h = name.partition(":")
     try:
-        if sep:
-            return LatticeModel(float(kappa), float(h))
+        couplings = float(kappa), float(h)
+        if sep and np.isfinite(couplings).all():
+            return LatticeModel(*couplings)
     except ValueError:
         pass
     raise ValueError(f"unknown model {name!r}: use xx (or tb, tight-binding), ising, "
-                     "or kappa:h with two numbers, e.g. 0.7:0.3")
+                     "or kappa:h with two numbers, both finite, e.g. 0.7:0.3")
 
 
 def _model_arg(presets_only: bool):
@@ -477,8 +489,8 @@ def _lattice_moments(args):
     model = _model_from_name(args.model)
     gammas = _fluxes(args.gamma, "--gamma")
     l2s = _integer_grid(args.l2, "l2")
-    logs = [np.log(charged_moments_lattice(model, SubsystemLayout(args.l1, args.d_sites, l2),
-                                           gammas)) for l2 in l2s]
+    layouts = [_layout(args, l2) for l2 in l2s]
+    logs = [np.log(charged_moments_lattice(model, lay, gammas)) for lay in layouts]
     label = ";".join(_fmt(x) for x in gammas)
     rows = [_lattice_row(args, l2, label, lv.real, lv.imag) for l2, lv in zip(l2s, logs)]
     cols = [*_LATTICE, "gammas", "re_log", "im_log"]
@@ -496,7 +508,7 @@ def _lattice_moments(args):
           _flag("--l2-sites", dest="l2_sites", type=int, default=6))
 def _lattice_overlap(args):
     model = _model_from_name(args.model)
-    lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
+    lay = _layout(args)
     p, R, raw = charge_sector_table(model, lay)
     rows = [_lattice_row(args, args.l2_sites, q1, q2, p[q1], p[q2], R[q1, q2])
             for q1 in range(lay.ell2 + 1) for q2 in range(q1, lay.ell2 + 1)]
@@ -513,7 +525,7 @@ def _lattice_overlap(args):
 def _ed_verify(args):
     _at_least("--n", args.n, 1, "a moment check")
     model = _model_from_name(args.model)
-    lay = SubsystemLayout(args.l1, args.d_sites, args.l2_sites)
+    lay = _layout(args)
     most = EDOracle.MAX_DIM.bit_length() - 1
     if not lay.window <= args.sites <= most:
         raise ValueError(f"--sites {args.sites}: the layout needs at least {lay.window} sites, "

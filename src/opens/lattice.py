@@ -34,20 +34,22 @@ Gamma passed in doubled form. Where |cos(gamma/2)| > 0.1, away from trace
 zeros, the two agree to 1e-13 relative (7.6e-14 at worst over the README
 xx grid, odd and pure windows and kappa = 0 chains).
 
-Costs per window. Pfaffian route: one ``eigvalsh`` of Gamma to validate
-it; M in O(m^2) from sums and differences of the Gamma blocks;
-one Pfaffian and one ``np.linalg.solve`` with the 2 ell2 x 2 ell2 B block
-of the dressing denominator per distinct flux, whose solved columns also
-bound its condition number. The Pfaffian kernel eliminates a whole stack
-of matrices at once, each with its own pivots, so a charge-sector table
-evaluates all its pair traces in a few stacked calls. A paired window
-holds each full-size array once: Gamma, the four blocks of D = Gamma^T
-and M_B, which is real on the preset windows, and per flux one complex
-2 ell2 x 2 ell2 array at a time, the Pfaffian operand it eliminates in
-place or the dressing denominator. An Ising flux pair at ell2 = 640 peaks
-at 77 MiB of numpy arrays. Charge-block route: one ``eigvalsh`` of the
-m x m particle block (validation) and one ``eigh`` of the ell2 x ell2
-D_BB, whose eigenvalues give every flux trace and whose eigenbasis every
+Costs per window. Every Gamma is validated by two Cholesky factors, of
+(1 + 1e-10) -+ Gamma, which exist exactly when its spectrum lies in
+[-1, 1] to 1e-10; ``eigvalsh`` runs only to word a refusal. Pfaffian
+route: per distinct flux, M_B in O(ell2^2) from sums and differences of
+the D_BB blocks, one Pfaffian, and one ``np.linalg.solve`` with the
+2 ell2 x 2 ell2 B block of the dressing denominator, whose solved columns
+also bound its condition number. The Pfaffian kernel eliminates a whole
+stack of matrices at once, each with its own pivots, so a charge-sector
+table evaluates all its pair traces in a few stacked calls. A paired
+window reads Gamma once and keeps neither it nor M_B: it holds the four
+blocks of D = Gamma^T, and per flux one complex 2 ell2 x 2 ell2 array at
+a time, the Pfaffian operand it eliminates in place or the dressing
+denominator. An Ising flux pair at ell2 = 640 peaks at 53 MiB of numpy
+arrays, at ell2 = 1280 at 206 MiB. Charge-block route: the range check
+of the m x m particle block and one ``eigh`` of the ell2 x ell2 D_BB,
+whose eigenvalues give every flux trace and whose eigenbasis every
 dressing; per flux O(ell1^2 ell2) for the dressed state of A, and one
 ell1 x ell1 determinant per pair trace.
 """
@@ -122,9 +124,12 @@ class SubsystemLayout:
 class CorrelationMatrix:
     """Validated two-point matrix Gamma of a Gaussian fermion state.
 
-    Each mode of the m-site window holds ``blocks`` rows of Gamma. One
-    ``eigvalsh`` checks the spectrum against [-1, 1] to 1e-10; the windows
-    read D = Gamma^T as given, exactly pure modes included.
+    Each mode of the m-site window holds ``blocks`` rows of Gamma, whose
+    entries must be finite. Two Cholesky factors, of (1 + 1e-10) -+ Gamma
+    formed in turn in one buffer, check its spectrum against [-1, 1] to
+    1e-10, and ``eigvalsh`` gives the range only for a refusal. The windows
+    read D = Gamma^T as given, exactly pure modes included, and keep no
+    reference to Gamma.
     """
 
     blocks = 1
@@ -135,12 +140,22 @@ class CorrelationMatrix:
         if gamma.ndim != 2 or gamma.shape[1] != size or size % self.blocks:
             raise ValueError(f"need a square matrix of {self.blocks} rows per site, "
                              f"got shape {gamma.shape}")
+        if not np.isfinite(gamma).all():  # nan passes every comparison below, and potrf
+            raise ValueError("correlation matrix has non-finite entries")
         herm = np.abs(gamma - gamma.conj().T).max()
         if herm > 1e-10:
             raise ValueError(f"correlation matrix not Hermitian, residue {herm:.2e}")
-        ev = self.spectrum = np.linalg.eigvalsh(gamma)  # ascending, those of Gamma^T too
-        if ev[0] < -1.0 - 1e-10 or ev[-1] > 1.0 + 1e-10:
-            raise ValueError(f"eigenvalues outside [-1, 1]: [{ev[0]}, {ev[-1]}]")
+        # (1 + 1e-10) -+ Gamma, in turn in one buffer, are positive definite
+        # exactly when the spectrum lies in [-1 - 1e-10, 1 + 1e-10]
+        buf = np.empty(gamma.shape, np.result_type(gamma, 1.0))
+        for sign in (-1.0, 1.0):
+            np.multiply(gamma, sign, out=buf)
+            buf.flat[::size + 1] += 1.0 + 1e-10
+            try:
+                np.linalg.cholesky(buf)
+            except np.linalg.LinAlgError:
+                ev = np.linalg.eigvalsh(gamma)  # only to word the error
+                raise ValueError(f"eigenvalues outside [-1, 1]: [{ev[0]}, {ev[-1]}]") from None
         self.gamma = gamma
         self.m = size // self.blocks
 
@@ -428,11 +443,14 @@ class GaussianWindow:
     factorization of its own; on Ising windows the bound it gives is
     within a factor 8 below the exact kappa_1(S).
 
-    The window keeps the D_AA, D_AB, D_BA and D_BB blocks of D, with B's
-    Majorana matrix M_B = M(D_BB^T), real where its imaginary parts vanish
-    exactly (``majorana_matrix``). A flux trace builds its Pfaffian operand
-    from M_B and eliminates it in place; a dressing forms S from D_BB once,
-    through one real buffer, so neither 1 + D_BB nor 1 - D_BB is stored.
+    The window copies the D_AA, D_AB, D_BA and D_BB blocks of D out of
+    Gamma in ``_prepare`` and keeps no reference to Gamma. A flux trace
+    forms B's Majorana matrix M_B = M(D_BB^T), real where its imaginary
+    parts vanish exactly (``majorana_matrix``), builds its Pfaffian operand
+    from it and eliminates that in place; a dressing forms S from D_BB
+    once, through one real buffer, so neither 1 + D_BB nor 1 - D_BB is
+    stored. Past D_BB, the only full-size array a window holds is, per
+    flux, the Pfaffian operand or the dressing denominator.
 
     The public methods memoize and compose; ``_prepare``, ``_flux_trace``,
     ``_dress_a``, ``pair_operand`` and ``pair_traces`` carry the algebra,
@@ -442,27 +460,25 @@ class GaussianWindow:
     def __init__(self, corr: CorrelationMatrix, n_a: int, n_b: int):
         if corr.m != n_a + n_b:
             raise ValueError(f"window has {corr.m} sites, layout wants {n_a + n_b}")
-        self.corr = corr
         self.n_a = n_a
         self.n_b = n_b
+        self.modes_per_eigenvalue = corr.modes_per_eigenvalue
         self._log_flux = {}
         self._dressed_a = {}
-        self._prepare()
+        self._prepare(corr)
 
-    def _prepare(self):
-        if isinstance(self.corr, ParticleCorrelationMatrix):
+    def _prepare(self, corr: CorrelationMatrix):
+        if isinstance(corr, ParticleCorrelationMatrix):
             raise TypeError("the Pfaffian route needs the doubled NambuCorrelationMatrix; "
                             "a ParticleCorrelationMatrix takes ChargeBlockWindow")
-        n_a, w = self.n_a, self.corr.m
+        n_a, w = self.n_a, corr.m
         a, b = np.r_[0:n_a, w:w + n_a], np.r_[n_a:w, w + n_a:2 * w]  # particle and hole rows
-        D = self.corr.gamma.T
+        D = corr.gamma.T
         rows_a, rows_b = D[a], D[b]  # two takes a block: np.ix_ costs 5 times as much
         self.d_a, self._d_ab = rows_a[:, a], rows_a[:, b]
         self._d_ba, self._d_bb = rows_b[:, a], rows_b[:, b]
-        del rows_a, rows_b  # gone before M_B's temporaries
         i = np.arange(len(self._d_bb))
         self._probe = (-1.0) ** i * (1.0 + i / (len(i) - 1))  # Higham's test vector
-        self.maj_b = majorana_matrix(self._d_bb.T)  # Gamma_BB
 
     def log_flux_trace(self, gamma: float) -> complex:
         """log Tr(rho_AB e^{i gamma Q_B}) on the principal branch, computed once per flux."""
@@ -472,7 +488,7 @@ class GaussianWindow:
         return self._log_flux[gamma]
 
     def _flux_trace(self, gamma: float) -> complex:
-        return flux_trace(self.maj_b, gamma)
+        return flux_trace(majorana_matrix(self._d_bb.T), gamma)  # M_B, of Gamma_BB
 
     def dressed_d_a(self, gamma: float) -> np.ndarray:
         """D-matrix of the normalized dressed state of A, solved once per flux."""
@@ -537,7 +553,7 @@ class GaussianWindow:
     def log_renyi_norm(self, n: int) -> float:
         """log Tr rho_A^n from the undressed mode occupations."""
         nu = np.linalg.eigvalsh((self.d_a + self.d_a.conj().T) / 2.0)
-        return self.corr.modes_per_eigenvalue * float(
+        return self.modes_per_eigenvalue * float(
             np.sum(np.log(((1 + nu) / 2.0) ** n + ((1 - nu) / 2.0) ** n))
         )
 
@@ -559,10 +575,10 @@ class ChargeBlockWindow(GaussianWindow):
     One eigensolve of D_BB per window serves every flux.
     """
 
-    def _prepare(self):
+    def _prepare(self, corr: CorrelationMatrix):
         n_a = self.n_a
-        D = self.corr.gamma.T
-        self.d_a = D[:n_a, :n_a]
+        D = corr.gamma.T
+        self.d_a = D[:n_a, :n_a].copy()  # no view keeps Gamma alive
         self._d_b, v = np.linalg.eigh(D[n_a:, n_a:])  # D_BB = (2 C_B - 1)^T
         self._empty, self._full = (1.0 - self._d_b) / 2.0, (1.0 + self._d_b) / 2.0
         self._left = D[:n_a, n_a:] @ v

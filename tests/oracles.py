@@ -334,10 +334,10 @@ def correlation_matrix(oracle: EDOracle) -> NambuCorrelationMatrix:
 def gaussian_renyi_entropy(corr: CorrelationMatrix, n: float) -> float:
     """Renyi entropy of a Gaussian state from its mode occupations (1 +- nu) / 2.
 
-    nu runs over ``corr.spectrum``, each eigenvalue standing for
+    nu runs over the eigenvalues of Gamma, each standing for
     ``corr.modes_per_eigenvalue`` modes.
     """
-    nu = corr.spectrum
+    nu = np.linalg.eigvalsh(corr.gamma)
     p = np.clip((1.0 + nu) / 2.0, 1e-300, 1.0)
     q = np.clip((1.0 - nu) / 2.0, 1e-300, 1.0)
     if n == 1:

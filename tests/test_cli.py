@@ -345,6 +345,9 @@ class TestCommands:
     def test_lattice_models_are_checked_when_parsed(self, capsys):
         for cmd in ("lattice-moments", "lattice-overlap", "ed-verify"):
             for model, complaint in (("foo", "unknown model 'foo'"), ("0.7", "unknown model '0.7'"),
+                                     ("nan:1", "unknown model 'nan:1'"),
+                                     ("inf:1", "unknown model 'inf:1'"),
+                                     ("1:nan", "unknown model '1:nan'"),
                                      ("0.7:0.3", "ed-verify takes generic kappa:h")):
                 if cmd == "ed-verify" and model == "0.7:0.3":
                     continue
@@ -357,6 +360,24 @@ class TestCommands:
                     assert "xx (or tb, tight-binding), ising, or kappa:h" in err
         with pytest.raises(ValueError, match="kappa:h with two numbers"):
             _model_from_name("0.7:x")
+
+    @pytest.mark.parametrize("cmd, flag, value", [
+        (cmd, flag, value)
+        for cmd in ("lattice-moments", "lattice-overlap", "ed-verify")
+        for flag, value in (("--l1", "0"), ("--d-sites", "-1"), ("--l2-sites", "0"))
+        if not (cmd == "lattice-moments" and flag == "--l2-sites")  # its --l2 grid: above
+    ], ids=lambda v: v)
+    def test_lattice_site_counts_are_refused_by_flag(self, tmp_path, cmd, flag, value):
+        # once a bare "need ell1 >= 1, ell2 >= 1, d >= 0" from SubsystemLayout,
+        # naming no flag; refused before any point runs
+        out = tmp_path / "sites.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--output", str(out), cmd, flag, value]) == 1
+        least = {"--l1": 1, "--d-sites": 0, "--l2-sites": 1}[flag]
+        error = out.read_text().splitlines()[-1]
+        assert error.startswith(f"ValueError: {flag} {value}: ")
+        assert error.endswith(f" needs {flag[2:]} >= {least}"), error
 
     def test_ed_verify_passes(self, tmp_path):
         out = tmp_path / "ed.csv"

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from opens.errors import ConvergenceError, DomainError, SingularMatrixError
 from opens.lattice import (
     ISING,
     TIGHT_BINDING,
+    ChargeBlockWindow,
     EDOracle,
     GaussianWindow,
     LatticeModel,
@@ -253,7 +255,7 @@ class TestPfaffian:
     def test_flux_trace_matches_per_matrix_elimination(self):
         # the large 2-D Pfaffians of lattice-moments, several panels deep
         lay = SubsystemLayout(10, 10, 200)
-        maj = GaussianWindow(ground_state_correlations(ISING, lay), 10, 200).maj_b
+        maj = majorana_matrix(GaussianWindow(ground_state_correlations(ISING, lay), 10, 200)._d_bb.T)
         J = np.kron(np.eye(200), [[0.0, 1.0], [-1.0, 0.0]])
         for gamma in (0.5, 2.9):
             ref = np.exp(0.5j * gamma * 200) * loop_pfaffian(
@@ -323,13 +325,47 @@ class TestCorrelationValidation:
             kind(1.5 * corr.gamma)
         kind(corr.gamma)  # the valid state itself passes
 
+    def test_spectrum_just_past_the_tolerance_rejected_with_its_range(self, kind, model):
+        # the pure window of the test below, scaled 2e-10 past +-1: both
+        # Cholesky checks fail, and the message gives the eigenvalue range
+        gamma = window_corr(model, 8, SubsystemLayout(3, 0, 5)).gamma * (1.0 + 2e-10)
+        with pytest.raises(ValueError, match=r"outside \[-1, 1\]") as exc:
+            kind(gamma)
+        low, high = (float(v) for v in str(exc.value).split(": [")[1].rstrip("]").split(", "))
+        assert low == pytest.approx(-1.0 - 2e-10, abs=1e-13)
+        assert high == pytest.approx(1.0 + 2e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("value, entries", [(np.inf, ((0, 1), (1, 0))), (np.nan, ((2, 2),))],
+                             ids=["symmetric inf pair", "nan on the diagonal"])
+    def test_non_finite_entries_rejected(self, kind, model, value, entries):
+        # an inf pair leaves a nan Hermitian residue, which passes a > test, and
+        # a nan passes the Cholesky range check unflagged
+        gamma = window_corr(model, 8, SubsystemLayout(2, 1, 3)).gamma.copy()
+        for jk in entries:
+            gamma[jk] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            kind(gamma)
+
+    def test_window_holds_no_reference_to_gamma(self, kind, model):
+        # Gamma is read once, in _prepare; the windows copy the blocks they keep
+        lay = SubsystemLayout(3, 1, 4)
+        corr = window_corr(model, 8, lay)
+        alive = weakref.ref(corr.gamma)
+        expected = charged_moments_lattice(corr, lay, [0.5, 1.1])
+        win = lattice._window_for(corr, lay)
+        assert type(win) is (ChargeBlockWindow if kind is ParticleCorrelationMatrix else GaussianWindow)
+        del corr
+        assert alive() is None
+        log_num = win.log_flux_trace(0.5) + win.log_flux_trace(1.1) + win.log_replica_product([0.5, 1.1])
+        assert np.exp(log_num - win.log_renyi_norm(2)) == expected
+
     def test_spectrum_just_past_one_is_taken_as_given(self, kind, model):
         # A u B fills the 8-site chain: a pure state, every eigenvalue at +-1;
         # scaled past them inside the 1e-10 range tolerance, the Mobius forms
         # and the traces meet modes a little more than full or empty
         lay = SubsystemLayout(3, 0, 5)
         corr = kind(window_corr(model, 8, lay).gamma * (1.0 + 5e-11))
-        assert np.abs(corr.spectrum).min() > 1.0
+        assert np.abs(np.linalg.eigvalsh(corr.gamma)).min() > 1.0
         for gammas in ([0.4], [0.3, 0.7], [0.5, 1.1, 2.3]):
             assert np.isfinite(charged_moments_lattice(corr, lay, gammas))
         for table in charge_sector_table(corr, lay):
@@ -567,13 +603,14 @@ def traced_peak(run):
 
 
 class TestPairedWindowMemory:
-    # each full-size array of a paired window is held once: blocks of D,
-    # a real M_B, one Pfaffian operand eliminated in place, one dressing
-    # denominator. With a copy of each, the peaks were 7.87 and 6.01 MiB
+    # a paired window holds the blocks of D and, per flux, one Pfaffian
+    # operand eliminated in place or one dressing denominator; Gamma is gone
+    # once the window is built. Holding Gamma and M_B too, the moment peaked
+    # at 4.04 MiB; with a copy of each array, the two peaks were 7.87 and 6.01
 
     def test_moment_peak(self):
         lay = SubsystemLayout(10, 10, 140)
-        assert traced_peak(lambda: charged_moments_lattice(ISING, lay, [0.5, 0.5])) <= 4.5
+        assert traced_peak(lambda: charged_moments_lattice(ISING, lay, [0.5, 0.5])) <= 3.3
 
     def test_sector_table_peak(self):
         lay = SubsystemLayout(10, 10, 10)
