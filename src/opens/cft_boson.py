@@ -34,8 +34,8 @@ import numpy as np
 
 from opens.continuation import continue_stack
 from opens.continuation import continue_to_one  # noqa: F401 - perfbench's traced run looks it up here
-from opens.core import (Geometry, SymmetricCirculant, _cmul, _complex, _one, _where_ok, log_ratio,
-                        log_sinhc, replica_log_det)
+from opens.core import (Geometry, SymmetricCirculant, _one, _where_ok, log_ratio, log_sinhc,
+                        replica_log_det)
 from opens.core import quadratic_form_cn  # noqa: F401 - perfbench's traced run looks it up here
 from opens.errors import DomainError, RegimeWarning
 
@@ -112,16 +112,16 @@ def _rows(ell, pa, pb, n):
     and entry j is 2 Re log1p(s / sin^2(pi j / n)). The diagonal replaces
     the coincident images by their point-split width at leading order in
     eps, 2 Re log(n^2 s pa pb). Rows are palindromic, so only j <= n // 2
-    is evaluated.
+    is evaluated. Per layout, s and n^2 s pa pb are numpy complex scalar
+    products and moduli the hypot of their parts, as a point-by-point
+    evaluation takes them, so each row keeps its bits.
     """
     y = np.sinh(ell / (2 * n))
-    s = _cmul(y.real, y.imag, y.real, y.imag)
-    w = _complex(*s)[:, None] / np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2
+    s = np.array([v * v for v in y])
+    w = s[:, None] / np.sin(np.pi * np.arange(1, n // 2 + 1) / n) ** 2
     half = np.log1p(w.real * (2.0 + w.real) + w.imag * w.imag)  # log |1 + w|^2
-    prod = _cmul(float(n * n), 0.0, *s)  # n^2 as a complex number, as numpy promotes it
-    for p in (pa, pb):
-        prod = _cmul(*prod, p.real, p.imag)
-    diag = 2.0 * np.log(np.hypot(*prod))
+    prod = np.array([n * n * v * a * b for v, a, b in zip(s, pa, pb)])
+    diag = 2.0 * np.log(np.hypot(prod.real, prod.imag))
     return np.concatenate((diag[:, None], half, half[:, :(n - 1) // 2][:, ::-1]), axis=1)
 
 
@@ -176,9 +176,11 @@ def _chi(points, ns):
     the row whose diagonal is D, with full relative accuracy however small
     chi_n is. Endpoints sit at a - shift and b - shift.
 
-    All points are evaluated together, as one stack of rows per n. Returns
-    per point its list of chi_n for n in ``ns``, or the exception that
-    point raises, from its first failing check.
+    All points are evaluated together, as one stack of rows per n, with the
+    bits of a point-by-point evaluation: moving the samples by 1e-15 moves
+    the continued Holevo bound by up to 3e-10 relative. Returns per point
+    its list of chi_n for n in ``ns``, or the exception that point raises,
+    from its first failing check.
     """
     if not points:
         return []

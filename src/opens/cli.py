@@ -518,7 +518,8 @@ def _lattice_overlap(args):
 # l1 = d_sites = 3: with the default --l2-sites, a layout that fills the default chain
 @_command("ed-verify", "determinant route vs exact diagonalization",
           _flag("--model", default="xx", type=_model_arg(presets_only=False),
-                help="xx | ising | kappa:h"), *_SITES,
+                help="xx | ising | kappa:h; a negative kappa needs the = form, "
+                     "--model=-0.5:1"), *_SITES,
           _flag("--l2-sites", dest="l2_sites", type=int, default=2),
           _flag("--sites", type=int, default=8, help="total chain sites (<= 12)"),
           _flag("--n", type=int, default=3, help="largest replica number"), l1=3, d_sites=3)

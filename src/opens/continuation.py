@@ -73,7 +73,6 @@ class ContinuationProblem:
 class ContinuationResult:
     value: float
     error_estimate: float
-    support_points: np.ndarray = field(repr=False, default=None)
     loo_values: np.ndarray = field(repr=False, default=None)
     # the degree that gave the value, after any fallback to a lower one
     degree: int | None = None
@@ -347,7 +346,7 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
         ns, vals = ns[order], vals[order]
         scale = np.abs(vals).max()
         if scale == 0.0:
-            out[i] = ContinuationResult(0.0, 0.0, ns, np.zeros(len(ns)), max_degree)
+            out[i] = ContinuationResult(0.0, 0.0, np.zeros(len(ns)), max_degree)
         else:
             data[i] = ns, vals / scale, scale
 
@@ -390,7 +389,7 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             if not vals.size:
                 vals = np.asarray([value])
             err = float(max(vals.max() - vals.min(), np.abs(vals - value).max()))
-            out[i] = ContinuationResult(value, err, ns, vals, degree)
+            out[i] = ContinuationResult(value, err, vals, degree)
     return out
 
 

@@ -8,6 +8,8 @@ boson's and the operator's, the reference quadratic form ``v M^{-1} v^T``
 by a dense solve, the two cancellation-free logarithms that the
 uniformization map's cross ratios are built from, and the two helpers by
 which a batch of points carries a failed point as the exception in its slot.
+``log_sinhc`` sums a complex batch over its numpy complex scalars, entry by
+entry, so that each entry keeps the bits of a point-by-point call.
 """
 
 from __future__ import annotations
@@ -212,49 +214,29 @@ _LOG_SINHC = (
 )
 
 
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) in real arithmetic, as numpy's complex scalars form it.
-
-    numpy's complex array loops use fused multiply-add and round
-    differently; with them the boson samples would move by up to 1e-15 and
-    the continued Holevo bound by up to 3e-10 relative from a point-by-point
-    evaluation, which the tests keep as the reference.
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _complex(re, im):
-    """Complex array from its parts; re + 1j * im could flip a signed zero."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def log_sinhc(y):
     """log(sinh(y) / y) for real or complex y, accurate to a few units in
     the last place at every y.
 
-    A complex array takes the series on its real and imaginary lanes with
-    ``_cmul``, so that each entry is the one its complex scalar gives. With
-    a zero imaginary lane that is the plain recurrence, which real input
-    and scalars take.
+    A complex array sums the series entry by entry over its numpy complex
+    scalars, as a point-by-point call does: its array loops use fused
+    multiply-add and would round differently.
     """
-    if np.iscomplexobj(y) and np.ndim(y) > 0:
-        zr, zi = _cmul(y.real, y.imag, y.real, y.imag)
-        sr = si = np.zeros(y.shape)
+    def series(z):
+        out = 0.0
         for c in _LOG_SINHC:
-            sr, si = _cmul(sr + c, si + 0.0, zr, zi)
-        series, small = _complex(sr, si), np.hypot(y.real, y.imag) < 0.5
+            out = (out + c) * z
+        return out
+
+    if np.ndim(y) == 0:  # per point only in the adaptive test oracle, matrix_entry_remainder
+        return series(y * y) if abs(y) < 0.5 else np.log(np.sinh(y) / y)
+    if np.iscomplexobj(y):
+        small = np.hypot(y.real, y.imag) < 0.5  # np.abs rounds unlike the scalar abs
+        values = np.array([series(v * v) for v in y.ravel()], dtype=complex).reshape(y.shape)
     else:
-        z = y * y
-        series = 0.0
-        for c in _LOG_SINHC:
-            series = (series + c) * z
-        if np.ndim(y) == 0:  # per point only in the adaptive test oracle, matrix_entry_remainder
-            return series if abs(y) < 0.5 else np.log(np.sinh(y) / y)
-        small = np.abs(y) < 0.5
+        small, values = np.abs(y) < 0.5, series(y * y)
     safe = np.where(small, 1.0, y)
-    return np.where(small, series, np.log(np.sinh(safe) / safe))
+    return np.where(small, values, np.log(np.sinh(safe) / safe))
 
 
 def log_ratio(w, q):

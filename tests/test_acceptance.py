@@ -173,6 +173,7 @@ def test_criterion_5_large_time_decay():
     )
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_criterion_6_flat_integrals():
     ell = 1.0
     checks = []

@@ -438,6 +438,12 @@ class TestCommands:
         assert main(["--output", str(out2)] + args) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_ed_verify_takes_a_negative_kappa_in_the_equals_form(self, tmp_path):
+        # a separate word -0.5:1 would read as a flag, and argparse exits 2
+        out = tmp_path / "ed.csv"
+        assert main(["--output", str(out), "ed-verify", "--model=-0.5:1", "--sites", "8"]) == 0
+        assert "# verdict = pass" in out.read_text().splitlines()
+
     def test_ed_verify_on_a_degenerate_chain_records_the_error(self, tmp_path):
         # the Kitaev chain at h = 0 holds an exact zero mode
         out = tmp_path / "ed.csv"

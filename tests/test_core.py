@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opens.core import _LOG_SINHC, Geometry, SymmetricCirculant, quadratic_form_cn, replica_log_det
+from opens.core import (_LOG_SINHC, Geometry, SymmetricCirculant, log_sinhc, quadratic_form_cn,
+                        replica_log_det)
 from opens.errors import GeometryError, RegimeWarning, SingularMatrixError
 from oracles import circulant_determinant, circulant_inverse_row_sum
 
@@ -176,3 +177,45 @@ def test_log_sinhc_series_constants_are_the_zeta_expression():
     assert len(_LOG_SINHC) == 12
     assert all(type(c) is float for c in _LOG_SINHC)
     assert np.array(_LOG_SINHC).tobytes() == np.array(built).tobytes()
+
+
+class TestLogSinhcEntries:
+    """A batch of log sinhc holds, entry by entry, the bits of a call on that
+    entry's own scalar, the one the per-point references make."""
+
+    @staticmethod
+    def assert_entrywise(y):
+        want = np.array([log_sinhc(v) for v in y.ravel()]).reshape(y.shape)
+        got = log_sinhc(y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_seeded_complex_array_flat_and_reshaped(self):
+        rng = np.random.default_rng(35)
+        y = rng.normal(scale=0.5, size=60) + 1j * rng.normal(scale=0.5, size=60)
+        assert (np.abs(y) < 0.5).any() and (np.abs(y) >= 0.5).any()  # both branches
+        self.assert_entrywise(y)
+        self.assert_entrywise(y.reshape(6, 10))
+
+    def test_entries_one_ulp_either_side_of_one_half(self):
+        # on each axis and off them, where the modulus is the hypot of the
+        # parts; on the circle |y| = 1/2, np.abs of an array can round to the
+        # other side of 1/2 than the scalar abs
+        below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+        im = np.array([0.4, np.nextafter(0.4, 0.0), np.nextafter(0.4, 1.0)])
+        y = np.concatenate(([below, 0.5, above, -below, -above],
+                            [1j * below, 1j * above, -1j * above], 0.3 + 1j * im,
+                            0.5 * np.exp(1j * np.linspace(0.05, 1.5, 16))))
+        modulus = np.hypot(y.real, y.imag)
+        assert (modulus < 0.5).any() and (modulus == 0.5).any() and (modulus > 0.5).any()
+        self.assert_entrywise(y)
+
+    def test_zeros_and_entries_on_an_axis(self):
+        y = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 0.25, -0.75, 2.0,
+                      0.25j, -0.75j, 2j, complex(-3.0, 0.0)])
+        self.assert_entrywise(y)
+        self.assert_entrywise(y.reshape(2, 5))
+
+    def test_real_array(self):
+        y = np.random.default_rng(36).normal(scale=0.6, size=(4, 15))
+        y[0, :3] = 0.0, np.nextafter(0.5, 0.0), 0.5
+        self.assert_entrywise(y)
