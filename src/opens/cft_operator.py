@@ -23,6 +23,11 @@ are kept only as the independent check that the tests compare against.
 Gauss-Jacobi rules come from an in-repo Golub-Welsch eigensolve
 (``_gauss_jacobi``), so the route loads no scipy special functions.
 
+``build_M_operators`` builds the matrices of several n on one layout in
+one pass: the nodes, log q and the other n-free factors of the diagonal's
+rule are formed once per node count, and each matrix has the bits of the
+one-n ``build_M_operator``, which is its call at a single n.
+
 One ``OperatorMatrix`` per (geometry, n) feeds every ensemble diagnostic:
 C_n as n over the row sum of M, the entropy correction by
 ``core.replica_log_det`` as the boson's, overlap generating functions, the
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -44,7 +50,7 @@ import numpy as np
 from opens.core import (Geometry, SymmetricCirculant, _one, log_ratio, log_sinhc,
                         renyi_entropy_base, replica_log_det)
 from opens.core import quadratic_form_cn  # noqa: F401 - perfbench's traced run looks it up here
-from opens.errors import QuadratureError, SingularMatrixError
+from opens.errors import QuadratureError, RegimeWarning, SingularMatrixError
 
 #: nodes per axis of the coarse tensor rule; the fine rule doubles it
 GAUSS_NODES = 32
@@ -102,6 +108,13 @@ def _du_abs(x, L, n):
     return _u(x, L, n) * L / (n * x * (x - L))
 
 
+def _half_log_q(x2, x2_off, s, L):
+    """lam / 2 and log sinhc(lam / 2), the n-free half of ``_log_r``."""
+    x1_off = x2_off + s
+    half_lam = 0.5 * log_ratio(-L * s / (x2 * x1_off), ((x2 + s) / x2) * (x2_off / x1_off))
+    return half_lam, log_sinhc(half_lam)
+
+
 def _log_r(x2, x2_off, s, L, n):
     """log r for r = j1 j2 s^2 / (u1 - u2)^2 at x1 = x2 + s, s >= 0.
 
@@ -114,9 +127,8 @@ def _log_r(x2, x2_off, s, L, n):
     n = 1, where the map is Mobius. Its leading term is the Schwarzian
     (1 - 1/n^2) L^2 s^2 / (12 x^2 (x - L)^2).
     """
-    x1_off = x2_off + s
-    lam = log_ratio(-L * s / (x2 * x1_off), ((x2 + s) / x2) * (x2_off / x1_off))
-    return 2.0 * (log_sinhc(0.5 * lam) - log_sinhc(0.5 * lam / n))
+    half_lam, head = _half_log_q(x2, x2_off, s, L)
+    return 2.0 * (head - log_sinhc(half_lam / n))
 
 
 def _remainder_power(spec: OperatorSpec):
@@ -347,11 +359,15 @@ def _offdiag_rule(g: Geometry, spec: OperatorSpec, N: int) -> np.ndarray:
     return (k @ wt) @ wt
 
 
-def _remainder_rule(g: Geometry, spec: OperatorSpec, N: int) -> float:
-    """Subtracted diagonal over y1 > y2, doubled by symmetry.
+def _remainder_rules(g: Geometry, spec: OperatorSpec, N: int, ns) -> list:
+    """Subtracted diagonal at each n of ``ns``, over y1 > y2, doubled by symmetry.
 
     Gauss-Jacobi in sigma = y1 - y2 carries the sigma^(2 - 2p) coincident
     behaviour of the kernel; Gauss-Legendre runs over y2 in [ya, yb - sigma].
+    The nodes, log q with its first log sinhc and the kernel's other n-free
+    factors are formed once; each n adds its own log sinhc(lam / 2n) and
+    expm1, in the product's left-to-right order, so an entry has the bits of
+    a one-n call.
     """
     p, c = _remainder_power(spec)
     beta = 2.0 - 2.0 * p
@@ -363,9 +379,15 @@ def _remainder_rule(g: Geometry, spec: OperatorSpec, N: int) -> float:
     half = 0.5 * (span - sig)  # half-length of the y2 range
     t2 = np.exp(ya + half[:, None] * (1.0 + z))  # x2 - L
     s = t2 * np.expm1(sig)[:, None]
-    log_r = _log_r(g.L + t2, t2, s, g.L, g.n)
-    f = c * s ** (-2.0 * p) * np.expm1(p * log_r) * (t2 + s) * t2 / sig[:, None] ** beta
-    return 2.0 * (0.5 * span) ** (beta + 1.0) * (ws @ (half * (f @ w)))
+    half_lam, head = _half_log_q(g.L + t2, t2, s, g.L)
+    cs, t2s, sigb = c * s ** (-2.0 * p), t2 + s, sig[:, None] ** beta
+    scale = 2.0 * (0.5 * span) ** (beta + 1.0)
+    out = []
+    for n in ns:
+        log_r = 2.0 * (head - log_sinhc(half_lam / n))
+        f = cs * np.expm1(p * log_r) * t2s * t2 / sigb
+        out.append(scale * (ws @ (half * (f @ w))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -410,27 +432,40 @@ class OperatorMatrix:
         return n / total
 
 
-def build_M_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> OperatorMatrix:
-    """Replica covariance matrix of a scalar or vector observable.
+def build_M_operators(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig, ns) -> list:
+    """Replica covariance matrix of a scalar or vector observable at each n of
+    ``ns``, on the layout of ``g``.
 
     Entries depend only on the branch offset (i - j) mod n and are
     palindromic in it, so only floor(n/2) off-diagonal integrals are
     computed, together with the subtracted diagonal, by the tensor Gauss
-    rule at GAUSS_NODES and twice as many nodes per axis. An entry whose
-    two values differ by more than the ``cfg.tol`` bound of
-    ``_check_converged`` raises ``QuadratureError``. The cutoff enters only
-    through the closed-form flat add-back, so the matrix is exact in its
-    eps dependence.
+    rule at GAUSS_NODES and twice as many nodes per axis. The diagonal's
+    n-free work runs once per node count for every n. An entry whose two
+    values differ by more than the ``cfg.tol`` bound of ``_check_converged``
+    raises ``QuadratureError`` naming its n, the first such n of ``ns``.
+    The cutoff enters only through the closed-form flat add-back, so each
+    matrix is exact in its eps dependence.
     """
-    n = g.n
-    coarse, fine = (np.append(_offdiag_rule(g, spec, N), _remainder_rule(g, spec, N))
+    with warnings.catch_warnings():  # each n has the layout of g, which warned when made
+        warnings.simplefilter("ignore", RegimeWarning)
+        gs = [replace(g, n=n) for n in ns]
+    coarse, fine = ([np.append(_offdiag_rule(gn, spec, N), diag)
+                     for gn, diag in zip(gs, _remainder_rules(g, spec, N, ns))]
                     for N in (GAUSS_NODES, 2 * GAUSS_NODES))
-    err = np.abs(fine - coarse)
-    names = [f"entry m={m}" for m in range(1, n // 2 + 1)] + ["diagonal remainder"]
-    for what, val, e in zip(names, fine, err):
-        _check_converged(val, e, cfg, f"{what} (tensor rule)")
-    off = tuple(float(v) for v in fine[: n // 2])
-    return OperatorMatrix(g, spec, float(fine[-1]), off, cfg.eps_reg, float(err.max()))
+    oms = []
+    for gn, lo, hi in zip(gs, coarse, fine):
+        n, err = gn.n, np.abs(hi - lo)
+        names = [f"entry m={m}" for m in range(1, n // 2 + 1)] + ["diagonal remainder"]
+        for what, val, e in zip(names, hi, err):
+            _check_converged(val, e, cfg, f"n = {n}, {what} (tensor rule)")
+        off = tuple(float(v) for v in hi[: n // 2])
+        oms.append(OperatorMatrix(gn, spec, float(hi[-1]), off, cfg.eps_reg, float(err.max())))
+    return oms
+
+
+def build_M_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> OperatorMatrix:
+    """``build_M_operators`` at the one n of ``g``."""
+    return build_M_operators(g, spec, cfg, [g.n])[0]
 
 
 def single_copy_m11_operator(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig) -> float:

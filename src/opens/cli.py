@@ -48,6 +48,7 @@ from opens.cft_operator import (
     QuadratureConfig,
     averaged_purity,
     build_M_operator,
+    build_M_operators,
     mie_general,
     overlap_generating,
     single_copy_m11_operator,  # noqa: F401 - perfbench's traced run looks it up here
@@ -394,7 +395,7 @@ def _cn_table(args):
     if len(ns) < 2:
         raise ValueError(f"grid {args.n!r} gives fewer than two n; the linear fit needs "
                          "at least two distinct integer points")
-    oms = [build_M_operator(_geometry(args, args.l2, n), spec, cfg) for n in ns]
+    oms = build_M_operators(_geometry(args, args.l2), spec, cfg, ns)
     cns = [om.cn() for om in oms]
     coef = np.polyfit(ns, cns, 1)
     resid = np.asarray(cns) - np.polyval(coef, ns)

@@ -126,14 +126,15 @@ def _pole_rows(support, weights):
     nu_j = 1 / (z_j - z_k), they solve w_k + sum_{j != k} w_j nu_j / (nu_j - mu)
     = 0, whose roots are the eigenvalues of diag(nu) + (w / w_k) nu^T over
     j != k. The expansion point is a support point, never a pole, so the
-    matrix is finite for any finite weights that are not all zero (AAA's
-    are unit vectors): a weight sum of zero is the root mu = 0, and a pole
-    at n = 1 an ordinary eigenvalue. One ``np.linalg.eigvals`` takes the whole stack, one LAPACK
-    call per member, so every pole is the same as for that member alone.
+    matrix is finite for any finite weights that are not all zero: a weight
+    sum of zero is the root mu = 0, and a pole at n = 1 an ordinary
+    eigenvalue. AAA's weights are such: a singular vector, or one divided
+    by a column norm, which is either 0, and the fit fails, or at least
+    the 1.5e-162 whose square does not underflow. One ``np.linalg.eigvals``
+    takes the whole stack, one LAPACK call per member, so every pole is
+    the same as for that member alone.
     """
     nfit, m = weights.shape
-    if not np.isfinite(weights).all():
-        raise ValueError("barycentric weights must be finite")
     k = np.abs(weights).argmax(axis=1)[:, None]
     zk, wk = np.take_along_axis(support, k, 1), np.take_along_axis(weights, k, 1)
     rest = np.arange(m) != k
@@ -420,20 +421,16 @@ def _at_one(fits) -> np.ndarray:
 def _pole_screen(fits, hi) -> list:
     """Per fit, None, or why its value at n = 1 cannot be used.
 
-    That is the fit's own exception, the one its pole computation raises,
-    or a ``ContinuationError`` for a pole on the real axis inside
-    [1, ``hi``]. Spurious, nearly cancelling pole-zero pairs carry
-    negligible residues, so only poles that move the interpolant count.
-    Residues and the test run on one stack per support size.
+    That is the fit's own exception, or a ``ContinuationError`` for a pole
+    on the real axis inside [1, ``hi``]. Spurious, nearly cancelling
+    pole-zero pairs carry negligible residues, so only poles that move the
+    interpolant count. Residues and the test run on one stack per support
+    size.
     """
     out = [fit if isinstance(fit, Exception) else None for fit in fits]
-    rows = {}
-    for k, fit in enumerate(fits):
-        if out[k] is None:
-            try:
-                rows[k] = fit.pole_row()  # computed here only for a fit its clean-up re-solved
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                out[k] = exc
+    # computed here only for a fit its clean-up re-solved, whose weights are
+    # a singular vector of a finite Loewner matrix
+    rows = {k: fit.pole_row() for k, fit in enumerate(fits) if out[k] is None}
     lo = 1.0 - 1e-9
     for idx in _grouped(rows, lambda k: rows[k].size):
         poles = np.array([rows[k] for k in idx])

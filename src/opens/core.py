@@ -220,7 +220,8 @@ def log_sinhc(y):
 
     A complex array sums the series entry by entry over its numpy complex
     scalars, as a point-by-point call does: its array loops use fused
-    multiply-add and would round differently.
+    multiply-add and would round differently. The closed form runs only on
+    the entries with |y| >= 1/2; the series serves the rest.
     """
     def series(z):
         out = 0.0
@@ -235,8 +236,10 @@ def log_sinhc(y):
         values = np.array([series(v * v) for v in y.ravel()], dtype=complex).reshape(y.shape)
     else:
         small, values = np.abs(y) < 0.5, series(y * y)
-    safe = np.where(small, 1.0, y)
-    return np.where(small, values, np.log(np.sinh(safe) / safe))
+    far = ~small
+    if far.any():
+        values[far] = np.log(np.sinh(y[far]) / y[far])
+    return values
 
 
 def log_ratio(w, q):

@@ -42,6 +42,7 @@ from opens.lattice import (
     charge_sector_table,
     charged_moments_lattice,
     finite_chain_correlations,
+    ising_gamma_rescaling,
     ising_log_coefficient_prediction,
 )
 from oracles import (
@@ -474,3 +475,40 @@ def test_criterion_11_uv_finiteness():
             f"by {min(wrong) * 100:.0f}% at 1.01 diag_remainder"
         )
     assert report(11, ok, "; ".join(details))
+
+
+def test_criterion_12_ising_cross_term():
+    # The Ising fermion number tends to the h_s = 1 energy operator, with
+    # log Z ~ -g M g / (2 pi^2) in the rescaled fluxes g of criterion 10. The
+    # n = 2 cross term X = log Z_2(gamma, -gamma) - log Z_2(gamma, gamma)
+    # cancels every per-flux constant and the non-universal diagonal, leaving
+    # 2 g^2 M12 / pi^2 with the cutoff- and scale-free M12 of the operator
+    # route. On layouts (k, k, 2k) its relative miss r(k) halves with each
+    # doubling of k, so one Richardson step 2 r(64) - r(32) removes the 1/k
+    # term; what is left, a few 1e-5, is held to 1e-3.
+    t0 = time.time()
+    m12 = build_M_operator(Geometry(1.0, 2.0, 4.0, 1e-3, 2), OperatorSpec("scalar", 1.0),
+                           QuadratureConfig()).off_row[0]
+    ks = (16, 32, 64)
+    worst_rich, worst_halving, details = 0.0, 0.0, []
+    for gam in (0.3, 0.6, 1.0):
+        pred = 2.0 * ising_gamma_rescaling(gam) ** 2 * m12 / np.pi**2
+        r = []
+        for k in ks:
+            lay = SubsystemLayout(k, k, 2 * k)
+            cross = (np.log(charged_moments_lattice(ISING, lay, [gam, -gam])).real
+                     - np.log(charged_moments_lattice(ISING, lay, [gam, gam])).real)
+            r.append(cross / pred - 1.0)
+        rich = 2.0 * r[2] - r[1]
+        worst_rich = max(worst_rich, abs(rich))
+        worst_halving = max(worst_halving, *(abs(b / a - 0.5) for a, b in zip(r, r[1:])))
+        details.append(f"gamma={gam}: r(64) {r[2]:.2e}, Richardson {rich:.1e}")
+    dt = time.time() - t0
+    # r(2k) / r(k) within 0.1 of 1/2 is what makes the Richardson step valid
+    ok = worst_rich < 1e-3 and worst_halving < 0.1
+    assert report(
+        12, ok,
+        f"n = 2 cross term against 2 g^2 M12 / pi^2 after one Richardson step within "
+        f"{worst_rich:.1e} (<1e-3), r(2k)/r(k) within {worst_halving:.3f} of 1/2 (<0.1); "
+        + "; ".join(details) + f"; {dt:.1f} s",
+    )

@@ -14,6 +14,7 @@ from opens.cft_operator import (
     QuadratureConfig,
     averaged_purity,
     build_M_operator,
+    build_M_operators,
     flat_integral_exact,
     matrix_entry_offdiag,
     matrix_entry_remainder,
@@ -23,9 +24,9 @@ from opens.cft_operator import (
     uv_finite_overlap_ratio,
 )
 from opens import cft_operator
-from opens.cft_operator import _exprel, _gauss_jacobi, _log_r
-from opens.core import Geometry, SymmetricCirculant, log_sinhc, quadratic_form_cn
-from opens.errors import DomainError, QuadratureError, SingularMatrixError
+from opens.cft_operator import _exprel, _gauss_jacobi, _log_r, _remainder_power
+from opens.core import Geometry, SymmetricCirculant, log_ratio, log_sinhc, quadratic_form_cn
+from opens.errors import DomainError, QuadratureError, RegimeWarning, SingularMatrixError
 from oracles import (
     FlatIntegral,
     flat_interval_integral,
@@ -333,6 +334,28 @@ class TestDomainSweep:
         with pytest.raises(QuadratureError, match="tensor rule"):
             build_M_operator(_domain_geometry(0.01, 1000.0, 10), OperatorSpec("scalar", 0.75), CFG)
 
+    def test_a_refusal_names_its_n_and_entry(self, monkeypatch):
+        # the shared build checks its n in the order given and names the first
+        # that fails; n = 1 has no off-diagonal entry and a zero remainder
+        monkeypatch.setattr(cft_operator, "GAUSS_NODES", 2)
+        g = _domain_geometry(0.01, 1000.0, 1)
+        for ns, first in (([1, 2, 3, 4], 2), ([4, 3, 2, 1], 4), ([1, 3, 2], 3)):
+            with pytest.raises(QuadratureError,
+                               match=rf"^quadrature for n = {first}, entry m=1 \(tensor rule\) "
+                                     "did not converge"):
+                build_M_operators(g, OperatorSpec("scalar", 0.75), CFG, ns)
+
+    def test_a_non_finite_rule_value_is_refused(self):
+        # at a layout scaled by 1e-160 the map's Jacobians overflow (numpy
+        # warns) and the rule's value is not finite: refused, not returned
+        g = Geometry(1e-160, 2e-160, 4e-160, 1e-163)
+        for spec in (OperatorSpec("scalar", 0.25), OperatorSpec("vector", 0.3)):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with pytest.raises(QuadratureError,
+                                   match=r"^non-finite quadrature result for n = 2, entry m=1 "
+                                         r"\(tensor rule\)$"):
+                    build_M_operators(g, spec, CFG, [2, 3])
+
     @pytest.mark.parametrize("spec", [
         OperatorSpec("scalar", 0.05), OperatorSpec("scalar", 0.75), OperatorSpec("scalar", 1.45),
         OperatorSpec("vector", 0.1), OperatorSpec("vector", 0.25),
@@ -367,6 +390,84 @@ class TestDomainSweep:
                 for eps in (1e-4, 5e-5)]
             assert 0.0 < vals[0] < np.inf
             assert abs(vals[1] / vals[0] - 1.0) < 0.01
+
+
+# the golden cn-table grids: (d, spec, n grid) at L = 1, l2 = 2
+GOLDEN_CN_GRIDS = [(1.0, OperatorSpec("scalar", 0.25), range(1, 11)),
+                   (1.0, OperatorSpec("scalar", 0.75), range(1, 11)),
+                   (1.0, OperatorSpec("vector", 0.0), range(1, 11)),
+                   (0.01, OperatorSpec("scalar", 0.25), range(2, 5))]
+
+
+def _one_n_remainder_rule(g: Geometry, spec: OperatorSpec, N: int) -> float:
+    """The subtracted diagonal's tensor rule at the one n of ``g``, written out
+    as a single product, with nothing shared across n."""
+    p, c = _remainder_power(spec)
+    beta = 2.0 - 2.0 * p
+    ya, yb = np.log(g.d), np.log(g.b - g.L)
+    span = yb - ya
+    zs, ws = _gauss_jacobi(N, beta)
+    sig = 0.5 * span * (1.0 + zs)
+    z, w = _gauss_jacobi(N, 0.0)
+    half = 0.5 * (span - sig)
+    t2 = np.exp(ya + half[:, None] * (1.0 + z))
+    s = t2 * np.expm1(sig)[:, None]
+    x2, x1_off = g.L + t2, t2 + s
+    lam = log_ratio(-g.L * s / (x2 * x1_off), ((x2 + s) / x2) * (t2 / x1_off))
+    log_r = 2.0 * (log_sinhc(0.5 * lam) - log_sinhc(0.5 * lam / g.n))
+    f = c * s ** (-2.0 * p) * np.expm1(p * log_r) * (t2 + s) * t2 / sig[:, None] ** beta
+    return 2.0 * (0.5 * span) ** (beta + 1.0) * (ws @ (half * (f @ w)))
+
+
+class TestSharedBuild:
+    """``build_M_operators`` shares the diagonal's n-free work across its n."""
+
+    @pytest.mark.parametrize("d, spec, ns", GOLDEN_CN_GRIDS,
+                             ids=lambda v: _spec_id(v) if isinstance(v, OperatorSpec) else str(v))
+    def test_each_matrix_has_the_bits_of_a_one_n_build(self, d, spec, ns):
+        g = Geometry(1.0, 1.0 + d, 3.0 + d, 0.5)
+        cfg = QuadratureConfig(eps_reg=1e-4, tol=1e-9)  # cn-table's defaults
+        shared = build_M_operators(g, spec, cfg, list(ns))
+        assert [om.geometry.n for om in shared] == list(ns)
+        for om in shared:
+            one = build_M_operator(dataclasses.replace(g, n=om.geometry.n), spec, cfg)
+            assert om.geometry == one.geometry
+            assert om.diag_remainder == one.diag_remainder
+            assert om.off_row == one.off_row
+            assert om.error_estimate == one.error_estimate
+            assert om.row() == one.row()
+            assert om.diag_remainder == _one_n_remainder_rule(om.geometry, spec, 64)
+
+    @pytest.mark.parametrize("spec", [OperatorSpec("scalar", h) for h in (0.25, 0.75, 1.0, 1.4)]
+                             + [OperatorSpec("vector", h) for h in (0.0, 0.3)], ids=_spec_id)
+    def test_dilation_covariance(self, spec):
+        # scaling L, a, b and eps by lam scales every cutoff-free entry by
+        # lam^(2 - 2p), p = h_s for a scalar and 1 + h_v for a vector: the
+        # kernel has dimension 2p and the double integral adds two lengths
+        p, _ = _remainder_power(spec)
+        ns = [2, 3, 4, 7]
+        rng = np.random.default_rng(36)
+        lams = [1e-3, 1e5, *10.0 ** rng.uniform(-3.0, 5.0, 4)]
+        for base in ((1.0, 2.0, 4.0, 1e-3), (3.0, 3.5, 40.0, 0.01)):
+            ref = build_M_operators(Geometry(*base), spec, CFG, ns)
+            for lam in lams:
+                scale = lam ** (2.0 - 2.0 * p)
+                got = build_M_operators(Geometry(*(lam * x for x in base)), spec, CFG, ns)
+                for a, b in zip(ref, got):
+                    want = np.array(a.off_row + (a.diag_remainder,)) * scale
+                    have = np.array(b.off_row + (b.diag_remainder,))
+                    np.testing.assert_allclose(have, want, rtol=1e-14, atol=0.0,
+                                               err_msg=f"lam={lam}, n={a.geometry.n}, {base}")
+
+    def test_an_n_grid_warns_about_its_layout_once(self):
+        # each n's geometry is the layout of g, which warned when it was made
+        with pytest.warns(RegimeWarning) as caught:
+            g = Geometry(1.0, 2.0, 2.5, 0.5)
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oms = build_M_operators(g, OperatorSpec("scalar", 0.25), CFG, [1, 2, 3])
+        assert [om.geometry.n for om in oms] == [1, 2, 3]
 
 
 class TestGaussJacobi:
@@ -689,6 +790,16 @@ class TestOverlaps:
 
 
 class TestAveragedPurity:
+    def test_refuses_a_gap_that_is_not_positive(self):
+        # a point-splitting cutoff far above l2 leaves the add-back m11 so small
+        # that M11 < M12: no covariance, refused rather than a nan square root
+        om = build_M_operator(Geometry(1.0, 2.0, 4.0, 1e-3, 2), OperatorSpec("scalar", 0.25),
+                              QuadratureConfig(eps_reg=1e3))
+        M11, M12 = om.row()
+        assert M11 < M12
+        with pytest.raises(ValueError, match=r"^M11 - M12 = -7\.\d+e-01 <= 0: not a valid covariance$"):
+            averaged_purity(om, 0.3)
+
     def test_zero_flux_value(self):
         g = geo()
         spec = OperatorSpec("scalar", 0.25)

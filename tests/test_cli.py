@@ -539,6 +539,7 @@ class TestCommands:
             raise AssertionError("operator matrix built for a one-point grid")
 
         monkeypatch.setattr(cli, "build_M_operator", no_build)
+        monkeypatch.setattr(cli, "build_M_operators", no_build)
         out = tmp_path / "one.csv"
         for grid in ("3", "1"):
             with warnings.catch_warnings(record=True) as caught:
@@ -550,6 +551,17 @@ class TestCommands:
             assert "# status = error" in lines
             assert lines[-1] == (f"ValueError: grid '{grid}' gives fewer than two n; the linear "
                                  "fit needs at least two distinct integer points")
+
+    def test_cn_table_names_the_first_failing_n(self, tmp_path, monkeypatch):
+        # the whole grid is built in one pass; its record names the first n
+        # of the grid whose rule did not converge, and which entry
+        monkeypatch.setattr(cft_operator, "GAUSS_NODES", 2)
+        out = tmp_path / "q.csv"
+        argv = ["cn-table", "--L", "1", "--d", "0.01", "--l2", "1000", "--spec", "scalar:0.75",
+                "--n", "1:4"]
+        assert main(["--output", str(out)] + argv) == 1
+        assert out.read_text().splitlines()[-1].startswith(
+            "QuadratureError: quadrature for n = 2, entry m=1 (tensor rule) did not converge")
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
     def test_bad_worker_counts_are_rejected_when_parsed(self, capsys, jobs):
@@ -728,20 +740,26 @@ class TestCommands:
 
     def test_one_operator_build_per_matrix(self, tmp_path, monkeypatch):
         # overlap, averaged-purity and uv-check read one n = 2 matrix, whatever
-        # their grid; operator-mie builds one per l2 and cn-table one per n
-        real, calls = cft_operator.build_M_operator, []
+        # their grid, and operator-mie builds one per l2; cn-table builds its
+        # whole n grid in one shared pass
+        real, real_many, calls = cft_operator.build_M_operator, cft_operator.build_M_operators, []
 
         def counting(*args):
             calls.append(args[0].n)
             return real(*args)
 
+        def counting_many(g, spec, cfg, ns):
+            calls.append(tuple(ns))
+            return real_many(g, spec, cfg, ns)
+
         monkeypatch.setattr(cli, "build_M_operator", counting)
         monkeypatch.setattr(cft_operator, "build_M_operator", counting)
+        monkeypatch.setattr(cli, "build_M_operators", counting_many)
         for args, want in ((["overlap", "--gamma1", "0.1,0.5", "--gamma2", "0.2,0.4"], [2]),
                            (["averaged-purity", "--gamma", "0.1,0.5,2"], [2]),
                            (["uv-check", "--spec", "scalar:0.75", "--gamma", "0.3"], [2]),
                            (["operator-mie", "--n", "3", "--l2", "2,4,8"], [3, 3, 3]),
-                           (["cn-table", "--n", "1:4"], [1, 2, 3, 4])):
+                           (["cn-table", "--n", "1:4"], [(1, 2, 3, 4)])):
             calls.clear()
             out = tmp_path / "b.csv"
             assert main(["--output", str(out)] + args + ["--L", "1", "--d", "1"]) == 0

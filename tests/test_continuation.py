@@ -288,6 +288,37 @@ def test_poles_match_60_digit_roots():
     assert worst[True] <= 1e-13 and worst[False] <= 1e-11, worst
 
 
+def test_an_overflowing_value_at_one_fails_its_set_alone():
+    # 1e308 / (n - 1/2) is fitted exactly, with its pole at 1/2 outside the
+    # screen, and its value 2e308 at n = 1 overflows once the scale is put
+    # back: that set fails at every degree, and its stack-mate is as alone
+    ns = range(2, 10)
+    huge = [(n, 1e308 / (n - 0.5)) for n in ns]
+    tame = [(n, 1.0 / (n + 0.5)) for n in ns]
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        out = continue_stack([huge, tame], 4, fallback=(3, 2))
+    assert isinstance(out[0], ContinuationError)
+    assert str(out[0]) == "interpolant evaluated to a non-finite value at n = 1"
+    (alone,) = continue_stack([tame], 4, fallback=(3, 2))
+    assert out[1].value == alone.value and out[1].error_estimate == alone.error_estimate
+
+
+def test_weights_stay_finite_on_tiny_columns():
+    # a rescaled weight is a singular vector over a column norm, which is 0
+    # (the fit fails) or at least the 1.5e-162 whose square does not underflow:
+    # every fit AAA returns has finite weights, as the pole solve needs
+    z = np.broadcast_to(np.arange(2.0, 10.0), (6, 8))
+    k = np.arange(1.0, 8.0)
+    f = np.array([[1.0, *(k * tiny * (1.0 + 0.1 * k * k))]
+                  for tiny in (1e-150, 1e-161, 1e-162, 1e-163, 1e-200, 1e-315)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fits = continuation.AAA(z, f, 5)
+    assert not isinstance(fits[0], Exception)
+    for fit in fits:
+        assert isinstance(fit, ValueError) or np.isfinite(fit.weights).all()
+
+
 def test_a_pole_at_one_is_screened_inside_its_stack():
     # D(1) = 0 exactly for weights (1, -4, 3) on (2, 3, 4), whose weight sum
     # of zero is a second pole at infinity. A pole problem shifted to n = 1
