@@ -125,9 +125,9 @@ def _rows(ell, pa, pb, n):
     return np.concatenate((diag[:, None], half, half[:, :(n - 1) // 2][:, ::-1]), axis=1)
 
 
-def _row(L, a, b, eps, n, shift=0.0):
+def _row(L, a, b, eps, n):
     """First row of M for one layout (see ``_rows``)."""
-    return _rows(*_endpoints([(L, a, b, eps, shift)]), n)[0]
+    return _rows(*_endpoints([(L, a, b, eps, 0.0)]), n)[0]
 
 
 def _warn_unless_dominant(rows):

@@ -546,8 +546,8 @@ def _ed_verify(args):
         worst = max(worst, diff)
         rows.append([*head, "moment", ";".join(_fmt(g) for g in gammas),
                      det_v.real, det_v.imag, ed_v.real, ed_v.imag, diff])
-    p, Rm, raw = charge_sector_table(corr, lay)
-    pe, Rme, rawe = oracle.sector_overlaps(lay.sites_A, lay.sites_B)
+    p, _, raw = charge_sector_table(corr, lay)
+    pe, _, rawe = oracle.sector_overlaps(lay.sites_A, lay.sites_B)
     pdiff = float(np.abs(p - pe).max())
     rdiff = float(np.abs(raw - rawe).max())
     worst = max(worst, pdiff, rdiff)
@@ -606,8 +606,6 @@ def _load_config(path: str) -> dict:
             if not line:
                 continue
             key, sep, val = line.partition("=")
-            if not sep:
-                key, sep, val = line.partition(":")
             if not sep:
                 raise ValueError(f"cannot parse config line {line!r}")
             out[key.strip().replace("-", "_")] = val.strip()

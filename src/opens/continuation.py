@@ -22,13 +22,13 @@ Everything after the greedy steps also runs once per stack. The members
 that finish at a step form a batch per support size. For each batch, one
 ``np.linalg.eigvals`` over a stack of (m - 1)-square matrices gives the
 poles, so no command loads scipy, and the residues, the geometric-mean
-threshold and the Froissart test are stacked arrays. The continuation then
-screens the poles and evaluates r(1) of every fit, and of every
-leave-one-out fit, in one stacked product per support size. Only two steps
-stay per fit: the SVD re-solve of a fit that has a Froissart doublet, and
-the pole computation of that re-solved fit when it is screened. Each
-member's poles and values are bit-identical to fitting it alone, so a
-point's result does not depend on which points share its stacks.
+threshold and the Froissart test are stacked arrays. Each fit keeps its
+poles and residues, and the continuation's pole screen reads them; r(1) of
+every fit, and of every leave-one-out fit, is one stacked product per
+support size. Only one step stays per fit: a fit that has a Froissart
+doublet is re-solved by SVD and computes its own poles and residues. Each
+member's poles, residues and values are bit-identical to fitting it alone,
+so a point's result does not depend on which points share its stacks.
 """
 
 from __future__ import annotations
@@ -78,32 +78,32 @@ class ContinuationResult:
     degree: int | None = None
 
 
+@dataclass(eq=False)
 class BarycentricFit:
-    """r(x) = sum_j w_j f_j / (x - z_j) / sum_j w_j / (x - z_j) on real samples."""
+    """r(x) = sum_j w_j f_j / (x - z_j) / sum_j w_j / (x - z_j) on real samples.
 
-    def __init__(self, points, values, support, support_values, weights, pole_row=None):
-        self.points, self.values = points, values
-        self.support, self.support_values, self.weights = support, support_values, weights
-        self._pole_row = pole_row
+    With its m - 1 poles, inf for a pole at infinity, and their residues.
+    """
 
-    def pole_row(self) -> np.ndarray:
-        """The fit's m - 1 poles, inf for a pole at infinity."""
-        if self._pole_row is None:
-            self._pole_row = _pole_rows(self.support[None], self.weights[None])[0]
-        return self._pole_row
+    support: np.ndarray
+    support_values: np.ndarray
+    weights: np.ndarray
+    poles: np.ndarray
+    residues: np.ndarray
 
-    def clean_up(self, doublets) -> None:
-        """Drop the support point nearest each Froissart doublet pole and re-solve."""
+    def clean_up(self, z, f, doublets) -> None:
+        """Drop the support point nearest each Froissart doublet pole, re-solve on the
+        samples ``z``, ``f`` and recompute the poles and residues."""
         closest = np.abs(np.subtract.outer(self.support, doublets)).argmin(axis=0)
         self.support = np.delete(self.support, closest)
         self.support_values = np.delete(self.support_values, closest)
-        keep = np.not_equal.outer(self.points, self.support).all(axis=1)
-        z, f = self.points[keep], self.values[keep]
-        c = 1.0 / np.subtract.outer(z, self.support)
-        loewner = f[:, None] * c - c * self.support_values
-        vh = np.linalg.svd(loewner)[2]
-        self.weights = vh[self.support.size - 1]
-        self._pole_row = None
+        keep = np.not_equal.outer(z, self.support).all(axis=1)
+        c = 1.0 / np.subtract.outer(z[keep], self.support)
+        loewner = f[keep][:, None] * c - c * self.support_values
+        self.weights = np.linalg.svd(loewner)[2][self.support.size - 1]
+        self.poles = _pole_rows(self.support[None], self.weights[None])[0]
+        self.residues = _residues(self.poles[None], self.support[None], self.support_values[None],
+                                  self.weights[None])[0]
 
 
 def _rational(x, support, support_values, weights):
@@ -163,8 +163,8 @@ def _finish(z, f, support, support_values, weights) -> list[BarycentricFit]:
 
     A pole whose residue over its distance to the samples is below
     ``_CLEANUP_TOL`` times the geometric mean of |f| is a doublet. Poles,
-    residues and that test run on the whole stack; only a member with a
-    doublet is re-solved, on its own.
+    residues and that test run on the whole stack, and each fit keeps its
+    rows of both; only a member with a doublet is re-solved, alone.
     """
     poles = _pole_rows(support, weights)
     res = _residues(poles, support, support_values, weights)
@@ -172,9 +172,9 @@ def _finish(z, f, support, support_values, weights) -> list[BarycentricFit]:
         geom_mean = np.exp(np.mean(np.log(np.abs(f)), axis=1))
         dist = np.abs(poles[:, :, None] - z[:, None, :]).min(axis=2)
         doublet = np.isfinite(poles) & (np.abs(res) / dist < _CLEANUP_TOL * geom_mean[:, None])
-    fits = [BarycentricFit(*member) for member in zip(z, f, support, support_values, weights, poles)]
+    fits = [BarycentricFit(*member) for member in zip(support, support_values, weights, poles, res)]
     for i in np.flatnonzero(doublet.any(axis=1)):
-        fits[i].clean_up(poles[i, doublet[i]])
+        fits[i].clean_up(z[i], f[i], poles[i, doublet[i]])
     return fits
 
 
@@ -329,6 +329,11 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
     leave-one-out subset whose fit fails is left out of the error estimate.
     A stacked fit is bit-identical per member to fitting that member alone,
     so a set's result does not depend on which sets share its stacks.
+
+    A leave-one-out fit of 6 samples at degree 4 has more support points
+    than rows: its weights are the normalized sum of a null-space basis, and
+    its value at n = 1 one member of a family of interpolants (ROADMAP item 4).
+
     Returns per set its ``ContinuationResult``, with the degree that gave
     it, or the exception that continuing it alone raises (for a
     ``ContinuationError``, the one at the last degree tried).
@@ -360,7 +365,8 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             f = np.array([data[i][1] for i in idx])
             # degree (m-1, m-1) uses m support points
             fits = AAA(z, f, min(degree + 1, z.shape[1]))
-            values = _at_one(fits) * np.array([data[i][2] for i in idx])
+            with np.errstate(over="ignore"):  # an overflow is that set's ContinuationError below
+                values = _at_one(fits) * np.array([data[i][2] for i in idx])
             for i, why, value in zip(idx, _pole_screen(fits, z[:, -1] + 1e-9), values):
                 if why is None and not np.isfinite(value):
                     why = ContinuationError("interpolant evaluated to a non-finite value at n = 1")
@@ -382,8 +388,9 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             f = np.array([data[i][1] for i in idx])
             sub_n = np.broadcast_to(z[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
             sub_v = np.broadcast_to(f[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
-            scales = np.array([data[i][2] for i in idx])
-            loo = _at_one(AAA(sub_n, sub_v, terms)).reshape(len(idx), m) * scales[:, None]
+            loo = _at_one(AAA(sub_n, sub_v, terms)).reshape(len(idx), m)
+            with np.errstate(over="ignore"):  # a subset that overflows is skipped below
+                loo *= np.array([data[i][2] for i in idx])[:, None]
         for i, y in zip(idx, loo):
             (degree, value), ns = fitted[i], data[i][0]
             vals = y[np.isfinite(y)]  # a subset whose fit fails, or is not finite at n = 1, is skipped
@@ -402,19 +409,14 @@ def _grouped(indices, key):
     return list(groups.values())
 
 
-def _stacked(fits, idx):
-    """Support points, support values and weights of the fits ``idx``, as (B, m) stacks."""
-    return (np.array([fits[k].support for k in idx]),
-            np.array([fits[k].support_values for k in idx]),
-            np.array([fits[k].weights for k in idx]))
-
-
 def _at_one(fits) -> np.ndarray:
     """r(1) of every fit, NaN in place of an exception: one stacked product per support size."""
     out = np.full(len(fits), np.nan)
     ok = [k for k, fit in enumerate(fits) if not isinstance(fit, Exception)]
     for idx in _grouped(ok, lambda k: fits[k].support.size):
-        out[idx] = _rational(np.ones((len(idx), 1)), *_stacked(fits, idx))[:, 0]
+        parts = (np.array([getattr(fits[k], name) for k in idx])
+                 for name in ("support", "support_values", "weights"))
+        out[idx] = _rational(np.ones((len(idx), 1)), *parts)[:, 0]
     return out
 
 
@@ -424,17 +426,14 @@ def _pole_screen(fits, hi) -> list:
     That is the fit's own exception, or a ``ContinuationError`` for a pole
     on the real axis inside [1, ``hi``]. Spurious, nearly cancelling
     pole-zero pairs carry negligible residues, so only poles that move the
-    interpolant count. Residues and the test run on one stack per support
-    size.
+    interpolant count. The test reads each fit's stored poles and residues,
+    on one stack per pole count.
     """
     out = [fit if isinstance(fit, Exception) else None for fit in fits]
-    # computed here only for a fit its clean-up re-solved, whose weights are
-    # a singular vector of a finite Loewner matrix
-    rows = {k: fit.pole_row() for k, fit in enumerate(fits) if out[k] is None}
     lo = 1.0 - 1e-9
-    for idx in _grouped(rows, lambda k: rows[k].size):
-        poles = np.array([rows[k] for k in idx])
-        res = _residues(poles, *_stacked(fits, idx))
+    for idx in _grouped([k for k, why in enumerate(out) if why is None], lambda k: fits[k].poles.size):
+        poles = np.array([fits[k].poles for k in idx])
+        res = np.array([fits[k].residues for k in idx])
         top = hi[idx][:, None]
         bad = ((np.abs(poles.imag) < 1e-8) & (poles.real > lo) & (poles.real < top)
                & (np.abs(res) > 1e-7))

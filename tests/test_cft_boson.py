@@ -21,7 +21,9 @@ from opens.cft_boson import (
     holevo_chi_time,
     _chi,
     _chi_approx_raw,
+    _endpoints,
     _row,
+    _rows,
     holevo_chi_sweep,
     holevo_chi_time_sweep,
     renyi_ratio_and_mie,
@@ -36,6 +38,11 @@ from oracles import (charge_distribution, charge_variances, circulant_eigenvalue
 
 def geo(L=10.0, d=20.0, l2=100.0, eps=0.5, n=1):
     return Geometry(L, L + d, L + d + l2, eps, n)
+
+
+def shifted_row(L, a, b, eps, n, shift):
+    """The first row of M(n) with both endpoints moved by -shift, as the time route takes it."""
+    return _rows(*_endpoints([(L, a, b, eps, shift)]), n)[0]
 
 
 def mp_holo_row(ctx, L, za, zb, eps, n, exact_reg=False):
@@ -186,6 +193,11 @@ class TestChargedMoments:
             (M[0, 0] - M[0, 1]) / (M[0, 0] + M[0, 1]), rel=1e-10
         )
 
+    @pytest.mark.parametrize("gammas", [[0.5, 0.5], [[0.5, 0.5, 0.5]]], ids=["too few", "2-d"])
+    def test_one_flux_per_replica_is_required(self, gammas):
+        with pytest.raises(ValueError, match=r"need 3 flux angles, got shape \("):
+            charged_moments_ratio(geo(n=3), BosonParams(1.0), gammas)
+
 
 class TestCn:
     def test_printed_value(self):
@@ -250,6 +262,11 @@ class TestRenyiRatio:
             n = int(rng.integers(2, 7))
             assert renyi_ratio_and_mie(g, n)[1] <= 0.0
 
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_fewer_than_two_replicas_rejected(self, n):
+        with pytest.raises(ValueError, match="need n >= 2 replicas"):
+            renyi_ratio_and_mie(geo(), n)
+
 
 class TestHolevo:
     def test_constant_samples_continuation(self):
@@ -285,6 +302,13 @@ class TestHolevo:
         assert holevo_chi_approx(g) == pytest.approx(-deriv / (2 * a0(1.0)), rel=1e-6)
         # the verbatim source expression carries an extra factor of -2
         assert _chi_approx_raw(g) == pytest.approx(-2.0 * holevo_chi_approx(g), rel=1e-12)
+
+    @pytest.mark.parametrize("l2", [1.0, 0.6])  # (b - a) / (2 eps) = 1, and below
+    def test_approx_refuses_a_cutoff_dominated_layout(self, l2):
+        with pytest.warns(RegimeWarning):
+            g = geo(l2=l2)
+        with pytest.raises(DomainError, match=r"\(b-a\)/\(2 eps\) <= 1: approximation undefined"):
+            holevo_chi_approx(g)
 
     def test_samples_are_positive_and_match_corrections(self):
         g = geo()
@@ -373,7 +397,7 @@ class TestTimeDependence:
         # the closed form gives that effective row from either half
         shift = complex(tp.t, tp.eps_prime)
         for s in (shift, shift.conjugate()):
-            row = _row(g.L, g.a, g.b, g.eps, g.n, s)
+            row = shifted_row(g.L, g.a, g.b, g.eps, g.n, s)
             np.testing.assert_allclose(row, 2.0 * holo.real, rtol=1e-14, atol=0.0)
 
     def test_samples_match_the_full_eigenvalue_sum(self):
@@ -436,6 +460,12 @@ class TestTimeDependence:
             ContinuationProblem(time_correction_samples(g, TimeParams(t, 1e-3), 8))
         )
         assert res.value == pytest.approx(chi_time_asymptote(g, t), rel=0.01)
+
+    def test_asymptote_refuses_a_cutoff_dominated_layout(self):
+        with pytest.warns(RegimeWarning):
+            g = geo(l2=1.0)
+        with pytest.raises(DomainError, match=r"^\(b-a\)/\(2 eps\) <= 1$"):
+            chi_time_asymptote(g, 1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +582,7 @@ class TestBatchedKernel:
     def test_rows_match_the_loop_bit_for_bit(self):
         for g, shift in random_points(60, 11):
             for n in (1, 2, 5, 8):
-                assert same_bits(_row(g.L, g.a, g.b, g.eps, n, shift),
+                assert same_bits(shifted_row(g.L, g.a, g.b, g.eps, n, shift),
                                  loop_row(g.L, g.a, g.b, g.eps, n, shift))
         for L in (1e6, 1e12):  # the A = B limit, where u(a) < 0
             assert same_bits(_row(L, 1.0, L + 1.0, 1.0, 3), loop_row(L, 1.0, L + 1.0, 1.0, 3))

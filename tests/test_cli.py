@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -186,6 +187,22 @@ class TestCommands:
         cfg.write_text("command = lattice-overlap\ngap = 3\nl2-sites = 2\n")
         assert main(["--config", str(cfg), "--output", str(out)]) == 0
         assert "# d_sites = 3" in out.read_text().splitlines()
+
+    def test_config_skips_comments_and_blank_lines(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a sweep\n\ncommand = boson-holevo  # trailing note\n   \n\tl2 = 100\n")
+        out, flag_out = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert main(["--config", str(cfg), "--output", str(out)]) == 0
+        assert main(["--output", str(flag_out), "boson-holevo", "--l2", "100"]) == 0
+        assert out.read_text() == flag_out.read_text()
+
+    @pytest.mark.parametrize("line", ["l2: 100", "l2 100", "boson-holevo"])
+    def test_config_refuses_a_line_without_equals(self, tmp_path, line):
+        # only key = value is read; a key: value line is refused, not guessed at
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command = boson-holevo\n{line}  # note\n")
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse config line {line!r}")):
+            main(["--config", str(cfg)])
 
     def test_config_output(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

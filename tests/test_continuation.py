@@ -99,7 +99,8 @@ def _scipy_stack(z, f, max_terms):
 
 
 def _scipy_fits(z, f, max_terms):
-    """``continuation.AAA`` from scipy: per set, scipy's support, weights and poles, or its ValueError."""
+    """``continuation.AAA`` from scipy: per set, scipy's support, weights, poles and their
+    residues, or its ValueError."""
     from scipy.interpolate import AAA as ScipyAAA
 
     fits = []
@@ -114,15 +115,15 @@ def _scipy_fits(z, f, max_terms):
         poles = ref.poles()  # the finite ones
         row = np.full(ref.weights.size - 1, np.inf, dtype=complex)
         row[:poles.size] = poles
-        fits.append(continuation.BarycentricFit(zi, fi, ref.support_points, ref.support_values,
-                                                ref.weights, row))
+        support, svals, w = ref.support_points, ref.support_values, ref.weights
+        res = continuation._residues(row[None], support[None], svals[None], w[None])[0]
+        fits.append(continuation.BarycentricFit(support, svals, w, row, res))
     return fits
 
 
 def finite_poles(fit):
     """A fit's finite poles."""
-    row = fit.pole_row()
-    return row[np.isfinite(row)]
+    return fit.poles[np.isfinite(fit.poles)]
 
 
 def _outcome(samples, degree):
@@ -291,12 +292,12 @@ def test_poles_match_60_digit_roots():
 def test_an_overflowing_value_at_one_fails_its_set_alone():
     # 1e308 / (n - 1/2) is fitted exactly, with its pole at 1/2 outside the
     # screen, and its value 2e308 at n = 1 overflows once the scale is put
-    # back: that set fails at every degree, and its stack-mate is as alone
+    # back: that set fails at every degree, with no warning on the way, and
+    # its stack-mate is as alone
     ns = range(2, 10)
     huge = [(n, 1e308 / (n - 0.5)) for n in ns]
     tame = [(n, 1.0 / (n + 0.5)) for n in ns]
-    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
-        out = continue_stack([huge, tame], 4, fallback=(3, 2))
+    out = continue_stack([huge, tame], 4, fallback=(3, 2))
     assert isinstance(out[0], ContinuationError)
     assert str(out[0]) == "interpolant evaluated to a non-finite value at n = 1"
     (alone,) = continue_stack([tame], 4, fallback=(3, 2))
@@ -333,12 +334,12 @@ def test_a_pole_at_one_is_screened_inside_its_stack():
     support, svals = np.take_along_axis(z, cols, 1), np.take_along_axis(f, cols, 1)
     fits = continuation._finish(z, f, support, svals, weights)
     why = continuation._pole_screen(fits, z[:, -1] + 1e-9)
-    assert list(fits[3].pole_row()) == [1.0, np.inf]
+    assert list(fits[3].poles) == [1.0, np.inf]
     assert isinstance(why[3], ContinuationError) and "[1.]" in str(why[3])
     for i in (0, 1, 2, 4, 5):
         alone = continuation._finish(z[i:i + 1], f[i:i + 1], support[i:i + 1], svals[i:i + 1],
                                      weights[i:i + 1])
-        assert fits[i].pole_row().tobytes() == alone[0].pole_row().tobytes()
+        assert fits[i].poles.tobytes() == alone[0].poles.tobytes()
         (want,) = continuation._pole_screen(alone, z[i:i + 1, -1] + 1e-9)
         assert type(why[i]) is type(want) and str(why[i]) == str(want)
 
@@ -538,6 +539,55 @@ def test_stacked_sets_match_the_loop_alone_together_and_reversed(monkeypatch):
         if degree is not None:  # the degree left after the fallback
             assert a.degree == t.degree == b.degree == degree
     assert all(_same_outcome(w, alone[sets.index(s)]) for w, s in zip(whole, kept))
+
+
+def fresh_rows(fit):
+    """A fit's poles and their residues, computed for it alone."""
+    support, svals, w = fit.support[None], fit.support_values[None], fit.weights[None]
+    poles = continuation._pole_rows(support, w)
+    return poles[0], continuation._residues(poles, support, svals, w)[0]
+
+
+def fresh_screen(fit, hi):
+    """The pole screen of one fit, from poles and residues computed for it alone."""
+    poles, res = fresh_rows(fit)
+    lo = 1.0 - 1e-9
+    bad = (np.abs(poles.imag) < 1e-8) & (poles.real > lo) & (poles.real < hi) & (np.abs(res) > 1e-7)
+    if bad.any():
+        return ContinuationError(f"interpolant has poles at {np.sort(poles[bad].real)} inside [{lo}, {hi}]")
+    return None
+
+
+def test_finished_fits_keep_the_poles_and_residues_they_have_alone(monkeypatch):
+    # every fit that _finish returns, in the stacks of the stack sets (a
+    # clean-up re-solves some) and of the boson sets, holds the poles and
+    # residues of a fresh pass over it alone, and the pole screen that reads
+    # them gives the verdicts and messages of that fresh pass
+    finished, finish = [], continuation._finish
+
+    def spy(z, f, support, support_values, weights):
+        fits = finish(z, f, support, support_values, weights)
+        finished.append((z, support.shape[1], fits))
+        return fits
+
+    monkeypatch.setattr(continuation, "_finish", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        continue_stack(_stack_sets(), 4, (3, 2))
+        continue_stack(_boson_sample_sets(), 4, (3, 2))
+    monkeypatch.undo()
+    assert any(len(fits) > 1 and any(fit.support.size < m for fit in fits) for _, m, fits in finished)
+    rejected = 0
+    for z, _, fits in finished:
+        for fit in fits:
+            poles, res = fresh_rows(fit)
+            assert fit.poles.tobytes() == poles.tobytes() and fit.residues.tobytes() == res.tobytes()
+        hi = z[:, -1] + 1e-9
+        for got, fit, top in zip(continuation._pole_screen(fits, hi), fits, hi):
+            want = fresh_screen(fit, top)
+            assert type(got) is type(want) and str(got) == str(want)
+            rejected += isinstance(got, ContinuationError)
+    assert rejected
 
 
 def test_a_failing_member_stays_in_its_stack(monkeypatch):

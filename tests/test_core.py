@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,10 @@ class TestCirculant:
     def test_non_palindromic_rejected(self):
         with pytest.raises(ValueError):
             SymmetricCirculant([1.0, 2.0, 3.0])
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="empty circulant row"):
+            SymmetricCirculant([])
 
     def test_det_1x1(self):
         assert circulant_determinant(SymmetricCirculant([3.5])) == pytest.approx(3.5)
@@ -129,6 +135,29 @@ class TestQuadraticForm:
         M = np.ones((3, 3))
         with pytest.raises(SingularMatrixError):
             quadratic_form_cn(M)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"square matrix required, got shape {shape}")):
+            quadratic_form_cn(np.ones(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        M = np.eye(3)
+        M[1, 2] = value
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            quadratic_form_cn(M)
+
+    def test_ill_conditioned_reports(self):
+        # the solve succeeds, but cond ~ 4e15 is past the 1e14 bound
+        M = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        with pytest.raises(SingularMatrixError, match="numerically singular, cond = "):
+            quadratic_form_cn(M)
+
+    def test_complex_result_rejected(self):
+        # 1 + 1/i = 1 - i: well conditioned, and not real
+        with pytest.raises(ValueError, match=r"quadratic form not real: \(1-1j\)"):
+            quadratic_form_cn(np.diag([1.0, 1j]))
 
 
 def palindromes(rng, count, n):

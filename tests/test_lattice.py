@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -312,6 +313,13 @@ CORRELATION_TYPES = {"nambu": (NambuCorrelationMatrix, ISING),
 
 @pytest.mark.parametrize("kind, model", CORRELATION_TYPES.values(), ids=CORRELATION_TYPES.keys())
 class TestCorrelationValidation:
+    def test_wrong_shape_rejected(self, kind, model):
+        shapes = [(4, 6), (6,), (2, 3, 3)] + [(3, 3)] * (kind.blocks == 2)  # an odd Nambu size
+        for shape in shapes:
+            with pytest.raises(ValueError, match=re.escape(f"need a square matrix of {kind.blocks} "
+                                                           f"rows per site, got shape {shape}")):
+                kind(np.zeros(shape))
+
     def test_non_hermitian_rejected(self, kind, model):
         gamma = window_corr(model, 8, SubsystemLayout(2, 1, 3)).gamma.astype(complex)
         gamma[0, 1] += 1e-6j
@@ -876,6 +884,23 @@ def test_determinant_matches_ed_to_1e13(model, n_sites, lay):
     p_ed, _, raw_ed = oracle.sector_overlaps(lay.sites_A, lay.sites_B)
     assert np.abs(p - p_ed).max() < 1e-13
     assert np.abs(raw - raw_ed).max() < 1e-13
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("lay", [(0, 1, 3), (2, 1, 0), (2, -1, 3)])
+    def test_layout_needs_both_intervals(self, lay):
+        with pytest.raises(ValueError, match=r"need ell1 >= 1, ell2 >= 1, d >= 0"):
+            SubsystemLayout(*lay)
+
+    def test_window_size_must_match_the_layout(self):
+        corr = ground_state_correlations(ISING, SubsystemLayout(2, 1, 3))  # A u B: 5 sites
+        for n_a, n_b in ((2, 4), (1, 3)):
+            with pytest.raises(ValueError, match=f"window has 5 sites, layout wants {n_a + n_b}"):
+                GaussianWindow(corr, n_a, n_b)
+
+    def test_ed_oracle_caps_the_chain_at_twelve_sites(self):
+        with pytest.raises(ValueError, match=r"Fock dimension 2\^13 exceeds 4096"):
+            EDOracle(ISING, 13)
 
 
 class TestEDOracle:
