@@ -442,22 +442,32 @@ def build_M_operators(g: Geometry, spec: OperatorSpec, cfg: QuadratureConfig, ns
     rule at GAUSS_NODES and twice as many nodes per axis. The diagonal's
     n-free work runs once per node count for every n. An entry whose two
     values differ by more than the ``cfg.tol`` bound of ``_check_converged``
-    raises ``QuadratureError`` naming its n, the first such n of ``ns``.
-    The cutoff enters only through the closed-form flat add-back, so each
+    raises ``QuadratureError`` naming its n, the first such n of ``ns``;
+    so does a non-finite entry, which a layout far from unit scale gets, and
+    its message names that scale. The cutoff enters only through the closed-form flat add-back, so each
     matrix is exact in its eps dependence.
     """
     with warnings.catch_warnings():  # each n has the layout of g, which warned when made
         warnings.simplefilter("ignore", RegimeWarning)
         gs = [replace(g, n=n) for n in ns]
-    coarse, fine = ([np.append(_offdiag_rule(gn, spec, N), diag)
-                     for gn, diag in zip(gs, _remainder_rules(g, spec, N, ns))]
-                    for N in (GAUSS_NODES, 2 * GAUSS_NODES))
+    # far from unit scale the kernel leaves the float range: refused below, by name
+    with np.errstate(all="ignore"):
+        coarse, fine = ([np.append(_offdiag_rule(gn, spec, N), diag)
+                         for gn, diag in zip(gs, _remainder_rules(g, spec, N, ns))]
+                        for N in (GAUSS_NODES, 2 * GAUSS_NODES))
+        errs = [np.abs(hi - lo) for lo, hi in zip(coarse, fine)]
     oms = []
-    for gn, lo, hi in zip(gs, coarse, fine):
-        n, err = gn.n, np.abs(hi - lo)
+    for gn, hi, err in zip(gs, fine, errs):
+        n = gn.n
         names = [f"entry m={m}" for m in range(1, n // 2 + 1)] + ["diagonal remainder"]
-        for what, val, e in zip(names, hi, err):
-            _check_converged(val, e, cfg, f"n = {n}, {what} (tensor rule)")
+        for name, val, e in zip(names, hi, err):
+            what = f"n = {n}, {name} (tensor rule)"
+            if not np.isfinite([val, e]).all():
+                power = 2.0 - 2.0 * _remainder_power(spec)[0]
+                raise QuadratureError(
+                    f"non-finite quadrature result for {what}: at layout scale L = {g.L:.3g} "
+                    f"the kernel leaves the float range (M scales as L^(2 - 2p) = L^{power:g})")
+            _check_converged(val, e, cfg, what)
         off = tuple(float(v) for v in hi[: n // 2])
         oms.append(OperatorMatrix(gn, spec, float(hi[-1]), off, cfg.eps_reg, float(err.max())))
     return oms

@@ -631,10 +631,14 @@ def _parse_with_config(ap, subparsers, argv, path):
     The file's entries go in as flags ahead of the explicit ones, so they are
     checked as flags are and an explicit flag still wins. The options that
     precede the command are parsed first on their own parser; the command is
-    the first token left over, or else the file's ``command``. An entry that
-    neither parser has an option for is a usage error.
+    the first token left over, or else the file's ``command``. A file that
+    cannot be read or parsed, and an entry that neither parser has an option
+    for, are usage errors.
     """
-    config = _load_config(path)
+    try:
+        config = _load_config(path)
+    except (OSError, ValueError) as exc:
+        ap.error(f"config file {path}: {exc}")
     top_parser = _top_level_parser()
     top_flags = _options(top_parser)
     top, rest = top_parser.parse_known_args(_config_flags(top_flags, config) + argv)

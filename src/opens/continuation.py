@@ -10,23 +10,21 @@ The AAA fit (Nakatsukasa, Sete & Trefethen, SIAM J. Sci. Comput. 40, A1494
 (2018)) is implemented here for a stack of equal-length sample sets, so
 that continuing a whole sweep costs two vectorized fits: the sample sets
 of every sweep point, and all of their leave-one-out subsets together.
-Each fit follows the rules of ``scipy.interpolate.AAA`` (stopping
+Each fit follows ``scipy.interpolate.AAA(..., clean_up=False)`` (stopping
 tolerance, greedy selection, weight choice for tall, wide and
-ill-conditioned Loewner matrices, Froissart clean-up and pole
-computation), and the tests compare the two. A fit that reaches its term
-cap is the intended degree limit, not a failure, so it warns about
-nothing. A set whose fit fails leaves its stack with the exception in its
-slot, and the other sets go on.
+ill-conditioned Loewner matrices, and pole computation), and the tests
+compare the two. No Froissart clean-up runs: the seeded fuzz of both boson
+routes, ``test_boson_routes_fit_no_froissart_doublet``, finds no doublet.
+A fit that reaches its term cap is the intended degree limit, not a
+failure, so it warns about nothing. A set whose fit fails leaves its stack
+with the exception in its slot, and the other sets go on.
 
-Everything after the greedy steps also runs once per stack. The members
-that finish at a step form a batch per support size. For each batch, one
-``np.linalg.eigvals`` over a stack of (m - 1)-square matrices gives the
-poles, so no command loads scipy, and the residues, the geometric-mean
-threshold and the Froissart test are stacked arrays. Each fit keeps its
-poles and residues, and the continuation's pole screen reads them; r(1) of
-every fit, and of every leave-one-out fit, is one stacked product per
-support size. Only one step stays per fit: a fit that has a Froissart
-doublet is re-solved by SVD and computes its own poles and residues. Each
+Everything after the greedy steps also runs once per stack: the members
+that finish at a step form a batch per support size, whose poles are one
+``np.linalg.eigvals`` over a stack of (m - 1)-square matrices, so no
+command loads scipy, and whose residues are one stacked array. The pole
+screen reads each fit's poles and residues; r(1) of every fit, and of
+every leave-one-out fit, is one stacked product per support size. Each
 member's poles, residues and values are bit-identical to fitting it alone,
 so a point's result does not depend on which points share its stacks.
 """
@@ -45,9 +43,6 @@ _RTOL = _EPS**0.75
 # past this condition number the Loewner columns are rescaled to unit norm,
 # and stay rescaled for the rest of that fit
 _ILL_CONDITIONED = 1.0 / (3.0 * _EPS)
-# a pole whose residue over its distance to the samples is below this times
-# the geometric mean of |values| is a Froissart doublet
-_CLEANUP_TOL = 1e-13
 
 
 @dataclass
@@ -78,7 +73,7 @@ class ContinuationResult:
     degree: int | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BarycentricFit:
     """r(x) = sum_j w_j f_j / (x - z_j) / sum_j w_j / (x - z_j) on real samples.
 
@@ -90,20 +85,6 @@ class BarycentricFit:
     weights: np.ndarray
     poles: np.ndarray
     residues: np.ndarray
-
-    def clean_up(self, z, f, doublets) -> None:
-        """Drop the support point nearest each Froissart doublet pole, re-solve on the
-        samples ``z``, ``f`` and recompute the poles and residues."""
-        closest = np.abs(np.subtract.outer(self.support, doublets)).argmin(axis=0)
-        self.support = np.delete(self.support, closest)
-        self.support_values = np.delete(self.support_values, closest)
-        keep = np.not_equal.outer(z, self.support).all(axis=1)
-        c = 1.0 / np.subtract.outer(z[keep], self.support)
-        loewner = f[keep][:, None] * c - c * self.support_values
-        self.weights = np.linalg.svd(loewner)[2][self.support.size - 1]
-        self.poles = _pole_rows(self.support[None], self.weights[None])[0]
-        self.residues = _residues(self.poles[None], self.support[None], self.support_values[None],
-                                  self.weights[None])[0]
 
 
 def _rational(x, support, support_values, weights):
@@ -158,24 +139,16 @@ def _residues(poles, support, support_values, weights):
         return num / -(cc * cc * weights[:, None, :]).sum(axis=2)
 
 
-def _finish(z, f, support, support_values, weights) -> list[BarycentricFit]:
-    """Fits of a stack (B, m) of equal support size, cleaned of Froissart doublets.
+def _finish(support, support_values, weights) -> list[BarycentricFit]:
+    """Fits of a stack (B, m) of equal support size.
 
-    A pole whose residue over its distance to the samples is below
-    ``_CLEANUP_TOL`` times the geometric mean of |f| is a doublet. Poles,
-    residues and that test run on the whole stack, and each fit keeps its
-    rows of both; only a member with a doublet is re-solved, alone.
+    Poles and residues run on the whole stack, and each fit keeps its rows
+    of both. As in ``scipy.interpolate.AAA(..., clean_up=False)``, no Froissart
+    doublet is removed (see ``test_boson_routes_fit_no_froissart_doublet``).
     """
     poles = _pole_rows(support, weights)
     res = _residues(poles, support, support_values, weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geom_mean = np.exp(np.mean(np.log(np.abs(f)), axis=1))
-        dist = np.abs(poles[:, :, None] - z[:, None, :]).min(axis=2)
-        doublet = np.isfinite(poles) & (np.abs(res) / dist < _CLEANUP_TOL * geom_mean[:, None])
-    fits = [BarycentricFit(*member) for member in zip(support, support_values, weights, poles, res)]
-    for i in np.flatnonzero(doublet.any(axis=1)):
-        fits[i].clean_up(z[i], f[i], poles[i, doublet[i]])
-    return fits
+    return [BarycentricFit(*member) for member in zip(support, support_values, weights, poles, res)]
 
 
 def _weights(a, ill, wide):
@@ -225,9 +198,11 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit | ValueError]:
     """AAA fits of a stack of real sample sets ``z``, ``f`` of shape (B, M).
 
     The points of each set must be distinct and its values finite. Each fit
-    uses at most ``max_terms`` support points and is cleaned of Froissart
-    doublets. The greedy steps run on the whole stack at once; a set leaves
-    the stack when its residual meets the tolerance, or, with the
+    is ``scipy.interpolate.AAA(..., clean_up=False)`` with at most
+    ``max_terms`` support points: the boson routes' fuzz test
+    ``test_boson_routes_fit_no_froissart_doublet`` finds no doublet to clean.
+    The greedy steps run on the whole stack at once; a set leaves the stack
+    when its residual meets the tolerance, or, with the
     ``ValueError("Loewner matrix has a NaN entry")`` that fitting it alone
     raises in place of its fit, when its column scaling divides a zero
     column by its zero norm. A LAPACK routine that does not converge raises
@@ -291,7 +266,7 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit | ValueError]:
             sel = finished[sizes == size]
             nz = nonzero[sel]
             parts = (x[nz].reshape(sel.size, size) for x in (support[sel, : m + 1], fj[sel], w[sel]))
-            for i, fit in zip(sel, _finish(z[sel], f[sel], *parts)):
+            for i, fit in zip(sel, _finish(*parts)):
                 fits[member[i]] = fit
         if done.all():
             break

@@ -346,15 +346,20 @@ class TestDomainSweep:
                 build_M_operators(g, OperatorSpec("scalar", 0.75), CFG, ns)
 
     def test_a_non_finite_rule_value_is_refused(self):
-        # at a layout scaled by 1e-160 the map's Jacobians overflow (numpy
-        # warns) and the rule's value is not finite: refused, not returned
-        g = Geometry(1e-160, 2e-160, 4e-160, 1e-163)
-        for spec in (OperatorSpec("scalar", 0.25), OperatorSpec("vector", 0.3)):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                with pytest.raises(QuadratureError,
-                                   match=r"^non-finite quadrature result for n = 2, entry m=1 "
-                                         r"\(tensor rule\)$"):
+        # at a layout scaled by 1e-160 the map's Jacobians overflow, and at
+        # 1e160 the remainder's factors do: the rule's value is not finite,
+        # and it is refused by a message that names the scale, with no numpy
+        # warning on the way (Tier-1 turns warnings into errors)
+        specs = ((OperatorSpec("scalar", 0.25), "1.5"), (OperatorSpec("vector", 0.3), "-0.6"))
+        for scale, entry in ((1e-160, "entry m=1"), (1e160, "diagonal remainder")):
+            g = Geometry(scale, 2 * scale, 4 * scale, 1e-3 * scale)
+            for spec, power in specs:
+                with pytest.raises(QuadratureError) as exc:
                     build_M_operators(g, spec, CFG, [2, 3])
+                assert str(exc.value) == (
+                    f"non-finite quadrature result for n = 2, {entry} (tensor rule): at layout "
+                    f"scale L = {scale:.3g} the kernel leaves the float range (M scales as "
+                    f"L^(2 - 2p) = L^{power})")
 
     @pytest.mark.parametrize("spec", [
         OperatorSpec("scalar", 0.05), OperatorSpec("scalar", 0.75), OperatorSpec("scalar", 1.45),

@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -197,12 +196,21 @@ class TestCommands:
         assert out.read_text() == flag_out.read_text()
 
     @pytest.mark.parametrize("line", ["l2: 100", "l2 100", "boson-holevo"])
-    def test_config_refuses_a_line_without_equals(self, tmp_path, line):
-        # only key = value is read; a key: value line is refused, not guessed at
+    def test_config_refuses_a_line_without_equals(self, tmp_path, capsys, line):
+        # only key = value is read; a key: value line is a usage error, not guessed at
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"command = boson-holevo\n{line}  # note\n")
-        with pytest.raises(ValueError, match=re.escape(f"cannot parse config line {line!r}")):
+        with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"config file {cfg}: cannot parse config line {line!r}" in capsys.readouterr().err
+
+    def test_a_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "boson-holevo"])
+        assert exc.value.code == 2
+        assert f"config file {cfg}: [Errno 2] No such file or directory" in capsys.readouterr().err
 
     def test_config_output(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from opens import continuation
-from opens.cft_boson import TimeParams, chi_samples, time_correction_samples
+from opens.cft_boson import (TimeParams, chi_samples, holevo_chi_sweep, holevo_chi_time_sweep,
+                             time_correction_samples)
 from opens.continuation import (
     ContinuationProblem,
     ContinuationResult,
@@ -15,7 +16,7 @@ from opens.continuation import (
     continue_to_one,
 )
 from opens.core import Geometry
-from opens.errors import ContinuationError
+from opens.errors import ContinuationError, DomainError, RegimeWarning, SingularMatrixError
 
 
 def samples_of(f, ns=range(2, 9)):
@@ -94,8 +95,8 @@ def _scipy_stack(z, f, max_terms):
     from scipy.interpolate import AAA as ScipyAAA
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # capped fits, doublets
-        return [ScipyAAA(zi, fi, max_terms=max_terms) for zi, fi in zip(z, f)]
+        warnings.simplefilter("ignore", RuntimeWarning)  # capped fits
+        return [ScipyAAA(zi, fi, max_terms=max_terms, clean_up=False) for zi, fi in zip(z, f)]
 
 
 def _scipy_fits(z, f, max_terms):
@@ -107,8 +108,8 @@ def _scipy_fits(z, f, max_terms):
     for zi, fi in zip(z, f):
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # capped fits, doublets
-                ref = ScipyAAA(zi, fi, max_terms=max_terms)
+                warnings.simplefilter("ignore", RuntimeWarning)  # capped fits
+                ref = ScipyAAA(zi, fi, max_terms=max_terms, clean_up=False)
         except ValueError as exc:
             fits.append(exc)
             continue
@@ -155,13 +156,13 @@ def _with_outlier(f, ns, at, amp):
 # sample sets that drive the fit down its rarer branches
 SPECIAL_SETS = {
     # a pole between the first two samples plus one 3.5e-11 outlier: the
-    # column scaling switches on and stays on, clean-up drops a support
-    # point, and the pole screen raises
+    # column scaling switches on and stays on, the fit keeps a Froissart
+    # doublet, and the pole screen raises
     "pole_and_outlier": _with_outlier(lambda n: (0.7838 - 0.753 * n) / (2.4259 - n),
                                       range(2, 13), 2, 3.5e-11),
-    # constant values with one outlier: zero weights, null spaces of
-    # dimension >= 2 and clean-up, yet a finite value; one leave-one-out
-    # subset fails (below) and keeps its ValueError inside the stack
+    # constant values with one outlier: zero weights and null spaces of
+    # dimension >= 2, yet a finite value; one leave-one-out subset fails
+    # (below) and keeps its ValueError inside the stack
     "constant_and_outlier": _with_outlier(lambda n: -0.35, range(2, 8), 1, 5.3e-7),
     # a constant with the outlier last: a Loewner column vanishes, the
     # column scaling divides 0 by 0, and both fits raise ValueError
@@ -171,8 +172,8 @@ SPECIAL_SETS = {
 
 def _branches(monkeypatch, samples, degree):
     """Which AAA branches one continuation takes, counted by spies."""
-    seen = {"ill": 0, "sticky": 0, "null2": 0, "cleanup": 0}
-    weights, clean_up = continuation._weights, continuation.BarycentricFit.clean_up
+    seen = {"ill": 0, "sticky": 0, "null2": 0}
+    weights = continuation._weights
 
     def spy_weights(a, ill, wide):
         before = ill.copy()
@@ -186,13 +187,7 @@ def _branches(monkeypatch, samples, degree):
             seen["null2"] += int((a.shape[-1] - rank >= 2).any())
         return w
 
-    def spy_clean_up(fit, *args):
-        size = fit.support.size
-        clean_up(fit, *args)
-        seen["cleanup"] += int(fit.support.size < size)
-
     monkeypatch.setattr(continuation, "_weights", spy_weights)
-    monkeypatch.setattr(continuation.BarycentricFit, "clean_up", spy_clean_up)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _outcome(samples, degree)
@@ -202,9 +197,9 @@ def _branches(monkeypatch, samples, degree):
 
 def test_special_sets_reach_their_branches(monkeypatch):
     pole = _branches(monkeypatch, SPECIAL_SETS["pole_and_outlier"], 4)
-    assert pole["ill"] and pole["sticky"] and pole["cleanup"]
+    assert pole["ill"] and pole["sticky"]
     const = _branches(monkeypatch, SPECIAL_SETS["constant_and_outlier"], 3)
-    assert const["null2"] and const["cleanup"]
+    assert const["null2"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = continue_to_one(ContinuationProblem(SPECIAL_SETS["constant_and_outlier"]))
@@ -332,16 +327,90 @@ def test_a_pole_at_one_is_screened_inside_its_stack():
     weights = rng.standard_normal((6, 3))
     weights[3] = 1.0, -4.0, 3.0
     support, svals = np.take_along_axis(z, cols, 1), np.take_along_axis(f, cols, 1)
-    fits = continuation._finish(z, f, support, svals, weights)
+    fits = continuation._finish(support, svals, weights)
     why = continuation._pole_screen(fits, z[:, -1] + 1e-9)
     assert list(fits[3].poles) == [1.0, np.inf]
     assert isinstance(why[3], ContinuationError) and "[1.]" in str(why[3])
     for i in (0, 1, 2, 4, 5):
-        alone = continuation._finish(z[i:i + 1], f[i:i + 1], support[i:i + 1], svals[i:i + 1],
-                                     weights[i:i + 1])
+        alone = continuation._finish(support[i:i + 1], svals[i:i + 1], weights[i:i + 1])
         assert fits[i].poles.tobytes() == alone[0].poles.tobytes()
         (want,) = continuation._pole_screen(alone, z[i:i + 1, -1] + 1e-9)
         assert type(why[i]) is type(want) and str(why[i]) == str(want)
+
+
+def _doublets(z, f, fits):
+    """The Froissart doublets of each fit on its samples ``z``, ``f``: the poles whose
+    residue over their distance to the samples is below 1e-13 times the geometric
+    mean of |f|, the criterion of scipy's clean-up."""
+    out = []
+    for zi, fi, fit in zip(z, f, fits):
+        if isinstance(fit, Exception):
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            geom_mean = np.exp(np.mean(np.log(np.abs(fi))))
+            dist = np.abs(np.subtract.outer(fit.poles, zi)).min(axis=1)
+            small = np.abs(fit.residues) / dist < 1e-13 * geom_mean
+        out += list(fit.poles[np.isfinite(fit.poles) & small])
+    return out
+
+
+def _boson_draws(rng, sweeps):
+    """(sweep, points, n_max) of ``sweeps`` seeded sweeps, alternately of each boson
+    route, with L in [1e-2, 1e3], d / L in [1e-4, 1e3] and eps / L in [1e-4, 1],
+    each log-uniform, and n_max in 6..24."""
+    for k in range(sweeps):
+        L = 10 ** rng.uniform(-2, 3)
+        d, eps = L * 10 ** rng.uniform(-4, 3), L * 10 ** rng.uniform(-4, 0)
+        n_max = int(rng.integers(6, 25))
+        if k % 2 == 0:  # a 25-point l2 log grid from 2.5 eps, over 1 to 9 decades
+            l2 = 2.5 * eps * np.geomspace(1.0, 10 ** rng.uniform(1, 9), 25)
+            yield holevo_chi_sweep, [Geometry(L, L + d, L + d + x, eps) for x in l2], n_max
+        else:  # 5 times in [0, a - L) and 20 in (b, 1e6 b], eps' = L 10^U(-8, 0)
+            g = Geometry(L, L + d, L + d + 2.5 * eps * 10 ** rng.uniform(0, 9), eps)
+            ts = [*rng.uniform(0.0, d, 5), *(g.b * 10 ** rng.uniform(0, 6, 20))]
+            points = [(g, TimeParams(t, L * 10 ** rng.uniform(-8, 0))) for t in ts]
+            yield holevo_chi_time_sweep, points, n_max
+
+
+def test_boson_routes_fit_no_froissart_doublet(monkeypatch):
+    # AAA removes no Froissart doublet, as scipy's AAA at clean_up=False does
+    # not: over 1,000 seeded points of both boson routes no fit has one. Each
+    # point gives a finite value with a finite error >= 0, or a named
+    # refusal, and shows no warning but a RegimeWarning
+    doublets, wide_steps = [], []
+    aaa, weights = continuation.AAA, continuation._weights
+
+    def spy_aaa(z, f, max_terms):
+        fits = aaa(z, f, max_terms)
+        doublets.extend(_doublets(z, f, fits))
+        return fits
+
+    def spy_weights(a, ill, wide):
+        wide_steps.append(wide)
+        return weights(a, ill, wide)
+
+    monkeypatch.setattr(continuation, "AAA", spy_aaa)
+    monkeypatch.setattr(continuation, "_weights", spy_weights)
+    continue_stack([SPECIAL_SETS["pole_and_outlier"]], 4)
+    assert doublets  # the check can fail: this set's fit keeps a doublet
+    found, degrees = [], set()
+    for sweep, points, n_max in _boson_draws(np.random.default_rng(38), 40):
+        doublets.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = sweep(points, n_max)
+        assert all(w.category is RegimeWarning for w in caught), [str(w.message) for w in caught]
+        if doublets:
+            found.append((sweep.__name__, n_max, points, list(doublets)))
+        for point, res in zip(points, out):
+            if isinstance(res, ContinuationResult):
+                assert np.isfinite([res.value, res.error_estimate]).all(), point
+                assert res.error_estimate >= 0.0, point
+                degrees.add(res.degree)
+            else:
+                assert type(res) in (ContinuationError, SingularMatrixError, DomainError), (point, res)
+    assert not found, found
+    assert {2, 3} & degrees and any(wide_steps)  # the degree fallback and a null-space step
 
 
 def test_capped_fit_is_silent():
@@ -466,7 +535,7 @@ def _stack_sets():
         for l2 in np.geomspace(10.0, 1e5, 6):
             sets.append(chi_samples(Geometry(L, L + d, L + d + l2, 0.5), 9))
     # the special sets with a boson set of their own length each, so that
-    # a clean-up and a pole screen that raises sit in stacks of several
+    # a pole screen that raises sits in a stack of several
     near = Geometry(10.0, 20.0, 120.0, 0.5)
     return sets + _boson_sample_sets()[::4] + [
         SPECIAL_SETS["pole_and_outlier"], chi_samples(near, 12),
@@ -491,25 +560,16 @@ def test_stacked_sets_match_the_loop_alone_together_and_reversed(monkeypatch):
         stacks.append((a.shape[0], int((w == 0).any(axis=1).sum())))
         return w
 
-    # which fits a clean-up shortened, and per pole screen: its stack size,
-    # whether it holds such a fit, and how many of its fits it rejects
-    cleaned, screens = set(), []
-    clean_up, pole_screen = continuation.BarycentricFit.clean_up, continuation._pole_screen
-
-    def spy_clean_up(fit, *args):
-        size = fit.support.size
-        clean_up(fit, *args)
-        if fit.support.size < size:
-            cleaned.add(id(fit))
+    # per pole screen: its stack size and how many of its fits it rejects
+    screens = []
+    pole_screen = continuation._pole_screen
 
     def spy_screen(fits, hi):
         why = pole_screen(fits, hi)
-        screens.append((len(fits), any(id(fit) in cleaned for fit in fits),
-                        sum(isinstance(w, ContinuationError) for w in why)))
+        screens.append((len(fits), sum(isinstance(w, ContinuationError) for w in why)))
         return why
 
     monkeypatch.setattr(continuation, "_weights", spy)
-    monkeypatch.setattr(continuation.BarycentricFit, "clean_up", spy_clean_up)
     monkeypatch.setattr(continuation, "_pole_screen", spy_screen)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -527,13 +587,12 @@ def test_stacked_sets_match_the_loop_alone_together_and_reversed(monkeypatch):
     # the sets reach every path: each fallback degree, no degree, a fit that
     # raises, a zero weight inside a stack of several members, which takes
     # the whole stack through the per-member products, and a stack of
-    # several members holding a fit that its clean-up re-solved and a pole
-    # that the screen rejects
+    # several members holding a pole that the screen rejects
     degrees = [d for _, d in loop]
     assert {4, 3, 2, None} <= set(degrees)
     assert degrees[:3] == [3, 2, None] and isinstance(loop[4][0], ValueError)
     assert any(size > 1 and zero for size, zero in seen)
-    assert any(size > 1 and shortened and rejected for size, shortened, rejected in screened)
+    assert any(size > 1 and rejected for size, rejected in screened)
     for (want, degree), a, t, b in zip(loop, alone, together, backwards):
         assert _same_outcome(a, want) and _same_outcome(t, want) and _same_outcome(b, want)
         if degree is not None:  # the degree left after the fallback
@@ -559,31 +618,32 @@ def fresh_screen(fit, hi):
 
 
 def test_finished_fits_keep_the_poles_and_residues_they_have_alone(monkeypatch):
-    # every fit that _finish returns, in the stacks of the stack sets (a
-    # clean-up re-solves some) and of the boson sets, holds the poles and
-    # residues of a fresh pass over it alone, and the pole screen that reads
-    # them gives the verdicts and messages of that fresh pass
-    finished, finish = [], continuation._finish
+    # every fit that AAA returns, in the stacks of the stack sets and of the
+    # boson sets, holds the poles and residues of a fresh pass over it alone,
+    # and the pole screen that reads them gives the verdicts and messages of
+    # that fresh pass
+    finished, aaa = [], continuation.AAA
 
-    def spy(z, f, support, support_values, weights):
-        fits = finish(z, f, support, support_values, weights)
-        finished.append((z, support.shape[1], fits))
+    def spy(z, f, max_terms):
+        fits = aaa(z, f, max_terms)
+        finished.append((z, fits))
         return fits
 
-    monkeypatch.setattr(continuation, "_finish", spy)
+    monkeypatch.setattr(continuation, "AAA", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         continue_stack(_stack_sets(), 4, (3, 2))
         continue_stack(_boson_sample_sets(), 4, (3, 2))
     monkeypatch.undo()
-    assert any(len(fits) > 1 and any(fit.support.size < m for fit in fits) for _, m, fits in finished)
     rejected = 0
-    for z, _, fits in finished:
-        for fit in fits:
-            poles, res = fresh_rows(fit)
-            assert fit.poles.tobytes() == poles.tobytes() and fit.residues.tobytes() == res.tobytes()
+    for z, fits in finished:
         hi = z[:, -1] + 1e-9
         for got, fit, top in zip(continuation._pole_screen(fits, hi), fits, hi):
+            if isinstance(fit, Exception):
+                assert got is fit
+                continue
+            poles, res = fresh_rows(fit)
+            assert fit.poles.tobytes() == poles.tobytes() and fit.residues.tobytes() == res.tobytes()
             want = fresh_screen(fit, top)
             assert type(got) is type(want) and str(got) == str(want)
             rejected += isinstance(got, ContinuationError)
