@@ -140,6 +140,12 @@ def _warn_unless_dominant(rows):
         )
 
 
+def _out_of_range(name, value, eps) -> DomainError:
+    """The refusal of a diagonal entry that is not finite."""
+    return DomainError(f"{name} = {value:.3g} at eps = {eps:g}: the point-split diagonal "
+                       "2 log|n^2 s pa pb| left the float range")
+
+
 def build_M_boson(g: Geometry) -> SymmetricCirculant:
     """Replica covariance matrix for the compact-boson charge, as its circulant.
 
@@ -147,9 +153,14 @@ def build_M_boson(g: Geometry) -> SymmetricCirculant:
     images; the diagonal carries the UV regularization, with the point
     splitting at leading order in eps, which makes the row sum equal
     4 log((b-a)/(2 eps)) exactly. ``.dense()`` expands it; at n = 1,
-    ``.row[0]`` is the single-copy diagonal m1.
+    ``.row[0]`` is the single-copy diagonal m1. A diagonal that leaves the
+    float range, as pa pb ~ 1 / eps^2 does below about eps = 1e-152 on the
+    README layout, raises ``DomainError``.
     """
-    row = _row(g.L, g.a, g.b, g.eps, g.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diagonal that overflows is refused here
+        row = _row(g.L, g.a, g.b, g.eps, g.n)
+    if not np.isfinite(row[0]):
+        raise _out_of_range("diagonal M_00", row[0], g.eps)
     _warn_unless_dominant(row[None])
     return SymmetricCirculant(row)
 
@@ -174,7 +185,9 @@ def _chi(points, ns):
     D = M_00(n) - m1 = -4 Re[F(ell / 2) - F(ell / 2n)], F = log sinhc, has no
     cancellation, and ``replica_log_det`` takes log(det M(n) / m1^n) from
     the row whose diagonal is D, with full relative accuracy however small
-    chi_n is. Endpoints sit at a - shift and b - shift.
+    chi_n is. Endpoints sit at a - shift and b - shift. A point whose m1 is
+    not finite, or not positive, is refused: with an infinite m1 every chi_n
+    would read 0.
 
     All points are evaluated together, as one stack of rows per n, with the
     bits of a point-by-point evaluation: moving the samples by 1e-15 moves
@@ -190,9 +203,12 @@ def _chi(points, ns):
     # a point that fails may overflow on the way; it gets its exception instead
     with np.errstate(all="ignore"):
         m1 = _rows(ell, pa, pb, 1)[:, 0]
-        for i in np.flatnonzero(~(m1 > 0.0)):
-            failure[i] = DomainError(
-                f"single-copy diagonal m1 = {m1[i]:.3g} <= 0: cutoff-dominated layout")
+        for i in np.flatnonzero(~(np.isfinite(m1) & (m1 > 0.0))):
+            if np.isfinite(m1[i]):
+                failure[i] = DomainError(
+                    f"single-copy diagonal m1 = {m1[i]:.3g} <= 0: cutoff-dominated layout")
+            else:
+                failure[i] = _out_of_range("single-copy diagonal m1", m1[i], points[i][0].eps)
         f1 = log_sinhc(ell / 2.0).real
         for k, n in enumerate(ns):
             row = _rows(ell, pa, pb, n)

@@ -231,8 +231,27 @@ def flat_integral_exact(spec: OperatorSpec, length: float, eps: float) -> float:
     integrating by parts, is 4 eps^(-2h) [(1 - 2h) K(1 - 2h) + 2h X K(-2h)]
     with K(c) = int_0^X x^c / (1 + x^2) dx. Each piece is an exprel closed
     form or a Gauss-Jacobi sum with exponent >= 0, accurate to a few ulps at
-    every weight, h_s = 1/2, 1 and h_v = 0 included.
+    every weight, h_s = 1/2, 1 and h_v = 0 included, while eps is small
+    against length. The scalar form takes the difference X J0 - J1 of two
+    terms of order X^(2-2h), so toward eps >> length it keeps about
+    (eps / length)^2 1e-16 relative: 1e-13 at eps / length = 1e4, 1e-9 at
+    1e8, 2e-3 at 1e15, and the wrong sign by 1e100. Both kinds are
+    positive on every valid input, so a value that is not finite and
+    positive, or that overflows on the way, raises ``QuadratureError``.
     """
+    try:
+        with np.errstate(all="ignore"):
+            value = _flat_integral(spec, length, eps)
+    except OverflowError:  # a Python float power past the float range
+        value = math.inf
+    if not (np.isfinite(value) and value > 0.0):
+        raise QuadratureError(f"flat-integral add-back m11 = {value:.3g} at eps_reg = {eps:g}, "
+                              f"length {length:g}: not finite and positive")
+    return value
+
+
+def _flat_integral(spec: OperatorSpec, length: float, eps: float) -> float:
+    """``flat_integral_exact`` unchecked."""
     X, h = float(length) / eps, spec.weight
     if spec.kind == "scalar":
         # (1 + t^2)^(-h) - 1 = t^2 g(t), g smooth with g(0) = -h

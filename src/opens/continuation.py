@@ -22,11 +22,12 @@ with the exception in its slot, and the other sets go on.
 Everything after the greedy steps also runs once per stack: the members
 that finish at a step form a batch per support size, whose poles are one
 ``np.linalg.eigvals`` over a stack of (m - 1)-square matrices, so no
-command loads scipy, and whose residues are one stacked array. The pole
-screen reads each fit's poles and residues; r(1) of every fit, and of
-every leave-one-out fit, is one stacked product per support size. Each
-member's poles, residues and values are bit-identical to fitting it alone,
-so a point's result does not depend on which points share its stacks.
+command loads scipy, whose residues are one stacked array, whose values
+r(1) are one stacked product and whose pole screen is one elementwise
+test. Each fit keeps all four, and ``continue_stack`` reads them off the
+fit. Each member's poles, residues, value and screened poles are
+bit-identical to fitting it alone, so a point's result does not depend on
+which points share its stacks.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class ContinuationResult:
 class BarycentricFit:
     """r(x) = sum_j w_j f_j / (x - z_j) / sum_j w_j / (x - z_j) on real samples.
 
-    With its m - 1 poles, inf for a pole at infinity, and their residues.
+    With its m - 1 poles, inf for a pole at infinity, their residues, r(1),
+    and the sorted real parts of the poles that the pole screen ``rejected``.
     """
 
     support: np.ndarray
@@ -85,6 +87,8 @@ class BarycentricFit:
     weights: np.ndarray
     poles: np.ndarray
     residues: np.ndarray
+    at_one: float
+    rejected: np.ndarray
 
 
 def _rational(x, support, support_values, weights):
@@ -139,16 +143,25 @@ def _residues(poles, support, support_values, weights):
         return num / -(cc * cc * weights[:, None, :]).sum(axis=2)
 
 
-def _finish(support, support_values, weights) -> list[BarycentricFit]:
-    """Fits of a stack (B, m) of equal support size.
+def _finish(support, support_values, weights, hi) -> list[BarycentricFit]:
+    """Fits of a stack (B, m) of equal support size, ``hi`` each one's largest sample + 1e-9.
 
-    Poles and residues run on the whole stack, and each fit keeps its rows
-    of both. As in ``scipy.interpolate.AAA(..., clean_up=False)``, no Froissart
-    doublet is removed (see ``test_boson_routes_fit_no_froissart_doublet``).
+    Poles, residues, r(1) and the pole screen below ``hi`` run on the whole
+    stack, and each fit keeps its rows of all four. As in
+    ``scipy.interpolate.AAA(..., clean_up=False)``, no Froissart doublet is
+    removed (see ``test_boson_routes_fit_no_froissart_doublet``).
     """
     poles = _pole_rows(support, weights)
     res = _residues(poles, support, support_values, weights)
-    return [BarycentricFit(*member) for member in zip(support, support_values, weights, poles, res)]
+    at_one = _rational(np.ones((len(support), 1)), support, support_values, weights)[:, 0]
+    # real poles that move r: spurious, nearly cancelling pole-zero pairs carry negligible residues
+    bad = ((np.abs(poles.imag) < 1e-8) & (poles.real > 1.0 - 1e-9) & (poles.real < hi[:, None])
+           & (np.abs(res) > 1e-7))
+    rejected = [np.empty(0)] * len(poles)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        rejected[i] = np.sort(poles[i, bad[i]].real)
+    return [BarycentricFit(*member)
+            for member in zip(support, support_values, weights, poles, res, at_one, rejected)]
 
 
 def _weights(a, ill, wide):
@@ -201,8 +214,9 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit | ValueError]:
     is ``scipy.interpolate.AAA(..., clean_up=False)`` with at most
     ``max_terms`` support points: the boson routes' fuzz test
     ``test_boson_routes_fit_no_froissart_doublet`` finds no doublet to clean.
-    The greedy steps run on the whole stack at once; a set leaves the stack
-    when its residual meets the tolerance, or, with the
+    Each fit holds r(1) and its screened poles (``_finish``). The greedy
+    steps run on the whole stack at once; a set leaves the stack when its
+    residual meets the tolerance, or, with the
     ``ValueError("Loewner matrix has a NaN entry")`` that fitting it alone
     raises in place of its fit, when its column scaling divides a zero
     column by its zero norm. A LAPACK routine that does not converge raises
@@ -212,6 +226,7 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit | ValueError]:
     nfit, npts = z.shape
     member = np.arange(nfit)
     atol = _RTOL * np.abs(f).max(axis=1)
+    hi = z.max(axis=1) + 1e-9
     support = np.empty((nfit, max_terms))
     svals = np.empty((nfit, max_terms))
     cauchy = np.empty((nfit, max_terms, npts))
@@ -266,15 +281,15 @@ def AAA(z, f, max_terms: int) -> list[BarycentricFit | ValueError]:
             sel = finished[sizes == size]
             nz = nonzero[sel]
             parts = (x[nz].reshape(sel.size, size) for x in (support[sel, : m + 1], fj[sel], w[sel]))
-            for i, fit in zip(sel, _finish(*parts)):
+            for i, fit in zip(sel, _finish(*parts, hi[sel])):
                 fits[member[i]] = fit
         if done.all():
             break
         if done.any():
             keep = ~done
-            member, z, f, atol, support, svals, cauchy, loewner, mask, resid, ill = (
+            member, z, f, atol, hi, support, svals, cauchy, loewner, mask, resid, ill = (
                 x[keep] for x in
-                (member, z, f, atol, support, svals, cauchy, loewner, mask, resid, ill)
+                (member, z, f, atol, hi, support, svals, cauchy, loewner, mask, resid, ill)
             )
     return fits
 
@@ -339,18 +354,21 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             z = np.array([data[i][0] for i in idx])
             f = np.array([data[i][1] for i in idx])
             # degree (m-1, m-1) uses m support points
-            fits = AAA(z, f, min(degree + 1, z.shape[1]))
-            with np.errstate(over="ignore"):  # an overflow is that set's ContinuationError below
-                values = _at_one(fits) * np.array([data[i][2] for i in idx])
-            for i, why, value in zip(idx, _pole_screen(fits, z[:, -1] + 1e-9), values):
-                if why is None and not np.isfinite(value):
-                    why = ContinuationError("interpolant evaluated to a non-finite value at n = 1")
-                if why is None:
+            for i, fit, hi in zip(idx, AAA(z, f, min(degree + 1, z.shape[1])), z[:, -1] + 1e-9):
+                if isinstance(fit, Exception):
+                    out[i] = fit
+                    continue
+                with np.errstate(over="ignore"):  # an overflow is that set's ContinuationError below
+                    value = fit.at_one * data[i][2]
+                if fit.rejected.size:
+                    out[i] = ContinuationError(f"interpolant has poles at {fit.rejected} "
+                                               f"inside [{1.0 - 1e-9}, {hi}]")
+                elif not np.isfinite(value):
+                    out[i] = ContinuationError("interpolant evaluated to a non-finite value at n = 1")
+                else:
                     fitted[i] = degree, value
                     continue
-                out[i] = why
-                if isinstance(why, ContinuationError):
-                    failed.append(i)
+                failed.append(i)
         todo = failed
 
     for idx in _grouped(fitted, lambda i: (data[i][0].size, fitted[i][0])):
@@ -363,7 +381,8 @@ def continue_stack(sample_sets, max_degree: int = 4, fallback=()) -> list:
             f = np.array([data[i][1] for i in idx])
             sub_n = np.broadcast_to(z[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
             sub_v = np.broadcast_to(f[:, None], (len(idx), m, m))[:, drop].reshape(-1, m - 1)
-            loo = _at_one(AAA(sub_n, sub_v, terms)).reshape(len(idx), m)
+            loo = np.array([np.nan if isinstance(fit, Exception) else fit.at_one
+                            for fit in AAA(sub_n, sub_v, terms)]).reshape(len(idx), m)
             with np.errstate(over="ignore"):  # a subset that overflows is skipped below
                 loo *= np.array([data[i][2] for i in idx])[:, None]
         for i, y in zip(idx, loo):
@@ -383,36 +402,3 @@ def _grouped(indices, key):
         groups.setdefault(key(i), []).append(i)
     return list(groups.values())
 
-
-def _at_one(fits) -> np.ndarray:
-    """r(1) of every fit, NaN in place of an exception: one stacked product per support size."""
-    out = np.full(len(fits), np.nan)
-    ok = [k for k, fit in enumerate(fits) if not isinstance(fit, Exception)]
-    for idx in _grouped(ok, lambda k: fits[k].support.size):
-        parts = (np.array([getattr(fits[k], name) for k in idx])
-                 for name in ("support", "support_values", "weights"))
-        out[idx] = _rational(np.ones((len(idx), 1)), *parts)[:, 0]
-    return out
-
-
-def _pole_screen(fits, hi) -> list:
-    """Per fit, None, or why its value at n = 1 cannot be used.
-
-    That is the fit's own exception, or a ``ContinuationError`` for a pole
-    on the real axis inside [1, ``hi``]. Spurious, nearly cancelling
-    pole-zero pairs carry negligible residues, so only poles that move the
-    interpolant count. The test reads each fit's stored poles and residues,
-    on one stack per pole count.
-    """
-    out = [fit if isinstance(fit, Exception) else None for fit in fits]
-    lo = 1.0 - 1e-9
-    for idx in _grouped([k for k, why in enumerate(out) if why is None], lambda k: fits[k].poles.size):
-        poles = np.array([fits[k].poles for k in idx])
-        res = np.array([fits[k].residues for k in idx])
-        top = hi[idx][:, None]
-        bad = ((np.abs(poles.imag) < 1e-8) & (poles.real > lo) & (poles.real < top)
-               & (np.abs(res) > 1e-7))
-        for j in np.flatnonzero(bad.any(axis=1)):
-            out[idx[j]] = ContinuationError(f"interpolant has poles at "
-                                            f"{np.sort(poles[j, bad[j]].real)} inside [{lo}, {top[j, 0]}]")
-    return out

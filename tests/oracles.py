@@ -359,7 +359,7 @@ def _spectral_renyi(rho: np.ndarray, n: float) -> float:
 def ed_renyi_entropy(oracle: EDOracle, a_sites, b_sites, n: float = 1) -> float:
     """Renyi entropy of rho_A = sum_q rho~_{A,q}: the post-measurement states
     of any measured B sum back to the reduced state of A."""
-    return _spectral_renyi(sum(oracle.sector_states(a_sites, b_sites).values()), n)
+    return _spectral_renyi(oracle.sector_states(a_sites, b_sites).sum(0), n)
 
 
 def ed_mie(oracle: EDOracle, a_sites, b_sites, n: float = 1) -> float:
@@ -368,7 +368,7 @@ def ed_mie(oracle: EDOracle, a_sites, b_sites, n: float = 1) -> float:
     Sectors with p_q below 1e-14 carry no state and are skipped.
     """
     total = 0.0
-    for rho in oracle.sector_states(a_sites, b_sites).values():
+    for rho in oracle.sector_states(a_sites, b_sites):
         p = np.trace(rho).real
         if p >= 1e-14:
             total += p * _spectral_renyi(rho / p, n)

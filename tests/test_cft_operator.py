@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import types
 import warnings
 
@@ -173,6 +174,26 @@ class TestFlatIntegral:
         assert flat_interval_integral(spec, ell, 1e-6).universal == pytest.approx(
             -4.0 * ell ** (-2 * h) / (2 * h * (1 + 2 * h)), rel=1e-12
         )
+
+    def test_an_add_back_that_is_not_finite_and_positive_is_refused(self):
+        # the scalar form squares length / eps_reg and loses (eps_reg / length)^2 1e-16
+        # relative: nan at 1e-160, -4e-50 at 1e100 where the true value is +4e-50,
+        # 0 at 1e200 and an OverflowError at 1e300; the vector form overflows at 1e-300.
+        # Each is one QuadratureError, and no warning escapes
+        refused = "flat-integral add-back m11 = .* at eps_reg = .*, length 2: not finite and positive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eps in (1e-160, 1e-300, 1e100, 1e200, 1e300):
+                with pytest.raises(QuadratureError, match=refused):
+                    flat_integral_exact(OperatorSpec("scalar", 0.25), 2.0, eps)
+                try:
+                    value = flat_integral_exact(OperatorSpec("vector", 0.2), 2.0, eps)
+                except QuadratureError as exc:
+                    assert eps in (1e-300, 1e200, 1e300) and re.fullmatch(refused, str(exc))
+                else:
+                    assert eps in (1e-160, 1e100) and 0.0 < value < math.inf
+            with pytest.raises(QuadratureError, match=r"m11 = inf at eps_reg = 1e-300, length 2"):
+                flat_integral_exact(OperatorSpec("vector", 0.2), 2.0, 1e-300)
 
     def test_vector_zero_weight_log_form(self):
         out = flat_interval_integral(OperatorSpec("vector", 0.0), 50.0, 1e-4)

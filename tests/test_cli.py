@@ -352,6 +352,37 @@ class TestCommands:
                     assert main(["--output", str(out), "--jobs", jobs] + args) == 1
                 assert out.read_text().splitlines()[-1] == error
 
+    @pytest.mark.parametrize("args, entry", [
+        (["boson-holevo", "--L", "10", "--d", "10", "--l2", "100", "--eps", "1e-200"], "single-copy diagonal m1 = inf"),
+        (["boson-mie", "--l2", "100", "--eps", "1e-200"], "single-copy diagonal m1 = inf"),
+        (["boson-moments", "--l2", "100", "--eps", "1e-200"], "diagonal M_00 = inf"),
+        (["boson-time", "--t", "1000", "--eps", "1e-200"], "single-copy diagonal m1 = inf"),
+        (["boson-holevo", "--L", "1e-200", "--eps", "0.5"], "single-copy diagonal m1 = -inf"),
+        (["boson-holevo", "--l2", "1e300", "--eps", "0.5"], "single-copy diagonal m1 = nan"),
+    ])
+    def test_a_diagonal_out_of_the_float_range_is_refused(self, tmp_path, args, entry):
+        # pa pb ~ 1 / eps^2 overflows below about eps = 1e-152, where chi_n
+        # read 0 and the Mie ratio 1; no warning escapes on the way
+        out = tmp_path / "o.csv"
+        assert main(["--output", str(out)] + args) == 1
+        eps = args[args.index("--eps") + 1]
+        assert out.read_text().splitlines()[-1] == (
+            f"DomainError: {entry} at eps = {eps}: the point-split diagonal "
+            "2 log|n^2 s pa pb| left the float range")
+
+    def test_an_add_back_out_of_the_float_range_is_refused_by_name(self, tmp_path):
+        # where m11 read nan, inf or an OverflowError, every operator command
+        # that reads it names the add-back
+        base = ["--L", "1", "--d", "1", "--l2", "2"]
+        for command in ("operator-m", "operator-mie", "averaged-purity", "cn-table"):
+            for flags, value in ((["--eps-reg", "1e-160"], "nan at eps_reg = 1e-160"),
+                                 (["--spec", "vector:0.2", "--eps-reg", "1e-300"], "inf at eps_reg = 1e-300"),
+                                 (["--eps-reg", "1e300"], "inf at eps_reg = 1e+300")):
+                out = tmp_path / "m.csv"
+                assert main(["--output", str(out), command] + base + flags) == 1
+                assert out.read_text().splitlines()[-1] == (
+                    f"QuadratureError: flat-integral add-back m11 = {value}, length 2: not finite and positive")
+
     def test_continued_routes_need_n_max_six(self, tmp_path):
         message = ("ValueError: --nmax {}: a degree-4 continuation with a leave-one-out error "
                    "estimate needs nmax >= 6")

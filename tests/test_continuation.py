@@ -101,7 +101,7 @@ def _scipy_stack(z, f, max_terms):
 
 def _scipy_fits(z, f, max_terms):
     """``continuation.AAA`` from scipy: per set, scipy's support, weights, poles and their
-    residues, or its ValueError."""
+    residues, r(1) and the screened poles, or its ValueError."""
     from scipy.interpolate import AAA as ScipyAAA
 
     fits = []
@@ -118,8 +118,18 @@ def _scipy_fits(z, f, max_terms):
         row[:poles.size] = poles
         support, svals, w = ref.support_points, ref.support_values, ref.weights
         res = continuation._residues(row[None], support[None], svals[None], w[None])[0]
-        fits.append(continuation.BarycentricFit(support, svals, w, row, res))
+        at_one = continuation._rational(np.ones((1, 1)), support[None], svals[None], w[None])[0, 0]
+        fits.append(continuation.BarycentricFit(support, svals, w, row, res, at_one,
+                                                screened_poles(row, res, zi.max() + 1e-9)))
     return fits
+
+
+def screened_poles(poles, residues, hi):
+    """The pole screen of one fit: the sorted real parts of its poles on the real
+    axis inside (1 - 1e-9, hi) whose residue moves the interpolant."""
+    bad = ((np.abs(poles.imag) < 1e-8) & (poles.real > 1.0 - 1e-9) & (poles.real < hi)
+           & (np.abs(residues) > 1e-7))
+    return np.sort(poles[bad].real)
 
 
 def finite_poles(fit):
@@ -327,15 +337,14 @@ def test_a_pole_at_one_is_screened_inside_its_stack():
     weights = rng.standard_normal((6, 3))
     weights[3] = 1.0, -4.0, 3.0
     support, svals = np.take_along_axis(z, cols, 1), np.take_along_axis(f, cols, 1)
-    fits = continuation._finish(support, svals, weights)
-    why = continuation._pole_screen(fits, z[:, -1] + 1e-9)
+    hi = z[:, -1] + 1e-9
+    fits = continuation._finish(support, svals, weights, hi)
     assert list(fits[3].poles) == [1.0, np.inf]
-    assert isinstance(why[3], ContinuationError) and "[1.]" in str(why[3])
-    for i in (0, 1, 2, 4, 5):
-        alone = continuation._finish(support[i:i + 1], svals[i:i + 1], weights[i:i + 1])
-        assert fits[i].poles.tobytes() == alone[0].poles.tobytes()
-        (want,) = continuation._pole_screen(alone, z[i:i + 1, -1] + 1e-9)
-        assert type(why[i]) is type(want) and str(why[i]) == str(want)
+    assert list(fits[3].rejected) == [1.0]
+    for i in range(6):
+        (alone,) = continuation._finish(support[i:i + 1], svals[i:i + 1], weights[i:i + 1], hi[i:i + 1])
+        for name in ("poles", "residues", "at_one", "rejected"):
+            assert np.asarray(getattr(fits[i], name)).tobytes() == np.asarray(getattr(alone, name)).tobytes()
 
 
 def _doublets(z, f, fits):
@@ -560,17 +569,17 @@ def test_stacked_sets_match_the_loop_alone_together_and_reversed(monkeypatch):
         stacks.append((a.shape[0], int((w == 0).any(axis=1).sum())))
         return w
 
-    # per pole screen: its stack size and how many of its fits it rejects
+    # per finished stack: its size and how many of its fits the pole screen rejects
     screens = []
-    pole_screen = continuation._pole_screen
+    finish = continuation._finish
 
-    def spy_screen(fits, hi):
-        why = pole_screen(fits, hi)
-        screens.append((len(fits), sum(isinstance(w, ContinuationError) for w in why)))
-        return why
+    def spy_finish(support, support_values, weights, hi):
+        fits = finish(support, support_values, weights, hi)
+        screens.append((len(fits), sum(fit.rejected.size > 0 for fit in fits)))
+        return fits
 
     monkeypatch.setattr(continuation, "_weights", spy)
-    monkeypatch.setattr(continuation, "_pole_screen", spy_screen)
+    monkeypatch.setattr(continuation, "_finish", spy_finish)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         loop = [loop_with_fallback(s) for s in sets]
@@ -607,21 +616,10 @@ def fresh_rows(fit):
     return poles[0], continuation._residues(poles, support, svals, w)[0]
 
 
-def fresh_screen(fit, hi):
-    """The pole screen of one fit, from poles and residues computed for it alone."""
-    poles, res = fresh_rows(fit)
-    lo = 1.0 - 1e-9
-    bad = (np.abs(poles.imag) < 1e-8) & (poles.real > lo) & (poles.real < hi) & (np.abs(res) > 1e-7)
-    if bad.any():
-        return ContinuationError(f"interpolant has poles at {np.sort(poles[bad].real)} inside [{lo}, {hi}]")
-    return None
-
-
 def test_finished_fits_keep_the_poles_and_residues_they_have_alone(monkeypatch):
     # every fit that AAA returns, in the stacks of the stack sets and of the
-    # boson sets, holds the poles and residues of a fresh pass over it alone,
-    # and the pole screen that reads them gives the verdicts and messages of
-    # that fresh pass
+    # boson sets, holds the poles, residues, value at n = 1 and screened
+    # poles of a fresh pass over it alone
     finished, aaa = [], continuation.AAA
 
     def spy(z, f, max_terms):
@@ -637,16 +635,14 @@ def test_finished_fits_keep_the_poles_and_residues_they_have_alone(monkeypatch):
     monkeypatch.undo()
     rejected = 0
     for z, fits in finished:
-        hi = z[:, -1] + 1e-9
-        for got, fit, top in zip(continuation._pole_screen(fits, hi), fits, hi):
+        for fit, hi in zip(fits, z[:, -1] + 1e-9):
             if isinstance(fit, Exception):
-                assert got is fit
                 continue
             poles, res = fresh_rows(fit)
             assert fit.poles.tobytes() == poles.tobytes() and fit.residues.tobytes() == res.tobytes()
-            want = fresh_screen(fit, top)
-            assert type(got) is type(want) and str(got) == str(want)
-            rejected += isinstance(got, ContinuationError)
+            assert fit.at_one.tobytes() == value_at_one(fit).tobytes()
+            assert fit.rejected.tobytes() == screened_poles(poles, res, hi).tobytes()
+            rejected += fit.rejected.size > 0
     assert rejected
 
 

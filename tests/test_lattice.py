@@ -902,6 +902,18 @@ class TestRefusals:
         with pytest.raises(ValueError, match=r"Fock dimension 2\^13 exceeds 4096"):
             EDOracle(ISING, 13)
 
+    @pytest.mark.parametrize("method, message", [("log_flux_trace", "charge probabilities not real"),
+                                                 ("pair_traces", "sector overlaps not real")])
+    def test_sector_table_refuses_a_spurious_phase(self, monkeypatch, method, message):
+        # a phase of 1e-3 on every flux trace, or on every pair trace, rotates
+        # the probabilities or the overlaps off the real axis
+        traces = getattr(GaussianWindow, method)
+        spurious = {"log_flux_trace": lambda self, g: traces(self, g) + 1e-3j,
+                    "pair_traces": lambda self, x1, x2: traces(self, x1, x2) * np.exp(1e-3j)}
+        monkeypatch.setattr(GaussianWindow, method, spurious[method])
+        with pytest.raises(ValueError, match=message):
+            charge_sector_table(ISING, SubsystemLayout(3, 2, 4))
+
 
 class TestEDOracle:
     def test_two_orderings_agree(self):
@@ -1105,7 +1117,7 @@ def unsolved_oracle(model, n_sites, psi=None):
     """An EDOracle holding a given state, without the ground-state solve."""
     oracle = object.__new__(EDOracle)
     oracle.model, oracle.n, oracle.psi = model, n_sites, psi
-    oracle._labels = {}
+    oracle._sectors = {}
     return oracle
 
 
@@ -1152,8 +1164,9 @@ class TestEDBitIdentity:
             V, rest = oracle._build_reshape(a_sites)
             assert same_bits(V, V_ref) and rest == rest_ref
             b_sites = rest[len(rest) // 2:]
-            assert same_bits(oracle._sector_labels(a_sites, b_sites)[1],
-                             loop_charges(rest, b_sites))
+            q_ref = loop_charges(rest, b_sites)
+            want = np.array([(V_ref * (q_ref == q)) @ V_ref.T for q in range(len(b_sites) + 1)])
+            assert same_bits(oracle.sector_states(a_sites, b_sites), want)
 
     @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
     def test_ground_state_reshape(self, model):
@@ -1225,6 +1238,29 @@ class TestLanczos:
             first, second = EDOracle(model, n_sites), EDOracle(model, n_sites)
             assert same_bits(first.psi, second.psi)
             assert (first.gap, first.residual) == (second.gap, second.residual)
+
+    @pytest.mark.parametrize("model", ED_MODELS.values(), ids=ED_MODELS.keys())
+    def test_oracle_peak_stays_below_8_mib(self, model):
+        # the basis grows in 32-step chunks; one preallocated for every
+        # LANCZOS_STEPS step would take 12.5 MiB on its own at 12 sites
+        peak = traced_peak(lambda: EDOracle(model, 12))
+        assert peak <= 8.0, f"traced peak {peak:.2f} MiB"
+
+    def test_a_failing_cholesky_falls_back_to_eigh(self, monkeypatch):
+        # where the Cholesky factor that confirms a converged level fails,
+        # the check diagonalizes T: the same gap and state
+        want = EDOracle(ISING, 12)
+        calls = []
+
+        def failing(a):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        got = EDOracle(ISING, 12)
+        assert calls
+        assert abs(got.gap - want.gap) <= 1e-12
+        assert min(np.abs(got.psi - want.psi).max(), np.abs(got.psi + want.psi).max()) <= 1e-12
 
     def test_spent_budget_raises(self, monkeypatch):
         # the 12-site Ising chain needs about 72 steps
